@@ -23,6 +23,9 @@ from .memory import ItemMemory
 MAPPING_KINDS = ("ground_truth", "random", "mixed")
 SWEEP_AXES = ("dim", "k", "mapping_kind", "lambda_proxy")
 
+# Symbol rows drawn per generator call when a symbol matrix is filled.
+_FILL_ROWS = 8
+
 CSV_HEADER = "axis,value,dim,k,mapping,trials,recovery_cosine,cleanup_accuracy,flip_rate,seed"
 
 
@@ -152,13 +155,21 @@ def default_scene(config: BenchConfig) -> SceneSpec:
 
 
 def materialize(domain: DomainSpec, rng: np.random.Generator | None = None) -> DomainSymbols:
-    """Draw an independent bipolar hypervector per label, in a fixed label order."""
+    """Draw an independent bipolar hypervector per label, in a fixed label order.
+
+    The vectors are row views of one symbol matrix, filled as ``measure_recovery``
+    fills a trial's symbols.
+    """
     if rng is None:
         rng = np.random.default_rng(domain.seed)
-    objects = {label: sample_hypervector(domain.dim, rng) for label in domain.object_vocab}
-    src = {label: sample_hypervector(domain.dim, rng) for label in domain.src_attr_vocab}
-    tgt = {label: sample_hypervector(domain.dim, rng) for label in domain.tgt_attr_vocab}
-    return DomainSymbols(objects=objects, src_attrs=src, tgt_attrs=tgt, dim=domain.dim)
+    symbols, (objects, src, tgt) = _symbol_matrix(domain)
+    _fill_bipolar(symbols, rng)
+    return DomainSymbols(
+        objects=dict(zip(domain.object_vocab, objects)),
+        src_attrs=dict(zip(domain.src_attr_vocab, src)),
+        tgt_attrs=dict(zip(domain.tgt_attr_vocab, tgt)),
+        dim=domain.dim,
+    )
 
 
 def encode_scene(symbols: DomainSymbols, scene: SceneSpec) -> np.ndarray:
@@ -206,6 +217,47 @@ def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, trial)))
 
 
+def _symbol_matrix(domain: DomainSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Uninitialized rows for every symbol, and views of its object,
+    source-attribute and target-attribute rows, each in vocabulary order."""
+    n_obj, n_attr = len(domain.object_vocab), len(domain.src_attr_vocab)
+    symbols = np.empty((n_obj + 2 * n_attr, domain.dim))
+    return symbols, np.split(symbols, [n_obj, n_obj + n_attr])
+
+
+def _fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``out`` with bipolar rows, drawing a few rows at a time.
+
+    The bits equal one ``sample_hypervector(dim, rng)`` per row in row order;
+    the small blocks keep the integer draw's temporary from doubling the
+    matrix's memory.
+    """
+    for r0 in range(0, out.shape[0], _FILL_ROWS):
+        block = out[r0 : r0 + _FILL_ROWS]
+        np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+        block -= 1.0
+
+
+def _scene_rows(domain: DomainSpec, scene: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Object and attribute vocabulary indices of a source scene's pairs.
+
+    Target attribute i translates source attribute i, so the attribute
+    indices serve the scene and its target twin alike.
+    """
+    if scene.domain != "source":
+        raise InvalidArgumentError("measure_recovery expects a source-domain scene")
+    obj_index = {label: i for i, label in enumerate(domain.object_vocab)}
+    attr_index = {label: i for i, label in enumerate(domain.src_attr_vocab)}
+    for obj_label, attr_label in scene.pairs:
+        if obj_label not in obj_index:
+            raise InvalidArgumentError(f"unknown object label {obj_label!r}")
+        if attr_label not in attr_index:
+            raise InvalidArgumentError(f"unknown source attribute label {attr_label!r}")
+    objs = np.array([obj_index[o] for o, _ in scene.pairs], dtype=np.intp)
+    attrs = np.array([attr_index[a] for _, a in scene.pairs], dtype=np.intp)
+    return objs, attrs
+
+
 def measure_recovery(
     domain: DomainSpec,
     scene: SceneSpec,
@@ -217,48 +269,49 @@ def measure_recovery(
 ) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
-    Each trial materializes fresh symbols, encodes the source scene and its
-    target twin, builds the requested mapping kind ('mixed' blends the
-    ground-truth and a random mapping by ``mix``), translates the source
-    scene, and then recovers each object by unbinding the target attribute
-    and cleaning up against the full object vocabulary.
+    Each trial fills one symbol matrix (object, source-attribute and
+    target-attribute rows in vocabulary order) from the trial's generator,
+    reusing one buffer across trials. The scene's pairs are resolved once to
+    row indices. A trial encodes the source scene and its target twin as
+    bundles of bound rows, builds the requested mapping kind ('mixed' blends
+    the ground-truth and a random mapping by ``mix``), translates the source
+    scene, and then recovers each object by unbinding its target attribute
+    and cleaning up against an item memory over the object rows.
     """
     if mapping not in MAPPING_KINDS:
         raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {mapping!r}")
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
-    twin = target_twin(domain, scene)
+    obj, attr = _scene_rows(domain, scene)
+    symbols, (objects, src_attrs, tgt_attrs) = _symbol_matrix(domain)
+    object_ids = range(len(objects))
 
     cosines = np.empty(trials)
     correct = 0
-    attempts = 0
     for t in range(trials):
         rng = _trial_rng(seed, stream, t)
-        symbols = materialize(domain, rng)
-        v_src = encode_scene(symbols, scene)
-        v_tgt = encode_scene(symbols, twin)
+        _fill_bipolar(symbols, rng)
+        scene_objects = objects[obj]
+        v_src = np.sum(scene_objects * src_attrs[attr], axis=0)
+        v_tgt = np.sum(scene_objects * tgt_attrs[attr], axis=0)
 
-        u_gt = scene_mapping(domain, symbols, scene)
-        if mapping == "ground_truth":
-            u = u_gt
-        elif mapping == "random":
+        if mapping == "random":
             u = sample_hypervector(domain.dim, rng)
         else:
-            u = mix * u_gt + (1.0 - mix) * sample_hypervector(domain.dim, rng)
+            u = build_ground_truth_mapping(zip(src_attrs[attr], tgt_attrs[attr]))
+            if mapping == "mixed":
+                u = mix * u + (1.0 - mix) * sample_hypervector(domain.dim, rng)
 
-        translated = translate_scene(v_src, u)
+        translated = bind(v_src, u)
         cosines[t] = cosine_similarity(translated, v_tgt)
 
-        mem = ItemMemory()
-        for label in domain.object_vocab:
-            mem.add(label, symbols.objects[label])
-        for obj_label, tgt_label in twin.pairs:
-            query = bind(translated, symbols.tgt_attrs[tgt_label])
-            top_label, _ = mem.cleanup(query, k=1)[0]
-            correct += int(top_label == obj_label)
-            attempts += 1
+        mem = ItemMemory.from_matrix(object_ids, objects)
+        for i, a in zip(obj, attr):
+            top_id, _ = mem.cleanup(translated * tgt_attrs[a], k=1)[0]
+            correct += int(top_id == i)
 
+    attempts = trials * scene.k
     accuracy = correct / attempts
     sem = float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return BenchReport(
@@ -288,6 +341,20 @@ def run_config(config: BenchConfig, stream: int = 0) -> BenchReport:
     )
 
 
+def _grid_int(axis: str, value) -> int:
+    """An integral grid value as int; fractions and non-numbers are rejected, never truncated."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidArgumentError(f"{axis} grid values must be integers, got {value!r}")
+
+
 def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
     """One report per grid point along the named axis; returns (value, report) pairs."""
     if axis not in SWEEP_AXES:
@@ -299,9 +366,9 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
     results = []
     for i, value in enumerate(grid):
         if axis == "dim":
-            cfg = replace(base, dim=int(value))
+            cfg = replace(base, dim=_grid_int(axis, value))
         elif axis == "k":
-            cfg = replace(base, k=int(value))
+            cfg = replace(base, k=_grid_int(axis, value))
         elif axis == "mapping_kind":
             cfg = replace(base, mapping=str(value))
         else:

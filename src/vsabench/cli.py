@@ -75,9 +75,22 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
+def _config_number(cfg: dict, key: str, kind: type):
+    """``cfg[key]`` converted by ``kind`` (int or float); booleans, fractional
+    integers and unconvertible values are config errors rather than coerced."""
+    value = cfg[key]
+    expected = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from exc
+
+
 def _resolve_seed(cfg: dict) -> int:
     if cfg.get("seed") is not None:
-        return int(cfg["seed"])
+        return _config_number(cfg, "seed", int)
     env = os.environ.get("VSAIT_SEED")
     if env is not None:
         try:
@@ -136,14 +149,14 @@ def cmd_encode(args) -> int:
     sides = cfg["patch_sizes"]
     if isinstance(sides, str):
         sides = _parse_int_list(sides, "--patch-sizes")
-    spec = PatchSpec(sides=tuple(sides), dilation=int(cfg["dilation"]))
+    spec = PatchSpec(sides=tuple(sides), dilation=_config_number(cfg, "dilation", int))
     patches = assemble_patches(fm, spec)
     if cfg["norm_scope"] == "per_layer":
         patches = normalize_blocks(patches, block_lengths(fm, spec))
     elif cfg["norm_scope"] != "vector":
         raise ConfigError(f"--norm-scope must be vector or per_layer, got {cfg['norm_scope']!r}")
 
-    n = int(cfg["dim"])
+    n = _config_number(cfg, "dim", int)
     projector = lsh.new_projector(m=patches.m, n=n, seed=seed)
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
     vsaf.write_hypervectors(np.stack(hvs), cfg["out"])
@@ -214,8 +227,8 @@ def cmd_loss(args) -> int:
     check_no_zero_vectors(v_cycled, "cycled")
 
     loss_cfg = LossConfig(
-        lam=float(cfg["lam"]),
-        fake_term_weights=(float(cfg["w1"]), float(cfg["w2"])),
+        lam=_config_number(cfg, "lam", float),
+        fake_term_weights=(_config_number(cfg, "w1", float), _config_number(cfg, "w2", float)),
         variant=cfg["variant"],
     )
     vsa = vsa_cyclic_loss(v_x, v_cycled)
@@ -256,13 +269,13 @@ def cmd_bench(args) -> int:
     })
     seed = _resolve_seed(cfg)
     base = bench_mod.BenchConfig(
-        dim=int(cfg["dim"]),
-        k=int(cfg["k"]),
-        object_vocab_size=int(cfg["objects"]),
-        attr_vocab_size=int(cfg["attrs"]),
+        dim=_config_number(cfg, "dim", int),
+        k=_config_number(cfg, "k", int),
+        object_vocab_size=_config_number(cfg, "objects", int),
+        attr_vocab_size=_config_number(cfg, "attrs", int),
         mapping=cfg["mapping"],
-        mix=float(cfg["mix"]),
-        trials=int(cfg["trials"]),
+        mix=_config_number(cfg, "mix", float),
+        trials=_config_number(cfg, "trials", int),
         seed=seed,
     )
     grid = cfg["grid"]

@@ -1,66 +1,127 @@
 """Cleanup (item) memory: recover the nearest known symbol by cosine similarity.
 
-Deliberately a linear scan over all entries. Memories at this scale hold at
-most a few hundred symbols, and an exact scan keeps retrieval deterministic.
+Entries live as rows of one float64 matrix, with their squared norms cached
+when they are stored. A query is an exact scan: one ``n * dim``
+matrix-vector product against the stored rows, then a stable sort of the
+n similarities, so retrieval is deterministic and ties go to the earlier
+entry. Memory grows by doubling its row capacity; a memory built with
+``from_matrix`` adopts the caller's matrix without copying it.
 """
 
 from __future__ import annotations
+
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
 from .hv import as_hypervector
 
+# Entries per row block when squared norms are computed for a whole matrix,
+# which bounds the temporary to about 2 MB whatever the memory size.
+_BLOCK_ENTRIES = 1 << 18
+
 
 class ItemMemory:
     """Ordered store of labeled hypervectors, queried by cosine similarity."""
 
     def __init__(self):
-        self._labels: list[str] = []
-        self._vectors: list[np.ndarray] = []
-        self._dim: int | None = None
+        self._labels: list[Hashable] = []
+        self._index: dict[Hashable, int] = {}
+        self._rows = np.empty((0, 0))
+        self._norms2 = np.empty(0)
+
+    @classmethod
+    def from_matrix(cls, labels: Iterable[Hashable], matrix) -> "ItemMemory":
+        """A memory holding row i of an ``(n, dim)`` matrix under ``labels[i]``.
+
+        A C-contiguous float64 matrix is adopted without a copy, so the caller
+        must not change it while the memory is in use. Rows are validated as
+        ``add`` validates one vector.
+        """
+        labels = list(labels)
+        rows = np.ascontiguousarray(matrix, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] < 1:
+            raise InvalidArgumentError(f"matrix must be (n, dim) with dim >= 1, got shape {rows.shape}")
+        if len(labels) != rows.shape[0]:
+            raise InvalidArgumentError(f"{len(labels)} labels for {rows.shape[0]} rows")
+        index = {label: i for i, label in enumerate(labels)}
+        if len(index) != len(labels):
+            dup = next(label for i, label in enumerate(labels) if index[label] != i)
+            raise InvalidArgumentError(f"duplicate label {dup!r}")
+        norms2 = _row_norms2(rows)
+        for i in np.flatnonzero(~np.isfinite(norms2)):
+            # A non-finite entry makes its row's norm non-finite; overflow alone does not reject.
+            if not np.all(np.isfinite(rows[i])):
+                raise InvalidArgumentError(f"hypervector entries must be finite (row {i}, {labels[i]!r})")
+        zero = np.flatnonzero(norms2 == 0.0)
+        if zero.size:
+            raise DegenerateInputError(f"cannot store zero-norm vector for {labels[zero[0]]!r}")
+        mem = cls()
+        mem._labels, mem._index, mem._rows, mem._norms2 = labels, index, rows, norms2
+        return mem
 
     def __len__(self) -> int:
         return len(self._labels)
 
     @property
-    def labels(self) -> list[str]:
+    def labels(self) -> list[Hashable]:
         return list(self._labels)
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        return self._rows.shape[1] if self._rows.shape[1] else None
 
-    def add(self, label: str, vector) -> "ItemMemory":
+    def add(self, label: Hashable, vector) -> "ItemMemory":
         """Append an entry; labels are unique and insertion order is preserved."""
-        if label in self._labels:
+        if label in self._index:
             raise InvalidArgumentError(f"duplicate label {label!r}")
         v = as_hypervector(vector)
-        if self._dim is None:
-            self._dim = v.shape[0]
-        elif v.shape[0] != self._dim:
-            raise InvalidArgumentError(
-                f"vector dim {v.shape[0]} does not match memory dim {self._dim}"
-            )
-        if np.linalg.norm(v) == 0.0:
+        dim = self.dim
+        if dim is not None and v.shape[0] != dim:
+            raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {dim}")
+        n2 = np.sum(v * v)
+        if n2 == 0.0:
             raise DegenerateInputError(f"cannot store zero-norm vector for {label!r}")
+        n = len(self._labels)
+        if n == self._norms2.shape[0]:
+            self._grow(max(2 * n, 8), v.shape[0])
+        self._rows[n] = v
+        self._norms2[n] = n2
+        self._index[label] = n
         self._labels.append(label)
-        self._vectors.append(v)
         return self
 
-    def cleanup(self, query, k: int = 1) -> list[tuple[str, float]]:
+    def _grow(self, capacity: int, dim: int) -> None:
+        n = len(self._labels)
+        rows, norms2 = np.empty((capacity, dim)), np.empty(capacity)
+        if n:
+            rows[:n], norms2[:n] = self._rows[:n], self._norms2[:n]
+        self._rows, self._norms2 = rows, norms2
+
+    def cleanup(self, query, k: int = 1) -> list[tuple[Hashable, float]]:
         """Top-k (label, cosine similarity), ties broken by insertion order."""
-        if not self._labels:
+        n = len(self._labels)
+        if not n:
             raise InvalidStateError("cleanup on an empty memory")
         if k < 1:
             raise InvalidArgumentError(f"k must be >= 1, got {k}")
         q = as_hypervector(query)
-        if q.shape[0] != self._dim:
-            raise InvalidArgumentError(f"query dim {q.shape[0]} does not match memory dim {self._dim}")
+        if q.shape[0] != self.dim:
+            raise InvalidArgumentError(f"query dim {q.shape[0]} does not match memory dim {self.dim}")
         qn2 = np.dot(q, q)
         if qn2 == 0.0:
             raise DegenerateInputError("cleanup query has zero norm")
-        stack = np.stack(self._vectors)
-        sims = (stack @ q) / np.sqrt(np.sum(stack * stack, axis=1) * qn2)
-        order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
-        return [(self._labels[i], float(sims[i])) for i in order[: min(k, len(sims))]]
+        sims = (self._rows[:n] @ q) / np.sqrt(self._norms2[:n] * qn2)
+        order = np.argsort(-sims, kind="stable")[:k]
+        return [(self._labels[i], float(sims[i])) for i in order]
+
+
+def _row_norms2(rows: np.ndarray) -> np.ndarray:
+    """``np.sum(rows * rows, axis=1)``, computed in row blocks to bound the temporary."""
+    step = max(1, _BLOCK_ENTRIES // rows.shape[1])
+    out = np.empty(rows.shape[0])
+    for r0 in range(0, rows.shape[0], step):
+        block = rows[r0 : r0 + step]
+        out[r0 : r0 + step] = np.sum(block * block, axis=1)
+    return out

@@ -6,7 +6,9 @@ import pytest
 from vsabench.bench import (
     CSV_HEADER,
     BenchConfig,
+    BenchReport,
     DomainSpec,
+    DomainSymbols,
     SceneSpec,
     default_domain,
     default_scene,
@@ -21,7 +23,7 @@ from vsabench.bench import (
     translate_scene,
 )
 from vsabench.errors import InvalidArgumentError
-from vsabench.hv import bind, cosine_similarity
+from vsabench.hv import bind, cosine_similarity, sample_hypervector
 
 DIM = 4096
 
@@ -36,7 +38,76 @@ def small_domain(dim=DIM, seed=0, n_obj=8, n_attr=4):
     )
 
 
+def per_label_symbols(domain, rng):
+    """Symbols drawn one sample_hypervector per label: objects, then source, then target attributes."""
+    def draw(vocab):
+        return {label: sample_hypervector(domain.dim, rng) for label in vocab}
+
+    objects = draw(domain.object_vocab)
+    src = draw(domain.src_attr_vocab)
+    tgt = draw(domain.tgt_attr_vocab)
+    return DomainSymbols(objects=objects, src_attrs=src, tgt_attrs=tgt, dim=domain.dim)
+
+
+def reference_cleanup(labels, vectors, query):
+    """Top-1 label by cosine over a stacked memory, ties to the earlier entry."""
+    stack = np.stack(vectors)
+    sims = (stack @ query) / np.sqrt(np.sum(stack * stack, axis=1) * np.dot(query, query))
+    best = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[0]
+    return labels[best]
+
+
+def reference_recovery(domain, scene, mapping, trials, seed, mix=1.0, stream=0):
+    """The per-label trial loop: dicts of symbols, one scene encoding and one cleanup query at a time."""
+    twin = target_twin(domain, scene)
+    cosines = np.empty(trials)
+    correct = attempts = 0
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, t)))
+        symbols = per_label_symbols(domain, rng)
+        v_src = encode_scene(symbols, scene)
+        v_tgt = encode_scene(symbols, twin)
+        u_gt = scene_mapping(domain, symbols, scene)
+        if mapping == "ground_truth":
+            u = u_gt
+        elif mapping == "random":
+            u = sample_hypervector(domain.dim, rng)
+        else:
+            u = mix * u_gt + (1.0 - mix) * sample_hypervector(domain.dim, rng)
+        translated = translate_scene(v_src, u)
+        cosines[t] = cosine_similarity(translated, v_tgt)
+        labels = list(domain.object_vocab)
+        vectors = [symbols.objects[label] for label in labels]
+        for obj_label, tgt_label in twin.pairs:
+            query = bind(translated, symbols.tgt_attrs[tgt_label])
+            correct += int(reference_cleanup(labels, vectors, query) == obj_label)
+            attempts += 1
+    accuracy = correct / attempts
+    return BenchReport(
+        recovery_cosine=float(np.mean(cosines)),
+        cleanup_accuracy=accuracy,
+        flip_rate=1.0 - accuracy,
+        dim=domain.dim,
+        k=scene.k,
+        mapping=mapping,
+        trials=trials,
+        seed=seed,
+        recovery_cosine_sem=float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+        attempts=attempts,
+    )
+
+
 class TestDomainAndScene:
+    def test_materialize_matches_per_label_draws(self):
+        d = small_domain(dim=129, n_obj=11, n_attr=3)
+        sym = materialize(d, np.random.default_rng(7))
+        ref = per_label_symbols(d, np.random.default_rng(7))
+        for field in ("objects", "src_attrs", "tgt_attrs"):
+            got, want = getattr(sym, field), getattr(ref, field)
+            assert list(got) == list(want)
+            for label in want:
+                np.testing.assert_array_equal(got[label], want[label])
+
     def test_materialize_deterministic(self):
         d = small_domain()
         a, b = materialize(d), materialize(d)
@@ -142,6 +213,39 @@ class TestMeasureRecovery:
             measure_recovery(d, SceneSpec(pairs=(("obj00", "src00"),)), mapping="learned")
 
 
+class TestMatchesPerLabelLoop:
+    """measure_recovery on a symbol matrix reproduces the per-label trial loop exactly."""
+
+    CASES = [
+        ("ground_truth", 1.0),
+        ("random", 1.0),
+        ("mixed", 0.3),
+    ]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("mapping,mix", CASES)
+    def test_equal_reports(self, mapping, mix, k):
+        # odd dim, more objects than attributes, and a scene that skips vocabulary rows
+        d = small_domain(dim=129, seed=0, n_obj=13, n_attr=5)
+        scene = SceneSpec(pairs=tuple((f"obj{2 * i + 1:02d}", f"src{4 - i:02d}") for i in range(k)))
+        got = measure_recovery(d, scene, mapping=mapping, trials=6, seed=21, mix=mix, stream=2)
+        want = reference_recovery(d, scene, mapping, trials=6, seed=21, mix=mix, stream=2)
+        assert got == want
+
+    def test_equal_csv_bytes(self):
+        d = small_domain(dim=129, seed=0, n_obj=13, n_attr=5)
+        scene = SceneSpec(pairs=(("obj00", "src00"), ("obj05", "src01"), ("obj12", "src04")))
+        got, want = [], []
+        for stream, (mapping, mix) in enumerate(self.CASES):
+            got.append((mapping, measure_recovery(d, scene, mapping, 8, seed=3, mix=mix, stream=stream)))
+            want.append((mapping, reference_recovery(d, scene, mapping, 8, seed=3, mix=mix, stream=stream)))
+        assert reports_to_csv("mapping_kind", got).encode() == reports_to_csv("mapping_kind", want).encode()
+
+    def test_unknown_object_label_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            measure_recovery(small_domain(dim=64), SceneSpec(pairs=(("ghost", "src00"),)), trials=1)
+
+
 class TestSweep:
     def test_singleton_grid_matches_measure_recovery(self):
         base = BenchConfig(k=2, trials=10, seed=15)
@@ -164,6 +268,16 @@ class TestSweep:
     def test_bad_axis_rejected(self):
         with pytest.raises(InvalidArgumentError):
             run_sweep("epochs", [1], BenchConfig())
+
+    @pytest.mark.parametrize("axis,value", [("k", 1.5), ("dim", 128.25), ("k", "two"), ("dim", True)])
+    def test_non_integral_grid_value_rejected(self, axis, value):
+        with pytest.raises(InvalidArgumentError):
+            run_sweep(axis, [value], BenchConfig(dim=128, trials=1))
+
+    def test_integral_float_grid_value_accepted(self):
+        base = BenchConfig(dim=128, k=1, trials=2, seed=4)
+        [(_, report)] = run_sweep("k", [2.0], base)
+        assert report == run_config(BenchConfig(dim=128, k=2, trials=2, seed=4))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -75,6 +75,19 @@ class TestEncode:
         assert "conv2" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg", [{"dilation": 1.5}, {"dim": "wide"}, {"seed": "abc"}])
+    def test_mistyped_config_value_exit_3(self, cfg, feature_file, tmp_path, capsys):
+        out = tmp_path / "hv.vsaf"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, stdout, stderr = run_cli([
+            "encode", "--features-in", str(feature_file), "--out", str(out),
+            "--patch-sizes", "4,2", "--config", str(path),
+        ], capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: ")
+        assert not out.exists()
+
     def test_bad_magic_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vsaf"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -140,6 +153,16 @@ class TestLoss:
         assert metrics["vsa"] == pytest.approx(0.0, abs=1e-6)
         assert metrics["config"]["lambda"] == 10.0
 
+    @pytest.mark.parametrize("cfg", [{"lam": "ten"}, {"w1": [1]}])
+    def test_mistyped_config_value_exit_3(self, cfg, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("config error: ")
+
     def test_lambda_zero_total_equals_gan(self, tmp_path, capsys):
         hvs = np.random.default_rng(4).standard_normal((2, 32))
         xp, cp = tmp_path / "x.vsaf", tmp_path / "c.vsaf"
@@ -200,6 +223,23 @@ class TestBench:
         rows = stdout.strip().split("\n")[1:]
         assert all(row.split(",")[0] == "k" for row in rows)
         assert all(row.split(",")[5] == "4" for row in rows)
+
+    def test_fractional_k_grid_exit_3(self, capsys):
+        code, stdout, err = run_cli([
+            "bench", "--axis", "k", "--grid", "1.5", "--trials", "2", "--dim", "64", "--seed", "0",
+        ], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert "k grid values must be integers" in err
+
+    @pytest.mark.parametrize("cfg", [{"seed": "abc"}, {"trials": "x"}, {"trials": 2.5}, {"dim": True}])
+    def test_mistyped_config_value_exit_3(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": "64", "trials": 2, **cfg}))
+        code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("config error: ")
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("VSAIT_SEED", "17")

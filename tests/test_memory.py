@@ -92,6 +92,104 @@ class TestCleanup:
             mem.cleanup(np.zeros(16))
 
 
+def parent_formula(vectors, query):
+    """(label index, similarity) pairs from a stacked scan sorted by (-similarity, index)."""
+    stack = np.stack(vectors)
+    sims = (stack @ query) / np.sqrt(np.sum(stack * stack, axis=1) * np.dot(query, query))
+    return [(i, float(sims[i])) for i in sorted(range(len(sims)), key=lambda i: (-sims[i], i))]
+
+
+class TestGrowth:
+    def test_add_after_cleanup_is_visible(self):
+        mem = filled_memory(3, 64)
+        v = random_hypervector(64, seed=77)
+        assert mem.cleanup(v)[0][0] != "late"
+        mem.add("late", v)
+        assert mem.cleanup(v)[0] == ("late", 1.0)
+        assert len(mem) == 4 and mem.labels[-1] == "late"
+
+    def test_similarities_bitwise_equal_to_stacked_scan(self):
+        # non-integer entries, an odd dim and a count that crosses several capacity doublings
+        rng = np.random.default_rng(3)
+        vectors = list(rng.standard_normal((37, 1031)) * rng.uniform(0.1, 10.0, (37, 1)))
+        mem = ItemMemory()
+        for i, v in enumerate(vectors):
+            mem.add(i, v)
+        for _ in range(5):
+            q = rng.standard_normal(1031)
+            assert mem.cleanup(q, k=37) == parent_formula(vectors, q)
+
+
+class TestFromMatrix:
+    def test_matches_memory_built_by_add(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((20, 257))
+        labels = [f"m{i}" for i in range(20)]
+        built = ItemMemory()
+        for label, row in zip(labels, matrix):
+            built.add(label, row.copy())
+        adopted = ItemMemory.from_matrix(labels, matrix)
+        assert adopted.labels == built.labels and len(adopted) == 20 and adopted.dim == 257
+        for _ in range(5):
+            q = rng.standard_normal(257)
+            assert adopted.cleanup(q, k=20) == built.cleanup(q, k=20)
+
+    def test_add_after_from_matrix_leaves_matrix_alone(self):
+        matrix = np.stack([random_hypervector(32, seed=i) for i in range(3)])
+        before = matrix.copy()
+        mem = ItemMemory.from_matrix(["a", "b", "c"], matrix)
+        mem.add("d", random_hypervector(32, seed=9))
+        assert mem.labels == ["a", "b", "c", "d"]
+        assert mem.cleanup(random_hypervector(32, seed=9))[0][0] == "d"
+        assert mem.cleanup(matrix[1])[0][0] == "b"
+        np.testing.assert_array_equal(matrix, before)
+
+    def test_tie_break_insertion_order(self):
+        v = random_hypervector(64, seed=5)
+        mem = ItemMemory.from_matrix(["first", "second"], np.stack([v, v]))
+        assert [label for label, _ in mem.cleanup(v, k=2)] == ["first", "second"]
+
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            ItemMemory.from_matrix(["a", "b", "a"], np.ones((3, 8)))
+
+    def test_zero_row_rejected(self):
+        matrix = np.ones((3, 8))
+        matrix[1] = 0.0
+        with pytest.raises(DegenerateInputError):
+            ItemMemory.from_matrix(["a", "b", "c"], matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        matrix = np.ones((3, 8))
+        matrix[2, 5] = bad
+        with pytest.raises(InvalidArgumentError):
+            ItemMemory.from_matrix(["a", "b", "c"], matrix)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_huge_finite_entries_accepted_as_add_accepts_them(self):
+        # the squared norm overflows to inf, which is not a non-finite entry
+        row = np.full(8, 1e200)
+        ItemMemory().add("big", row)
+        assert len(ItemMemory.from_matrix(["big"], row[None, :])) == 1
+
+    @pytest.mark.parametrize("labels,matrix", [
+        (["a", "b"], np.ones((3, 8))),  # label count differs from row count
+        (["a"], np.ones(8)),  # not an (n, dim) matrix
+        (["a"], np.ones((1, 0))),  # empty rows
+    ])
+    def test_shape_mismatch_rejected(self, labels, matrix):
+        with pytest.raises(InvalidArgumentError):
+            ItemMemory.from_matrix(labels, matrix)
+
+    def test_dim_mismatch_on_add_and_query_rejected(self):
+        mem = ItemMemory.from_matrix(["a"], np.ones((1, 8)))
+        with pytest.raises(InvalidArgumentError):
+            mem.add("b", np.ones(9))
+        with pytest.raises(InvalidArgumentError):
+            mem.cleanup(np.ones(9))
+
+
 def test_noise_bundled_recovery_rate():
     # seeded Monte-Carlo: symbol + equal-norm bundled noise recovered >= 99%
     # from a 100-symbol memory at dim 4096
