@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import lsh, mapping, vsaf
 from .errors import (
@@ -139,7 +137,13 @@ def cmd_encode(args) -> int:
         raise UsageError("encode requires --features-in and --out")
     if cfg["patch_sizes"] is None:
         raise UsageError("encode requires --patch-sizes")
+    if cfg["quantize"] not in lsh.QUANTIZE_MODES:
+        raise ConfigError(f"--quantize must be one of {lsh.QUANTIZE_MODES}, got {cfg['quantize']!r}")
+    if cfg["norm_scope"] not in ("vector", "per_layer"):
+        raise ConfigError(f"--norm-scope must be vector or per_layer, got {cfg['norm_scope']!r}")
     seed = _resolve_seed(cfg)
+    n = _config_number(cfg, "dim", int)
+    dilation = _config_number(cfg, "dilation", int)
 
     try:
         fm = vsaf.read_feature_file(cfg["features_in"])
@@ -149,17 +153,14 @@ def cmd_encode(args) -> int:
     sides = cfg["patch_sizes"]
     if isinstance(sides, str):
         sides = _parse_int_list(sides, "--patch-sizes")
-    spec = PatchSpec(sides=tuple(sides), dilation=_config_number(cfg, "dilation", int))
+    spec = PatchSpec(sides=tuple(sides), dilation=dilation)
     patches = assemble_patches(fm, spec)
     if cfg["norm_scope"] == "per_layer":
         patches = normalize_blocks(patches, block_lengths(fm, spec))
-    elif cfg["norm_scope"] != "vector":
-        raise ConfigError(f"--norm-scope must be vector or per_layer, got {cfg['norm_scope']!r}")
 
-    n = _config_number(cfg, "dim", int)
     projector = lsh.new_projector(m=patches.m, n=n, seed=seed)
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
-    vsaf.write_hypervectors(np.stack(hvs), cfg["out"])
+    vsaf.write_hypervectors(hvs, cfg["out"])
     _emit({"patch_count": patches.patch_count, "m": patches.m, "n": n, "seed": seed})
     return EXIT_OK
 

@@ -109,6 +109,12 @@ def cosine_similarity(a, b) -> float:
     av, bv = as_hypervector(a), as_hypervector(b)
     _check_same_dim(av, bv)
     na2, nb2 = np.dot(av, av), np.dot(bv, bv)
+    if not (2.0**-500 <= na2 <= 2.0**500 and 2.0**-500 <= nb2 <= 2.0**500):
+        # Squares this small or large lose precision or overflow. Scaling by a
+        # power of two is exact and leaves the cosine unchanged.
+        av = np.ldexp(av, -np.frexp(np.max(np.abs(av)))[1])
+        bv = np.ldexp(bv, -np.frexp(np.max(np.abs(bv)))[1])
+        na2, nb2 = np.dot(av, av), np.dot(bv, bv)
     if na2 == 0.0 or nb2 == 0.0:
         raise DegenerateInputError("cosine similarity undefined for a zero-norm vector")
     # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)

@@ -1,9 +1,18 @@
 """Locality sensitive hashing: project feature vectors into the hyperspace.
 
 A projector is a seeded n x m matrix whose rows are standard-normal samples
-normalized to unit length. Features are normalized to unit length before
-projection, so every output entry is a dot product of two unit vectors and
-lands in [-1, 1].
+normalized to unit length. The rows are drawn in one ``standard_normal``
+call and normalized in place, ``_NORM_ROWS`` rows at a time, so no second
+full-size temporary exists while the projector is built.
+
+Features are normalized to unit length before projection, so every output
+entry is a dot product of two unit vectors and lands in [-1, 1].
+``project`` and ``project_batch`` share one kernel: the unit features are
+multiplied by ``rows.T`` in zero-padded blocks of exactly ``BLOCK_ROWS``
+rows, so every BLAS call has the same ``(BLOCK_ROWS, m) @ (m, n)`` shape.
+A projected row therefore does not depend on the size of its batch or on
+its position in it; a single GEMM over the whole batch, or larger blocks,
+gave rows that did (OpenBLAS, 2 threads).
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from .errors import DegenerateInputError, InvalidArgumentError
 from .hv import check_seed
 
 QUANTIZE_MODES = ("none", "sign")
+BLOCK_ROWS = 8  # feature rows per GEMM call
+_NORM_ROWS = 256  # projector rows normalized per step
 
 
 @dataclass(frozen=True)
@@ -34,9 +45,61 @@ def new_projector(m: int, n: int, seed: int) -> LshProjector:
         raise InvalidArgumentError(f"m and n must be >= 1, got m={m}, n={n}")
     rng = np.random.default_rng(check_seed(seed))
     rows = rng.standard_normal(size=(n, m))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    for start in range(0, n, _NORM_ROWS):
+        block = rows[start : start + _NORM_ROWS]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
     rows.setflags(write=False)
     return LshProjector(rows=rows, m=m, n=n, seed=int(seed))
+
+
+def _row_norms(features: np.ndarray) -> np.ndarray:
+    """Row norms of a (count, m) array; raises naming the lowest non-finite or zero row."""
+    norms = np.linalg.norm(features, axis=1)
+    non_finite = ~np.isfinite(features).all(axis=1)
+    bad = np.flatnonzero(non_finite | (norms == 0.0))
+    if bad.size:
+        i = bad[0]
+        if non_finite[i]:
+            raise InvalidArgumentError(f"patch {i}: feature entries must be finite")
+        raise DegenerateInputError(f"patch {i}: cannot project a zero feature vector")
+    return norms
+
+
+def _feature_matrix(p: LshProjector, fs) -> np.ndarray:
+    """``fs`` as a (count, m) float64 array; a patch of the wrong length is named."""
+    vectors = getattr(fs, "vectors", fs)
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1] == p.m:
+        return vectors.astype(np.float64, copy=False)
+    rows = [np.asarray(f, dtype=np.float64) for f in vectors]
+    for i, f in enumerate(rows):
+        if f.shape != (p.m,):
+            if i:
+                _row_norms(np.stack(rows[:i]))  # a bad patch before this one is reported first
+            raise InvalidArgumentError(
+                f"patch {i}: feature length {f.shape} does not match projector m={p.m}"
+            )
+    return np.stack(rows) if rows else np.empty((0, p.m))
+
+
+def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.ndarray:
+    """Project the rows of a (count, m) float64 array, each scaled to unit length; (count, n)."""
+    if quantize not in QUANTIZE_MODES:
+        raise InvalidArgumentError(f"quantize must be one of {QUANTIZE_MODES}, got {quantize!r}")
+    count = features.shape[0]
+    norms = _row_norms(features)
+    padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
+    unit = np.zeros((padded, p.m))
+    np.divide(features, norms[:, np.newaxis], out=unit[:count])
+    out = np.empty((padded, p.n))
+    rows_t = p.rows.T
+    for start in range(0, padded, BLOCK_ROWS):
+        np.matmul(unit[start : start + BLOCK_ROWS], rows_t, out=out[start : start + BLOCK_ROWS])
+    out = out[:count]
+    # rows and input are unit vectors; clamp float round-off at the boundary
+    np.clip(out, -1.0, 1.0, out=out)
+    if quantize == "sign":
+        out = np.where(out >= 0.0, 1.0, -1.0)
+    return out
 
 
 def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
@@ -45,37 +108,23 @@ def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
     The feature is normalized to unit length first, so the projection is
     invariant to positive rescaling of the input. ``sign`` quantization maps
     entries to {-1, +1} with sign(0) -> +1, which restores exact unbinding at
-    the cost of similarity fidelity.
+    the cost of similarity fidelity. The result is bitwise equal to the
+    feature's row of ``project_batch``.
     """
-    if quantize not in QUANTIZE_MODES:
-        raise InvalidArgumentError(f"quantize must be one of {QUANTIZE_MODES}, got {quantize!r}")
     fv = np.asarray(f, dtype=np.float64)
-    if fv.ndim != 1 or fv.shape[0] != p.m:
+    if fv.shape != (p.m,):
         raise InvalidArgumentError(f"feature length {fv.shape} does not match projector m={p.m}")
-    if not np.all(np.isfinite(fv)):
-        raise InvalidArgumentError("feature entries must be finite")
-    norm = np.linalg.norm(fv)
-    if norm == 0.0:
-        raise DegenerateInputError("cannot project a zero feature vector")
-    out = p.rows @ (fv / norm)
-    # rows and input are unit vectors; clamp float round-off at the boundary
-    out = np.clip(out, -1.0, 1.0)
-    if quantize == "sign":
-        out = np.where(out >= 0.0, 1.0, -1.0)
-    return out
+    return _project_rows(p, fv[np.newaxis, :], quantize)[0]
 
 
-def project_batch(p: LshProjector, fs, quantize: str = "none") -> list[np.ndarray]:
-    """Apply ``project`` to each feature vector, preserving order.
+def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray | list:
+    """Project each feature vector, preserving order; returns a (count, n) array.
 
-    Accepts a PatchFeatureSet or any iterable of feature vectors. Per-item
-    failures are re-raised with the patch index attached.
+    Accepts a PatchFeatureSet, a (count, m) array or any iterable of feature
+    vectors. Failures name the offending patch index. Empty input returns
+    an empty list.
     """
-    vectors = getattr(fs, "vectors", fs)
-    out = []
-    for i, f in enumerate(vectors):
-        try:
-            out.append(project(p, f, quantize=quantize))
-        except (InvalidArgumentError, DegenerateInputError) as exc:
-            raise type(exc)(f"patch {i}: {exc}") from exc
-    return out
+    features = _feature_matrix(p, fs)
+    if features.shape[0] == 0:
+        return []
+    return _project_rows(p, features, quantize)

@@ -99,19 +99,13 @@ def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
             )
 
     gh, gw = grid_shape
-    patches = []
-    for gi in range(gh):
-        for gj in range(gw):
-            blocks = []
-            for side, layer in zip(spec.sides, fm.layers):
-                footprint = side * d
-                rows = gi * footprint + d * np.arange(side)
-                cols = gj * footprint + d * np.arange(side)
-                block = layer.data[np.ix_(rows, cols)]
-                blocks.append(block.astype(np.float64).reshape(-1))
-            patches.append(np.concatenate(blocks))
-
-    vectors = np.stack(patches)
+    blocks = []
+    for side, layer in zip(spec.sides, fm.layers):
+        c = layer.data.shape[2]
+        # split each axis into (grid cell, patch position, dilation offset); keep offset 0
+        cells = layer.data.reshape(gh, side, d, gw, side, d, c)[:, :, 0, :, :, 0, :]
+        blocks.append(cells.transpose(0, 2, 1, 3, 4).reshape(gh * gw, side * side * c))
+    vectors = np.concatenate(blocks, axis=1, dtype=np.float64)
     m = expected_vector_length(fm, spec)
     assert vectors.shape == (gh * gw, m)
     return PatchFeatureSet(vectors=vectors, patch_count=gh * gw, m=m)

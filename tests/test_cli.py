@@ -88,6 +88,24 @@ class TestEncode:
         assert stderr.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg", [{"quantize": "sgn"}, {"norm_scope": "per-layer"}])
+    def test_bad_mode_rejected_before_any_work(self, cfg, feature_file, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("encode did work before validating its config")
+
+        monkeypatch.setattr("vsabench.vsaf.read_feature_file", fail)
+        monkeypatch.setattr("vsabench.lsh.new_projector", fail)
+        out = tmp_path / "hv.vsaf"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, stdout, stderr = run_cli([
+            "encode", "--features-in", str(feature_file), "--out", str(out),
+            "--patch-sizes", "4,2", "--config", str(path),
+        ], capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: ")
+        assert not out.exists()
+
     def test_bad_magic_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vsaf"
         bad.write_bytes(b"JUNKJUNKJUNK")

@@ -166,6 +166,16 @@ class TestCosine:
             w[:k] *= -1
             assert cosine_similarity(v, w) == pytest.approx(1.0 - 2.0 * k / DIM, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [7.14101239e-160, 1e-300, 1e200])
+    def test_extreme_magnitudes_keep_their_cosine(self, scale):
+        # squared norms of these vectors underflow or overflow in float64
+        a = np.ones(8)
+        assert cosine_similarity(a, scale * a) == pytest.approx(1.0, abs=1e-15)
+        assert cosine_similarity(scale * a, -0.109375 * a) == pytest.approx(-1.0, abs=1e-15)
+        b = np.array([1.0, 1.0, 0.0, 0.0])
+        assert cosine_similarity(scale * b, scale * a[:4]) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+
     @settings(max_examples=50)
     @given(finite_vectors(), finite_vectors(), st.floats(0.1, 50.0))
     def test_symmetric_and_scale_invariant(self, a, b, alpha):

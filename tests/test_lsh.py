@@ -3,7 +3,7 @@ import pytest
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import cosine_similarity
-from vsabench.lsh import new_projector, project, project_batch
+from vsabench.lsh import BLOCK_ROWS, new_projector, project, project_batch
 
 
 def unit_pair_with_cosine(rng, m, rho):
@@ -33,6 +33,15 @@ class TestNewProjector:
         for i in range(p.n):
             for j in range(i + 1, p.n):
                 assert abs(np.dot(p.rows[i], p.rows[j])) < 0.2
+
+    @pytest.mark.parametrize("seed", [0, 21])
+    def test_rows_match_full_matrix_formula(self, seed):
+        # n is not a multiple of the normalization block, so the last block is short
+        m, n = 300, 1000
+        ref = np.random.default_rng(seed).standard_normal(size=(n, m))
+        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+        p = new_projector(m=m, n=n, seed=seed)
+        assert p.rows.tobytes() == ref.tobytes()
 
     def test_zero_dims_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -107,3 +116,58 @@ class TestProjectBatch:
         fs = [np.ones(8), np.zeros(8)]
         with pytest.raises(DegenerateInputError, match="patch 1"):
             project_batch(p, fs)
+
+    def test_lowest_bad_patch_is_named(self):
+        p = new_projector(m=8, n=4, seed=0)
+        fs = np.ones((7, 8))
+        fs[3] = 0.0
+        fs[5, 2] = np.nan
+        with pytest.raises(DegenerateInputError, match="patch 3"):
+            project_batch(p, fs)
+        fs[3] = 1.0
+        with pytest.raises(InvalidArgumentError, match="patch 5"):
+            project_batch(p, fs)
+
+    def test_ragged_list_names_patch(self):
+        p = new_projector(m=8, n=4, seed=0)
+        fs = [np.ones(8), np.ones(8), np.ones(7), np.ones(8)]
+        with pytest.raises(InvalidArgumentError, match="patch 2: feature length"):
+            project_batch(p, fs)
+        # a bad patch before the misfit is still the one reported
+        fs[1] = np.zeros(8)
+        with pytest.raises(DegenerateInputError, match="patch 1"):
+            project_batch(p, fs)
+
+    def test_unknown_quantize_rejected(self):
+        p = new_projector(m=8, n=4, seed=0)
+        with pytest.raises(InvalidArgumentError, match="quantize"):
+            project_batch(p, [np.ones(8)], quantize="sgn")
+
+    def test_returns_count_by_n_array(self):
+        p = new_projector(m=16, n=8, seed=0)
+        fs = np.random.default_rng(1).standard_normal((BLOCK_ROWS + 3, 16))
+        out = project_batch(p, fs)
+        assert isinstance(out, np.ndarray) and out.shape == (BLOCK_ROWS + 3, 8)
+        assert out.dtype == np.float64
+
+
+class TestBatchIndependence:
+    """A projected row depends only on its feature, never on the batch around it."""
+
+    SIZES = (1, 7, 8, 9, 17, 203)
+
+    @pytest.mark.parametrize("quantize", ["none", "sign"])
+    @pytest.mark.parametrize("m,n", [(100, 257), (513, 129), (50, 4097), (7, 5), (1, 1)])
+    def test_rows_bitwise_independent_of_batch(self, m, n, quantize):
+        p = new_projector(m=m, n=n, seed=m + n)
+        rng = np.random.default_rng(n)
+        for count in self.SIZES:
+            fs = rng.standard_normal((count, m))
+            batch = project_batch(p, fs, quantize=quantize)
+            for i in range(count):
+                np.testing.assert_array_equal(batch[i], project(p, fs[i], quantize=quantize))
+            for a, b in {(0, count), (1, count), (count // 2, count), (count // 3, count - 1), (2, 11)}:
+                if a < b <= count:
+                    np.testing.assert_array_equal(
+                        project_batch(p, fs[a:b], quantize=quantize), batch[a:b]
+                    )

@@ -123,3 +123,38 @@ def test_stable_across_runs():
     a = assemble_patches(fm, PatchSpec(sides=(4,)))
     b = assemble_patches(fm, PatchSpec(sides=(4,)))
     np.testing.assert_array_equal(a.vectors, b.vectors)
+
+
+def _assemble_reference(fm, spec):
+    """Per-patch loop: index each grid cell's dilated coordinates, concatenate layers."""
+    d = spec.dilation
+    footprint0 = spec.sides[0] * d
+    gh, gw = fm.layers[0].data.shape[0] // footprint0, fm.layers[0].data.shape[1] // footprint0
+    patches = []
+    for gi in range(gh):
+        for gj in range(gw):
+            blocks = []
+            for side, layer in zip(spec.sides, fm.layers):
+                footprint = side * d
+                rows = gi * footprint + d * np.arange(side)
+                cols = gj * footprint + d * np.arange(side)
+                blocks.append(layer.data[np.ix_(rows, cols)].astype(np.float64).reshape(-1))
+            patches.append(np.concatenate(blocks))
+    return np.stack(patches)
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_matches_per_patch_reference_loop(dilation):
+    rng = np.random.default_rng(dilation)
+    # a 3x2 grid of cells; footprints 4*d and 2*d
+    fm = feature_map_set([
+        ("a", rng.standard_normal((12 * dilation, 8 * dilation, 3))),
+        ("b", rng.standard_normal((6 * dilation, 4 * dilation, 5))),
+    ])
+    spec = PatchSpec(sides=(4, 2), dilation=dilation)
+    out = assemble_patches(fm, spec)
+    ref = _assemble_reference(fm, spec)
+    assert out.vectors.dtype == np.float64 and out.vectors.flags.c_contiguous
+    assert out.patch_count == 6
+    np.testing.assert_array_equal(out.vectors, ref)
+    assert out.vectors.tobytes() == ref.tobytes()
