@@ -10,7 +10,6 @@ from .bench import (
     materialize,
     measure_recovery,
     run_sweep,
-    translate_scene,
 )
 from .errors import (
     ConfigError,

@@ -16,15 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import bind, bundle, check_seed, cosine_similarity, sample_hypervector
+from .hv import bind, bundle, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 
 MAPPING_KINDS = ("ground_truth", "random", "mixed")
 SWEEP_AXES = ("dim", "k", "mapping_kind", "lambda_proxy")
-
-# Symbol rows drawn per generator call when a symbol matrix is filled.
-_FILL_ROWS = 8
 
 CSV_HEADER = "axis,value,dim,k,mapping,trials,recovery_cosine,cleanup_accuracy,flip_rate,seed"
 
@@ -163,7 +160,7 @@ def materialize(domain: DomainSpec, rng: np.random.Generator | None = None) -> D
     if rng is None:
         rng = np.random.default_rng(domain.seed)
     symbols, (objects, src, tgt) = _symbol_matrix(domain)
-    _fill_bipolar(symbols, rng)
+    fill_bipolar(symbols, rng)
     return DomainSymbols(
         objects=dict(zip(domain.object_vocab, objects)),
         src_attrs=dict(zip(domain.src_attr_vocab, src)),
@@ -175,13 +172,12 @@ def materialize(domain: DomainSpec, rng: np.random.Generator | None = None) -> D
 def encode_scene(symbols: DomainSymbols, scene: SceneSpec) -> np.ndarray:
     """Bundle bind(object, attribute) over the scene's pairs."""
     attrs = symbols.src_attrs if scene.domain == "source" else symbols.tgt_attrs
-    terms = []
     for obj_label, attr_label in scene.pairs:
         if obj_label not in symbols.objects:
             raise InvalidArgumentError(f"unknown object label {obj_label!r}")
         if attr_label not in attrs:
             raise InvalidArgumentError(f"unknown {scene.domain} attribute label {attr_label!r}")
-        terms.append(bind(symbols.objects[obj_label], attrs[attr_label]))
+    terms = bind([symbols.objects[o] for o, _ in scene.pairs], [attrs[a] for _, a in scene.pairs])
     return bundle(terms, norm="raw_sum")
 
 
@@ -208,11 +204,6 @@ def scene_mapping(domain: DomainSpec, symbols: DomainSymbols, scene: SceneSpec) 
     return build_ground_truth_mapping(pairs)
 
 
-def translate_scene(v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Bind a scene hypervector with a mapping vector."""
-    return bind(v, u)
-
-
 def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, trial)))
 
@@ -223,19 +214,6 @@ def _symbol_matrix(domain: DomainSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     n_obj, n_attr = len(domain.object_vocab), len(domain.src_attr_vocab)
     symbols = np.empty((n_obj + 2 * n_attr, domain.dim))
     return symbols, np.split(symbols, [n_obj, n_obj + n_attr])
-
-
-def _fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill ``out`` with bipolar rows, drawing a few rows at a time.
-
-    The bits equal one ``sample_hypervector(dim, rng)`` per row in row order;
-    the small blocks keep the integer draw's temporary from doubling the
-    matrix's memory.
-    """
-    for r0 in range(0, out.shape[0], _FILL_ROWS):
-        block = out[r0 : r0 + _FILL_ROWS]
-        np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
-        block -= 1.0
 
 
 def _scene_rows(domain: DomainSpec, scene: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +269,7 @@ def measure_recovery(
     correct = 0
     for t in range(trials):
         rng = _trial_rng(seed, stream, t)
-        _fill_bipolar(symbols, rng)
+        fill_bipolar(symbols, rng)
         scene_objects = objects[obj]
         v_src = np.sum(scene_objects * src_attrs[attr], axis=0)
         v_tgt = np.sum(scene_objects * tgt_attrs[attr], axis=0)
@@ -355,6 +333,16 @@ def _grid_int(axis: str, value) -> int:
     raise InvalidArgumentError(f"{axis} grid values must be integers, got {value!r}")
 
 
+def _grid_float(axis: str, value) -> float:
+    """A numeric grid value as float; booleans and non-numbers are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidArgumentError(f"{axis} grid values must be numbers, got {value!r}")
+
+
 def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
     """One report per grid point along the named axis; returns (value, report) pairs."""
     if axis not in SWEEP_AXES:
@@ -372,7 +360,7 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
         elif axis == "mapping_kind":
             cfg = replace(base, mapping=str(value))
         else:
-            cfg = replace(base, mapping="mixed", mix=float(value))
+            cfg = replace(base, mapping="mixed", mix=_grid_float(axis, value))
         results.append((value, run_config(cfg, stream=i)))
     return results
 

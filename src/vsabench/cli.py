@@ -26,6 +26,7 @@ from .errors import (
     InvalidStateError,
     VsafError,
 )
+from .hv import QUANTIZE_MODES
 from .losses import LossConfig, check_no_zero_vectors, gan_loss, total_loss, vsa_cyclic_loss
 from .patches import PatchSpec, assemble_patches, block_lengths, normalize_blocks
 
@@ -63,9 +64,16 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override config-file values, which override built-in defaults."""
+    """Flags override config-file values, which override built-in defaults.
+
+    A config-file key the subcommand does not define is a config error.
+    """
     cfg = dict(defaults)
-    cfg.update(_load_config_file(getattr(args, "config", None)))
+    file_cfg = _load_config_file(getattr(args, "config", None))
+    unknown = sorted(set(file_cfg) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
+    cfg.update(file_cfg)
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -137,8 +145,8 @@ def cmd_encode(args) -> int:
         raise UsageError("encode requires --features-in and --out")
     if cfg["patch_sizes"] is None:
         raise UsageError("encode requires --patch-sizes")
-    if cfg["quantize"] not in lsh.QUANTIZE_MODES:
-        raise ConfigError(f"--quantize must be one of {lsh.QUANTIZE_MODES}, got {cfg['quantize']!r}")
+    if cfg["quantize"] not in QUANTIZE_MODES:
+        raise ConfigError(f"--quantize must be one of {QUANTIZE_MODES}, got {cfg['quantize']!r}")
     if cfg["norm_scope"] not in ("vector", "per_layer"):
         raise ConfigError(f"--norm-scope must be vector or per_layer, got {cfg['norm_scope']!r}")
     seed = _resolve_seed(cfg)
@@ -304,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--patch-sizes", help="comma-separated per-layer patch sides, e.g. 16,8,4")
     p.add_argument("--dilation", type=int)
-    p.add_argument("--quantize", choices=("none", "sign"))
+    p.add_argument("--quantize", choices=QUANTIZE_MODES)
     p.add_argument("--norm-scope", dest="norm_scope", choices=("vector", "per_layer"),
                    help="normalize the whole concatenated vector or each layer block first")
     p.add_argument("--config", help="JSON config file; flags override")
@@ -315,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt")
     p.add_argument("--out")
     p.add_argument("--mode", choices=("paired", "random"))
-    p.add_argument("--quantize", choices=("none", "sign"))
+    p.add_argument("--quantize", choices=QUANTIZE_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
     p.set_defaults(func=cmd_map)

@@ -1,13 +1,13 @@
-"""Dense hypervectors and the MAP operators (bind, bundle, cosine similarity).
+"""Dense hypervectors, the MAP operators, the bipolar sampler and the sign quantizer.
 
-Hypervectors are plain 1-D float64 numpy arrays. Freshly sampled vectors live
-in [-1, 1]; bundling with ``raw_sum`` may leave that range, which is fine for
-every cosine-based consumer downstream.
+A hypervector is a float64 array of shape ``(dim,)``, and a stack of them
+(one per patch, say) has shape ``(count, dim)``. ``bind`` and
+``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
+a stack. Sampled vectors live in [-1, 1]; a ``raw_sum`` bundle may leave that
+range, which is fine for every cosine-based consumer downstream.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,6 +17,10 @@ MAX_SEED = 2**64 - 1
 
 SAMPLING_MODES = ("bipolar", "uniform")
 BUNDLE_MODES = ("raw_sum", "mean", "clip_unit")
+QUANTIZE_MODES = ("none", "sign")
+
+# Rows drawn per generator call by fill_bipolar.
+_FILL_ROWS = 8
 
 
 def check_seed(seed: int) -> int:
@@ -28,13 +32,25 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def as_hypervector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting empty or non-finite input."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidArgumentError(f"hypervector must be 1-D and nonempty, got shape {arr.shape}")
+def as_hypervectors(v) -> np.ndarray:
+    """Coerce a hypervector or a stack of equal-length ones to float64 (no copy if it
+    already is), rejecting empty, ragged or non-finite input."""
+    try:
+        arr = np.asarray(v, dtype=np.float64)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"hypervectors must be equal-length numeric vectors: {exc}") from exc
+    if arr.ndim < 1 or arr.size < 1:
+        raise InvalidArgumentError(f"hypervectors must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("hypervector entries must be finite")
+    return arr
+
+
+def as_hypervector(v) -> np.ndarray:
+    """Coerce to a 1-D float64 array, rejecting empty or non-finite input."""
+    arr = as_hypervectors(v)
+    if arr.ndim != 1:
+        raise InvalidArgumentError(f"hypervector must be 1-D and nonempty, got shape {arr.shape}")
     return arr
 
 
@@ -44,18 +60,28 @@ def is_bounded(v) -> bool:
     return bool(np.all(arr >= -1.0) and np.all(arr <= 1.0))
 
 
+def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill a C-contiguous float64 array with i.i.d. uniform {-1, +1} entries; returns it.
+
+    The bits equal one ``rng.integers`` draw of the whole shape, or one per
+    row; drawing ``_FILL_ROWS`` rows at a time keeps the integer temporary
+    from doubling the array's memory.
+    """
+    rows = out.reshape(-1, out.shape[-1])
+    for r0 in range(0, rows.shape[0], _FILL_ROWS):
+        block = rows[r0 : r0 + _FILL_ROWS]
+        np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+        block -= 1.0
+    return out
+
+
 def random_hypervector(dim: int, seed: int, mode: str = "bipolar") -> np.ndarray:
     """Sample a random hypervector, deterministic in (dim, seed, mode).
 
     ``bipolar`` draws i.i.d. uniform over {-1, +1}; ``uniform`` draws i.i.d.
     uniform over [-1, 1].
     """
-    if dim < 1:
-        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
-    if mode not in SAMPLING_MODES:
-        raise InvalidArgumentError(f"mode must be one of {SAMPLING_MODES}, got {mode!r}")
-    rng = np.random.default_rng(check_seed(seed))
-    return sample_hypervector(dim, rng, mode)
+    return sample_hypervector(dim, np.random.default_rng(check_seed(seed)), mode)
 
 
 def sample_hypervector(dim: int, rng: np.random.Generator, mode: str = "bipolar") -> np.ndarray:
@@ -63,64 +89,95 @@ def sample_hypervector(dim: int, rng: np.random.Generator, mode: str = "bipolar"
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     if mode == "bipolar":
-        return rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+        return fill_bipolar(np.empty(dim), rng)
     if mode == "uniform":
         return rng.uniform(-1.0, 1.0, size=dim)
     raise InvalidArgumentError(f"mode must be one of {SAMPLING_MODES}, got {mode!r}")
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise InvalidArgumentError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+def quantized(v: np.ndarray, mode: str) -> np.ndarray:
+    """``v`` itself for ``none``; for ``sign``, each entry as +1 or -1, with sign(0) -> +1."""
+    if mode not in QUANTIZE_MODES:
+        raise InvalidArgumentError(f"quantize must be one of {QUANTIZE_MODES}, got {mode!r}")
+    if mode == "sign":
+        return np.where(v >= 0.0, 1.0, -1.0)
+    return v
+
+
+def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
+    av, bv = as_hypervectors(a), as_hypervectors(b)
+    if av.ndim > 2:
+        raise InvalidArgumentError(f"expected (dim,) or (count, dim) arrays, got shape {av.shape}")
+    if av.shape != bv.shape:
+        raise InvalidArgumentError(f"dimension mismatch: {av.shape} vs {bv.shape}")
+    return av, bv
 
 
 def bind(a, b) -> np.ndarray:
-    """Elementwise product. Commutative; self-inverse on bipolar vectors."""
-    av, bv = as_hypervector(a), as_hypervector(b)
-    _check_same_dim(av, bv)
+    """Elementwise product of two vectors or equal-shape stacks; commutative, self-inverse on bipolar vectors."""
+    av, bv = _same_shape(a, b)
     return av * bv
 
 
-def bundle(vs: Sequence | Iterable, norm: str = "raw_sum") -> np.ndarray:
-    """Superpose a nonempty list of equal-dim hypervectors.
+def bundle(vs, norm: str = "raw_sum") -> np.ndarray:
+    """Superpose a nonempty (count, dim) stack, or list, of equal-dim hypervectors.
 
     ``raw_sum`` is the elementwise sum, ``mean`` divides by the count, and
     ``clip_unit`` clamps the sum to [-1, 1]. All modes commute over list order.
     """
     if norm not in BUNDLE_MODES:
         raise InvalidArgumentError(f"norm must be one of {BUNDLE_MODES}, got {norm!r}")
-    arrs = [as_hypervector(v) for v in vs]
-    if not arrs:
-        raise InvalidArgumentError("bundle requires a nonempty list")
-    dim = arrs[0].shape[0]
-    for i, v in enumerate(arrs[1:], start=1):
-        if v.shape[0] != dim:
-            raise InvalidArgumentError(f"dimension mismatch at index {i}: {v.shape[0]} vs {dim}")
-    total = np.sum(arrs, axis=0)
+    stack = as_hypervectors(vs)
+    if stack.ndim != 2:
+        raise InvalidArgumentError(f"bundle requires a nonempty list of hypervectors, got shape {stack.shape}")
+    total = np.sum(stack, axis=0)
     if norm == "mean":
-        return total / len(arrs)
+        return total / stack.shape[0]
     if norm == "clip_unit":
         return np.clip(total, -1.0, 1.0)
     return total
 
 
-def cosine_similarity(a, b) -> float:
-    """dot(a, b) / (|a| |b|); raises on a zero-norm input rather than returning 0."""
-    av, bv = as_hypervector(a), as_hypervector(b)
-    _check_same_dim(av, bv)
-    na2, nb2 = np.dot(av, av), np.dot(bv, bv)
-    if not (2.0**-500 <= na2 <= 2.0**500 and 2.0**-500 <= nb2 <= 2.0**500):
-        # Squares this small or large lose precision or overflow. Scaling by a
-        # power of two is exact and leaves the cosine unchanged.
-        av = np.ldexp(av, -np.frexp(np.max(np.abs(av)))[1])
-        bv = np.ldexp(bv, -np.frexp(np.max(np.abs(bv)))[1])
-        na2, nb2 = np.dot(av, av), np.dot(bv, bv)
-    if na2 == 0.0 or nb2 == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for a zero-norm vector")
+def is_extreme(norms2: np.ndarray) -> np.ndarray:
+    """True where a squared norm lies outside [2^-500, 2^500], so that it has lost
+    precision to underflow (perhaps to 0) or is near overflow (perhaps inf)."""
+    return ~((2.0**-500 <= norms2) & (norms2 <= 2.0**500))
+
+
+def scale_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A copy of ``rows`` with each row at ``idx`` scaled by the power of two that puts
+    its largest magnitude in [0.5, 1). The scaling is exact, so it changes no
+    cosine and no unit vector; a zero row stays zero."""
+    rows = rows.copy()
+    rows[idx] = np.ldexp(rows[idx], -np.frexp(np.max(np.abs(rows[idx]), axis=1, keepdims=True))[1])
+    return rows
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Stacked matmul sums each row as np.dot does, bit for bit; einsum and
+    # np.sum(a * b, axis=1) sum in another order.
+    return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
+
+
+def cosine_similarity(a, b):
+    """dot(a, b) / (|a| |b|) of two vectors (a float) or of two stacks, row by row;
+    raises naming the zero-norm rows rather than returning 0."""
+    av, bv = _same_shape(a, b)
+    a2, b2 = np.atleast_2d(av), np.atleast_2d(bv)
+    with np.errstate(over="ignore"):
+        na2, nb2 = _row_dots(a2, a2), _row_dots(b2, b2)
+    extreme = np.flatnonzero(is_extreme(na2) | is_extreme(nb2))
+    if extreme.size:
+        a2, b2 = scale_rows(a2, extreme), scale_rows(b2, extreme)
+        na2[extreme], nb2[extreme] = _row_dots(a2[extreme], a2[extreme]), _row_dots(b2[extreme], b2[extreme])
+    zero = np.flatnonzero((na2 == 0.0) | (nb2 == 0.0))
+    if zero.size:
+        raise DegenerateInputError(f"cosine similarity undefined for a zero-norm vector (rows {zero.tolist()})")
     # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
-    return float(np.dot(av, bv) / np.sqrt(na2 * nb2))
+    cos = _row_dots(a2, b2) / np.sqrt(na2 * nb2)
+    return float(cos[0]) if av.ndim == 1 else cos
 
 
-def cosine_distance(a, b) -> float:
-    """1 - cosine_similarity(a, b), in [0, 2]."""
+def cosine_distance(a, b):
+    """1 - cosine_similarity(a, b), in [0, 2]; a float for vectors, one per row for stacks."""
     return 1.0 - cosine_similarity(a, b)

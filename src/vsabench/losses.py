@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import cosine_distance
+from .hv import cosine_similarity
 
 VARIANTS = ("nll", "hinge")
 
@@ -46,13 +46,12 @@ def _scores(batch, name: str) -> np.ndarray:
 
 
 def vsa_cyclic_loss(v_x, v_cycled) -> float:
-    """Mean cosine distance between original and cycled patch hypervectors; range [0, 2]."""
-    xs, cs = list(v_x), list(v_cycled)
-    if not xs or len(xs) != len(cs):
-        raise InvalidArgumentError(
-            f"need equal nonempty lists, got {len(xs)} and {len(cs)} hypervectors"
-        )
-    return float(np.mean([cosine_distance(a, b) for a, b in zip(xs, cs)]))
+    """Mean row-wise cosine distance between (patch_count, dim) stacks of original and
+    cycled patch hypervectors; range [0, 2]."""
+    distances = 1.0 - cosine_similarity(v_x, v_cycled)
+    if np.ndim(distances) != 1:
+        raise InvalidArgumentError("need two (patch_count, dim) stacks, got single hypervectors")
+    return float(np.mean(distances))
 
 
 def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
@@ -106,16 +105,8 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
     return float(gan + cfg.lam * vsa)
 
 
-def zero_vector_indices(vs) -> list[int]:
-    """Indices of zero-norm hypervectors in a batch; used for diagnostics."""
-    out = []
-    for i, v in enumerate(vs):
-        if np.linalg.norm(np.asarray(v, dtype=np.float64)) == 0.0:
-            out.append(i)
-    return out
-
-
 def check_no_zero_vectors(vs, name: str) -> None:
-    idx = zero_vector_indices(vs)
-    if idx:
-        raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx}")
+    """Raise naming every all-zero row of a (count, dim) batch."""
+    idx = np.flatnonzero(~np.any(np.asarray(vs, dtype=np.float64), axis=1))
+    if idx.size:
+        raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")

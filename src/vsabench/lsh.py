@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import check_seed
+from .hv import check_seed, is_extreme, quantized, scale_rows
 
-QUANTIZE_MODES = ("none", "sign")
 BLOCK_ROWS = 8  # feature rows per GEMM call
 _NORM_ROWS = 256  # projector rows normalized per step
 
@@ -52,17 +51,27 @@ def new_projector(m: int, n: int, seed: int) -> LshProjector:
     return LshProjector(rows=rows, m=m, n=n, seed=int(seed))
 
 
-def _row_norms(features: np.ndarray) -> np.ndarray:
-    """Row norms of a (count, m) array; raises naming the lowest non-finite or zero row."""
-    norms = np.linalg.norm(features, axis=1)
+def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of a (count, m) array, and the rows they belong to.
+
+    A row whose squared norm underflows or overflows is first scaled by a
+    power of two, as ``hv.cosine_similarity`` scales it; the rows are then a
+    copy. Raises naming the lowest non-finite or zero row.
+    """
     non_finite = ~np.isfinite(features).all(axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(features, axis=1)
+        extreme = np.flatnonzero(is_extreme(norms * norms) & ~non_finite)
+    if extreme.size:
+        features = scale_rows(features, extreme)
+        norms[extreme] = np.linalg.norm(features[extreme], axis=1)
     bad = np.flatnonzero(non_finite | (norms == 0.0))
     if bad.size:
         i = bad[0]
         if non_finite[i]:
             raise InvalidArgumentError(f"patch {i}: feature entries must be finite")
         raise DegenerateInputError(f"patch {i}: cannot project a zero feature vector")
-    return norms
+    return features, norms
 
 
 def _feature_matrix(p: LshProjector, fs) -> np.ndarray:
@@ -83,10 +92,8 @@ def _feature_matrix(p: LshProjector, fs) -> np.ndarray:
 
 def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.ndarray:
     """Project the rows of a (count, m) float64 array, each scaled to unit length; (count, n)."""
-    if quantize not in QUANTIZE_MODES:
-        raise InvalidArgumentError(f"quantize must be one of {QUANTIZE_MODES}, got {quantize!r}")
     count = features.shape[0]
-    norms = _row_norms(features)
+    features, norms = _row_norms(features)
     padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
     unit = np.zeros((padded, p.m))
     np.divide(features, norms[:, np.newaxis], out=unit[:count])
@@ -97,9 +104,7 @@ def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.nd
     out = out[:count]
     # rows and input are unit vectors; clamp float round-off at the boundary
     np.clip(out, -1.0, 1.0, out=out)
-    if quantize == "sign":
-        out = np.where(out >= 0.0, 1.0, -1.0)
-    return out
+    return quantized(out, quantize)
 
 
 def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
@@ -117,14 +122,11 @@ def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
     return _project_rows(p, fv[np.newaxis, :], quantize)[0]
 
 
-def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray | list:
-    """Project each feature vector, preserving order; returns a (count, n) array.
+def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
+    """Project each feature vector, preserving order; returns a (count, n) float64 array.
 
     Accepts a PatchFeatureSet, a (count, m) array or any iterable of feature
-    vectors. Failures name the offending patch index. Empty input returns
-    an empty list.
+    vectors. Failures name the offending patch index. Empty input gives a
+    (0, n) array.
     """
-    features = _feature_matrix(p, fs)
-    if features.shape[0] == 0:
-        return []
-    return _project_rows(p, features, quantize)
+    return _project_rows(p, _feature_matrix(p, fs), quantize)

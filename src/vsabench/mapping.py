@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_hypervector, check_seed
-
-QUANTIZE_MODES = ("none", "sign")
+from .hv import as_hypervectors, bind, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
@@ -42,14 +40,14 @@ class HypervectorMapping:
 
 
 def _as_stack(vs) -> np.ndarray:
-    arr = np.asarray([as_hypervector(v) for v in vs], dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    arr = as_hypervectors(vs)
+    if arr.ndim != 2:
         raise InvalidArgumentError(f"expected a nonempty list of hypervectors, got shape {arr.shape}")
     return arr
 
 
-def apply_mapping(vs, u: HypervectorMapping) -> list[np.ndarray]:
-    """Bind each patch hypervector with its mapping vector."""
+def apply_mapping(vs, u: HypervectorMapping) -> np.ndarray:
+    """Bind each patch hypervector with its mapping vector; returns a (patch_count, dim) array."""
     stack = _as_stack(vs)
     if stack.shape[0] != u.patch_count:
         raise InvalidArgumentError(
@@ -57,26 +55,17 @@ def apply_mapping(vs, u: HypervectorMapping) -> list[np.ndarray]:
         )
     if stack.shape[1] != u.dim:
         raise InvalidArgumentError(f"dimension mismatch: {stack.shape[1]} vs mapping dim {u.dim}")
-    return list(stack * u.per_patch)
+    return bind(stack, u.per_patch)
 
 
 def build_ground_truth_mapping(pairs) -> np.ndarray:
     """Bundle bind(src_attr, tgt_attr) over attribute pairs into one mapping vector."""
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidArgumentError("mapping requires at least one attribute pair")
-    terms = []
-    dim = None
-    for src_attr, tgt_attr in pairs:
-        s, t = as_hypervector(src_attr), as_hypervector(tgt_attr)
-        if s.shape[0] != t.shape[0]:
-            raise InvalidArgumentError(f"pair dimension mismatch: {s.shape[0]} vs {t.shape[0]}")
-        if dim is None:
-            dim = s.shape[0]
-        elif s.shape[0] != dim:
-            raise InvalidArgumentError(f"pair dimension mismatch across pairs: {s.shape[0]} vs {dim}")
-        terms.append(s * t)
-    return np.sum(terms, axis=0)
+    stack = as_hypervectors(list(pairs))
+    if stack.ndim != 3 or stack.shape[1] != 2:
+        raise InvalidArgumentError(
+            f"mapping requires (src_attr, tgt_attr) pairs of equal-dim vectors, got shape {stack.shape}"
+        )
+    return np.sum(bind(stack[:, 0], stack[:, 1]), axis=0)
 
 
 def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapping:
@@ -85,15 +74,10 @@ def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapp
     For bipolar inputs this satisfies bind(src[i], u[i]) == tgt[i] exactly; for
     continuous vectors it is only approximately invertible.
     """
-    if quantize not in QUANTIZE_MODES:
-        raise InvalidArgumentError(f"quantize must be one of {QUANTIZE_MODES}, got {quantize!r}")
     s, t = _as_stack(src), _as_stack(tgt)
     if s.shape != t.shape:
         raise InvalidArgumentError(f"shape mismatch: src {s.shape} vs tgt {t.shape}")
-    u = s * t
-    if quantize == "sign":
-        u = np.where(u >= 0.0, 1.0, -1.0)
-    return HypervectorMapping(per_patch=u)
+    return HypervectorMapping(per_patch=quantized(s * t, quantize))
 
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:
@@ -103,5 +87,4 @@ def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:
             f"patch_count and dim must be >= 1, got {patch_count}, {dim}"
         )
     rng = np.random.default_rng(check_seed(seed))
-    u = rng.integers(0, 2, size=(patch_count, dim)).astype(np.float64) * 2.0 - 1.0
-    return HypervectorMapping(per_patch=u)
+    return HypervectorMapping(per_patch=fill_bipolar(np.empty((patch_count, dim)), rng))

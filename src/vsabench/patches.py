@@ -41,11 +41,6 @@ class PatchFeatureSet:
     m: int
 
 
-def expected_vector_length(fm: FeatureMapSet, spec: PatchSpec) -> int:
-    """m = sum over layers of side^2 * channels."""
-    return sum(s * s * layer.data.shape[2] for s, layer in zip(spec.sides, fm.layers))
-
-
 def block_lengths(fm: FeatureMapSet, spec: PatchSpec) -> list[int]:
     """Length of each layer's block within an assembled patch vector."""
     return [s * s * layer.data.shape[2] for s, layer in zip(spec.sides, fm.layers)]
@@ -106,6 +101,6 @@ def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
         cells = layer.data.reshape(gh, side, d, gw, side, d, c)[:, :, 0, :, :, 0, :]
         blocks.append(cells.transpose(0, 2, 1, 3, 4).reshape(gh * gw, side * side * c))
     vectors = np.concatenate(blocks, axis=1, dtype=np.float64)
-    m = expected_vector_length(fm, spec)
+    m = sum(block_lengths(fm, spec))
     assert vectors.shape == (gh * gw, m)
     return PatchFeatureSet(vectors=vectors, patch_count=gh * gw, m=m)

@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     TruncatedPayloadError,
     VersionError,
+    VsafError,
 )
 
 MAGIC = b"VSAF"
@@ -139,13 +140,22 @@ def read_feature_file(path) -> FeatureMapSet:
 
 
 HYPERVECTOR_LAYER = "hypervectors"
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def write_hypervectors(hvs, path, layer_name: str = HYPERVECTOR_LAYER) -> None:
-    """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer."""
+    """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer.
+
+    VSAF stores float32, so each float64 entry is rounded to the nearest
+    float32 (relative error at most 2^-24). A finite entry beyond the float32
+    range would become infinite and is rejected before the cast.
+    """
     stack = np.atleast_2d(np.asarray(hvs, dtype=np.float64))
     if stack.ndim != 2 or stack.size == 0:
         raise InvalidArgumentError(f"expected a nonempty (count, dim) stack, got shape {stack.shape}")
+    # an inf or NaN entry leaves this test to the non-finite check of feature_map_set
+    if FLOAT32_MAX < max(stack.max(), -stack.min()) < np.inf:
+        raise VsafError(f"layer {layer_name!r} has entries beyond the float32 limit of {FLOAT32_MAX:g}")
     write_feature_file(feature_map_set([(layer_name, stack[np.newaxis, :, :])]), path)
 
 

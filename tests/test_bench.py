@@ -20,7 +20,6 @@ from vsabench.bench import (
     run_sweep,
     scene_mapping,
     target_twin,
-    translate_scene,
 )
 from vsabench.errors import InvalidArgumentError
 from vsabench.hv import bind, cosine_similarity, sample_hypervector
@@ -74,7 +73,7 @@ def reference_recovery(domain, scene, mapping, trials, seed, mix=1.0, stream=0):
             u = sample_hypervector(domain.dim, rng)
         else:
             u = mix * u_gt + (1.0 - mix) * sample_hypervector(domain.dim, rng)
-        translated = translate_scene(v_src, u)
+        translated = bind(v_src, u)
         cosines[t] = cosine_similarity(translated, v_tgt)
         labels = list(domain.object_vocab)
         vectors = [symbols.objects[label] for label in labels]
@@ -171,7 +170,7 @@ class TestTranslateScene:
             u = scene_mapping(d, sym, scene)
             v_src = encode_scene(sym, scene)
             v_tgt = encode_scene(sym, target_twin(d, scene))
-            sims.append(cosine_similarity(translate_scene(v_src, u), v_tgt))
+            sims.append(cosine_similarity(bind(v_src, u), v_tgt))
         assert np.mean(sims) == pytest.approx(1 / math.sqrt(2), abs=0.05)
 
     def test_single_pair_double_translate_is_identity(self):
@@ -180,7 +179,7 @@ class TestTranslateScene:
         scene = SceneSpec(pairs=(("obj00", "src00"),))
         u = scene_mapping(d, sym, scene)  # single bipolar pair: u itself bipolar
         v = encode_scene(sym, scene)
-        np.testing.assert_array_equal(translate_scene(translate_scene(v, u), u), v)
+        np.testing.assert_array_equal(bind(bind(v, u), u), v)
 
 
 class TestMeasureRecovery:
@@ -269,7 +268,10 @@ class TestSweep:
         with pytest.raises(InvalidArgumentError):
             run_sweep("epochs", [1], BenchConfig())
 
-    @pytest.mark.parametrize("axis,value", [("k", 1.5), ("dim", 128.25), ("k", "two"), ("dim", True)])
+    @pytest.mark.parametrize("axis,value", [
+        ("k", 1.5), ("dim", 128.25), ("k", "two"), ("dim", True),
+        ("lambda_proxy", "a"), ("lambda_proxy", None), ("lambda_proxy", True),
+    ])
     def test_non_integral_grid_value_rejected(self, axis, value):
         with pytest.raises(InvalidArgumentError):
             run_sweep(axis, [value], BenchConfig(dim=128, trials=1))

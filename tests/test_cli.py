@@ -106,6 +106,18 @@ class TestEncode:
         assert stderr.startswith("config error: ")
         assert not out.exists()
 
+    def test_unknown_config_key_exit_3(self, feature_file, tmp_path, capsys):
+        out = tmp_path / "hv.vsaf"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dimm": 5}))
+        code, stdout, stderr = run_cli([
+            "encode", "--features-in", str(feature_file), "--out", str(out),
+            "--patch-sizes", "4,2", "--config", str(path),
+        ], capsys)
+        assert (code, stdout) == (3, "")
+        assert "'dimm'" in stderr
+        assert not out.exists()
+
     def test_bad_magic_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vsaf"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -160,6 +172,27 @@ class TestMap:
         assert blobs[0] == blobs[1]
 
 
+    def test_unknown_config_key_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "s.vsaf"
+        write_hypervectors(np.ones((2, 32)), src)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "random", "quantise": "sign"}))
+        out = tmp_path / "u.vsaf"
+        code, stdout, stderr = run_cli(["map", "--src", str(src), "--out", str(out), "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert "'quantise'" in stderr
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_product_beyond_float32_exit_2(self, tmp_path, capsys):
+        sp, up = tmp_path / "s.vsaf", tmp_path / "u.vsaf"
+        write_hypervectors(np.full((2, 8), 1e30), sp)
+        code, stdout, stderr = run_cli(["map", "--src", str(sp), "--tgt", str(sp), "--out", str(up)], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("data error: ") and "float32" in stderr
+        assert not up.exists()
+
+
 class TestLoss:
     def test_identical_files_zero_vsa(self, tmp_path, capsys):
         hvs = np.random.default_rng(3).standard_normal((3, 64))
@@ -180,6 +213,15 @@ class TestLoss:
         code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
         assert err.startswith("config error: ")
+
+    def test_unknown_config_key_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda": 5.0}))
+        code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert "'lambda'" in err
 
     def test_lambda_zero_total_equals_gan(self, tmp_path, capsys):
         hvs = np.random.default_rng(4).standard_normal((2, 32))
@@ -258,6 +300,20 @@ class TestBench:
         assert code == 3
         assert stdout == ""
         assert err.startswith("config error: ")
+
+    def test_non_numeric_lambda_proxy_grid_exit_3(self, capsys):
+        code, stdout, err = run_cli([
+            "bench", "--axis", "lambda_proxy", "--grid", "0.5,a", "--trials", "2", "--dim", "64",
+        ], capsys)
+        assert (code, stdout) == (3, "")
+        assert "lambda_proxy grid values must be numbers, got 'a'" in err
+
+    def test_unknown_config_key_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": "64", "trials": 2, "dimm": 5}))
+        code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert "'dimm'" in err
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("VSAIT_SEED", "17")

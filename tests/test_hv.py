@@ -12,8 +12,11 @@ from vsabench.hv import (
     bundle,
     cosine_distance,
     cosine_similarity,
+    fill_bipolar,
     is_bounded,
+    quantized,
     random_hypervector,
+    sample_hypervector,
 )
 
 DIM = 4096
@@ -183,3 +186,87 @@ class TestCosine:
             return
         assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
         assert cosine_similarity(alpha * a, b) == pytest.approx(cosine_similarity(a, b), abs=1e-9)
+
+
+class TestFillBipolar:
+    @pytest.mark.parametrize("shape", [(3, 256), (64, 4096), (1024, 384), (9, 7), (1, 5)])
+    def test_equals_one_draw_and_one_draw_per_row(self, shape):
+        out = fill_bipolar(np.empty(shape), np.random.default_rng(5))
+        whole = np.random.default_rng(5)
+        np.testing.assert_array_equal(out, whole.integers(0, 2, size=shape) * 2.0 - 1.0)
+        rows = np.random.default_rng(5)
+        np.testing.assert_array_equal(out, [sample_hypervector(shape[1], rows) for _ in range(shape[0])])
+        # the generators end in the same state
+        filled = np.random.default_rng(5)
+        fill_bipolar(np.empty(shape), filled)
+        assert filled.integers(2**62) == whole.integers(2**62) == rows.integers(2**62)
+
+
+class TestQuantized:
+    def test_sign_maps_zero_to_plus_one(self):
+        np.testing.assert_array_equal(quantized(np.array([-0.5, 0.0, -0.0, 2.0]), "sign"), [-1.0, 1.0, 1.0, 1.0])
+
+    def test_none_returns_input(self):
+        v = np.array([0.25, -3.0])
+        assert quantized(v, "none") is v
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="quantize"):
+            quantized(np.ones(2), "sgn")
+
+
+def dot_cosine(a, b):
+    """Reference: one cosine summed with np.dot, rescaling extreme vectors by a power of two."""
+    na2, nb2 = np.dot(a, a), np.dot(b, b)
+    if not (2.0**-500 <= na2 <= 2.0**500 and 2.0**-500 <= nb2 <= 2.0**500):
+        a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
+        b = np.ldexp(b, -np.frexp(np.max(np.abs(b)))[1])
+        na2, nb2 = np.dot(a, a), np.dot(b, b)
+    return np.dot(a, b) / np.sqrt(na2 * nb2)
+
+
+class TestStacks:
+    def test_bind_stack_is_rowwise(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((5, 16)), rng.standard_normal((5, 16))
+        np.testing.assert_array_equal(bind(a, b), [bind(x, y) for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("shapes", [((3, 8), (2, 8)), ((3, 8), (3, 9)), ((3, 8), (8,)), ((1, 2, 4), (1, 2, 4))])
+    def test_shape_mismatch_rejected(self, shapes):
+        a, b = np.ones(shapes[0]), np.ones(shapes[1])
+        with pytest.raises(InvalidArgumentError):
+            bind(a, b)
+        with pytest.raises(InvalidArgumentError):
+            cosine_similarity(a, b)
+
+    def test_ragged_input_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            bind([np.ones(3), np.ones(4)], [np.ones(3), np.ones(4)])
+
+    def test_cosine_stack_equals_rowwise_bitwise(self):
+        # rows of ordinary, tiny (squared norm underflows to 0) and huge magnitude
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((9, 64)), rng.standard_normal((9, 64))
+        a[3] *= 1e-300
+        b[4] *= 1e-170
+        a[6] *= 1e200
+        with np.errstate(over="ignore"):
+            rows = [dot_cosine(x, y) for x, y in zip(a, b)]
+            stack = cosine_similarity(a, b)
+        assert stack.shape == (9,)
+        np.testing.assert_array_equal(stack, rows)
+        assert [cosine_similarity(x, y) for x, y in zip(a, b)] == rows
+        np.testing.assert_array_equal(cosine_distance(a, b), 1.0 - stack)
+
+    def test_squared_norm_underflowing_to_zero_is_not_zero(self):
+        v = np.full((2, 8), 1e-300)
+        assert np.dot(v[0], v[0]) == 0.0
+        np.testing.assert_array_equal(cosine_similarity(v, v), [1.0, 1.0])
+
+    def test_zero_rows_named(self):
+        a = np.ones((4, 8))
+        b = np.ones((4, 8))
+        a[1] = 0.0
+        b[3] = 0.0
+        with pytest.raises(DegenerateInputError, match=r"rows \[1, 3\]"):
+            cosine_similarity(a, b)

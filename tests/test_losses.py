@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
-from vsabench.hv import random_hypervector
+from vsabench.hv import cosine_similarity, random_hypervector
 from vsabench.losses import (
     LossConfig,
     check_no_zero_vectors,
@@ -48,6 +48,17 @@ class TestVsaCyclicLoss:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
             vsa_cyclic_loss([np.ones(8)], [np.zeros(8)])
+
+    def test_equals_per_patch_loop_bitwise(self):
+        rng = np.random.default_rng(1)
+        xs, cs = rng.standard_normal((7, 96)), rng.standard_normal((7, 96))
+        expected = float(np.mean([1.0 - cosine_similarity(a, b) for a, b in zip(xs, cs)]))
+        assert vsa_cyclic_loss(xs, cs) == expected
+        assert vsa_cyclic_loss(list(xs), list(cs)) == expected
+
+    def test_single_vectors_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            vsa_cyclic_loss(np.ones(8), np.ones(8))
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -149,3 +160,8 @@ def test_check_no_zero_vectors_reports_indices():
     vs = [np.ones(4), np.zeros(4), np.ones(4), np.zeros(4)]
     with pytest.raises(DegenerateInputError, match=r"\[1, 3\]"):
         check_no_zero_vectors(vs, "batch")
+
+
+def test_check_no_zero_vectors_accepts_tiny_nonzero_rows():
+    # the squared norm of this row underflows to 0, but the row is not zero
+    check_no_zero_vectors(np.full((2, 4), 1e-200), "batch")

@@ -92,11 +92,24 @@ class TestProject:
             within += int(abs(c - 0.8) <= 0.1)
         assert within >= 95
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_project_like_unit_scale(self, scale):
+        # squared norms of these features overflow or underflow in float64
+        p = new_projector(4, 3, 0)
+        expected = project(p, [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(project(p, [scale, scale, 0.0, 0.0]), expected, rtol=0, atol=1e-12)
+        batch = project_batch(p, [[1.0, 0.0, 2.0, 0.0], [scale, scale, 0.0, 0.0]])
+        np.testing.assert_array_equal(batch[0], project(p, [1.0, 0.0, 2.0, 0.0]))
+        np.testing.assert_allclose(batch[1], expected, rtol=0, atol=1e-12)
+
 
 class TestProjectBatch:
     def test_empty(self):
         p = new_projector(m=16, n=8, seed=0)
-        assert project_batch(p, []) == []
+        out = project_batch(p, [])
+        assert out.shape == (0, 8)
+        assert out.dtype == np.float64
 
     def test_single_matches_project(self):
         p = new_projector(m=16, n=8, seed=0)

@@ -56,6 +56,13 @@ class TestApplyMapping:
         with pytest.raises(InvalidArgumentError):
             apply_mapping(np.ones((2, 9)), u)
 
+    def test_returns_stack_and_rejects_ragged_input(self):
+        u = HypervectorMapping(per_patch=bipolar_stack(2, 8, seed=3))
+        mapped = apply_mapping([np.ones(8), -np.ones(8)], u)
+        assert isinstance(mapped, np.ndarray) and mapped.shape == (2, 8)
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            apply_mapping([np.ones(8), np.ones(7)], u)
+
     def test_scene_recovery_cosine(self):
         # analytic 1/sqrt(2) for 2 bundled pairs, Monte-Carlo confirmed
         sims = []
@@ -79,6 +86,17 @@ class TestGroundTruthMapping:
         np.testing.assert_array_equal(
             build_ground_truth_mapping(pairs), build_ground_truth_mapping(pairs[::-1])
         )
+
+    def test_equals_per_pair_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        pairs = [(rng.standard_normal(33), rng.standard_normal(33)) for _ in range(5)]
+        np.testing.assert_array_equal(build_ground_truth_mapping(pairs), np.sum([s * t for s, t in pairs], axis=0))
+
+    def test_unequal_pair_dims_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            build_ground_truth_mapping([(np.ones(4), np.ones(5))])
+        with pytest.raises(InvalidArgumentError):
+            build_ground_truth_mapping([(np.ones(4), np.ones(4)), (np.ones(5), np.ones(5))])
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -137,6 +155,12 @@ class TestRandomMapping:
         a = random_mapping(3, 256, seed=8)
         b = random_mapping(3, 256, seed=8)
         np.testing.assert_array_equal(a.per_patch, b.per_patch)
+
+    @pytest.mark.parametrize("shape", [(3, 256), (9, 7), (20, 65)])
+    def test_equals_one_integer_draw(self, shape):
+        rng = np.random.default_rng(8)
+        expected = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        np.testing.assert_array_equal(random_mapping(*shape, seed=8).per_patch, expected)
 
     def test_bipolar_entries(self):
         u = random_mapping(2, 128, seed=9)

@@ -6,7 +6,6 @@ from vsabench.patches import (
     PatchSpec,
     assemble_patches,
     block_lengths,
-    expected_vector_length,
     normalize_blocks,
 )
 from vsabench.vsaf import feature_map_set
@@ -30,7 +29,7 @@ def test_two_layer_concatenation_length():
     out = assemble_patches(fm, PatchSpec(sides=(16, 8)))
     assert out.patch_count == 1
     assert out.m == 16 * 16 * 8 + 8 * 8 * 16 == 3072
-    assert out.m == expected_vector_length(fm, PatchSpec(sides=(16, 8)))
+    assert out.m == sum(block_lengths(fm, PatchSpec(sides=(16, 8))))
 
 
 def test_tiling_count():

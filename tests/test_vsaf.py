@@ -9,6 +9,7 @@ from vsabench.errors import (
     InvalidArgumentError,
     TruncatedPayloadError,
     VersionError,
+    VsafError,
 )
 from vsabench.vsaf import (
     feature_map_set,
@@ -107,3 +108,14 @@ def test_hypervector_round_trip(tmp_path):
     back = read_hypervectors(path)
     assert back.shape == (5, 64)
     np.testing.assert_array_equal(back, hvs)  # bipolar values are exact in float32
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hypervectors_beyond_float32_range_rejected(tmp_path):
+    path = tmp_path / "hv.vsaf"
+    with pytest.raises(VsafError, match="float32 limit of 3.40282e"):
+        write_hypervectors(np.array([[1.0, -1e39]]), path)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        write_hypervectors(np.array([[1.0, -np.inf]]), path)
+    assert not path.exists()
+    write_hypervectors(np.array([[1.0, -3.4e38]]), path)
