@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import bind, bundle, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
+from .hv import as_float, as_int, bind, bundle, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 
@@ -106,7 +106,12 @@ class BenchReport:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Base configuration for measure_recovery and sweeps."""
+    """Base configuration for measure_recovery and sweeps.
+
+    The ``mixed`` mapping is ``mix * u_gt + (1 - mix) * u_random``, where ``u_gt``
+    sums k bipolar products (entry RMS about ``sqrt(k)``) and ``u_random`` is +-1:
+    ``mix`` is a weight, not an energy fraction.
+    """
 
     dim: int = 4096
     k: int = 2
@@ -251,10 +256,11 @@ def measure_recovery(
     target-attribute rows in vocabulary order) from the trial's generator,
     reusing one buffer across trials. The scene's pairs are resolved once to
     row indices. A trial encodes the source scene and its target twin as
-    bundles of bound rows, builds the requested mapping kind ('mixed' blends
-    the ground-truth and a random mapping by ``mix``), translates the source
-    scene, and then recovers each object by unbinding its target attribute
-    and cleaning up against an item memory over the object rows.
+    bundles of bound rows, builds the requested mapping kind ('mixed' weights
+    the ground-truth and a random mapping by ``mix``, which is not an energy
+    fraction; see ``BenchConfig``), translates the source scene, and then
+    recovers each object by unbinding its target attribute and cleaning up
+    against an item memory over the object rows.
     """
     if mapping not in MAPPING_KINDS:
         raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {mapping!r}")
@@ -319,30 +325,6 @@ def run_config(config: BenchConfig, stream: int = 0) -> BenchReport:
     )
 
 
-def _grid_int(axis: str, value) -> int:
-    """An integral grid value as int; fractions and non-numbers are rejected, never truncated."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise InvalidArgumentError(f"{axis} grid values must be integers, got {value!r}")
-
-
-def _grid_float(axis: str, value) -> float:
-    """A numeric grid value as float; booleans and non-numbers are rejected."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise InvalidArgumentError(f"{axis} grid values must be numbers, got {value!r}")
-
-
 def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
     """One report per grid point along the named axis; returns (value, report) pairs."""
     if axis not in SWEEP_AXES:
@@ -353,15 +335,16 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
 
     results = []
     for i, value in enumerate(grid):
-        if axis == "dim":
-            cfg = replace(base, dim=_grid_int(axis, value))
-        elif axis == "k":
-            cfg = replace(base, k=_grid_int(axis, value))
-        elif axis == "mapping_kind":
-            cfg = replace(base, mapping=str(value))
-        else:
-            cfg = replace(base, mapping="mixed", mix=_grid_float(axis, value))
-        results.append((value, run_config(cfg, stream=i)))
+        try:
+            if axis in ("dim", "k"):
+                point = {axis: as_int(value, "integers")}
+            elif axis == "mapping_kind":
+                point = {"mapping": str(value)}
+            else:
+                point = {"mapping": "mixed", "mix": as_float(value, "numbers")}
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{axis} grid values {exc}") from exc
+        results.append((value, run_config(replace(base, **point), stream=i)))
     return results
 
 

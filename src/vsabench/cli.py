@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import bench as bench_mod
 from . import lsh, mapping, vsaf
@@ -26,8 +27,8 @@ from .errors import (
     InvalidStateError,
     VsafError,
 )
-from .hv import QUANTIZE_MODES
-from .losses import LossConfig, check_no_zero_vectors, gan_loss, total_loss, vsa_cyclic_loss
+from .hv import QUANTIZE_MODES, as_float, as_int
+from .losses import VARIANTS, LossConfig, check_no_zero_vectors, gan_loss, total_loss, vsa_cyclic_loss
 from .patches import PatchSpec, assemble_patches, block_lengths, normalize_blocks
 
 EXIT_OK = 0
@@ -47,6 +48,111 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"must be a nonempty path, got {value!r}")
+    return value
+
+
+def _int_list(value) -> list[int]:
+    """Comma-separated text or a list, each entry an integer."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok != ""]
+    if not isinstance(value, list):
+        raise ConfigError(f"must be a list of integers, got {value!r}")
+    return [as_int(v, "integers") for v in value]
+
+
+def _grid_token(tok: str):
+    for kind in (int, float):
+        try:
+            return kind(tok)
+        except ValueError:
+            pass
+    return tok
+
+
+def _grid(value) -> list:
+    """Comma-separated text, each token read as an int, else a float, else a string; or a list."""
+    if isinstance(value, str):
+        return [_grid_token(tok.strip()) for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, list):
+        raise ConfigError(f"must be a list or comma-separated values, got {value!r}")
+    return value
+
+
+class _Choice(tuple):
+    """A converter that accepts exactly its members."""
+
+    def __call__(self, value):
+        if value not in self:
+            raise ConfigError(f"must be one of {', '.join(self)}, got {value!r}")
+        return value
+
+
+class Option(NamedTuple):
+    """A subcommand option: config key, the converter that checks and types its flag
+    and config-file values, default, and flag if not ``--key-with-dashes``."""
+
+    key: str
+    convert: Callable
+    default: object = None
+    help: str | None = None
+    flag: str | None = None
+
+
+_BENCH = bench_mod.BenchConfig()
+_LOSS = LossConfig()
+_QUANTIZE = Option("quantize", _Choice(QUANTIZE_MODES), "none")
+_SEED = Option("seed", as_int)
+
+OPTIONS = {
+    "encode": (
+        Option("features_in", _path),
+        Option("out", _path),
+        Option("dim", as_int, DEFAULT_DIM, f"hypervector dimensionality (default {DEFAULT_DIM})"),
+        _SEED,
+        Option("patch_sizes", _int_list, help="comma-separated per-layer patch sides, e.g. 16,8,4"),
+        Option("dilation", as_int, 1),
+        _QUANTIZE,
+        Option("norm_scope", _Choice(("vector", "per_layer")), "vector",
+               "normalize the whole concatenated vector or each layer block first"),
+    ),
+    "map": (
+        Option("src", _path),
+        Option("tgt", _path),
+        Option("out", _path),
+        Option("mode", _Choice(("paired", "random")), "paired"),
+        _QUANTIZE,
+        _SEED,
+    ),
+    "loss": (
+        Option("x", _path),
+        Option("cycled", _path),
+        Option("scores_real", _path),
+        Option("scores_fake_translated", _path),
+        Option("scores_fake_mapped", _path),
+        Option("lam", as_float, _LOSS.lam, flag="--lambda"),
+        Option("variant", _Choice(VARIANTS), _LOSS.variant),
+        Option("w1", as_float, _LOSS.fake_term_weights[0]),
+        Option("w2", as_float, _LOSS.fake_term_weights[1]),
+    ),
+    "bench": (
+        Option("axis", _Choice(bench_mod.SWEEP_AXES), "dim"),
+        Option("grid", _grid, [128, 4096], "comma-separated axis values"),
+        Option("dim", as_int, _BENCH.dim),
+        Option("k", as_int, _BENCH.k),
+        Option("objects", as_int, _BENCH.object_vocab_size),
+        Option("attrs", as_int, _BENCH.attr_vocab_size),
+        Option("mapping", _Choice(bench_mod.MAPPING_KINDS), _BENCH.mapping),
+        Option("mix", as_float, _BENCH.mix),
+        Option("trials", as_int, _BENCH.trials),
+        _SEED,
+        Option("out", _path),
+    ),
+}
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -63,73 +169,49 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override config-file values, which override built-in defaults.
-
-    A config-file key the subcommand does not define is a config error.
-    """
-    cfg = dict(defaults)
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    unknown = sorted(set(file_cfg) - set(defaults))
+def _merged(args: argparse.Namespace) -> dict:
+    """Flags override config-file values, which override the table's defaults.
+    A config-file key the subcommand does not define, or a value its option's
+    converter rejects (even one a flag overrides), is a config error."""
+    options = {opt.key: opt for opt in OPTIONS[args.command]}
+    file_cfg = _load_config_file(args.config)
+    unknown = sorted(set(file_cfg) - set(options))
     if unknown:
         raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
-    cfg.update(file_cfg)
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = flag_value
+    cfg = {key: opt.default for key, opt in options.items()}
+    for key, value in file_cfg.items():
+        try:
+            cfg[key] = options[key].convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key} {exc}") from exc
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg and value is not None)
     return cfg
 
 
-def _config_number(cfg: dict, key: str, kind: type):
-    """``cfg[key]`` converted by ``kind`` (int or float); booleans, fractional
-    integers and unconvertible values are config errors rather than coerced."""
-    value = cfg[key]
-    expected = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be {expected}, got {value!r}") from exc
+def _flag_type(convert: Callable) -> Callable:
+    """``convert`` as an argparse type whose usage error names the flag and the reason."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _resolve_seed(cfg: dict) -> int:
-    if cfg.get("seed") is not None:
-        return _config_number(cfg, "seed", int)
-    env = os.environ.get("VSAIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"VSAIT_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
+    if cfg["seed"] is not None:
+        return cfg["seed"]
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma-separated integer list, got {text!r}") from exc
+        return as_int(os.environ.get("VSAIT_SEED", 0))
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"VSAIT_SEED {exc}") from exc
 
 
-def _parse_grid(text: str) -> list:
-    values = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            values.append(int(tok))
-            continue
-        except ValueError:
-            pass
-        try:
-            values.append(float(tok))
-            continue
-        except ValueError:
-            values.append(tok)
-    return values
+def _read(read, path: str):
+    try:
+        return read(path)
+    except OSError as exc:
+        raise VsafError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(obj) -> None:
@@ -137,65 +219,37 @@ def _emit(obj) -> None:
 
 
 def cmd_encode(args) -> int:
-    cfg = _merged(args, {
-        "features_in": None, "out": None, "dim": DEFAULT_DIM, "seed": None,
-        "patch_sizes": None, "dilation": 1, "quantize": "none", "norm_scope": "vector",
-    })
+    """project VSAF feature maps to patch hypervectors"""
+    cfg = _merged(args)
     if cfg["features_in"] is None or cfg["out"] is None:
         raise UsageError("encode requires --features-in and --out")
     if cfg["patch_sizes"] is None:
         raise UsageError("encode requires --patch-sizes")
-    if cfg["quantize"] not in QUANTIZE_MODES:
-        raise ConfigError(f"--quantize must be one of {QUANTIZE_MODES}, got {cfg['quantize']!r}")
-    if cfg["norm_scope"] not in ("vector", "per_layer"):
-        raise ConfigError(f"--norm-scope must be vector or per_layer, got {cfg['norm_scope']!r}")
     seed = _resolve_seed(cfg)
-    n = _config_number(cfg, "dim", int)
-    dilation = _config_number(cfg, "dilation", int)
-
-    try:
-        fm = vsaf.read_feature_file(cfg["features_in"])
-    except OSError as exc:
-        raise VsafError(f"cannot read {cfg['features_in']}: {exc}") from exc
-
-    sides = cfg["patch_sizes"]
-    if isinstance(sides, str):
-        sides = _parse_int_list(sides, "--patch-sizes")
-    spec = PatchSpec(sides=tuple(sides), dilation=dilation)
+    fm = _read(vsaf.read_feature_file, cfg["features_in"])
+    spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
     patches = assemble_patches(fm, spec)
     if cfg["norm_scope"] == "per_layer":
         patches = normalize_blocks(patches, block_lengths(fm, spec))
 
-    projector = lsh.new_projector(m=patches.m, n=n, seed=seed)
+    projector = lsh.new_projector(m=patches.m, n=cfg["dim"], seed=seed)
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
     vsaf.write_hypervectors(hvs, cfg["out"])
-    _emit({"patch_count": patches.patch_count, "m": patches.m, "n": n, "seed": seed})
+    _emit({"patch_count": patches.patch_count, "m": patches.m, "n": cfg["dim"], "seed": seed})
     return EXIT_OK
 
 
 def cmd_map(args) -> int:
-    cfg = _merged(args, {
-        "src": None, "tgt": None, "out": None, "mode": "paired",
-        "quantize": "none", "seed": None,
-    })
+    """build a paired or random hypervector mapping"""
+    cfg = _merged(args)
     if cfg["src"] is None or cfg["out"] is None:
         raise UsageError("map requires --src and --out")
-    if cfg["mode"] not in ("paired", "random"):
-        raise ConfigError(f"--mode must be paired or random, got {cfg['mode']!r}")
     seed = _resolve_seed(cfg)
-
-    try:
-        src = vsaf.read_hypervectors(cfg["src"])
-    except OSError as exc:
-        raise VsafError(f"cannot read {cfg['src']}: {exc}") from exc
-
+    src = _read(vsaf.read_hypervectors, cfg["src"])
     if cfg["mode"] == "paired":
         if cfg["tgt"] is None:
             raise UsageError("map --mode paired requires --tgt")
-        try:
-            tgt = vsaf.read_hypervectors(cfg["tgt"])
-        except OSError as exc:
-            raise VsafError(f"cannot read {cfg['tgt']}: {exc}") from exc
+        tgt = _read(vsaf.read_hypervectors, cfg["tgt"])
         u = mapping.estimate_mapping_paired(src, tgt, quantize=cfg["quantize"])
     else:
         u = mapping.random_mapping(patch_count=src.shape[0], dim=src.shape[1], seed=seed)
@@ -213,33 +267,22 @@ def _load_scores(path: str | None, name: str):
     except OSError as exc:
         raise DegenerateInputError(f"cannot read {name} scores from {path}: {exc}") from exc
     try:
-        scores = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DegenerateInputError(f"{name} score file {path} is not valid JSON: {exc}") from exc
-    return scores
 
 
 def cmd_loss(args) -> int:
-    cfg = _merged(args, {
-        "x": None, "cycled": None, "scores_real": None, "scores_fake_translated": None,
-        "scores_fake_mapped": None, "lam": 10.0, "variant": "hinge", "w1": 1.0, "w2": 1.0,
-    })
+    """cyclic / adversarial / total loss metrics as JSON"""
+    cfg = _merged(args)
     if cfg["x"] is None or cfg["cycled"] is None:
         raise UsageError("loss requires --x and --cycled")
-
-    try:
-        v_x = vsaf.read_hypervectors(cfg["x"])
-        v_cycled = vsaf.read_hypervectors(cfg["cycled"])
-    except OSError as exc:
-        raise VsafError(f"cannot read hypervector file: {exc}") from exc
+    v_x = _read(vsaf.read_hypervectors, cfg["x"])
+    v_cycled = _read(vsaf.read_hypervectors, cfg["cycled"])
     check_no_zero_vectors(v_x, "x")
     check_no_zero_vectors(v_cycled, "cycled")
 
-    loss_cfg = LossConfig(
-        lam=_config_number(cfg, "lam", float),
-        fake_term_weights=(_config_number(cfg, "w1", float), _config_number(cfg, "w2", float)),
-        variant=cfg["variant"],
-    )
+    loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
     vsa = vsa_cyclic_loss(v_x, v_cycled)
 
     real = _load_scores(cfg["scores_real"], "real")
@@ -256,43 +299,21 @@ def cmd_loss(args) -> int:
         d_loss = g_loss = None
         total = total_loss(0.0, vsa, loss_cfg)
 
-    _emit({
-        "vsa": vsa,
-        "gan_d": d_loss,
-        "gan_g": g_loss,
-        "total": total,
-        "config": {
-            "lambda": loss_cfg.lam,
-            "variant": loss_cfg.variant,
-            "fake_term_weights": list(loss_cfg.fake_term_weights),
-        },
-    })
+    _emit({"vsa": vsa, "gan_d": d_loss, "gan_g": g_loss, "total": total, "config": {
+        "lambda": loss_cfg.lam, "variant": loss_cfg.variant,
+        "fake_term_weights": list(loss_cfg.fake_term_weights)}})
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    cfg = _merged(args, {
-        "axis": "dim", "grid": "128,4096", "dim": 4096, "k": 2, "objects": 32,
-        "attrs": 16, "mapping": "ground_truth", "mix": 1.0, "trials": 100,
-        "seed": None, "out": None,
-    })
-    seed = _resolve_seed(cfg)
+    """run a recovery sweep and emit CSV"""
+    cfg = _merged(args)
     base = bench_mod.BenchConfig(
-        dim=_config_number(cfg, "dim", int),
-        k=_config_number(cfg, "k", int),
-        object_vocab_size=_config_number(cfg, "objects", int),
-        attr_vocab_size=_config_number(cfg, "attrs", int),
-        mapping=cfg["mapping"],
-        mix=_config_number(cfg, "mix", float),
-        trials=_config_number(cfg, "trials", int),
-        seed=seed,
-    )
-    grid = cfg["grid"]
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    print(f"bench axis={cfg['axis']} grid={grid} base={base}", file=sys.stderr)
+        dim=cfg["dim"], k=cfg["k"], object_vocab_size=cfg["objects"], attr_vocab_size=cfg["attrs"],
+        mapping=cfg["mapping"], mix=cfg["mix"], trials=cfg["trials"], seed=_resolve_seed(cfg))
+    print(f"bench axis={cfg['axis']} grid={cfg['grid']} base={base}", file=sys.stderr)
 
-    results = bench_mod.run_sweep(cfg["axis"], grid, base)
+    results = bench_mod.run_sweep(cfg["axis"], cfg["grid"], base)
     csv_text = bench_mod.reports_to_csv(cfg["axis"], results)
     if cfg["out"] is not None:
         Path(cfg["out"]).write_text(csv_text, encoding="utf-8", newline="")
@@ -301,61 +322,20 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"encode": cmd_encode, "map": cmd_map, "loss": cmd_loss, "bench": cmd_bench}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="vsabench", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("encode", help="project VSAF feature maps to patch hypervectors")
-    p.add_argument("--features-in")
-    p.add_argument("--out")
-    p.add_argument("--dim", type=int, help=f"hypervector dimensionality (default {DEFAULT_DIM})")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--patch-sizes", help="comma-separated per-layer patch sides, e.g. 16,8,4")
-    p.add_argument("--dilation", type=int)
-    p.add_argument("--quantize", choices=QUANTIZE_MODES)
-    p.add_argument("--norm-scope", dest="norm_scope", choices=("vector", "per_layer"),
-                   help="normalize the whole concatenated vector or each layer block first")
-    p.add_argument("--config", help="JSON config file; flags override")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("map", help="build a paired or random hypervector mapping")
-    p.add_argument("--src")
-    p.add_argument("--tgt")
-    p.add_argument("--out")
-    p.add_argument("--mode", choices=("paired", "random"))
-    p.add_argument("--quantize", choices=QUANTIZE_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("loss", help="cyclic / adversarial / total loss metrics as JSON")
-    p.add_argument("--x")
-    p.add_argument("--cycled")
-    p.add_argument("--scores-real")
-    p.add_argument("--scores-fake-translated")
-    p.add_argument("--scores-fake-mapped")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--variant", choices=("nll", "hinge"))
-    p.add_argument("--w1", type=float)
-    p.add_argument("--w2", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_loss)
-
-    p = sub.add_parser("bench", help="run a recovery sweep and emit CSV")
-    p.add_argument("--axis", choices=bench_mod.SWEEP_AXES)
-    p.add_argument("--grid", help="comma-separated axis values")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--objects", type=int)
-    p.add_argument("--attrs", type=int)
-    p.add_argument("--mapping", choices=bench_mod.MAPPING_KINDS)
-    p.add_argument("--mix", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_bench)
-
+    for name, func in COMMANDS.items():
+        p = sub.add_parser(name, help=func.__doc__)
+        for opt in OPTIONS[name]:
+            p.add_argument(opt.flag or "--" + opt.key.replace("_", "-"), dest=opt.key,
+                           type=_flag_type(opt.convert), help=opt.help,
+                           metavar="{%s}" % ",".join(opt.convert) if isinstance(opt.convert, _Choice) else None)
+        p.add_argument("--config", help="JSON config file; flags override")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -39,3 +39,8 @@ class TruncatedPayloadError(VsafError):
 
 class DimensionOverflowError(VsafError):
     """Header declares tensor dimensions too large to represent safely."""
+
+
+class CorruptContentError(VsafError):
+    """File is well framed, but a layer name is not UTF-8 or repeats, a value is not
+    finite, or the layers do not have the layout the reader expects."""

@@ -9,6 +9,8 @@ range, which is fine for every cosine-based consumer downstream.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
@@ -30,6 +32,25 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed <= MAX_SEED:
         raise InvalidArgumentError(f"seed must be in [0, 2^64), got {seed}")
     return int(seed)
+
+
+def as_int(value, noun: str = "an integer") -> int:
+    """An int, integral float or decimal string as int; anything else, booleans
+    and fractions included, is rejected rather than truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise InvalidArgumentError(f"must be {noun}, got {value!r}")
+
+
+def as_float(value, noun: str = "a finite number") -> float:
+    """``value`` as a finite float; booleans, non-numbers, NaN and infinities are rejected."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, bool) and np.isfinite(number := float(value)):
+            return number
+    raise InvalidArgumentError(f"must be {noun}, got {value!r}")
 
 
 def as_hypervectors(v) -> np.ndarray:

@@ -26,11 +26,11 @@ class LossConfig:
     variant: str = "hinge"
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidArgumentError(f"lam must be >= 0, got {self.lam}")
-        if len(self.fake_term_weights) != 2 or any(w < 0 for w in self.fake_term_weights):
+        if not 0 <= self.lam < np.inf:
+            raise InvalidArgumentError(f"lam must be finite and >= 0, got {self.lam}")
+        if len(self.fake_term_weights) != 2 or not all(0 <= w < np.inf for w in self.fake_term_weights):
             raise InvalidArgumentError(
-                f"fake_term_weights must be two nonnegative reals, got {self.fake_term_weights}"
+                f"fake_term_weights must be two finite nonnegative reals, got {self.fake_term_weights}"
             )
         if self.variant not in VARIANTS:
             raise InvalidArgumentError(f"variant must be one of {VARIANTS}, got {self.variant!r}")

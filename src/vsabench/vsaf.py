@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    CorruptContentError,
     DimensionOverflowError,
     InvalidArgumentError,
     TruncatedPayloadError,
@@ -32,6 +33,7 @@ VERSION = 1
 
 # cap on H*W*C to bound allocation from a hostile or corrupt header
 MAX_ELEMENTS = 2**31
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,20 @@ class FeatureMapSet:
 
 
 def feature_map_set(named_tensors) -> FeatureMapSet:
-    """Build a FeatureMapSet from (name, array) pairs, converting to float32."""
-    layers = tuple(
-        FeatureMapLayer(name, np.ascontiguousarray(data, dtype=np.float32))
-        for name, data in named_tensors
-    )
-    return FeatureMapSet(layers)
+    """Build a FeatureMapSet from (name, array) pairs, converting to float32.
+
+    Each entry is rounded to the nearest float32 (relative error at most 2^-24).
+    A finite entry beyond the float32 range would become infinite and is rejected.
+    """
+    layers = []
+    for name, data in named_tensors:
+        try:
+            with np.errstate(over="raise"):
+                data = np.ascontiguousarray(data, dtype=np.float32)
+        except FloatingPointError as exc:
+            raise VsafError(f"layer {name!r} has entries beyond the float32 limit of {FLOAT32_MAX:g}") from exc
+        layers.append(FeatureMapLayer(name, data))
+    return FeatureMapSet(tuple(layers))
 
 
 def write_feature_file(fm: FeatureMapSet, path) -> None:
@@ -121,7 +131,10 @@ def read_feature_file(path) -> FeatureMapSet:
     headers = []
     for _ in range(layer_count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptContentError(f"layer name is not UTF-8: {exc}") from exc
         h, w, c = reader.unpack("<III")
         if h < 1 or w < 1 or c < 1:
             raise DimensionOverflowError(f"layer {name!r} declares zero dimension {h}x{w}x{c}")
@@ -136,26 +149,21 @@ def read_feature_file(path) -> FeatureMapSet:
         raw = reader.take(h * w * c * 4)
         data = np.frombuffer(raw, dtype="<f4").reshape(h, w, c).astype(np.float32)
         layers.append(FeatureMapLayer(name, data))
-    return FeatureMapSet(tuple(layers))
+    try:
+        return FeatureMapSet(tuple(layers))
+    except InvalidArgumentError as exc:
+        raise CorruptContentError(str(exc)) from exc
 
 
 HYPERVECTOR_LAYER = "hypervectors"
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def write_hypervectors(hvs, path, layer_name: str = HYPERVECTOR_LAYER) -> None:
-    """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer.
-
-    VSAF stores float32, so each float64 entry is rounded to the nearest
-    float32 (relative error at most 2^-24). A finite entry beyond the float32
-    range would become infinite and is rejected before the cast.
-    """
+    """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer,
+    rounded to float32 as ``feature_map_set`` rounds."""
     stack = np.atleast_2d(np.asarray(hvs, dtype=np.float64))
     if stack.ndim != 2 or stack.size == 0:
         raise InvalidArgumentError(f"expected a nonempty (count, dim) stack, got shape {stack.shape}")
-    # an inf or NaN entry leaves this test to the non-finite check of feature_map_set
-    if FLOAT32_MAX < max(stack.max(), -stack.min()) < np.inf:
-        raise VsafError(f"layer {layer_name!r} has entries beyond the float32 limit of {FLOAT32_MAX:g}")
     write_feature_file(feature_map_set([(layer_name, stack[np.newaxis, :, :])]), path)
 
 
@@ -163,7 +171,7 @@ def read_hypervectors(path) -> np.ndarray:
     """Read a hypervector file back as a (count, dim) float64 array."""
     fm = read_feature_file(path)
     if len(fm.layers) != 1 or fm.layers[0].data.shape[0] != 1:
-        raise InvalidArgumentError(
+        raise CorruptContentError(
             f"expected a single 1 x count x dim layer, got "
             f"{[(l.name, l.shape) for l in fm.layers]}"
         )

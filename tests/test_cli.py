@@ -75,7 +75,10 @@ class TestEncode:
         assert "conv2" in stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("cfg", [{"dilation": 1.5}, {"dim": "wide"}, {"seed": "abc"}])
+    @pytest.mark.parametrize("cfg", [
+        {"dilation": 1.5}, {"dim": "wide"}, {"seed": "abc"},
+        {"patch_sizes": [2.5]}, {"patch_sizes": ["x"]}, {"patch_sizes": 4}, {"features_in": 5}, {"out": 7},
+    ])
     def test_mistyped_config_value_exit_3(self, cfg, feature_file, tmp_path, capsys):
         out = tmp_path / "hv.vsaf"
         path = tmp_path / "cfg.json"
@@ -116,6 +119,17 @@ class TestEncode:
         ], capsys)
         assert (code, stdout) == (3, "")
         assert "'dimm'" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--dim", "x"), ("--patch-sizes", "4,x"), ("--seed", "1.5")])
+    def test_malformed_flag_exit_1_names_flag(self, flag, value, feature_file, tmp_path, capsys):
+        out = tmp_path / "hv.vsaf"
+        code, stdout, stderr = run_cli([
+            "encode", "--features-in", str(feature_file), "--out", str(out), "--patch-sizes", "4,2", flag, value,
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"usage error: argument {flag}: must be ")
+        assert repr(value.split(",")[-1]) in stderr
         assert not out.exists()
 
     def test_bad_magic_exit_2(self, tmp_path, capsys):
@@ -183,6 +197,19 @@ class TestMap:
         assert "'quantise'" in stderr
         assert not out.exists()
 
+    def test_bad_quantize_rejected_in_random_mode_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "s.vsaf"
+        write_hypervectors(np.ones((2, 32)), src)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"quantize": "bogus"}))
+        out = tmp_path / "u.vsaf"
+        code, stdout, stderr = run_cli([
+            "map", "--src", str(src), "--out", str(out), "--mode", "random", "--config", str(path),
+        ], capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: quantize ") and "'bogus'" in stderr
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_product_beyond_float32_exit_2(self, tmp_path, capsys):
         sp, up = tmp_path / "s.vsaf", tmp_path / "u.vsaf"
@@ -213,6 +240,25 @@ class TestLoss:
         code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
         assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--w1", "--w2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_weight_flag_exit_1(self, flag, value, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), flag, value], capsys)
+        assert (code, stdout) == (1, "")
+        assert f"argument {flag}: must be a finite number" in err
+
+    @pytest.mark.parametrize("text", ['{"lam": NaN}', '{"w1": Infinity}', '{"w2": -Infinity}'])
+    def test_non_finite_weight_config_exit_3(self, text, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("config error: ") and "must be a finite number" in err
 
     def test_unknown_config_key_exit_3(self, tmp_path, capsys):
         p = tmp_path / "x.vsaf"
@@ -292,7 +338,9 @@ class TestBench:
         assert stdout == ""
         assert "k grid values must be integers" in err
 
-    @pytest.mark.parametrize("cfg", [{"seed": "abc"}, {"trials": "x"}, {"trials": 2.5}, {"dim": True}])
+    @pytest.mark.parametrize("cfg", [
+        {"seed": "abc"}, {"trials": "x"}, {"trials": 2.5}, {"dim": True}, {"grid": 5}, {"out": 5},
+    ])
     def test_mistyped_config_value_exit_3(self, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": "64", "trials": 2, **cfg}))

@@ -155,6 +155,14 @@ class TestLossConfig:
         with pytest.raises(InvalidArgumentError):
             LossConfig(variant="wasserstein")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, value):
+        with pytest.raises(InvalidArgumentError, match="lam must be finite"):
+            LossConfig(lam=value)
+        for weights in ((value, 1.0), (1.0, value)):
+            with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
+                LossConfig(fake_term_weights=weights)
+
 
 def test_check_no_zero_vectors_reports_indices():
     vs = [np.ones(4), np.zeros(4), np.ones(4), np.zeros(4)]
