@@ -38,7 +38,6 @@ class DomainSpec:
     src_attr_vocab: tuple[str, ...]
     tgt_attr_vocab: tuple[str, ...]
     dim: int
-    seed: int
 
     def __post_init__(self):
         for name, vocab in (
@@ -57,7 +56,6 @@ class DomainSpec:
             )
         if self.dim < 1:
             raise InvalidArgumentError(f"dim must be >= 1, got {self.dim}")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -85,23 +83,29 @@ class DomainSymbols:
     objects: dict[str, np.ndarray]
     src_attrs: dict[str, np.ndarray]
     tgt_attrs: dict[str, np.ndarray]
-    dim: int
 
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Outcome of one measured configuration; flip_rate = 1 - cleanup_accuracy."""
+    """Outcome of one measured configuration."""
 
     recovery_cosine: float
     cleanup_accuracy: float
-    flip_rate: float
     dim: int
     k: int
     mapping: str
     trials: int
     seed: int
     recovery_cosine_sem: float = 0.0
-    attempts: int = 0
+
+    @property
+    def flip_rate(self) -> float:
+        return 1.0 - self.cleanup_accuracy
+
+    @property
+    def attempts(self) -> int:
+        """Cleanup queries made: one per pair per trial."""
+        return self.trials * self.k
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,6 @@ def default_domain(config: BenchConfig) -> DomainSpec:
         src_attr_vocab=tuple(f"src{i:02d}" for i in range(config.attr_vocab_size)),
         tgt_attr_vocab=tuple(f"tgt{i:02d}" for i in range(config.attr_vocab_size)),
         dim=config.dim,
-        seed=config.seed,
     )
 
 
@@ -156,21 +159,18 @@ def default_scene(config: BenchConfig) -> SceneSpec:
     )
 
 
-def materialize(domain: DomainSpec, rng: np.random.Generator | None = None) -> DomainSymbols:
-    """Draw an independent bipolar hypervector per label, in a fixed label order.
+def materialize(domain: DomainSpec, rng: np.random.Generator) -> DomainSymbols:
+    """Draw an independent bipolar hypervector per label from ``rng``, in a fixed label order.
 
     The vectors are row views of one symbol matrix, filled as ``measure_recovery``
     fills a trial's symbols.
     """
-    if rng is None:
-        rng = np.random.default_rng(domain.seed)
     symbols, (objects, src, tgt) = _symbol_matrix(domain)
     fill_bipolar(symbols, rng)
     return DomainSymbols(
         objects=dict(zip(domain.object_vocab, objects)),
         src_attrs=dict(zip(domain.src_attr_vocab, src)),
         tgt_attrs=dict(zip(domain.tgt_attr_vocab, tgt)),
-        dim=domain.dim,
     )
 
 
@@ -183,7 +183,7 @@ def encode_scene(symbols: DomainSymbols, scene: SceneSpec) -> np.ndarray:
         if attr_label not in attrs:
             raise InvalidArgumentError(f"unknown {scene.domain} attribute label {attr_label!r}")
     terms = bind([symbols.objects[o] for o, _ in scene.pairs], [attrs[a] for _, a in scene.pairs])
-    return bundle(terms, norm="raw_sum")
+    return bundle(terms)
 
 
 def target_twin(domain: DomainSpec, scene: SceneSpec) -> SceneSpec:
@@ -202,11 +202,10 @@ def target_twin(domain: DomainSpec, scene: SceneSpec) -> SceneSpec:
 def scene_mapping(domain: DomainSpec, symbols: DomainSymbols, scene: SceneSpec) -> np.ndarray:
     """Ground-truth mapping vector built from the scene's attribute pairs."""
     twin = target_twin(domain, scene)
-    pairs = [
-        (symbols.src_attrs[src_label], symbols.tgt_attrs[tgt_label])
-        for (_, src_label), (_, tgt_label) in zip(scene.pairs, twin.pairs)
-    ]
-    return build_ground_truth_mapping(pairs)
+    return build_ground_truth_mapping(
+        [symbols.src_attrs[label] for _, label in scene.pairs],
+        [symbols.tgt_attrs[label] for _, label in twin.pairs],
+    )
 
 
 def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
@@ -283,7 +282,7 @@ def measure_recovery(
         if mapping == "random":
             u = sample_hypervector(domain.dim, rng)
         else:
-            u = build_ground_truth_mapping(zip(src_attrs[attr], tgt_attrs[attr]))
+            u = build_ground_truth_mapping(src_attrs[attr], tgt_attrs[attr])
             if mapping == "mixed":
                 u = mix * u + (1.0 - mix) * sample_hypervector(domain.dim, rng)
 
@@ -295,20 +294,16 @@ def measure_recovery(
             top_id, _ = mem.cleanup(translated * tgt_attrs[a], k=1)[0]
             correct += int(top_id == i)
 
-    attempts = trials * scene.k
-    accuracy = correct / attempts
     sem = float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return BenchReport(
         recovery_cosine=float(np.mean(cosines)),
-        cleanup_accuracy=accuracy,
-        flip_rate=1.0 - accuracy,
+        cleanup_accuracy=correct / (trials * scene.k),
         dim=domain.dim,
         k=scene.k,
         mapping=mapping,
         trials=trials,
         seed=seed,
         recovery_cosine_sem=sem,
-        attempts=attempts,
     )
 
 

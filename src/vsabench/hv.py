@@ -3,8 +3,8 @@
 A hypervector is a float64 array of shape ``(dim,)``, and a stack of them
 (one per patch, say) has shape ``(count, dim)``. ``bind`` and
 ``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
-a stack. Sampled vectors live in [-1, 1]; a ``raw_sum`` bundle may leave that
-range, which is fine for every cosine-based consumer downstream.
+a stack. Sampled vectors are bipolar ({-1, +1}); a bundle is their raw sum
+and may leave [-1, 1], which is fine for every cosine-based consumer downstream.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from .errors import DegenerateInputError, InvalidArgumentError
 
 MAX_SEED = 2**64 - 1
 
-SAMPLING_MODES = ("bipolar", "uniform")
-BUNDLE_MODES = ("raw_sum", "mean", "clip_unit")
 QUANTIZE_MODES = ("none", "sign")
 
 # Rows drawn per generator call by fill_bipolar.
@@ -75,14 +73,8 @@ def as_hypervector(v) -> np.ndarray:
     return arr
 
 
-def is_bounded(v) -> bool:
-    """True if every entry lies in [-1, 1] (sampled and LSH vectors; not raw-sum bundles)."""
-    arr = np.asarray(v, dtype=np.float64)
-    return bool(np.all(arr >= -1.0) and np.all(arr <= 1.0))
-
-
 def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill a C-contiguous float64 array with i.i.d. uniform {-1, +1} entries; returns it.
+    """Fill a C-contiguous float64 array with independent, equally likely +-1 entries; returns it.
 
     The bits equal one ``rng.integers`` draw of the whole shape, or one per
     row; drawing ``_FILL_ROWS`` rows at a time keeps the integer temporary
@@ -96,24 +88,16 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def random_hypervector(dim: int, seed: int, mode: str = "bipolar") -> np.ndarray:
-    """Sample a random hypervector, deterministic in (dim, seed, mode).
-
-    ``bipolar`` draws i.i.d. uniform over {-1, +1}; ``uniform`` draws i.i.d.
-    uniform over [-1, 1].
-    """
-    return sample_hypervector(dim, np.random.default_rng(check_seed(seed)), mode)
+def random_hypervector(dim: int, seed: int) -> np.ndarray:
+    """Sample a bipolar hypervector (each entry -1 or +1, equally likely), deterministic in (dim, seed)."""
+    return sample_hypervector(dim, np.random.default_rng(check_seed(seed)))
 
 
-def sample_hypervector(dim: int, rng: np.random.Generator, mode: str = "bipolar") -> np.ndarray:
-    """Draw one hypervector from an existing generator (stream-level determinism)."""
+def sample_hypervector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one bipolar hypervector from an existing generator (stream-level determinism)."""
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
-    if mode == "bipolar":
-        return fill_bipolar(np.empty(dim), rng)
-    if mode == "uniform":
-        return rng.uniform(-1.0, 1.0, size=dim)
-    raise InvalidArgumentError(f"mode must be one of {SAMPLING_MODES}, got {mode!r}")
+    return fill_bipolar(np.empty(dim), rng)
 
 
 def quantized(v: np.ndarray, mode: str) -> np.ndarray:
@@ -140,23 +124,13 @@ def bind(a, b) -> np.ndarray:
     return av * bv
 
 
-def bundle(vs, norm: str = "raw_sum") -> np.ndarray:
-    """Superpose a nonempty (count, dim) stack, or list, of equal-dim hypervectors.
-
-    ``raw_sum`` is the elementwise sum, ``mean`` divides by the count, and
-    ``clip_unit`` clamps the sum to [-1, 1]. All modes commute over list order.
-    """
-    if norm not in BUNDLE_MODES:
-        raise InvalidArgumentError(f"norm must be one of {BUNDLE_MODES}, got {norm!r}")
+def bundle(vs) -> np.ndarray:
+    """Superpose a nonempty (count, dim) stack, or list, of equal-dim hypervectors:
+    their elementwise sum, which commutes over list order."""
     stack = as_hypervectors(vs)
     if stack.ndim != 2:
         raise InvalidArgumentError(f"bundle requires a nonempty list of hypervectors, got shape {stack.shape}")
-    total = np.sum(stack, axis=0)
-    if norm == "mean":
-        return total / stack.shape[0]
-    if norm == "clip_unit":
-        return np.clip(total, -1.0, 1.0)
-    return total
+    return np.sum(stack, axis=0)
 
 
 def is_extreme(norms2: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .hv import check_seed, is_extreme, quantized, scale_rows
+from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # feature rows per GEMM call
 _NORM_ROWS = 256  # projector rows normalized per step
@@ -33,22 +34,31 @@ class LshProjector:
     """Immutable random projection matrix; ``rows`` has shape (n, m)."""
 
     rows: np.ndarray = field(repr=False)
-    m: int
-    n: int
     seed: int
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[0]
 
 
 def new_projector(m: int, n: int, seed: int) -> LshProjector:
-    """Build a projector with unit-norm standard-normal rows, deterministic in (m, n, seed)."""
+    """Build a projector with unit-norm standard-normal rows, deterministic in (m, n, seed),
+    of at most ``vsaf.MAX_ELEMENTS`` entries, the bound on one VSAF layer."""
     if m < 1 or n < 1:
         raise InvalidArgumentError(f"m and n must be >= 1, got m={m}, n={n}")
+    if m * n > MAX_ELEMENTS:
+        raise InvalidArgumentError(f"projector of m={m} by n={n} has {m * n} elements (cap {MAX_ELEMENTS})")
     rng = np.random.default_rng(check_seed(seed))
     rows = rng.standard_normal(size=(n, m))
     for start in range(0, n, _NORM_ROWS):
         block = rows[start : start + _NORM_ROWS]
         block /= np.linalg.norm(block, axis=1, keepdims=True)
     rows.setflags(write=False)
-    return LshProjector(rows=rows, m=m, n=n, seed=int(seed))
+    return LshProjector(rows=rows, seed=int(seed))
 
 
 def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_hypervectors, bind, check_seed, fill_bipolar, quantized
+from .hv import as_hypervectors, bind, bundle, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,9 @@ def apply_mapping(vs, u: HypervectorMapping) -> np.ndarray:
     return bind(stack, u.per_patch)
 
 
-def build_ground_truth_mapping(pairs) -> np.ndarray:
-    """Bundle bind(src_attr, tgt_attr) over attribute pairs into one mapping vector."""
-    stack = as_hypervectors(list(pairs))
-    if stack.ndim != 3 or stack.shape[1] != 2:
-        raise InvalidArgumentError(
-            f"mapping requires (src_attr, tgt_attr) pairs of equal-dim vectors, got shape {stack.shape}"
-        )
-    return np.sum(bind(stack[:, 0], stack[:, 1]), axis=0)
+def build_ground_truth_mapping(src_attrs, tgt_attrs) -> np.ndarray:
+    """Bundle bind(src_attrs[i], tgt_attrs[i]) over two (k, dim) stacks into one mapping vector."""
+    return bundle(bind(src_attrs, tgt_attrs))
 
 
 def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapping:

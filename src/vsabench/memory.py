@@ -5,7 +5,9 @@ when they are stored. A query is an exact scan: one ``n * dim``
 matrix-vector product against the stored rows, then a stable sort of the
 n similarities, so retrieval is deterministic and ties go to the earlier
 entry. Memory grows by doubling its row capacity; a memory built with
-``from_matrix`` adopts the caller's matrix without copying it.
+``from_matrix`` adopts the caller's matrix without copying it. A row or
+query whose squared norm underflows or overflows is first scaled by a power
+of two, as ``hv.cosine_similarity`` scales it, so the two agree at any magnitude.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from .hv import as_hypervector
+from .hv import as_hypervector, is_extreme, scale_rows
 
 # Entries per row block when squared norms are computed for a whole matrix,
 # which bounds the temporary to about 2 MB whatever the memory size.
@@ -35,9 +37,9 @@ class ItemMemory:
     def from_matrix(cls, labels: Iterable[Hashable], matrix) -> "ItemMemory":
         """A memory holding row i of an ``(n, dim)`` matrix under ``labels[i]``.
 
-        A C-contiguous float64 matrix is adopted without a copy, so the caller
-        must not change it while the memory is in use. Rows are validated as
-        ``add`` validates one vector.
+        A C-contiguous float64 matrix is adopted without a copy (unless a row
+        needs scaling), so the caller must not change it while the memory is in
+        use. Rows are validated as ``add`` validates one vector.
         """
         labels = list(labels)
         rows = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -49,14 +51,7 @@ class ItemMemory:
         if len(index) != len(labels):
             dup = next(label for i, label in enumerate(labels) if index[label] != i)
             raise InvalidArgumentError(f"duplicate label {dup!r}")
-        norms2 = _row_norms2(rows)
-        for i in np.flatnonzero(~np.isfinite(norms2)):
-            # A non-finite entry makes its row's norm non-finite; overflow alone does not reject.
-            if not np.all(np.isfinite(rows[i])):
-                raise InvalidArgumentError(f"hypervector entries must be finite (row {i}, {labels[i]!r})")
-        zero = np.flatnonzero(norms2 == 0.0)
-        if zero.size:
-            raise DegenerateInputError(f"cannot store zero-norm vector for {labels[zero[0]]!r}")
+        rows, norms2 = _stored(rows, labels)
         mem = cls()
         mem._labels, mem._index, mem._rows, mem._norms2 = labels, index, rows, norms2
         return mem
@@ -80,9 +75,7 @@ class ItemMemory:
         dim = self.dim
         if dim is not None and v.shape[0] != dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {dim}")
-        n2 = np.sum(v * v)
-        if n2 == 0.0:
-            raise DegenerateInputError(f"cannot store zero-norm vector for {label!r}")
+        (v,), (n2,) = _stored(v[np.newaxis], [label])
         n = len(self._labels)
         if n == self._norms2.shape[0]:
             self._grow(max(2 * n, 8), v.shape[0])
@@ -109,12 +102,35 @@ class ItemMemory:
         q = as_hypervector(query)
         if q.shape[0] != self.dim:
             raise InvalidArgumentError(f"query dim {q.shape[0]} does not match memory dim {self.dim}")
-        qn2 = np.dot(q, q)
+        with np.errstate(over="ignore"):
+            qn2 = np.dot(q, q)
+        if is_extreme(qn2):
+            q = scale_rows(q[np.newaxis], [0])[0]
+            qn2 = np.dot(q, q)
         if qn2 == 0.0:
             raise DegenerateInputError("cleanup query has zero norm")
         sims = (self._rows[:n] @ q) / np.sqrt(self._norms2[:n] * qn2)
         order = np.argsort(-sims, kind="stable")[:k]
         return [(self._labels[i], float(sims[i])) for i in order]
+
+
+def _stored(rows: np.ndarray, labels: list[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows fit to store, and their squared norms: rows with an extreme squared
+    norm scaled (in a copy), rows with a non-finite entry or zero norm rejected."""
+    with np.errstate(over="ignore"):
+        norms2 = _row_norms2(rows)
+    for i in np.flatnonzero(~np.isfinite(norms2)):
+        # A non-finite entry makes its row's norm non-finite; overflow alone does not reject.
+        if not np.all(np.isfinite(rows[i])):
+            raise InvalidArgumentError(f"hypervector entries must be finite (row {i}, {labels[i]!r})")
+    extreme = np.flatnonzero(is_extreme(norms2))
+    if extreme.size:
+        rows = scale_rows(rows, extreme)
+        norms2[extreme] = _row_norms2(rows[extreme])
+    zero = np.flatnonzero(norms2 == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"cannot store zero-norm vector for {labels[zero[0]]!r}")
+    return rows, norms2
 
 
 def _row_norms2(rows: np.ndarray) -> np.ndarray:

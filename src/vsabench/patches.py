@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
+from .hv import as_int
 from .vsaf import FeatureMapSet
 
 
@@ -25,7 +26,8 @@ class PatchSpec:
     dilation: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(int(s) for s in self.sides))
+        object.__setattr__(self, "sides", tuple(as_int(s, "an integer patch side") for s in self.sides))
+        object.__setattr__(self, "dilation", as_int(self.dilation, "an integer dilation"))
         if not self.sides or any(s < 1 for s in self.sides):
             raise InvalidArgumentError(f"patch sides must be positive, got {self.sides}")
         if self.dilation < 1:
@@ -37,8 +39,14 @@ class PatchFeatureSet:
     """Row-major-ordered patch vectors stacked as a (patch_count, m) array."""
 
     vectors: np.ndarray = field(repr=False)
-    patch_count: int
-    m: int
+
+    @property
+    def patch_count(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.vectors.shape[1]
 
 
 def block_lengths(fm: FeatureMapSet, spec: PatchSpec) -> list[int]:
@@ -61,7 +69,7 @@ def normalize_blocks(patches: PatchFeatureSet, lengths: list[int]) -> PatchFeatu
         norms = np.linalg.norm(block, axis=1, keepdims=True)
         np.divide(block, norms, out=block, where=norms > 0)
         start += length
-    return PatchFeatureSet(vectors=out, patch_count=patches.patch_count, m=patches.m)
+    return PatchFeatureSet(vectors=out)
 
 
 def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
@@ -100,7 +108,4 @@ def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
         # split each axis into (grid cell, patch position, dilation offset); keep offset 0
         cells = layer.data.reshape(gh, side, d, gw, side, d, c)[:, :, 0, :, :, 0, :]
         blocks.append(cells.transpose(0, 2, 1, 3, 4).reshape(gh * gw, side * side * c))
-    vectors = np.concatenate(blocks, axis=1, dtype=np.float64)
-    m = sum(block_lengths(fm, spec))
-    assert vectors.shape == (gh * gw, m)
-    return PatchFeatureSet(vectors=vectors, patch_count=gh * gw, m=m)
+    return PatchFeatureSet(vectors=np.concatenate(blocks, axis=1, dtype=np.float64))

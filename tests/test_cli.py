@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ class TestEncode:
         ], capsys)
         assert (code, stdout) == (3, "")
         assert stderr.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,cfg", [(["--dim", "1000000000000000"], {}), ([], {"dim": 1e15})])
+    def test_oversized_projector_exit_3(self, flags, cfg, feature_file, tmp_path, capsys):
+        out = tmp_path / "hv.vsaf"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            code, stdout, stderr = run_cli([
+                "encode", "--features-in", str(feature_file), "--out", str(out),
+                "--patch-sizes", "4,2", "--config", str(path), *flags,
+            ], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: ") and "cap 2147483648" in stderr
+        assert "Traceback" not in stderr
+        assert peak < 1 << 20
         assert not out.exists()
 
     @pytest.mark.parametrize("cfg", [{"quantize": "sgn"}, {"norm_scope": "per-layer"}])

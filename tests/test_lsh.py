@@ -92,6 +92,18 @@ class TestProject:
             within += int(abs(c - 0.8) <= 0.1)
         assert within >= 95
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("theta", [0.1, np.pi / 4, np.pi / 2, 2.5, 3.0])
+    def test_sign_cosine_follows_angle(self, theta, seed):
+        # Charikar (2002): a random hyperplane splits two features at angle theta with
+        # probability p = theta / pi, so the sign cosine estimates 1 - 2p with n draws
+        n, m = 4096, 64
+        p = theta / np.pi
+        f1, f2 = unit_pair_with_cosine(np.random.default_rng(100 + seed), m, np.cos(theta))
+        proj = new_projector(m=m, n=n, seed=seed)
+        c = cosine_similarity(project(proj, f1, quantize="sign"), project(proj, f2, quantize="sign"))
+        assert abs(c - (1.0 - 2.0 * p)) <= 4 * 2 * np.sqrt(p * (1.0 - p) / n)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_magnitudes_project_like_unit_scale(self, scale):

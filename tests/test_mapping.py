@@ -34,7 +34,7 @@ def paired_scene(dim, k, seed):
     tgt_attrs = [draw() for _ in range(k)]
     v_src = bundle([bind(o, a) for o, a in zip(objs, src_attrs)])
     v_tgt = bundle([bind(o, a) for o, a in zip(objs, tgt_attrs)])
-    u = build_ground_truth_mapping(list(zip(src_attrs, tgt_attrs)))
+    u = build_ground_truth_mapping(src_attrs, tgt_attrs)
     return v_src, v_tgt, u
 
 
@@ -76,31 +76,35 @@ class TestApplyMapping:
 class TestGroundTruthMapping:
     def test_single_pair_exact(self):
         a, b = random_hypervector(64, seed=0), random_hypervector(64, seed=1)
-        np.testing.assert_array_equal(build_ground_truth_mapping([(a, b)]), bind(a, b))
+        np.testing.assert_array_equal(build_ground_truth_mapping([a], [b]), bind(a, b))
 
     def test_pair_order_invariant(self):
-        pairs = [
-            (random_hypervector(64, seed=2 * i), random_hypervector(64, seed=2 * i + 1))
-            for i in range(4)
-        ]
+        srcs = [random_hypervector(64, seed=2 * i) for i in range(4)]
+        tgts = [random_hypervector(64, seed=2 * i + 1) for i in range(4)]
         np.testing.assert_array_equal(
-            build_ground_truth_mapping(pairs), build_ground_truth_mapping(pairs[::-1])
+            build_ground_truth_mapping(srcs, tgts), build_ground_truth_mapping(srcs[::-1], tgts[::-1])
         )
 
     def test_equals_per_pair_loop_bitwise(self):
         rng = np.random.default_rng(11)
         pairs = [(rng.standard_normal(33), rng.standard_normal(33)) for _ in range(5)]
-        np.testing.assert_array_equal(build_ground_truth_mapping(pairs), np.sum([s * t for s, t in pairs], axis=0))
+        srcs, tgts = zip(*pairs)
+        np.testing.assert_array_equal(build_ground_truth_mapping(srcs, tgts), np.sum([s * t for s, t in pairs], axis=0))
 
     def test_unequal_pair_dims_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            build_ground_truth_mapping([(np.ones(4), np.ones(5))])
+            build_ground_truth_mapping([np.ones(4)], [np.ones(5)])
         with pytest.raises(InvalidArgumentError):
-            build_ground_truth_mapping([(np.ones(4), np.ones(4)), (np.ones(5), np.ones(5))])
+            build_ground_truth_mapping([np.ones(4), np.ones(5)], [np.ones(4), np.ones(5)])
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            build_ground_truth_mapping([])
+            build_ground_truth_mapping([], [])
+
+    def test_single_vectors_rejected(self):
+        # each argument is a (k, dim) stack; one pair is a stack of one row
+        with pytest.raises(InvalidArgumentError):
+            build_ground_truth_mapping(np.ones(4), np.ones(4))
 
     def test_k4_recovery_half(self):
         # analytic 1/sqrt(4) = 0.5, Monte-Carlo confirmed

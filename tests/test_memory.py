@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from vsabench.hv import bundle, random_hypervector
+from vsabench.hv import bundle, cosine_similarity, random_hypervector
 from vsabench.memory import ItemMemory
 
 DIM = 4096
@@ -172,6 +172,25 @@ class TestFromMatrix:
         row = np.full(8, 1e200)
         ItemMemory().add("big", row)
         assert len(ItemMemory.from_matrix(["big"], row[None, :])) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_clean_up_like_unit_scale(self, scale):
+        # squared norms of these rows and queries overflow or underflow in float64
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((6, 64))
+        queries = rows[:3] + rng.standard_normal((3, 64))
+        labels = list("abcdef")
+        unit = ItemMemory.from_matrix(labels, rows)
+        added = ItemMemory()
+        for label, row in zip(labels, scale * rows):
+            added.add(label, row)
+        for mem in (ItemMemory.from_matrix(labels, scale * rows), added):
+            for q in queries:
+                got = mem.cleanup(scale * q, k=6)
+                assert [label for label, _ in got] == [label for label, _ in unit.cleanup(q, k=6)]
+                for label, sim in got:
+                    assert abs(sim - cosine_similarity(scale * rows[labels.index(label)], scale * q)) <= 1e-12
 
     @pytest.mark.parametrize("labels,matrix", [
         (["a", "b"], np.ones((3, 8))),  # label count differs from row count

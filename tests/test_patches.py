@@ -89,6 +89,14 @@ def test_patch_larger_than_layer():
         assemble_patches(fm, PatchSpec(sides=(8,)))
 
 
+@pytest.mark.parametrize("sides,dilation", [
+    ((), 1), ((0,), 1), ((2.5,), 1), ((True,), 1), ((2,), 0), ((2,), 1.5),
+])
+def test_bad_spec_rejected(sides, dilation):
+    with pytest.raises(InvalidArgumentError):
+        PatchSpec(sides=sides, dilation=dilation)
+
+
 def test_side_count_must_match_layers():
     fm = feature_map_set([("l0", np.zeros((4, 4, 1)))])
     with pytest.raises(InvalidArgumentError):
