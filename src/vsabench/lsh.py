@@ -1,23 +1,33 @@
 """Locality sensitive hashing: project feature vectors into the hyperspace.
 
-A projector is a seeded n x m matrix whose rows are standard-normal samples
-normalized to unit length. The rows are drawn in one ``standard_normal``
-call and normalized in place, ``_NORM_ROWS`` rows at a time, so no second
-full-size temporary exists while the projector is built.
+A projector is the value ``(m, n, seed)``. It stands for an n x m matrix
+whose rows are standard-normal samples normalized to unit length, but that
+matrix never exists: ``LshProjector.panels`` draws it from one
+``default_rng(seed)`` in panels of ``_NORM_ROWS`` rows, in order, and
+normalizes each panel in place. A generator fills values in stream order,
+so the panels are bit for bit the rows of one ``standard_normal((n, m))``
+draw. Projection uses each panel once and drops it, so it holds one panel
+(12.6 MB at m = 6144) and the two panel-sized temporaries of its norm,
+not the matrix (201 MB at m = 6144, n = 4096).
+
+Cost model: building a projector is free, and every ``project`` or
+``project_batch`` call draws the whole projector again. Pass whole batches
+to ``project_batch``; a loop of ``project`` calls pays one draw per row.
 
 Features are normalized to unit length before projection, so every output
 entry is a dot product of two unit vectors and lands in [-1, 1].
 ``project`` and ``project_batch`` share one kernel: the unit features are
-multiplied by ``rows.T`` in zero-padded blocks of exactly ``BLOCK_ROWS``
-rows, so every BLAS call has the same ``(BLOCK_ROWS, m) @ (m, n)`` shape.
-A projected row therefore does not depend on the size of its batch or on
-its position in it; a single GEMM over the whole batch, or larger blocks,
-gave rows that did (OpenBLAS, 2 threads).
+multiplied by each ``panel.T`` in zero-padded blocks of exactly
+``BLOCK_ROWS`` rows, so every BLAS call has a ``(BLOCK_ROWS, m) @ (m, k)``
+shape, with k the panel height. A projected row therefore does not depend
+on the size of its batch or on its position in it; a single GEMM over the
+whole batch, or larger blocks, gave rows that did (OpenBLAS, 2 threads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,39 +36,47 @@ from .hv import check_seed, is_extreme, quantized, scale_rows
 from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # feature rows per GEMM call
-_NORM_ROWS = 256  # projector rows normalized per step
+_NORM_ROWS = 256  # projector rows per panel
 
 
 @dataclass(frozen=True)
 class LshProjector:
-    """Immutable random projection matrix; ``rows`` has shape (n, m)."""
+    """A seeded random projection from R^m to R^n, deterministic in (m, n, seed),
+    of at most ``vsaf.MAX_ELEMENTS`` entries, the bound on one VSAF layer."""
 
-    rows: np.ndarray = field(repr=False)
+    m: int
+    n: int
     seed: int
 
-    @property
-    def m(self) -> int:
-        return self.rows.shape[1]
+    def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise InvalidArgumentError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
+        if self.m * self.n > MAX_ELEMENTS:
+            raise InvalidArgumentError(
+                f"projector of m={self.m} by n={self.n} has {self.m * self.n} elements (cap {MAX_ELEMENTS})"
+            )
+        check_seed(self.seed)
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
+    def panels(self) -> Iterator[np.ndarray]:
+        """The projector's rows in order, as fresh (k, m) arrays of unit-norm
+        standard-normal rows: k is ``_NORM_ROWS``, and the last panel takes the
+        remainder too, so it has up to ``2 * _NORM_ROWS - 1`` rows (all n if
+        n is smaller). OpenBLAS sums a GEMM narrower than about 150 columns in
+        another order than the same columns of a wide one, so a narrow tail
+        panel would change the projection's last bits."""
+        rng = np.random.default_rng(self.seed)
+        start = 0
+        while start < self.n:
+            rows = self.n - start if self.n - start < 2 * _NORM_ROWS else _NORM_ROWS
+            panel = rng.standard_normal(size=(rows, self.m))
+            panel /= np.linalg.norm(panel, axis=1, keepdims=True)
+            yield panel
+            start += rows
 
 
 def new_projector(m: int, n: int, seed: int) -> LshProjector:
-    """Build a projector with unit-norm standard-normal rows, deterministic in (m, n, seed),
-    of at most ``vsaf.MAX_ELEMENTS`` entries, the bound on one VSAF layer."""
-    if m < 1 or n < 1:
-        raise InvalidArgumentError(f"m and n must be >= 1, got m={m}, n={n}")
-    if m * n > MAX_ELEMENTS:
-        raise InvalidArgumentError(f"projector of m={m} by n={n} has {m * n} elements (cap {MAX_ELEMENTS})")
-    rng = np.random.default_rng(check_seed(seed))
-    rows = rng.standard_normal(size=(n, m))
-    for start in range(0, n, _NORM_ROWS):
-        block = rows[start : start + _NORM_ROWS]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-    rows.setflags(write=False)
-    return LshProjector(rows=rows, seed=int(seed))
+    """A projector with unit-norm standard-normal rows; nothing is drawn until it is used."""
+    return LshProjector(m=m, n=n, seed=seed)
 
 
 def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +126,12 @@ def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.nd
     unit = np.zeros((padded, p.m))
     np.divide(features, norms[:, np.newaxis], out=unit[:count])
     out = np.empty((padded, p.n))
-    rows_t = p.rows.T
-    for start in range(0, padded, BLOCK_ROWS):
-        np.matmul(unit[start : start + BLOCK_ROWS], rows_t, out=out[start : start + BLOCK_ROWS])
+    col = 0
+    for panel in p.panels() if count else ():
+        cols, panel_t = out[:, col : col + len(panel)], panel.T
+        for start in range(0, padded, BLOCK_ROWS):
+            np.matmul(unit[start : start + BLOCK_ROWS], panel_t, out=cols[start : start + BLOCK_ROWS])
+        col += len(panel)
     out = out[:count]
     # rows and input are unit vectors; clamp float round-off at the boundary
     np.clip(out, -1.0, 1.0, out=out)

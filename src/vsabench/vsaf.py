@@ -86,19 +86,17 @@ def feature_map_set(named_tensors) -> FeatureMapSet:
 
 
 def write_feature_file(fm: FeatureMapSet, path) -> None:
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(fm.layers))]
+    """Write the header, then each layer's payload straight from its array, with no joined copy."""
+    header = [MAGIC, struct.pack("<II", VERSION, len(fm.layers))]
     for layer in fm.layers:
         name_bytes = layer.name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise InvalidArgumentError(f"layer name too long: {len(name_bytes)} bytes")
-        h, w, c = layer.data.shape
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<III", h, w, c))
-    for layer in fm.layers:
-        payload = np.ascontiguousarray(layer.data, dtype="<f4")
-        chunks.append(payload.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+        header += [struct.pack("<H", len(name_bytes)), name_bytes, struct.pack("<III", *layer.data.shape)]
+    with open(path, "wb") as f:
+        f.write(b"".join(header))
+        for layer in fm.layers:
+            f.write(memoryview(np.ascontiguousarray(layer.data, dtype="<f4")).cast("B"))
 
 
 class _Reader:

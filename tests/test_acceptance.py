@@ -16,7 +16,7 @@ import numpy as np
 from vsabench.bench import BenchConfig, run_config, run_sweep
 from vsabench.hv import cosine_similarity, random_hypervector
 from vsabench.losses import LossConfig, gan_loss_hinge, total_loss, vsa_cyclic_loss
-from vsabench.lsh import new_projector, project
+from vsabench.lsh import new_projector, project_batch
 from vsabench.vsaf import feature_map_set, read_feature_file, write_feature_file
 
 from test_lsh import unit_pair_with_cosine
@@ -92,9 +92,9 @@ def test_criterion_6_lsh_contract():
     rng = np.random.default_rng(9)
     within = 0
     in_range = True
-    for _ in range(100):
-        f1, f2 = unit_pair_with_cosine(rng, 2048, 0.8)
-        h1, h2 = project(p, f1), project(p, f2)
+    pairs = [unit_pair_with_cosine(rng, 2048, 0.8) for _ in range(100)]
+    h1s, h2s = (project_batch(p, fs) for fs in zip(*pairs))
+    for h1, h2 in zip(h1s, h2s):
         in_range &= bool(np.all(np.abs(h1) <= 1.0) and np.all(np.abs(h2) <= 1.0))
         within += int(abs(cosine_similarity(h1, h2) - 0.8) <= 0.1)
     check(6, "LSH similarity preservation", within >= 95 and in_range,

@@ -166,6 +166,23 @@ class TestCosine:
         b = np.array([1.0, 1.0, 0.0, 0.0])
         assert cosine_similarity(scale * b, scale * a[:4]) == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-300, 1e200])
+    @pytest.mark.parametrize("dim", [1, 7, 4096])
+    def test_pair_equals_its_stacked_row_bitwise(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            a, b = rng.standard_normal((2, dim))
+            a *= scale
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert cosine_similarity(x, y) == cosine_similarity(x[np.newaxis], y[np.newaxis])[0]
+
+    def test_zero_pair_rejected_like_its_stacked_row(self):
+        a, b = np.zeros(5), np.ones(5)
+        for x, y in ((a, b), (b, a), (a[np.newaxis], b[np.newaxis])):
+            with pytest.raises(DegenerateInputError, match=r"rows \[0\]"):
+                cosine_similarity(x, y)
+
     @settings(max_examples=50)
     @given(finite_vectors(), finite_vectors(), st.floats(0.1, 50.0))
     def test_symmetric_and_scale_invariant(self, a, b, alpha):

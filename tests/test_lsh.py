@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import cosine_similarity
-from vsabench.lsh import BLOCK_ROWS, new_projector, project, project_batch
+from vsabench.lsh import _NORM_ROWS, BLOCK_ROWS, LshProjector, new_projector, project, project_batch
 
 
 def unit_pair_with_cosine(rng, m, rho):
@@ -17,22 +19,28 @@ def unit_pair_with_cosine(rng, m, rho):
     return f1, f2
 
 
+def projector_matrix(p):
+    """The projector's (n, m) matrix, which the package itself never builds."""
+    return np.concatenate(list(p.panels()))
+
+
 class TestNewProjector:
     def test_row_norms(self):
         p = new_projector(m=100, n=50, seed=0)
-        np.testing.assert_allclose(np.linalg.norm(p.rows, axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(projector_matrix(p), axis=1), 1.0, atol=1e-9)
 
     def test_determinism(self):
         a = new_projector(m=100, n=50, seed=13)
         b = new_projector(m=100, n=50, seed=13)
-        np.testing.assert_array_equal(a.rows, b.rows)
+        np.testing.assert_array_equal(projector_matrix(a), projector_matrix(b))
 
     def test_rows_near_orthogonal_high_dim(self):
         # Monte-Carlo oracle: random unit rows in dim 4096 are near-orthogonal.
         p = new_projector(m=4096, n=32, seed=1)
+        rows = projector_matrix(p)
         for i in range(p.n):
             for j in range(i + 1, p.n):
-                assert abs(np.dot(p.rows[i], p.rows[j])) < 0.2
+                assert abs(np.dot(rows[i], rows[j])) < 0.2
 
     @pytest.mark.parametrize("seed", [0, 21])
     def test_rows_match_full_matrix_formula(self, seed):
@@ -41,13 +49,38 @@ class TestNewProjector:
         ref = np.random.default_rng(seed).standard_normal(size=(n, m))
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
         p = new_projector(m=m, n=n, seed=seed)
-        assert p.rows.tobytes() == ref.tobytes()
+        assert projector_matrix(p).tobytes() == ref.tobytes()
 
     def test_zero_dims_rejected(self):
         with pytest.raises(InvalidArgumentError):
             new_projector(m=0, n=5, seed=0)
         with pytest.raises(InvalidArgumentError):
             new_projector(m=5, n=0, seed=0)
+
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(InvalidArgumentError, match="m and n"):
+            LshProjector(m=0, n=5, seed=0)
+        with pytest.raises(InvalidArgumentError, match="cap 2147483648"):
+            LshProjector(m=2**16, n=2**15 + 1, seed=0)
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            LshProjector(m=5, n=5, seed=-1)
+
+    def test_building_draws_nothing(self):
+        tracemalloc.start()
+        try:
+            p = new_projector(m=2**16, n=2**15, seed=0)  # a 16 GiB matrix, at the cap
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (p.m, p.n, p.seed) == (2**16, 2**15, 0)
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1000, 4097])
+    def test_panels_are_full_width_but_the_last(self, n):
+        heights = [len(panel) for panel in new_projector(m=3, n=n, seed=0).panels()]
+        assert sum(heights) == n
+        assert all(h == _NORM_ROWS for h in heights[:-1])
+        assert min(n, _NORM_ROWS) <= heights[-1] < 2 * _NORM_ROWS
 
 
 class TestProject:
@@ -86,9 +119,10 @@ class TestProject:
         p = new_projector(m=2048, n=1024, seed=8)
         rng = np.random.default_rng(9)
         within = 0
-        for _ in range(100):
-            f1, f2 = unit_pair_with_cosine(rng, 2048, 0.8)
-            c = cosine_similarity(project(p, f1), project(p, f2))
+        pairs = [unit_pair_with_cosine(rng, 2048, 0.8) for _ in range(100)]
+        h1s, h2s = (project_batch(p, fs) for fs in zip(*pairs))
+        for h1, h2 in zip(h1s, h2s):
+            c = cosine_similarity(h1, h2)
             within += int(abs(c - 0.8) <= 0.1)
         assert within >= 95
 
@@ -196,3 +230,44 @@ class TestBatchIndependence:
                     np.testing.assert_array_equal(
                         project_batch(p, fs[a:b], quantize=quantize), batch[a:b]
                     )
+
+
+def full_matrix_projection(m, n, seed, fs, quantize):
+    """Projection as computed before the projector streamed: one draw of the
+    whole (n, m) matrix, rows normalized, features multiplied in BLOCK_ROWS blocks."""
+    rows = np.random.default_rng(seed).standard_normal(size=(n, m))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    count = len(fs)
+    padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
+    unit = np.zeros((padded, m))
+    unit[:count] = fs / np.linalg.norm(fs, axis=1, keepdims=True)
+    out = np.empty((padded, n))
+    for start in range(0, padded, BLOCK_ROWS):
+        np.matmul(unit[start : start + BLOCK_ROWS], rows.T, out=out[start : start + BLOCK_ROWS])
+    out = np.clip(out[:count], -1.0, 1.0)
+    return np.where(out >= 0.0, 1.0, -1.0) if quantize == "sign" else out
+
+
+class TestStreaming:
+    """The projector is drawn panel by panel, and projects as the whole matrix did."""
+
+    @pytest.mark.parametrize("quantize", ["none", "sign"])
+    @pytest.mark.parametrize(
+        "m,n", [(300, 100), (7, 256), (50, 257), (300, 1000), (2048, 1000), (100, 1024), (50, 4097), (384, 4096)]
+    )
+    def test_equals_full_matrix_formula_bitwise(self, m, n, quantize):
+        fs = np.random.default_rng(m * n).standard_normal((13, m))
+        got = project_batch(new_projector(m=m, n=n, seed=n), fs, quantize=quantize)
+        assert got.tobytes() == full_matrix_projection(m, n, n, fs, quantize).tobytes()
+
+    def test_peak_memory_is_one_panel(self):
+        # the full 8192 x 4096 float64 matrix would be 256 MB
+        p = new_projector(m=4096, n=8192, seed=3)
+        fs = np.random.default_rng(4).standard_normal((8, 4096))
+        tracemalloc.start()
+        try:
+            project_batch(p, fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -5,7 +5,7 @@ import pytest
 
 from vsabench.errors import InvalidArgumentError
 from vsabench.hv import bind, bundle, cosine_similarity, random_hypervector
-from vsabench.lsh import new_projector, project
+from vsabench.lsh import new_projector, project_batch
 from vsabench.mapping import (
     HypervectorMapping,
     apply_mapping,
@@ -143,8 +143,8 @@ class TestPairedEstimator:
         # to the target for nearly every patch
         p = new_projector(m=8192, n=DIM, seed=6)
         rng = np.random.default_rng(7)
-        src = [project(p, rng.standard_normal(8192)) for _ in range(40)]
-        tgt = [project(p, rng.standard_normal(8192)) for _ in range(40)]
+        src = project_batch(p, rng.standard_normal((40, 8192)))
+        tgt = project_batch(p, rng.standard_normal((40, 8192)))
         u = estimate_mapping_paired(src, tgt)
         mapped = apply_mapping(src, u)
         improved = sum(

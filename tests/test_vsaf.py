@@ -15,6 +15,8 @@ from vsabench.errors import (
     VsafError,
 )
 from vsabench.vsaf import (
+    FeatureMapLayer,
+    FeatureMapSet,
     feature_map_set,
     read_feature_file,
     read_hypervectors,
@@ -40,6 +42,24 @@ def test_round_trip_bit_exact(tmp_path):
     for a, b in zip(fm.layers, back.layers):
         assert b.data.dtype == np.float32
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_written_bytes_follow_the_layout(tmp_path):
+    # the expected file is joined here from the layout in the module docstring
+    rng = np.random.default_rng(2)
+    layers = [
+        ("conv1", rng.standard_normal((3, 4, 5)).astype(np.float32)),
+        ("\u00e9t\u00e9", rng.standard_normal((2, 6, 4))[:, ::2, :]),  # float64, not contiguous
+        ("tiny", np.full((1, 1, 1), -2.5, dtype=">f4")),
+    ]
+    head, body = [b"VSAF", struct.pack("<II", 1, len(layers))], []
+    for name, data in layers:
+        raw = name.encode("utf-8")
+        head += [struct.pack("<H", len(raw)), raw, struct.pack("<III", *data.shape)]
+        body.append(np.asarray(data, dtype="<f4").tobytes())
+    path = tmp_path / "layout.vsaf"
+    write_feature_file(FeatureMapSet(tuple(FeatureMapLayer(n, d) for n, d in layers)), path)
+    assert path.read_bytes() == b"".join(head + body)
 
 
 def test_round_trip_stable_bytes(tmp_path):
