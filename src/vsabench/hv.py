@@ -133,13 +133,10 @@ def bundle(vs) -> np.ndarray:
     return np.sum(stack, axis=0)
 
 
-_NORM2_MIN, _NORM2_MAX = 2.0**-500, 2.0**500
-
-
 def is_extreme(norms2: np.ndarray) -> np.ndarray:
     """True where a squared norm lies outside [2^-500, 2^500], so that it has lost
     precision to underflow (perhaps to 0) or is near overflow (perhaps inf)."""
-    return ~((_NORM2_MIN <= norms2) & (norms2 <= _NORM2_MAX))
+    return ~((2.0**-500 <= norms2) & (norms2 <= 2.0**500))
 
 
 def scale_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -161,12 +158,6 @@ def cosine_similarity(a, b):
     """dot(a, b) / (|a| |b|) of two vectors (a float) or of two stacks, row by row;
     raises naming the zero-norm rows rather than returning 0."""
     av, bv = _same_shape(a, b)
-    if av.ndim == 1:
-        # np.dot sums as the row path does, so an in-range pair skips its bookkeeping
-        with np.errstate(over="ignore"):
-            na2, nb2 = np.dot(av, av), np.dot(bv, bv)
-        if _NORM2_MIN <= na2 <= _NORM2_MAX and _NORM2_MIN <= nb2 <= _NORM2_MAX:
-            return float(np.dot(av, bv) / np.sqrt(na2 * nb2))
     a2, b2 = np.atleast_2d(av), np.atleast_2d(bv)
     with np.errstate(over="ignore"):
         na2, nb2 = _row_dots(a2, a2), _row_dots(b2, b2)

@@ -7,8 +7,10 @@ matrix never exists: ``LshProjector.panels`` draws it from one
 normalizes each panel in place. A generator fills values in stream order,
 so the panels are bit for bit the rows of one ``standard_normal((n, m))``
 draw. Projection uses each panel once and drops it, so it holds one panel
-(12.6 MB at m = 6144) and the two panel-sized temporaries of its norm,
-not the matrix (201 MB at m = 6144, n = 4096).
+and the two panel-sized temporaries of its norm, not the matrix (201 MB at
+m = 6144, n = 4096). A panel has ``_NORM_ROWS`` rows (12.6 MB at m = 6144),
+but the last one takes the remainder and can have up to
+``2 * _NORM_ROWS - 1`` rows (25.1 MB at m = 6144).
 
 Cost model: building a projector is free, and every ``project`` or
 ``project_batch`` call draws the whole projector again. Pass whole batches
@@ -63,7 +65,11 @@ class LshProjector:
         remainder too, so it has up to ``2 * _NORM_ROWS - 1`` rows (all n if
         n is smaller). OpenBLAS sums a GEMM narrower than about 150 columns in
         another order than the same columns of a wide one, so a narrow tail
-        panel would change the projection's last bits."""
+        panel would change the projection's last bits. That threshold, and so
+        the bit-identity of the projection with a full-matrix GEMM, was
+        observed with numpy 2.4.6 and OpenBLAS 0.3.31 on an AVX-512 x86-64
+        host, the build ``tests/test_golden.py`` pins; another BLAS kernel
+        can round either way differently."""
         rng = np.random.default_rng(self.seed)
         start = 0
         while start < self.n:

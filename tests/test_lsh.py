@@ -260,9 +260,11 @@ class TestStreaming:
         got = project_batch(new_projector(m=m, n=n, seed=n), fs, quantize=quantize)
         assert got.tobytes() == full_matrix_projection(m, n, n, fs, quantize).tobytes()
 
-    def test_peak_memory_is_one_panel(self):
-        # the full 8192 x 4096 float64 matrix would be 256 MB
-        p = new_projector(m=4096, n=8192, seed=3)
+    @pytest.mark.parametrize("n,last_panel_rows", [(8192, 256), (8191, 511)])
+    def test_peak_memory_is_one_panel(self, n, last_panel_rows):
+        # the full n x 4096 float64 matrix would be 256 MB; the bound is 32 MB
+        # for 256-row panels and covers the 511-row tail panel at n = 8191
+        p = new_projector(m=4096, n=n, seed=3)
         fs = np.random.default_rng(4).standard_normal((8, 4096))
         tracemalloc.start()
         try:
@@ -270,4 +272,4 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 4 * last_panel_rows * 4096 * 8
