@@ -40,6 +40,7 @@ class DomainSpec:
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_int(self.dim, "an integer dim"))
         for name, vocab in (
             ("object_vocab", self.object_vocab),
             ("src_attr_vocab", self.src_attr_vocab),
@@ -127,6 +128,8 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "k", "object_vocab_size", "attr_vocab_size", "trials"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"an integer {name}"))
         if self.mapping not in MAPPING_KINDS:
             raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {self.mapping!r}")
         if self.k < 1 or self.k > min(self.object_vocab_size, self.attr_vocab_size):
@@ -258,11 +261,13 @@ def measure_recovery(
     bundles of bound rows, builds the requested mapping kind ('mixed' weights
     the ground-truth and a random mapping by ``mix``, which is not an energy
     fraction; see ``BenchConfig``), translates the source scene, and then
-    recovers each object by unbinding its target attribute and cleaning up
-    against an item memory over the object rows.
+    recovers every object at once: it unbinds each pair's target attribute
+    and cleans the stack of queries up against an item memory over the
+    object rows in one scan.
     """
     if mapping not in MAPPING_KINDS:
         raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {mapping!r}")
+    trials = as_int(trials, "an integer trial count")
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
@@ -289,10 +294,8 @@ def measure_recovery(
         translated = bind(v_src, u)
         cosines[t] = cosine_similarity(translated, v_tgt)
 
-        mem = ItemMemory.from_matrix(object_ids, objects)
-        for i, a in zip(obj, attr):
-            top_id, _ = mem.cleanup(translated * tgt_attrs[a], k=1)[0]
-            correct += int(top_id == i)
+        tops = ItemMemory.from_matrix(object_ids, objects).cleanup(translated * tgt_attrs[attr])
+        correct += sum(int(top[0][0] == i) for top, i in zip(tops, obj))
 
     sem = float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return BenchReport(

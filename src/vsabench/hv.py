@@ -19,8 +19,9 @@ MAX_SEED = 2**64 - 1
 
 QUANTIZE_MODES = ("none", "sign")
 
-# Rows drawn per generator call by fill_bipolar.
-_FILL_ROWS = 8
+# Entries drawn per generator call by fill_bipolar, which bounds its
+# temporaries to about 1 MB whatever the array's shape.
+_FILL_ENTRIES = 1 << 18
 
 
 def check_seed(seed: int) -> int:
@@ -53,7 +54,8 @@ def as_float(value, noun: str = "a finite number") -> float:
 
 def as_hypervectors(v) -> np.ndarray:
     """Coerce a hypervector or a stack of equal-length ones to float64 (no copy if it
-    already is), rejecting empty, ragged or non-finite input."""
+    already is), rejecting empty, ragged or non-finite input; a stack's
+    non-finite rows are named."""
     try:
         arr = np.asarray(v, dtype=np.float64)
     except ValueError as exc:
@@ -61,7 +63,8 @@ def as_hypervectors(v) -> np.ndarray:
     if arr.ndim < 1 or arr.size < 1:
         raise InvalidArgumentError(f"hypervectors must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("hypervector entries must be finite")
+        rows = f" (rows {np.flatnonzero(~np.isfinite(arr).all(axis=1)).tolist()})" if arr.ndim == 2 else ""
+        raise InvalidArgumentError(f"hypervector entries must be finite{rows}")
     return arr
 
 
@@ -76,14 +79,20 @@ def as_hypervector(v) -> np.ndarray:
 def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fill a C-contiguous float64 array with independent, equally likely +-1 entries; returns it.
 
-    The bits equal one ``rng.integers`` draw of the whole shape, or one per
-    row; drawing ``_FILL_ROWS`` rows at a time keeps the integer temporary
-    from doubling the array's memory.
+    Each entry is the top bit of one 32-bit draw, so the entries, and the
+    generator's state afterwards, are exactly those of one
+    ``rng.integers(0, 2, size=out.shape)`` draw mapped to +-1, for any bit
+    generator. That draw runs Lemire's method on one ``next_uint32`` per
+    entry: a range of 2 never rejects and returns the draw's top bit. An odd
+    total leaves half of a 64-bit output buffered in the bit generator,
+    which the next draw uses, as it would after ``integers``. Blocks of
+    ``_FILL_ENTRIES`` keep the temporaries small.
     """
-    rows = out.reshape(-1, out.shape[-1])
-    for r0 in range(0, rows.shape[0], _FILL_ROWS):
-        block = rows[r0 : r0 + _FILL_ROWS]
-        np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+    flat = out.reshape(-1)
+    for s in range(0, flat.size, _FILL_ENTRIES):
+        block = flat[s : s + _FILL_ENTRIES]
+        bits = rng.integers(0, 2**32, size=block.size, dtype=np.uint32)
+        np.multiply(np.less(bits.view(np.int32), 0), 2.0, out=block)
         block -= 1.0
     return out
 
@@ -148,7 +157,8 @@ def scale_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
     # Stacked matmul sums each row as np.dot does, bit for bit; einsum and
     # np.sum(a * b, axis=1) sum in another order.
     return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
@@ -160,16 +170,16 @@ def cosine_similarity(a, b):
     av, bv = _same_shape(a, b)
     a2, b2 = np.atleast_2d(av), np.atleast_2d(bv)
     with np.errstate(over="ignore"):
-        na2, nb2 = _row_dots(a2, a2), _row_dots(b2, b2)
+        na2, nb2 = row_dots(a2, a2), row_dots(b2, b2)
     extreme = np.flatnonzero(is_extreme(na2) | is_extreme(nb2))
     if extreme.size:
         a2, b2 = scale_rows(a2, extreme), scale_rows(b2, extreme)
-        na2[extreme], nb2[extreme] = _row_dots(a2[extreme], a2[extreme]), _row_dots(b2[extreme], b2[extreme])
+        na2[extreme], nb2[extreme] = row_dots(a2[extreme], a2[extreme]), row_dots(b2[extreme], b2[extreme])
     zero = np.flatnonzero((na2 == 0.0) | (nb2 == 0.0))
     if zero.size:
         raise DegenerateInputError(f"cosine similarity undefined for a zero-norm vector (rows {zero.tolist()})")
     # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
-    cos = _row_dots(a2, b2) / np.sqrt(na2 * nb2)
+    cos = row_dots(a2, b2) / np.sqrt(na2 * nb2)
     return float(cos[0]) if av.ndim == 1 else cos
 
 

@@ -1,10 +1,17 @@
 """Cleanup (item) memory: recover the nearest known symbol by cosine similarity.
 
 Entries live as rows of one float64 matrix, with their squared norms cached
-when they are stored. A query is an exact scan: one ``n * dim``
-matrix-vector product against the stored rows, then a stable sort of the
-n similarities, so retrieval is deterministic and ties go to the earlier
-entry. Memory grows by doubling its row capacity; a memory built with
+when they are stored. A query, or a ``(count, dim)`` stack of them, is an
+exact scan: one product of the stored rows with the transposed stack (a
+matrix-vector product for one query), then a stable sort of each query's n
+similarities, so retrieval is deterministic and ties go to the earlier
+entry. A stack streams the stored rows once rather than once per query.
+When rows and queries are integer-valued and every dot product is below
+2^53, as in the flip bench's ``ground_truth`` and ``random`` trials, each
+query's similarities are bit for bit those of its own 1-D call; for other
+values only the rounding order of the dot products differs.
+
+Memory grows by doubling its row capacity; a memory built with
 ``from_matrix`` adopts the caller's matrix without copying it. A row or
 query whose squared norm underflows or overflows is first scaled by a power
 of two, as ``hv.cosine_similarity`` scales it, so the two agree at any magnitude.
@@ -17,7 +24,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from .hv import as_hypervector, is_extreme, scale_rows
+from .hv import as_hypervector, as_hypervectors, as_int, is_extreme, row_dots, scale_rows
 
 # Entries per row block when squared norms are computed for a whole matrix,
 # which bounds the temporary to about 2 MB whatever the memory size.
@@ -92,26 +99,32 @@ class ItemMemory:
             rows[:n], norms2[:n] = self._rows[:n], self._norms2[:n]
         self._rows, self._norms2 = rows, norms2
 
-    def cleanup(self, query, k: int = 1) -> list[tuple[Hashable, float]]:
-        """Top-k (label, cosine similarity), ties broken by insertion order."""
+    def cleanup(self, query, k: int = 1) -> list:
+        """Top-k (label, cosine similarity) of a ``(dim,)`` query, ties broken by
+        insertion order; for a ``(count, dim)`` stack, one such list per row."""
         n = len(self._labels)
         if not n:
             raise InvalidStateError("cleanup on an empty memory")
+        k = as_int(k, "an integer k")
         if k < 1:
             raise InvalidArgumentError(f"k must be >= 1, got {k}")
-        q = as_hypervector(query)
-        if q.shape[0] != self.dim:
-            raise InvalidArgumentError(f"query dim {q.shape[0]} does not match memory dim {self.dim}")
+        q = as_hypervectors(query)
+        if q.ndim > 2 or q.shape[-1] != self.dim:
+            raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
+        queries = np.atleast_2d(q)
         with np.errstate(over="ignore"):
-            qn2 = np.dot(q, q)
-        if is_extreme(qn2):
-            q = scale_rows(q[np.newaxis], [0])[0]
-            qn2 = np.dot(q, q)
-        if qn2 == 0.0:
-            raise DegenerateInputError("cleanup query has zero norm")
-        sims = (self._rows[:n] @ q) / np.sqrt(self._norms2[:n] * qn2)
-        order = np.argsort(-sims, kind="stable")[:k]
-        return [(self._labels[i], float(sims[i])) for i in order]
+            qn2 = row_dots(queries, queries)
+        extreme = np.flatnonzero(is_extreme(qn2))
+        if extreme.size:
+            queries = scale_rows(queries, extreme)
+            qn2[extreme] = row_dots(queries[extreme], queries[extreme])
+        zero = np.flatnonzero(qn2 == 0.0)
+        if zero.size:
+            raise DegenerateInputError(f"cleanup query has zero norm (rows {zero.tolist()})")
+        sims = ((self._rows[:n] @ queries.T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
+        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        tops = [[(self._labels[i], float(s)) for i, s in zip(row, sim[row])] for row, sim in zip(order, sims)]
+        return tops[0] if q.ndim == 1 else tops
 
 
 def _stored(rows: np.ndarray, labels: list[Hashable]) -> tuple[np.ndarray, np.ndarray]:

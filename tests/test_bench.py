@@ -206,6 +206,36 @@ class TestMeasureRecovery:
         with pytest.raises(InvalidArgumentError):
             measure_recovery(d, SceneSpec(pairs=(("obj00", "src00"),)), mapping="learned")
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5),
+        ("trials", True),
+        ("dim", 96.5),
+        ("k", True),
+        ("k", 1.5),
+        ("object_vocab_size", 8.5),
+        ("attr_vocab_size", "four"),
+    ])
+    def test_non_integer_config_field_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            BenchConfig(**{field: value})
+
+    def test_integral_float_config_fields_become_ints(self):
+        cfg = BenchConfig(dim=96.0, k=2.0, object_vocab_size=8.0, attr_vocab_size=4.0, trials=3.0, seed=2)
+        assert (cfg.dim, cfg.k, cfg.object_vocab_size, cfg.attr_vocab_size, cfg.trials) == (96, 2, 8, 4, 3)
+        assert all(type(v) is int for v in (cfg.dim, cfg.k, cfg.trials))
+        ints = BenchConfig(dim=96, k=2, object_vocab_size=8, attr_vocab_size=4, trials=3, seed=2)
+        assert cfg == ints and run_config(cfg) == run_config(ints)
+
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_non_integer_trials_rejected_by_measure_recovery(self, trials):
+        with pytest.raises(InvalidArgumentError):
+            measure_recovery(small_domain(dim=64), SceneSpec(pairs=(("obj00", "src00"),)), trials=trials)
+
+    @pytest.mark.parametrize("dim", [96.5, True, "many"])
+    def test_non_integer_domain_dim_rejected(self, dim):
+        with pytest.raises(InvalidArgumentError, match="dim"):
+            small_domain(dim=dim)
+
 
 class TestMatchesPerLabelLoop:
     """measure_recovery on a symbol matrix reproduces the per-label trial loop exactly."""

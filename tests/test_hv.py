@@ -205,6 +205,16 @@ class TestFillBipolar:
         fill_bipolar(np.empty(shape), filled)
         assert filled.integers(2**62) == whole.integers(2**62) == rows.integers(2**62)
 
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (64, 4096), (1152, 4096), (3, 2**17 + 1)])
+    def test_bits_and_state_equal_an_integers_0_2_draw(self, bitgen, shape):
+        # the last shape spans two sampler blocks; odd totals leave half a 64-bit output buffered
+        got, want = np.random.Generator(bitgen(11)), np.random.Generator(bitgen(11))
+        out = fill_bipolar(np.empty(shape), got)
+        np.testing.assert_array_equal(out, want.integers(0, 2, size=shape) * 2.0 - 1.0)
+        np.testing.assert_array_equal(sample_hypervector(5, got), want.integers(0, 2, size=5) * 2.0 - 1.0)
+        assert got.integers(2**62) == want.integers(2**62)
+
 
 class TestQuantized:
     def test_sign_maps_zero_to_plus_one(self):
@@ -274,3 +284,10 @@ class TestStacks:
         b[3] = 0.0
         with pytest.raises(DegenerateInputError, match=r"rows \[1, 3\]"):
             cosine_similarity(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_named(self, bad):
+        a = np.ones((4, 8))
+        a[2, 5] = bad
+        with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[2\]\)"):
+            bind(a, np.ones((4, 8)))

@@ -92,6 +92,86 @@ class TestCleanup:
             mem.cleanup(np.zeros(16))
 
 
+class TestStackedCleanup:
+    def test_integer_stack_equals_its_rows_exactly(self):
+        # bipolar rows and integer queries: every dot product is an exact integer
+        rng = np.random.default_rng(6)
+        rows = rng.integers(0, 2, size=(300, 1031)) * 2.0 - 1.0
+        mem = ItemMemory.from_matrix(range(300), rows)
+        queries = rng.integers(-16, 17, size=(13, 1031)).astype(np.float64)
+        got = mem.cleanup(queries, k=5)
+        assert len(got) == 13
+        assert got == [mem.cleanup(q, k=5) for q in queries]
+
+    def test_float_stack_has_the_labels_of_its_rows(self):
+        rng = np.random.default_rng(7)
+        mem = ItemMemory.from_matrix(range(50), rng.standard_normal((50, 257)))
+        queries = rng.standard_normal((9, 257))
+        for got, q in zip(mem.cleanup(queries, k=4), queries):
+            want = mem.cleanup(q, k=4)
+            assert [label for label, _ in got] == [label for label, _ in want]
+            np.testing.assert_allclose([sim for _, sim in got], [sim for _, sim in want], rtol=1e-12)
+
+    def test_single_row_stack_is_a_list_of_one(self):
+        mem = filled_memory(4, 64)
+        q = random_hypervector(64, seed=2)
+        assert mem.cleanup(q[np.newaxis], k=2) == [mem.cleanup(q, k=2)]
+
+    def test_zero_row_named(self):
+        mem = filled_memory(3, 16)
+        queries = np.ones((4, 16))
+        queries[2] = 0.0
+        with pytest.raises(DegenerateInputError, match=r"rows \[2\]"):
+            mem.cleanup(queries)
+        with pytest.raises(DegenerateInputError):
+            mem.cleanup(queries[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        mem = filled_memory(3, 16)
+        queries = np.ones((4, 16))
+        queries[3, 7] = bad
+        with pytest.raises(InvalidArgumentError, match=r"rows \[3\]"):
+            mem.cleanup(queries)
+        with pytest.raises(InvalidArgumentError):
+            mem.cleanup(queries[3])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_row_cleans_up_like_its_1d_call(self, scale):
+        rng = np.random.default_rng(9)
+        mem = ItemMemory.from_matrix(list("abcdef"), rng.standard_normal((6, 64)))
+        queries = rng.standard_normal((3, 64))
+        queries[1] *= scale
+        got = mem.cleanup(queries, k=6)[1]
+        for want in (mem.cleanup(queries[1], k=6), mem.cleanup(queries[1] / scale, k=6)):
+            assert [label for label, _ in got] == [label for label, _ in want]
+            np.testing.assert_allclose([sim for _, sim in got], [sim for _, sim in want], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 17), (17,), (2, 3, 16)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError):
+            filled_memory(2, 16).cleanup(np.ones(shape))
+
+
+class TestCleanupK:
+    @pytest.mark.parametrize("k", [True, False, 1.5, 2.0000001, "two", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InvalidArgumentError):
+            filled_memory(3, 16).cleanup(np.ones(16), k=k)
+
+    def test_integral_float_k_is_that_integer(self):
+        mem = filled_memory(4, 64)
+        q = random_hypervector(64, seed=1)
+        assert mem.cleanup(q, k=2.0) == mem.cleanup(q, k=np.int64(2)) == mem.cleanup(q, k=2)
+        assert len(mem.cleanup(q, k=3.0)) == 3
+
+    @pytest.mark.parametrize("k", [0, -1, 0.0])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InvalidArgumentError):
+            filled_memory(3, 16).cleanup(np.ones(16), k=k)
+
+
 def parent_formula(vectors, query):
     """(label index, similarity) pairs from a stacked scan sorted by (-similarity, index)."""
     stack = np.stack(vectors)
