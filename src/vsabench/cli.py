@@ -12,6 +12,7 @@ as flag > config file > VSAIT_SEED env var > 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -214,6 +215,19 @@ def _read(read, path: str):
         raise VsafError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(write, path: str) -> None:
+    """Run ``write(path)``. An OSError becomes a data error, and a regular file
+    the write opened but did not finish is removed."""
+    try:
+        write(path)
+    except OSError as exc:
+        # open() names the path in its error; a failed write or close does not
+        if exc.filename is None and os.path.isfile(path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise VsafError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -234,7 +248,7 @@ def cmd_encode(args) -> int:
 
     projector = lsh.new_projector(m=patches.m, n=cfg["dim"], seed=seed)
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
-    vsaf.write_hypervectors(hvs, cfg["out"])
+    _write(lambda out: vsaf.write_hypervectors(hvs, out), cfg["out"])
     _emit({"patch_count": patches.patch_count, "m": patches.m, "n": cfg["dim"], "seed": seed})
     return EXIT_OK
 
@@ -254,7 +268,7 @@ def cmd_map(args) -> int:
     else:
         u = mapping.random_mapping(patch_count=src.shape[0], dim=src.shape[1], seed=seed)
 
-    vsaf.write_hypervectors(u.per_patch, cfg["out"], layer_name="mapping")
+    _write(lambda out: vsaf.write_hypervectors(u.per_patch, out, layer_name="mapping"), cfg["out"])
     _emit({"patch_count": u.patch_count, "dim": u.dim, "mode": cfg["mode"], "seed": seed})
     return EXIT_OK
 
@@ -316,7 +330,7 @@ def cmd_bench(args) -> int:
     results = bench_mod.run_sweep(cfg["axis"], cfg["grid"], base)
     csv_text = bench_mod.reports_to_csv(cfg["axis"], results)
     if cfg["out"] is not None:
-        Path(cfg["out"]).write_text(csv_text, encoding="utf-8", newline="")
+        _write(lambda out: Path(out).write_text(csv_text, encoding="utf-8", newline=""), cfg["out"])
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK

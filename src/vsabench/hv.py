@@ -104,6 +104,7 @@ def random_hypervector(dim: int, seed: int) -> np.ndarray:
 
 def sample_hypervector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one bipolar hypervector from an existing generator (stream-level determinism)."""
+    dim = as_int(dim, "an integer dim")
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     return fill_bipolar(np.empty(dim), rng)

@@ -18,12 +18,19 @@ to ``project_batch``; a loop of ``project`` calls pays one draw per row.
 
 Features are normalized to unit length before projection, so every output
 entry is a dot product of two unit vectors and lands in [-1, 1].
-``project`` and ``project_batch`` share one kernel: the unit features are
-multiplied by each ``panel.T`` in zero-padded blocks of exactly
-``BLOCK_ROWS`` rows, so every BLAS call has a ``(BLOCK_ROWS, m) @ (m, k)``
-shape, with k the panel height. A projected row therefore does not depend
-on the size of its batch or on its position in it; a single GEMM over the
-whole batch, or larger blocks, gave rows that did (OpenBLAS, 2 threads).
+``project`` and ``project_batch`` share one kernel. The unit features are
+zero-padded to a multiple of ``BLOCK_ROWS`` rows, so no BLAS call sees one
+or two rows, which OpenBLAS hands to GEMV or small-matrix code that sums in
+another order. A full panel of ``_NORM_ROWS`` rows is then multiplied in
+one ``(padded, m) @ (m, _NORM_ROWS)`` GEMM over the whole batch. The tail
+panel (``_NORM_ROWS + 1`` to ``2 * _NORM_ROWS - 1`` rows, or all n when n
+is smaller) is multiplied in blocks of exactly ``BLOCK_ROWS`` feature rows,
+because at those widths a block of 64 rows or more, or the whole batch,
+changed a row's last bits. Either way a projected row does not depend on
+the size of its batch or on its position in it. That held for m from 1 to
+6144 and batches of 1 to 2048 rows with numpy 2.4.6 and OpenBLAS 0.3.31 at
+1 and 2 threads; ``TestBatchIndependence`` checks it, and CI runs that test
+against the newest numpy as well.
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import check_seed, is_extreme, quantized, scale_rows
+from .hv import as_int, check_seed, is_extreme, quantized, scale_rows
 from .vsaf import MAX_ELEMENTS
 
-BLOCK_ROWS = 8  # feature rows per GEMM call
+BLOCK_ROWS = 8  # feature rows per tail-panel GEMM, and the batch padding unit
 _NORM_ROWS = 256  # projector rows per panel
 
 
@@ -51,6 +58,8 @@ class LshProjector:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_int(self.m, "an integer m"))
+        object.__setattr__(self, "n", as_int(self.n, "an integer n"))
         if self.m < 1 or self.n < 1:
             raise InvalidArgumentError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
         if self.m * self.n > MAX_ELEMENTS:
@@ -135,8 +144,11 @@ def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.nd
     col = 0
     for panel in p.panels() if count else ():
         cols, panel_t = out[:, col : col + len(panel)], panel.T
-        for start in range(0, padded, BLOCK_ROWS):
-            np.matmul(unit[start : start + BLOCK_ROWS], panel_t, out=cols[start : start + BLOCK_ROWS])
+        if len(panel) == _NORM_ROWS:
+            np.matmul(unit, panel_t, out=cols)
+        else:
+            for start in range(0, padded, BLOCK_ROWS):
+                np.matmul(unit[start : start + BLOCK_ROWS], panel_t, out=cols[start : start + BLOCK_ROWS])
         col += len(panel)
     out = out[:count]
     # rows and input are unit vectors; clamp float round-off at the boundary

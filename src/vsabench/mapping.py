@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_hypervectors, bind, bundle, check_seed, fill_bipolar, quantized
+from .hv import as_hypervectors, as_int, bind, bundle, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapp
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:
     """Independent bipolar mapping vectors per patch (the ablation baseline)."""
+    patch_count, dim = as_int(patch_count, "an integer patch_count"), as_int(dim, "an integer dim")
     if patch_count < 1 or dim < 1:
         raise InvalidArgumentError(
             f"patch_count and dim must be >= 1, got {patch_count}, {dim}"

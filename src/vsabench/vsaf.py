@@ -12,9 +12,12 @@ Round-trips are bit-exact for float32 payloads.
 
 from __future__ import annotations
 
+import io
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -100,53 +103,75 @@ def write_feature_file(fm: FeatureMapSet, path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads a file object of known size front to back, checking each request
+    against that size before it reads or allocates anything."""
+
+    def __init__(self, f, size: int):
+        self.f = f
+        self.size = size
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise TruncatedPayloadError(
-                f"need {count} bytes at offset {self.pos}, file has {len(self.blob)}"
-            )
-        out = self.blob[self.pos : self.pos + count]
+    def _claim(self, count: int) -> None:
+        if self.pos + count > self.size:
+            raise TruncatedPayloadError(f"need {count} bytes at offset {self.pos}, file has {self.size}")
         self.pos += count
+
+    def _check(self, got: int, count: int) -> None:
+        if got != count:  # the file shrank after its size was taken
+            raise TruncatedPayloadError(f"read {got} of {count} bytes before offset {self.pos}")
+
+    def take(self, count: int) -> bytes:
+        self._claim(count)
+        out = self.f.read(count)
+        self._check(len(out), count)
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def take_float32(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next payload of this shape, read straight into a new little-endian float32 array."""
+        count = 4 * math.prod(shape)
+        self._claim(count)
+        data = np.empty(shape, dtype="<f4")
+        self._check(self.f.readinto(memoryview(data).cast("B")), count)
+        return data.astype(np.float32, copy=False)  # a no-op on little-endian hosts
+
 
 def read_feature_file(path) -> FeatureMapSet:
-    reader = _Reader(Path(path).read_bytes())
-    magic = reader.take(4)
-    if magic != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")
-    (version, layer_count) = reader.unpack("<II")
-    if version != VERSION:
-        raise VersionError(f"unsupported VSAF version {version} (expected {VERSION})")
+    """Read a VSAF file; each payload is checked against the file size, then
+    read straight into its array, so it is allocated once and copied once."""
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode):
+            reader = _Reader(f, st.st_size)
+        else:  # a pipe or device has no size to check against, so read it whole
+            blob = f.read()
+            reader = _Reader(io.BytesIO(blob), len(blob))
+        magic = reader.take(4)
+        if magic != MAGIC:
+            raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")
+        (version, layer_count) = reader.unpack("<II")
+        if version != VERSION:
+            raise VersionError(f"unsupported VSAF version {version} (expected {VERSION})")
 
-    headers = []
-    for _ in range(layer_count):
-        (name_len,) = reader.unpack("<H")
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptContentError(f"layer name is not UTF-8: {exc}") from exc
-        h, w, c = reader.unpack("<III")
-        if h < 1 or w < 1 or c < 1:
-            raise DimensionOverflowError(f"layer {name!r} declares zero dimension {h}x{w}x{c}")
-        if h * w * c > MAX_ELEMENTS:
-            raise DimensionOverflowError(
-                f"layer {name!r} declares {h}x{w}x{c} = {h * w * c} elements (cap {MAX_ELEMENTS})"
-            )
-        headers.append((name, h, w, c))
+        headers = []
+        for _ in range(layer_count):
+            (name_len,) = reader.unpack("<H")
+            try:
+                name = reader.take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptContentError(f"layer name is not UTF-8: {exc}") from exc
+            h, w, c = reader.unpack("<III")
+            if h < 1 or w < 1 or c < 1:
+                raise DimensionOverflowError(f"layer {name!r} declares zero dimension {h}x{w}x{c}")
+            if h * w * c > MAX_ELEMENTS:
+                raise DimensionOverflowError(
+                    f"layer {name!r} declares {h}x{w}x{c} = {h * w * c} elements (cap {MAX_ELEMENTS})"
+                )
+            headers.append((name, h, w, c))
 
-    layers = []
-    for name, h, w, c in headers:
-        raw = reader.take(h * w * c * 4)
-        data = np.frombuffer(raw, dtype="<f4").reshape(h, w, c).astype(np.float32)
-        layers.append(FeatureMapLayer(name, data))
+        layers = [FeatureMapLayer(name, reader.take_float32((h, w, c))) for name, h, w, c in headers]
     try:
         return FeatureMapSet(tuple(layers))
     except InvalidArgumentError as exc:

@@ -1,3 +1,4 @@
+import errno
 import json
 import subprocess
 import sys
@@ -391,6 +392,55 @@ class TestBench:
         ], capsys)
         assert code == 0
         assert stdout.strip().split("\n")[1].endswith(",17")
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a one-line data error that leaves no partial file."""
+
+    @pytest.fixture()
+    def argv(self, feature_file, tmp_path):
+        src = tmp_path / "s.vsaf"
+        write_hypervectors(np.ones((2, 32)), src)
+        return {
+            "encode": ["encode", "--features-in", str(feature_file), "--patch-sizes", "4,2", "--dim", "64"],
+            "map": ["map", "--src", str(src), "--tgt", str(src)],
+            "bench": ["bench", "--grid", "64", "--trials", "2", "--dim", "64"],
+        }
+
+    @pytest.mark.parametrize("command", ["encode", "map", "bench"])
+    def test_missing_directory_exit_2(self, command, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        code, stdout, stderr = run_cli(argv[command] + ["--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[-1].startswith(f"data error: cannot write {out}: ")
+        assert "Traceback" not in stderr
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "map", "bench"])
+    def test_failed_write_removes_partial_file(self, command, argv, tmp_path, capsys, monkeypatch):
+        def fill_disk(path):
+            with open(path, "wb") as f:
+                f.write(b"VSAF")
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("vsabench.vsaf.write_hypervectors", lambda hvs, path, **kwargs: fill_disk(path))
+        monkeypatch.setattr("pathlib.Path.write_text", lambda path, *args, **kwargs: fill_disk(path))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(argv[command] + ["--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert "No space left on device" in stderr
+        assert not out.exists()
+
+    def test_failed_open_keeps_existing_file(self, argv, tmp_path, capsys, monkeypatch):
+        def refuse(hvs, path, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr("vsabench.vsaf.write_hypervectors", refuse)
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier result")
+        code, _, stderr = run_cli(argv["map"] + ["--out", str(out)], capsys)
+        assert code == 2 and "Permission denied" in stderr
+        assert out.read_bytes() == b"earlier result"
 
 
 def test_console_entry_point_runs():

@@ -47,6 +47,15 @@ class TestRandomHypervector:
         with pytest.raises(InvalidArgumentError):
             random_hypervector(0, seed=1)
 
+    @pytest.mark.parametrize("dim", [96.5, True, None, "x"])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(InvalidArgumentError, match="must be an integer dim"):
+            sample_hypervector(dim, np.random.default_rng(0))
+
+    def test_integral_float_dim_accepted(self):
+        np.testing.assert_array_equal(
+            sample_hypervector(96.0, np.random.default_rng(0)), sample_hypervector(96, np.random.default_rng(0)))
+
     def test_bad_seed_rejected(self):
         with pytest.raises(InvalidArgumentError):
             random_hypervector(DIM, seed=-1)

@@ -65,6 +65,17 @@ class TestNewProjector:
         with pytest.raises(InvalidArgumentError, match="seed"):
             LshProjector(m=5, n=5, seed=-1)
 
+    @pytest.mark.parametrize("m,n", [(True, 4), (3, False), (3, 4.5), (None, 4), (3, "x")])
+    def test_non_integer_sizes_rejected(self, m, n):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            LshProjector(m=m, n=n, seed=0)
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            new_projector(m, n, 0)
+
+    def test_integral_float_sizes_accepted(self):
+        assert new_projector(3, 4.0, 0) == new_projector(3, 4, 0)
+        assert type(new_projector(3.0, 4, 0).m) is int
+
     def test_building_draws_nothing(self):
         tracemalloc.start()
         try:
@@ -216,7 +227,7 @@ class TestBatchIndependence:
     SIZES = (1, 7, 8, 9, 17, 203)
 
     @pytest.mark.parametrize("quantize", ["none", "sign"])
-    @pytest.mark.parametrize("m,n", [(100, 257), (513, 129), (50, 4097), (7, 5), (1, 1)])
+    @pytest.mark.parametrize("m,n", [(100, 257), (513, 129), (50, 4097), (7, 5), (1, 1), (384, 512)])
     def test_rows_bitwise_independent_of_batch(self, m, n, quantize):
         p = new_projector(m=m, n=n, seed=m + n)
         rng = np.random.default_rng(n)
@@ -259,6 +270,13 @@ class TestStreaming:
         fs = np.random.default_rng(m * n).standard_normal((13, m))
         got = project_batch(new_projector(m=m, n=n, seed=n), fs, quantize=quantize)
         assert got.tobytes() == full_matrix_projection(m, n, n, fs, quantize).tobytes()
+
+    @pytest.mark.parametrize("m,count", [(384, 1024), (6144, 64)])
+    def test_full_panels_equal_full_matrix_formula_at_benchmark_shapes(self, m, count):
+        # n = 512 is two full panels, each projected by one GEMM over the whole batch
+        fs = np.random.default_rng(m).standard_normal((count, m))
+        got = project_batch(new_projector(m=m, n=512, seed=m), fs)
+        assert got.tobytes() == full_matrix_projection(m, 512, m, fs, "none").tobytes()
 
     @pytest.mark.parametrize("n,last_panel_rows", [(8192, 256), (8191, 511)])
     def test_peak_memory_is_one_panel(self, n, last_panel_rows):

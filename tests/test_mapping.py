@@ -176,6 +176,14 @@ class TestRandomMapping:
         with pytest.raises(InvalidArgumentError):
             random_mapping(10, 0, seed=0)
 
+    @pytest.mark.parametrize("patch_count,dim", [(2.5, 4), (2, 4.5), (True, 4), (2, None), ("x", 4)])
+    def test_non_integer_counts_rejected(self, patch_count, dim):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            random_mapping(patch_count, dim, seed=0)
+
+    def test_integral_float_counts_accepted(self):
+        np.testing.assert_array_equal(random_mapping(2.0, 4.0, seed=0).per_patch, random_mapping(2, 4, seed=0).per_patch)
+
     def test_maps_to_noise(self):
         # near-orthogonality oracle: random mapping gives |cos| < 0.1 at dim 4096
         for s in range(20):

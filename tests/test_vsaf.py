@@ -1,10 +1,16 @@
+import os
+import stat
 import struct
+import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vsabench import vsaf
 from vsabench.errors import (
     BadMagicError,
     CorruptContentError,
@@ -92,6 +98,57 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(TruncatedPayloadError):
         read_feature_file(path)
+
+
+def test_oversized_declared_payload_is_rejected_before_allocation(tmp_path):
+    # a 1 GiB layer declared in a file that holds one float of it
+    path = tmp_path / "short.vsaf"
+    path.write_bytes(b"VSAF" + struct.pack("<II", 1, 2) + layer_header(b"a", 1, 1, 1)
+                     + layer_header(b"b", 1, 2**14, 2**14) + np.ones(2, "<f4").tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match=f"need {2**30} bytes"):
+            read_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("cut", [10, -5], ids=["in-header", "in-payload"])
+def test_file_shorter_than_its_stat_size_raises_truncated(cut, tmp_path, monkeypatch):
+    # as when the file shrinks between the size check and the reads
+    path = tmp_path / "shrunk.vsaf"
+    write_feature_file(sample_set(np.random.default_rng(3)), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:cut])
+    stat_result = SimpleNamespace(st_size=size, st_mode=stat.S_IFREG)
+    monkeypatch.setattr(vsaf, "os", SimpleNamespace(fstat=lambda fd: stat_result))
+    with pytest.raises(TruncatedPayloadError, match="bytes before offset"):
+        read_feature_file(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cut", [None, -5], ids=["whole", "truncated"])
+def test_pipe_is_read_like_a_file(cut, tmp_path):
+    # a pipe has no size to check against, so the reader takes it whole first
+    path, fifo = tmp_path / "features.vsaf", tmp_path / "pipe"
+    fm = sample_set(np.random.default_rng(5))
+    write_feature_file(fm, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()[:cut]), daemon=True)
+    writer.start()
+    try:
+        if cut is None:
+            back = read_feature_file(fifo)
+            for a, b in zip(fm.layers, back.layers):
+                assert a.data.tobytes() == b.data.tobytes()
+        else:
+            with pytest.raises(TruncatedPayloadError):
+                read_feature_file(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_truncated_header(tmp_path):
