@@ -262,8 +262,8 @@ def measure_recovery(
     the ground-truth and a random mapping by ``mix``, which is not an energy
     fraction; see ``BenchConfig``), translates the source scene, and then
     recovers every object at once: it unbinds each pair's target attribute
-    and cleans the stack of queries up against an item memory over the
-    object rows in one scan.
+    and cleans the stack of queries up in one scan of an item memory over the
+    object rows, built once per call.
     """
     if mapping not in MAPPING_KINDS:
         raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {mapping!r}")
@@ -273,7 +273,11 @@ def measure_recovery(
     check_seed(seed)
     obj, attr = _scene_rows(domain, scene)
     symbols, (objects, src_attrs, tgt_attrs) = _symbol_matrix(domain)
-    object_ids = range(len(objects))
+    objects.fill(1.0)
+    # The memory adopts the object rows without a copy and caches their squared
+    # norms once. Every trial refills those rows in place with +-1 entries, so
+    # each cached norm stays exactly dim and the memory stays valid.
+    memory = ItemMemory.from_matrix(range(len(objects)), objects)
 
     cosines = np.empty(trials)
     correct = 0
@@ -294,7 +298,7 @@ def measure_recovery(
         translated = bind(v_src, u)
         cosines[t] = cosine_similarity(translated, v_tgt)
 
-        tops = ItemMemory.from_matrix(object_ids, objects).cleanup(translated * tgt_attrs[attr])
+        tops = memory.cleanup(translated * tgt_attrs[attr])
         correct += sum(int(top[0][0] == i) for top, i in zip(tops, obj))
 
     sem = float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
@@ -310,8 +314,8 @@ def measure_recovery(
     )
 
 
-def run_config(config: BenchConfig, stream: int = 0) -> BenchReport:
-    """measure_recovery on the config's default domain and scene."""
+def run_config(config: BenchConfig) -> BenchReport:
+    """measure_recovery on the config's default domain and scene, on stream 0."""
     return measure_recovery(
         default_domain(config),
         default_scene(config),
@@ -319,12 +323,14 @@ def run_config(config: BenchConfig, stream: int = 0) -> BenchReport:
         trials=config.trials,
         seed=config.seed,
         mix=config.mix,
-        stream=stream,
     )
 
 
 def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
-    """One report per grid point along the named axis; returns (value, report) pairs."""
+    """One report per grid point along the named axis; returns (value, report) pairs.
+
+    Every point runs on stream 0, so a point's report depends only on its own
+    config and seed, not on where it sits in the grid."""
     if axis not in SWEEP_AXES:
         raise InvalidArgumentError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = list(grid)
@@ -332,7 +338,7 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
         raise InvalidArgumentError("sweep grid must be nonempty")
 
     results = []
-    for i, value in enumerate(grid):
+    for value in grid:
         try:
             if axis in ("dim", "k"):
                 point = {axis: as_int(value, "integers")}
@@ -342,7 +348,7 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
                 point = {"mapping": "mixed", "mix": as_float(value, "numbers")}
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{axis} grid values {exc}") from exc
-        results.append((value, run_config(replace(base, **point), stream=i)))
+        results.append((value, run_config(replace(base, **point))))
     return results
 
 

@@ -215,6 +215,22 @@ def _read(read, path: str):
         raise VsafError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work unless ``path`` names a file that can be written:
+    its directory exists and is writable, and it is not itself a directory.
+    Nothing is created or truncated."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no such directory {parent}"
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        problem = f"directory {parent} is not writable"
+    else:
+        return
+    raise VsafError(f"cannot write {path}: {problem}")
+
+
 def _write(write, path: str) -> None:
     """Run ``write(path)``. An OSError becomes a data error, and a regular file
     the write opened but did not finish is removed."""
@@ -240,6 +256,7 @@ def cmd_encode(args) -> int:
     if cfg["patch_sizes"] is None:
         raise UsageError("encode requires --patch-sizes")
     seed = _resolve_seed(cfg)
+    _check_out(cfg["out"])
     fm = _read(vsaf.read_feature_file, cfg["features_in"])
     spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
     patches = assemble_patches(fm, spec)
@@ -259,6 +276,7 @@ def cmd_map(args) -> int:
     if cfg["src"] is None or cfg["out"] is None:
         raise UsageError("map requires --src and --out")
     seed = _resolve_seed(cfg)
+    _check_out(cfg["out"])
     src = _read(vsaf.read_hypervectors, cfg["src"])
     if cfg["mode"] == "paired":
         if cfg["tgt"] is None:
@@ -325,6 +343,8 @@ def cmd_bench(args) -> int:
     base = bench_mod.BenchConfig(
         dim=cfg["dim"], k=cfg["k"], object_vocab_size=cfg["objects"], attr_vocab_size=cfg["attrs"],
         mapping=cfg["mapping"], mix=cfg["mix"], trials=cfg["trials"], seed=_resolve_seed(cfg))
+    if cfg["out"] is not None:
+        _check_out(cfg["out"])
     print(f"bench axis={cfg['axis']} grid={cfg['grid']} base={base}", file=sys.stderr)
 
     results = bench_mod.run_sweep(cfg["axis"], cfg["grid"], base)

@@ -5,6 +5,13 @@ A hypervector is a float64 array of shape ``(dim,)``, and a stack of them
 ``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
 a stack. Sampled vectors are bipolar ({-1, +1}); a bundle is their raw sum
 and may leave [-1, 1], which is fine for every cosine-based consumer downstream.
+
+The bipolar sampler spends one random bit per entry. A row of ``dim``
+entries takes the next ``ceil(dim / 32)`` words of one uint32 stream, and
+entry c is bit ``c % 32`` (least significant first) of word ``c // 32``:
+1 gives +1, 0 gives -1. Every row starts on a fresh word, so up to 31 bits
+per row are drawn and never used, and filling a stack equals drawing its
+rows one at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ MAX_SEED = 2**64 - 1
 
 QUANTIZE_MODES = ("none", "sign")
 
-# Entries drawn per generator call by fill_bipolar, which bounds its
-# temporaries to about 1 MB whatever the array's shape.
+# Entries per row block in fill_bipolar, which bounds its temporaries (one
+# byte and one bit per entry) to about 300 KB whatever the array's shape; a
+# row longer than this is one block of its own.
 _FILL_ENTRIES = 1 << 18
 
 
@@ -79,21 +87,28 @@ def as_hypervector(v) -> np.ndarray:
 def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fill a C-contiguous float64 array with independent, equally likely +-1 entries; returns it.
 
-    Each entry is the top bit of one 32-bit draw, so the entries, and the
-    generator's state afterwards, are exactly those of one
-    ``rng.integers(0, 2, size=out.shape)`` draw mapped to +-1, for any bit
-    generator. That draw runs Lemire's method on one ``next_uint32`` per
-    entry: a range of 2 never rejects and returns the draw's top bit. An odd
-    total leaves half of a 64-bit output buffered in the bit generator,
-    which the next draw uses, as it would after ``integers``. Blocks of
-    ``_FILL_ENTRIES`` keep the temporaries small.
+    ``out`` is read as ``(rows, dim)`` (a 1-D array is one row). Row r takes
+    the next ``ceil(dim / 32)`` words of one
+    ``rng.integers(0, 2**32, dtype=np.uint32)`` stream, in row order, and
+    entry c is +1 where bit ``c % 32`` of word ``c // 32`` is set and -1
+    where it is clear; the last word's bits beyond ``dim`` are drawn and
+    never used (up to 31 a row). So filling a matrix equals one
+    ``sample_hypervector`` per row, and the generator ends where one
+    ``integers(0, 2**32, size=rows * ceil(dim / 32), dtype=np.uint32)`` draw
+    would leave it, for any bit generator. Rows are drawn in blocks of about
+    ``_FILL_ENTRIES`` entries, which keeps the temporaries small.
     """
-    flat = out.reshape(-1)
-    for s in range(0, flat.size, _FILL_ENTRIES):
-        block = flat[s : s + _FILL_ENTRIES]
-        bits = rng.integers(0, 2**32, size=block.size, dtype=np.uint32)
-        np.multiply(np.less(bits.view(np.int32), 0), 2.0, out=block)
-        block -= 1.0
+    rows = out.reshape(-1, out.shape[-1])
+    dim = rows.shape[1]
+    step = max(1, _FILL_ENTRIES // max(dim, 1))
+    for r in range(0, rows.shape[0], step):
+        block = rows[r : r + step]
+        words = rng.integers(0, 2**32, size=(block.shape[0], -(-dim // 32)), dtype=np.uint32)
+        signs = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), axis=1, count=dim, bitorder="little")
+        signs = signs.view(np.int8)  # bit b -> 2b - 1 in int8, then one widening copy
+        signs *= 2
+        signs -= 1
+        block[...] = signs
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,6 +289,11 @@ class TestSweep:
         base = BenchConfig(k=4, dim=512, trials=30, seed=17)
         results = dict(run_sweep("lambda_proxy", [0.0, 1.0], base))
         assert results[1.0].cleanup_accuracy > results[0.0].cleanup_accuracy
+
+    def test_point_independent_of_grid_position(self):
+        base = BenchConfig(dim=256, trials=5, seed=9, attr_vocab_size=8)
+        forward, backward = dict(run_sweep("k", [1, 4], base)), dict(run_sweep("k", [4, 1], base))
+        assert forward[4] == backward[4] == run_config(replace(base, k=4))
 
     def test_bad_axis_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -431,6 +431,39 @@ class TestUnwritableOutput:
         assert "No space left on device" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,work", [
+        ("encode", "vsabench.lsh.project_batch"),
+        ("map", "vsabench.mapping.estimate_mapping_paired"),
+        ("bench", "vsabench.bench.run_sweep"),
+    ])
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_fails_before_the_work(self, command, work, out, argv, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        monkeypatch.setattr(work, refuse)
+        path = tmp_path / out
+        code, stdout, stderr = run_cli(argv[command] + ["--out", str(path)], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[-1].startswith(f"data error: cannot write {path}: ")
+
+    def test_unwritable_directory_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("os.access", lambda path, mode: False)
+        monkeypatch.setattr("vsabench.bench.run_sweep", None)
+        code, stdout, stderr = run_cli(argv["bench"] + ["--out", str(tmp_path / "x.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[-1] == f"data error: cannot write {tmp_path / 'x.csv'}: directory {tmp_path} is not writable"
+
+    def test_out_check_neither_creates_nor_truncates(self, tmp_path, capsys):
+        existing, fresh = tmp_path / "existing", tmp_path / "fresh"
+        existing.write_bytes(b"earlier result")
+        for out in (existing, fresh):
+            code, _, stderr = run_cli(["map", "--src", str(tmp_path / "absent.vsaf"), "--mode", "random",
+                                       "--out", str(out)], capsys)
+            assert code == 2 and "cannot read" in stderr
+        assert existing.read_bytes() == b"earlier result"
+        assert not fresh.exists()
+
     def test_failed_open_keeps_existing_file(self, argv, tmp_path, capsys, monkeypatch):
         def refuse(hvs, path, **kwargs):
             raise PermissionError(errno.EACCES, "Permission denied", str(path))

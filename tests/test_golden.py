@@ -18,10 +18,10 @@ from vsabench.cli import main
 from vsabench.vsaf import feature_map_set, write_feature_file
 
 SWEEP_DIGESTS = {
-    "dim": "6c421c307067725fd868525649c5e6ee22e2314c81c1a88458a550ab0b68eb5b",
-    "k": "56f4787540fa5193be4a8fb460f0e35f5345436194e033d866ffad290586bff8",
-    "mapping_kind": "fb7e56146924f289085674c8469688bf39cdf6d41a7404fc5201fe215cdf497c",
-    "lambda_proxy": "2d3e45f2be97407b977fb4ece2c1ef2164f8b02b4ad0ac9999b6a7af3f4e1981",
+    "dim": "f7a7a5714d15d6fd906bd3bbf41276252d14a07fcb09176a31f02c322b085d05",
+    "k": "ad5270768054fd93db454b05af64441e90232eea8e7ce4baba1efcd29d309e54",
+    "mapping_kind": "e1c7ec2e962a00e8b87b00967876682e8780448c40e7798ad65f426df6a93850",
+    "lambda_proxy": "2f348d4bc894a669d614d74b0bcf5ff7b0464de17a794be934d80f08710de50c",
 }
 SWEEPS = {
     "dim": (64, 129),
@@ -36,7 +36,7 @@ PIPELINE_DIGESTS = {
     "src_sign": "c37540e1faf4eb934ced8feab4a76aca4599d38f95e6000cfd24844c9111b002",
     "map_none": "36fab50d3f9992f70fb838f69db2eafc7e4e65edad4ff7f8505220756c1fc390",
     "map_sign": "2232fb81c6731620ed9041c9350ce6ae8275dce5bb07527aff0e23ee4797b79a",
-    "map_random": "8afcf9e1d810aef1cba601c4bd8f2e537f8e29eff3e2fecf3002eb6965013b7d",
+    "map_random": "df0974efb2f3a88a0e4d62e8f13bf1669971ea693716133a70e24bcc19cd15c7",
     "loss": "3774f47acd3a162f331d566697ae09873c7402cc9f5e639f20edde22d10c6218",
 }
 

@@ -201,28 +201,58 @@ class TestCosine:
         assert cosine_similarity(alpha * a, b) == pytest.approx(cosine_similarity(a, b), abs=1e-9)
 
 
+def bipolar_from_words(words, dim):
+    """Entry c of row r is +1 where bit c % 32 of words[r, c // 32] is set, else -1."""
+    c = np.arange(dim)
+    bits = (words[:, c // 32] >> (c % 32).astype(np.uint32)) & 1
+    return bits * 2.0 - 1.0
+
+
+def word_draw(rng, rows, dim):
+    """One uint32 draw of ceil(dim / 32) words per row, as a (rows, words) array."""
+    return rng.integers(0, 2**32, size=rows * -(-dim // 32), dtype=np.uint32).reshape(rows, -1)
+
+
+def assert_same_state(*gens):
+    """Equal next 32-bit and 64-bit draws, so a buffered half of a 64-bit output matches too."""
+    draws = [(g.integers(0, 2**32, size=3, dtype=np.uint32).tolist(), g.integers(2**62)) for g in gens]
+    assert all(d == draws[0] for d in draws)
+
+
 class TestFillBipolar:
     @pytest.mark.parametrize("shape", [(3, 256), (64, 4096), (1024, 384), (9, 7), (1, 5)])
     def test_equals_one_draw_and_one_draw_per_row(self, shape):
         out = fill_bipolar(np.empty(shape), np.random.default_rng(5))
         whole = np.random.default_rng(5)
-        np.testing.assert_array_equal(out, whole.integers(0, 2, size=shape) * 2.0 - 1.0)
+        np.testing.assert_array_equal(out, bipolar_from_words(word_draw(whole, *shape), shape[1]))
         rows = np.random.default_rng(5)
         np.testing.assert_array_equal(out, [sample_hypervector(shape[1], rows) for _ in range(shape[0])])
         # the generators end in the same state
         filled = np.random.default_rng(5)
         fill_bipolar(np.empty(shape), filled)
-        assert filled.integers(2**62) == whole.integers(2**62) == rows.integers(2**62)
+        assert_same_state(filled, whole, rows)
 
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
-    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (64, 4096), (1152, 4096), (3, 2**17 + 1)])
+    @pytest.mark.parametrize(
+        "shape", [(1,), (7,), (9, 33), (64, 4096), (1152, 4096), (3, 2**17 + 1), (1, 2**19 + 3)]
+    )
     def test_bits_and_state_equal_an_integers_0_2_draw(self, bitgen, shape):
-        # the last shape spans two sampler blocks; odd totals leave half a 64-bit output buffered
+        """Entries and generator state equal one integers(0, 2**32, dtype=uint32) word draw, read bit by bit."""
+        # (3, 2**17 + 1) spans two sampler blocks and (1, 2**19 + 3) is one row longer than a block;
+        # odd word counts leave half a 64-bit output buffered
+        rows, dim = (1, *shape) if len(shape) == 1 else shape
         got, want = np.random.Generator(bitgen(11)), np.random.Generator(bitgen(11))
         out = fill_bipolar(np.empty(shape), got)
-        np.testing.assert_array_equal(out, want.integers(0, 2, size=shape) * 2.0 - 1.0)
-        np.testing.assert_array_equal(sample_hypervector(5, got), want.integers(0, 2, size=5) * 2.0 - 1.0)
-        assert got.integers(2**62) == want.integers(2**62)
+        np.testing.assert_array_equal(out.reshape(rows, dim), bipolar_from_words(word_draw(want, rows, dim), dim))
+        np.testing.assert_array_equal(sample_hypervector(5, got), bipolar_from_words(word_draw(want, 1, 5), 5)[0])
+        assert_same_state(got, want)
+
+    def test_balanced(self):
+        """+1 and -1 are equally likely, overall and at each bit position of a word, within 6 sigma."""
+        out = fill_bipolar(np.empty((256, 4096)), np.random.default_rng(17))
+        assert abs(out.sum()) <= 6 * math.sqrt(out.size)
+        by_bit = out.reshape(-1, 32).sum(axis=0)
+        assert np.all(np.abs(by_bit) <= 6 * math.sqrt(out.size / 32))
 
 
 class TestQuantized:

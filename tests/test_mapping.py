@@ -162,8 +162,11 @@ class TestRandomMapping:
 
     @pytest.mark.parametrize("shape", [(3, 256), (9, 7), (20, 65)])
     def test_equals_one_integer_draw(self, shape):
-        rng = np.random.default_rng(8)
-        expected = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        # row r is ceil(dim / 32) words of one uint32 draw; entry c is bit c % 32 of word c // 32
+        count, dim = shape
+        words = np.random.default_rng(8).integers(0, 2**32, size=(count, -(-dim // 32)), dtype=np.uint32)
+        c = np.arange(dim)
+        expected = ((words[:, c // 32] >> (c % 32).astype(np.uint32)) & 1) * 2.0 - 1.0
         np.testing.assert_array_equal(random_mapping(*shape, seed=8).per_patch, expected)
 
     def test_bipolar_entries(self):
