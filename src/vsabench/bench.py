@@ -137,11 +137,17 @@ class BenchConfig:
                 f"k must be in [1, min(vocab sizes)], got k={self.k} with "
                 f"{self.object_vocab_size} objects and {self.attr_vocab_size} attributes"
             )
-        if not 0.0 <= self.mix <= 1.0:
-            raise InvalidArgumentError(f"mix must be in [0, 1], got {self.mix}")
+        object.__setattr__(self, "mix", _mix(self.mix))
         if self.trials < 1:
             raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
         check_seed(self.seed)
+
+
+def _mix(value) -> float:
+    mix = as_float(value, "a number mix")
+    if not 0.0 <= mix <= 1.0:
+        raise InvalidArgumentError(f"mix must be in [0, 1], got {mix}")
+    return mix
 
 
 def default_domain(config: BenchConfig) -> DomainSpec:
@@ -211,10 +217,6 @@ def scene_mapping(domain: DomainSpec, symbols: DomainSymbols, scene: SceneSpec) 
     )
 
 
-def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, trial)))
-
-
 def _symbol_matrix(domain: DomainSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     """Uninitialized rows for every symbol, and views of its object,
     source-attribute and target-attribute rows, each in vocabulary order."""
@@ -250,20 +252,19 @@ def measure_recovery(
     trials: int = 100,
     seed: int = 0,
     mix: float = 1.0,
-    stream: int = 0,
 ) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
-    Each trial fills one symbol matrix (object, source-attribute and
-    target-attribute rows in vocabulary order) from the trial's generator,
-    reusing one buffer across trials. The scene's pairs are resolved once to
-    row indices. A trial encodes the source scene and its target twin as
-    bundles of bound rows, builds the requested mapping kind ('mixed' weights
-    the ground-truth and a random mapping by ``mix``, which is not an energy
-    fraction; see ``BenchConfig``), translates the source scene, and then
-    recovers every object at once: it unbinds each pair's target attribute
-    and cleans the stack of queries up in one scan of an item memory over the
-    object rows, built once per call.
+    Trial t draws from ``SeedSequence(seed, spawn_key=(0, t))``. Each trial
+    fills one symbol matrix (object, source-attribute and target-attribute rows
+    in vocabulary order) from the trial's generator, reusing one buffer across
+    trials. The scene's pairs are resolved once to row indices. A trial encodes
+    the source scene and its target twin as bundles of bound rows, builds the
+    requested mapping kind ('mixed' weights the ground-truth and a random
+    mapping by ``mix``, which is not an energy fraction; see ``BenchConfig``),
+    translates the source scene, and then recovers every object at once: it
+    unbinds each pair's target attribute and cleans the stack of queries up in
+    one scan of an item memory over the object rows, built once per call.
     """
     if mapping not in MAPPING_KINDS:
         raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {mapping!r}")
@@ -271,6 +272,7 @@ def measure_recovery(
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
+    mix = _mix(mix)
     obj, attr = _scene_rows(domain, scene)
     symbols, (objects, src_attrs, tgt_attrs) = _symbol_matrix(domain)
     objects.fill(1.0)
@@ -282,7 +284,7 @@ def measure_recovery(
     cosines = np.empty(trials)
     correct = 0
     for t in range(trials):
-        rng = _trial_rng(seed, stream, t)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, t)))
         fill_bipolar(symbols, rng)
         scene_objects = objects[obj]
         v_src = np.sum(scene_objects * src_attrs[attr], axis=0)
@@ -315,7 +317,7 @@ def measure_recovery(
 
 
 def run_config(config: BenchConfig) -> BenchReport:
-    """measure_recovery on the config's default domain and scene, on stream 0."""
+    """measure_recovery on the config's default domain and scene."""
     return measure_recovery(
         default_domain(config),
         default_scene(config),
@@ -329,8 +331,9 @@ def run_config(config: BenchConfig) -> BenchReport:
 def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
     """One report per grid point along the named axis; returns (value, report) pairs.
 
-    Every point runs on stream 0, so a point's report depends only on its own
-    config and seed, not on where it sits in the grid."""
+    Every point draws its trials from the same seeded streams, so a point's
+    report depends only on its own config and seed, not on where it sits in
+    the grid."""
     if axis not in SWEEP_AXES:
         raise InvalidArgumentError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = list(grid)

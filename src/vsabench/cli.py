@@ -29,7 +29,7 @@ from .errors import (
     VsafError,
 )
 from .hv import QUANTIZE_MODES, as_float, as_int
-from .losses import VARIANTS, LossConfig, check_no_zero_vectors, gan_loss, total_loss, vsa_cyclic_loss
+from .losses import VARIANTS, LossConfig, _scores, check_no_zero_vectors, gan_loss, total_loss, vsa_cyclic_loss
 from .patches import PatchSpec, assemble_patches, block_lengths, normalize_blocks
 
 EXIT_OK = 0
@@ -292,6 +292,7 @@ def cmd_map(args) -> int:
 
 
 def _load_scores(path: str | None, name: str):
+    """Scores from a JSON file of a nonempty flat list of finite, non-boolean numbers."""
     if path is None:
         return None
     try:
@@ -299,9 +300,12 @@ def _load_scores(path: str | None, name: str):
     except OSError as exc:
         raise DegenerateInputError(f"cannot read {name} scores from {path}: {exc}") from exc
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DegenerateInputError(f"{name} score file {path} is not valid JSON: {exc}") from exc
+        scores = json.loads(raw)
+        if not isinstance(scores, list) or any(isinstance(s, bool) for s in scores):
+            raise InvalidArgumentError(f"{name} must be a list of numbers, not booleans")
+        return _scores(scores, name)
+    except (json.JSONDecodeError, InvalidArgumentError) as exc:
+        raise DegenerateInputError(f"{name} score file {path} does not hold a list of scores: {exc}") from exc
 
 
 def cmd_loss(args) -> int:

@@ -12,11 +12,16 @@ entry c is bit ``c % 32`` (least significant first) of word ``c // 32``:
 1 gives +1, 0 gives -1. Every row starts on a fresh word, so up to 31 bits
 per row are drawn and never used, and filling a stack equals drawing its
 rows one at a time.
+
+``hv`` is also the one home of the magnitude policy: the cosine here, the
+cleanup memory, the LSH encoder's unit features and per-layer normalization
+all take their row norms from ``safe_norms2``.
 """
 
 from __future__ import annotations
 
 import contextlib
+from typing import Callable
 
 import numpy as np
 
@@ -26,10 +31,10 @@ MAX_SEED = 2**64 - 1
 
 QUANTIZE_MODES = ("none", "sign")
 
-# Entries per row block in fill_bipolar, which bounds its temporaries (one
-# byte and one bit per entry) to about 300 KB whatever the array's shape; a
-# row longer than this is one block of its own.
-_FILL_ENTRIES = 1 << 18
+# Entries per row block in fill_bipolar and sum_products, which bounds their
+# temporaries (one byte and one bit per entry, or one float64) to about 300 KB
+# and 2 MB whatever the array's shape; a row longer than this is one block of its own.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def check_seed(seed: int) -> int:
@@ -76,14 +81,6 @@ def as_hypervectors(v) -> np.ndarray:
     return arr
 
 
-def as_hypervector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting empty or non-finite input."""
-    arr = as_hypervectors(v)
-    if arr.ndim != 1:
-        raise InvalidArgumentError(f"hypervector must be 1-D and nonempty, got shape {arr.shape}")
-    return arr
-
-
 def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fill a C-contiguous float64 array with independent, equally likely +-1 entries; returns it.
 
@@ -96,11 +93,11 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ``sample_hypervector`` per row, and the generator ends where one
     ``integers(0, 2**32, size=rows * ceil(dim / 32), dtype=np.uint32)`` draw
     would leave it, for any bit generator. Rows are drawn in blocks of about
-    ``_FILL_ENTRIES`` entries, which keeps the temporaries small.
+    ``_BLOCK_ENTRIES`` entries, which keeps the temporaries small.
     """
     rows = out.reshape(-1, out.shape[-1])
     dim = rows.shape[1]
-    step = max(1, _FILL_ENTRIES // max(dim, 1))
+    step = max(1, _BLOCK_ENTRIES // max(dim, 1))
     for r in range(0, rows.shape[0], step):
         block = rows[r : r + step]
         words = rng.integers(0, 2**32, size=(block.shape[0], -(-dim // 32)), dtype=np.uint32)
@@ -158,21 +155,6 @@ def bundle(vs) -> np.ndarray:
     return np.sum(stack, axis=0)
 
 
-def is_extreme(norms2: np.ndarray) -> np.ndarray:
-    """True where a squared norm lies outside [2^-500, 2^500], so that it has lost
-    precision to underflow (perhaps to 0) or is near overflow (perhaps inf)."""
-    return ~((2.0**-500 <= norms2) & (norms2 <= 2.0**500))
-
-
-def scale_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """A copy of ``rows`` with each row at ``idx`` scaled by the power of two that puts
-    its largest magnitude in [0.5, 1). The scaling is exact, so it changes no
-    cosine and no unit vector; a zero row stays zero."""
-    rows = rows.copy()
-    rows[idx] = np.ldexp(rows[idx], -np.frexp(np.max(np.abs(rows[idx]), axis=1, keepdims=True))[1])
-    return rows
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of ``a`` with the same row of ``b``."""
     # Stacked matmul sums each row as np.dot does, bit for bit; einsum and
@@ -180,25 +162,45 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
 
 
+def sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sum(a * b, axis=1)``, computed in row blocks to bound the temporary;
+    for ``b is a`` its square root is bit for bit ``np.linalg.norm(a, axis=1)``."""
+    step = max(1, _BLOCK_ENTRIES // max(a.shape[1], 1))
+    out = np.empty(a.shape[0])
+    for r in range(0, a.shape[0], step):
+        out[r : r + step] = np.sum(a[r : r + step] * b[r : r + step], axis=1)
+    return out
+
+
+def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """A ``(count, dim)`` array's rows and squared norms ``dots(rows, rows)``, ``dots``
+    being ``row_dots`` (np.dot order) or ``sum_products``. A row whose squared norm
+    lies outside [2^-500, 2^500] (underflowed, or near overflow) is first scaled,
+    in a copy, by the power of two that puts its largest magnitude in [0.5, 1),
+    which changes no cosine and no unit vector. Zero and non-finite rows come
+    back unscaled, and ``rows`` itself comes back when no row is scaled."""
+    with np.errstate(over="ignore"):
+        norms2 = dots(rows, rows)
+    idx = np.flatnonzero(~((2.0**-500 <= norms2) & (norms2 <= 2.0**500)))
+    if idx.size:
+        peak = np.max(np.abs(rows[idx]), axis=1, initial=0.0)
+        scalable = np.isfinite(peak) & (peak > 0.0)
+        idx, peak = idx[scalable], peak[scalable]
+    if idx.size:
+        rows = rows.copy()
+        rows[idx] = np.ldexp(rows[idx], -np.frexp(peak)[1][:, np.newaxis])
+        norms2[idx] = dots(rows[idx], rows[idx])
+    return rows, norms2
+
+
 def cosine_similarity(a, b):
     """dot(a, b) / (|a| |b|) of two vectors (a float) or of two stacks, row by row;
     raises naming the zero-norm rows rather than returning 0."""
     av, bv = _same_shape(a, b)
-    a2, b2 = np.atleast_2d(av), np.atleast_2d(bv)
-    with np.errstate(over="ignore"):
-        na2, nb2 = row_dots(a2, a2), row_dots(b2, b2)
-    extreme = np.flatnonzero(is_extreme(na2) | is_extreme(nb2))
-    if extreme.size:
-        a2, b2 = scale_rows(a2, extreme), scale_rows(b2, extreme)
-        na2[extreme], nb2[extreme] = row_dots(a2[extreme], a2[extreme]), row_dots(b2[extreme], b2[extreme])
+    (a2, na2), (b2, nb2) = safe_norms2(np.atleast_2d(av), row_dots), safe_norms2(np.atleast_2d(bv), row_dots)
     zero = np.flatnonzero((na2 == 0.0) | (nb2 == 0.0))
     if zero.size:
         raise DegenerateInputError(f"cosine similarity undefined for a zero-norm vector (rows {zero.tolist()})")
     # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
     cos = row_dots(a2, b2) / np.sqrt(na2 * nb2)
     return float(cos[0]) if av.ndim == 1 else cos
-
-
-def cosine_distance(a, b):
-    """1 - cosine_similarity(a, b), in [0, 2]; a float for vectors, one per row for stacks."""
-    return 1.0 - cosine_similarity(a, b)

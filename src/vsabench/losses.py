@@ -7,12 +7,13 @@ in (0, 1); the hinge variant takes unbounded reals.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import cosine_similarity
+from .hv import as_float, cosine_similarity
 
 VARIANTS = ("nll", "hinge")
 
@@ -26,18 +27,28 @@ class LossConfig:
     variant: str = "hinge"
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise InvalidArgumentError(f"lam must be finite and >= 0, got {self.lam}")
-        if len(self.fake_term_weights) != 2 or not all(0 <= w < np.inf for w in self.fake_term_weights):
-            raise InvalidArgumentError(
-                f"fake_term_weights must be two finite nonnegative reals, got {self.fake_term_weights}"
-            )
+        object.__setattr__(self, "lam", _nonnegative(self.lam, f"lam must be finite and >= 0, got {self.lam!r}"))
+        error = f"fake_term_weights must be two finite nonnegative reals, got {self.fake_term_weights!r}"
+        weights = tuple(_nonnegative(w, error) for w in self.fake_term_weights)
+        if len(weights) != 2:
+            raise InvalidArgumentError(error)
+        object.__setattr__(self, "fake_term_weights", weights)
         if self.variant not in VARIANTS:
             raise InvalidArgumentError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
+def _nonnegative(value, error: str) -> float:
+    with contextlib.suppress(InvalidArgumentError):
+        if (number := as_float(value)) >= 0.0:
+            return number
+    raise InvalidArgumentError(error)
+
+
 def _scores(batch, name: str) -> np.ndarray:
-    arr = np.asarray(batch, dtype=np.float64)
+    try:
+        arr = np.asarray(batch, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{name} must be a batch of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidArgumentError(f"{name} must be a nonempty 1-D score batch, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -7,7 +7,7 @@ matrix never exists: ``LshProjector.panels`` draws it from one
 normalizes each panel in place. A generator fills values in stream order,
 so the panels are bit for bit the rows of one ``standard_normal((n, m))``
 draw. Projection uses each panel once and drops it, so it holds one panel
-and the two panel-sized temporaries of its norm, not the matrix (201 MB at
+and a 2 MB block of its norm's squares, not the matrix (201 MB at
 m = 6144, n = 4096). A panel has ``_NORM_ROWS`` rows (12.6 MB at m = 6144),
 but the last one takes the remainder and can have up to
 ``2 * _NORM_ROWS - 1`` rows (25.1 MB at m = 6144).
@@ -17,7 +17,9 @@ Cost model: building a projector is free, and every ``project`` or
 to ``project_batch``; a loop of ``project`` calls pays one draw per row.
 
 Features are normalized to unit length before projection, so every output
-entry is a dot product of two unit vectors and lands in [-1, 1].
+entry is a dot product of two unit vectors and lands in [-1, 1]. Feature
+norms come from ``hv.safe_norms2`` in ``hv.sum_products`` order, so a feature
+whose squared norm underflows or overflows still projects as its unit vector.
 ``project`` and ``project_batch`` share one kernel. The unit features are
 zero-padded to a multiple of ``BLOCK_ROWS`` rows, so no BLAS call sees one
 or two rows, which OpenBLAS hands to GEMV or small-matrix code that sums in
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_int, check_seed, is_extreme, quantized, scale_rows
+from .hv import as_int, check_seed, quantized, safe_norms2, sum_products
 from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # feature rows per tail-panel GEMM, and the batch padding unit
@@ -84,7 +86,7 @@ class LshProjector:
         while start < self.n:
             rows = self.n - start if self.n - start < 2 * _NORM_ROWS else _NORM_ROWS
             panel = rng.standard_normal(size=(rows, self.m))
-            panel /= np.linalg.norm(panel, axis=1, keepdims=True)
+            panel /= np.sqrt(sum_products(panel, panel))[:, np.newaxis]
             yield panel
             start += rows
 
@@ -95,42 +97,28 @@ def new_projector(m: int, n: int, seed: int) -> LshProjector:
 
 
 def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms of a (count, m) array, and the rows they belong to.
-
-    A row whose squared norm underflows or overflows is first scaled by a
-    power of two, as ``hv.cosine_similarity`` scales it; the rows are then a
-    copy. Raises naming the lowest non-finite or zero row.
+    """Row norms of a (count, m) array, and the rows they belong to: the rows
+    ``hv.safe_norms2`` returns, a copy when a row had to be scaled. Raises
+    naming the lowest non-finite or zero row.
     """
-    non_finite = ~np.isfinite(features).all(axis=1)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(features, axis=1)
-        extreme = np.flatnonzero(is_extreme(norms * norms) & ~non_finite)
-    if extreme.size:
-        features = scale_rows(features, extreme)
-        norms[extreme] = np.linalg.norm(features[extreme], axis=1)
-    bad = np.flatnonzero(non_finite | (norms == 0.0))
+    features, norms2 = safe_norms2(features, sum_products)
+    bad = np.flatnonzero(~np.isfinite(norms2) | (norms2 == 0.0))
+    if bad.size and not np.isfinite(norms2[bad[0]]):
+        raise InvalidArgumentError(f"patch {bad[0]}: feature entries must be finite")
     if bad.size:
-        i = bad[0]
-        if non_finite[i]:
-            raise InvalidArgumentError(f"patch {i}: feature entries must be finite")
-        raise DegenerateInputError(f"patch {i}: cannot project a zero feature vector")
-    return features, norms
+        raise DegenerateInputError(f"patch {bad[0]}: cannot project a zero feature vector")
+    return features, np.sqrt(norms2)
 
 
 def _feature_matrix(p: LshProjector, fs) -> np.ndarray:
-    """``fs`` as a (count, m) float64 array; a patch of the wrong length is named."""
-    vectors = getattr(fs, "vectors", fs)
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1] == p.m:
-        return vectors.astype(np.float64, copy=False)
-    rows = [np.asarray(f, dtype=np.float64) for f in vectors]
-    for i, f in enumerate(rows):
-        if f.shape != (p.m,):
-            if i:
-                _row_norms(np.stack(rows[:i]))  # a bad patch before this one is reported first
-            raise InvalidArgumentError(
-                f"patch {i}: feature length {f.shape} does not match projector m={p.m}"
-            )
-    return np.stack(rows) if rows else np.empty((0, p.m))
+    """``fs``, a PatchFeatureSet or a (count, m) array-like, as a (count, m) float64 array."""
+    try:
+        features = np.asarray(getattr(fs, "vectors", fs), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"features must be equal-length numeric vectors: {exc}") from exc
+    if features.shape != (0,) and (features.ndim != 2 or features.shape[1] != p.m):
+        raise InvalidArgumentError(f"features of shape {features.shape} are not (count, m={p.m})")
+    return features.reshape(-1, p.m)
 
 
 def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.ndarray:
@@ -165,17 +153,15 @@ def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
     the cost of similarity fidelity. The result is bitwise equal to the
     feature's row of ``project_batch``.
     """
-    fv = np.asarray(f, dtype=np.float64)
-    if fv.shape != (p.m,):
-        raise InvalidArgumentError(f"feature length {fv.shape} does not match projector m={p.m}")
-    return _project_rows(p, fv[np.newaxis, :], quantize)[0]
+    return _project_rows(p, _feature_matrix(p, [f]), quantize)[0]
 
 
 def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
     """Project each feature vector, preserving order; returns a (count, n) float64 array.
 
-    Accepts a PatchFeatureSet, a (count, m) array or any iterable of feature
-    vectors. Failures name the offending patch index. Empty input gives a
-    (0, n) array.
+    Accepts a PatchFeatureSet or a (count, m) array-like, such as a list of
+    equal-length feature vectors; ragged or wrongly shaped input is rejected.
+    A non-finite or zero feature is named by its patch index. Empty input
+    (``[]`` or a (0, m) array) gives a (0, n) array.
     """
     return _project_rows(p, _feature_matrix(p, fs), quantize)

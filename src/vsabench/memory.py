@@ -12,9 +12,9 @@ query's similarities are bit for bit those of its own 1-D call; for other
 values only the rounding order of the dot products differs.
 
 Memory grows by doubling its row capacity; a memory built with
-``from_matrix`` adopts the caller's matrix without copying it. A row or
-query whose squared norm underflows or overflows is first scaled by a power
-of two, as ``hv.cosine_similarity`` scales it, so the two agree at any magnitude.
+``from_matrix`` adopts the caller's matrix without copying it. Rows and
+queries take their squared norms from ``hv.safe_norms2``, so similarities
+agree with ``hv.cosine_similarity`` at any magnitude.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from .hv import as_hypervector, as_hypervectors, as_int, is_extreme, row_dots, scale_rows
-
-# Entries per row block when squared norms are computed for a whole matrix,
-# which bounds the temporary to about 2 MB whatever the memory size.
-_BLOCK_ENTRIES = 1 << 18
+from .hv import as_hypervectors, as_int, row_dots, safe_norms2, sum_products
 
 
 class ItemMemory:
@@ -78,7 +74,9 @@ class ItemMemory:
         """Append an entry; labels are unique and insertion order is preserved."""
         if label in self._index:
             raise InvalidArgumentError(f"duplicate label {label!r}")
-        v = as_hypervector(vector)
+        v = as_hypervectors(vector)
+        if v.ndim != 1:
+            raise InvalidArgumentError(f"hypervector must be 1-D and nonempty, got shape {v.shape}")
         dim = self.dim
         if dim is not None and v.shape[0] != dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {dim}")
@@ -111,13 +109,7 @@ class ItemMemory:
         q = as_hypervectors(query)
         if q.ndim > 2 or q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
-        queries = np.atleast_2d(q)
-        with np.errstate(over="ignore"):
-            qn2 = row_dots(queries, queries)
-        extreme = np.flatnonzero(is_extreme(qn2))
-        if extreme.size:
-            queries = scale_rows(queries, extreme)
-            qn2[extreme] = row_dots(queries[extreme], queries[extreme])
+        queries, qn2 = safe_norms2(np.atleast_2d(q), row_dots)
         zero = np.flatnonzero(qn2 == 0.0)
         if zero.size:
             raise DegenerateInputError(f"cleanup query has zero norm (rows {zero.tolist()})")
@@ -128,29 +120,14 @@ class ItemMemory:
 
 
 def _stored(rows: np.ndarray, labels: list[Hashable]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows fit to store, and their squared norms: rows with an extreme squared
-    norm scaled (in a copy), rows with a non-finite entry or zero norm rejected."""
-    with np.errstate(over="ignore"):
-        norms2 = _row_norms2(rows)
-    for i in np.flatnonzero(~np.isfinite(norms2)):
-        # A non-finite entry makes its row's norm non-finite; overflow alone does not reject.
-        if not np.all(np.isfinite(rows[i])):
-            raise InvalidArgumentError(f"hypervector entries must be finite (row {i}, {labels[i]!r})")
-    extreme = np.flatnonzero(is_extreme(norms2))
-    if extreme.size:
-        rows = scale_rows(rows, extreme)
-        norms2[extreme] = _row_norms2(rows[extreme])
+    """Rows fit to store, and their squared norms: rows scaled as ``hv.safe_norms2``
+    scales them, rows with a non-finite entry or zero norm rejected."""
+    rows, norms2 = safe_norms2(rows, sum_products)
+    # only a non-finite entry leaves a norm non-finite once extreme rows are scaled
+    bad = np.flatnonzero(~np.isfinite(norms2))
+    if bad.size:
+        raise InvalidArgumentError(f"hypervector entries must be finite (row {bad[0]}, {labels[bad[0]]!r})")
     zero = np.flatnonzero(norms2 == 0.0)
     if zero.size:
         raise DegenerateInputError(f"cannot store zero-norm vector for {labels[zero[0]]!r}")
     return rows, norms2
-
-
-def _row_norms2(rows: np.ndarray) -> np.ndarray:
-    """``np.sum(rows * rows, axis=1)``, computed in row blocks to bound the temporary."""
-    step = max(1, _BLOCK_ENTRIES // rows.shape[1])
-    out = np.empty(rows.shape[0])
-    for r0 in range(0, rows.shape[0], step):
-        block = rows[r0 : r0 + step]
-        out[r0 : r0 + step] = np.sum(block * block, axis=1)
-    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .hv import as_int
+from .hv import as_int, safe_norms2, sum_products
 from .vsaf import FeatureMapSet
 
 
@@ -58,7 +58,9 @@ def normalize_blocks(patches: PatchFeatureSet, lengths: list[int]) -> PatchFeatu
     """Scale each layer block of every patch vector to unit Euclidean norm.
 
     Used when feature normalization is scoped per layer rather than over the
-    whole concatenated vector. Zero-norm blocks are left untouched.
+    whole concatenated vector. Norms come from ``hv.safe_norms2`` in
+    ``hv.sum_products`` order, so a block whose squared norm underflows or
+    overflows is normalized too. Zero-norm blocks are left untouched.
     """
     if sum(lengths) != patches.m:
         raise InvalidArgumentError(f"block lengths {lengths} do not sum to m={patches.m}")
@@ -66,8 +68,8 @@ def normalize_blocks(patches: PatchFeatureSet, lengths: list[int]) -> PatchFeatu
     start = 0
     for length in lengths:
         block = out[:, start : start + length]
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
-        np.divide(block, norms, out=block, where=norms > 0)
+        rows, norms2 = safe_norms2(block, sum_products)
+        np.divide(rows, np.sqrt(norms2)[:, np.newaxis], out=block, where=norms2[:, np.newaxis] > 0)
         start += length
     return PatchFeatureSet(vectors=out)
 

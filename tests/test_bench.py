@@ -56,13 +56,13 @@ def reference_cleanup(labels, vectors, query):
     return labels[best]
 
 
-def reference_recovery(domain, scene, mapping, trials, seed, mix=1.0, stream=0):
+def reference_recovery(domain, scene, mapping, trials, seed, mix=1.0):
     """The per-label trial loop: dicts of symbols, one scene encoding and one cleanup query at a time."""
     twin = target_twin(domain, scene)
     cosines = np.empty(trials)
     correct = 0
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, t)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, t)))
         symbols = per_label_symbols(domain, rng)
         v_src = encode_scene(symbols, scene)
         v_tgt = encode_scene(symbols, twin)
@@ -227,6 +227,21 @@ class TestMeasureRecovery:
         ints = BenchConfig(dim=96, k=2, object_vocab_size=8, attr_vocab_size=4, trials=3, seed=2)
         assert cfg == ints and run_config(cfg) == run_config(ints)
 
+    @pytest.mark.parametrize("mix", [True, "half", None, 1.5, -0.25, float("nan")])
+    def test_bad_mix_rejected(self, mix):
+        with pytest.raises(InvalidArgumentError, match="mix"):
+            BenchConfig(mix=mix)
+
+    def test_number_mix_becomes_float(self):
+        assert [type(BenchConfig(mix=m).mix) for m in (1, "0.5", np.float32(0.25))] == [float] * 3
+        assert BenchConfig(mix="0.5") == BenchConfig(mix=0.5)
+
+    @pytest.mark.parametrize("mix", [True, 5.0, float("nan")])
+    def test_bad_mix_rejected_by_measure_recovery(self, mix):
+        scene = SceneSpec(pairs=(("obj00", "src00"),))
+        with pytest.raises(InvalidArgumentError, match="mix"):
+            measure_recovery(small_domain(dim=64), scene, mapping="mixed", trials=1, mix=mix)
+
     @pytest.mark.parametrize("trials", [2.5, True])
     def test_non_integer_trials_rejected_by_measure_recovery(self, trials):
         with pytest.raises(InvalidArgumentError):
@@ -253,17 +268,17 @@ class TestMatchesPerLabelLoop:
         # odd dim, more objects than attributes, and a scene that skips vocabulary rows
         d = small_domain(dim=129, n_obj=13, n_attr=5)
         scene = SceneSpec(pairs=tuple((f"obj{2 * i + 1:02d}", f"src{4 - i:02d}") for i in range(k)))
-        got = measure_recovery(d, scene, mapping=mapping, trials=6, seed=21, mix=mix, stream=2)
-        want = reference_recovery(d, scene, mapping, trials=6, seed=21, mix=mix, stream=2)
+        got = measure_recovery(d, scene, mapping=mapping, trials=6, seed=21, mix=mix)
+        want = reference_recovery(d, scene, mapping, trials=6, seed=21, mix=mix)
         assert got == want
 
     def test_equal_csv_bytes(self):
         d = small_domain(dim=129, n_obj=13, n_attr=5)
         scene = SceneSpec(pairs=(("obj00", "src00"), ("obj05", "src01"), ("obj12", "src04")))
         got, want = [], []
-        for stream, (mapping, mix) in enumerate(self.CASES):
-            got.append((mapping, measure_recovery(d, scene, mapping, 8, seed=3, mix=mix, stream=stream)))
-            want.append((mapping, reference_recovery(d, scene, mapping, 8, seed=3, mix=mix, stream=stream)))
+        for mapping, mix in self.CASES:
+            got.append((mapping, measure_recovery(d, scene, mapping, 8, seed=3, mix=mix)))
+            want.append((mapping, reference_recovery(d, scene, mapping, 8, seed=3, mix=mix)))
         assert reports_to_csv("mapping_kind", got).encode() == reports_to_csv("mapping_kind", want).encode()
 
     def test_unknown_object_label_rejected(self):

@@ -311,6 +311,25 @@ class TestLoss:
         assert metrics["total"] == pytest.approx(metrics["gan_g"])
         assert metrics["vsa"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("content", [
+        '["x", 1]', '{"a": 1}', '[[1, 2], [3]]', '[[1, 2]]', '[true, false]', '[0.5, true]', 'null', '"0.5"',
+        '0.5', '[]', '[NaN]', '[1e999]', "[" + "9" * 400 + "]",
+    ])
+    def test_malformed_score_file_exit_2(self, content, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        files = {}
+        for name, text in (("real", content), ("ft", "[0.5]"), ("fm", "[0.5]")):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(text)
+        code, stdout, err = run_cli([
+            "loss", "--x", str(p), "--cycled", str(p), "--scores-real", str(files["real"]),
+            "--scores-fake-translated", str(files["ft"]), "--scores-fake-mapped", str(files["fm"]),
+        ], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("data error: ") and str(files["real"]) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_zero_vector_exit_2_with_index(self, tmp_path, capsys):
         hvs = np.ones((2, 16))
         hvs[1] = 0.0

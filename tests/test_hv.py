@@ -10,12 +10,14 @@ from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import (
     bind,
     bundle,
-    cosine_distance,
     cosine_similarity,
     fill_bipolar,
     quantized,
     random_hypervector,
+    row_dots,
+    safe_norms2,
     sample_hypervector,
+    sum_products,
 )
 
 DIM = 4096
@@ -152,10 +154,6 @@ class TestCosine:
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
             cosine_similarity(np.zeros(4), np.ones(4))
-
-    def test_distance_companion(self):
-        a, b = random_hypervector(DIM, seed=9), random_hypervector(DIM, seed=10)
-        assert cosine_distance(a, b) == pytest.approx(1.0 - cosine_similarity(a, b))
 
     def test_flip_noise_identity(self):
         # flipping k of n bipolar entries gives cos = 1 - 2k/n exactly
@@ -303,13 +301,15 @@ class TestStacks:
         a[3] *= 1e-300
         b[4] *= 1e-170
         a[6] *= 1e200
+        a[7] *= 1e-200
+        b[7] *= 1e250
+        b[8] *= 1e300
         with np.errstate(over="ignore"):
             rows = [dot_cosine(x, y) for x, y in zip(a, b)]
             stack = cosine_similarity(a, b)
         assert stack.shape == (9,)
         np.testing.assert_array_equal(stack, rows)
         assert [cosine_similarity(x, y) for x, y in zip(a, b)] == rows
-        np.testing.assert_array_equal(cosine_distance(a, b), 1.0 - stack)
 
     def test_squared_norm_underflowing_to_zero_is_not_zero(self):
         v = np.full((2, 8), 1e-300)
@@ -330,3 +330,61 @@ class TestStacks:
         a[2, 5] = bad
         with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[2\]\)"):
             bind(a, np.ones((4, 8)))
+
+
+class TestSafeNorms2:
+    KERNELS = [row_dots, sum_products]
+
+    @pytest.mark.parametrize("norm2,scaled", [
+        (2.0**-500, False),
+        (2.0**500, False),
+        (np.nextafter(2.0**-500, 0.0), True),
+        (np.nextafter(2.0**500, np.inf), True),
+    ])
+    def test_range_is_closed(self, norm2, scaled):
+        rows = np.full((2, 4), 3.0)
+
+        def dots(a, b):  # the given squared norm for row 0 on the first call
+            got = row_dots(a, b)
+            if a.shape[0] == 2:
+                got[0] = norm2
+            return got
+
+        out, norms2 = safe_norms2(rows, dots)
+        assert (out is not rows) == scaled
+        np.testing.assert_array_equal(rows, 3.0)
+        if scaled:
+            np.testing.assert_array_equal(out, [[0.75] * 4, [3.0] * 4])
+            np.testing.assert_array_equal(norms2, [2.25, 36.0])
+        else:
+            np.testing.assert_array_equal(norms2, [norm2, 36.0])
+
+    @pytest.mark.parametrize("dots", KERNELS)
+    def test_ordinary_rows_are_the_input_itself(self, dots):
+        rows = np.random.default_rng(2).standard_normal((5, 33)) * [[1e-70], [1.0], [1e70], [2.0**-240], [2.0**240]]
+        out, norms2 = safe_norms2(rows, dots)
+        assert out is rows
+        np.testing.assert_array_equal(norms2, dots(rows, rows))
+
+    def test_sum_products_is_linalg_norm_squared_bitwise(self):
+        # more entries than one row block holds, so the sum runs over two blocks
+        rows = np.random.default_rng(3).standard_normal((1100, 300))
+        norms2 = sum_products(rows, rows)
+        assert norms2.tobytes() == np.sum(rows * rows, axis=1).tobytes()
+        assert np.sqrt(norms2).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dots", KERNELS)
+    @pytest.mark.parametrize("with_extreme", [False, True])
+    def test_zero_and_non_finite_rows_pass_unscaled(self, dots, with_extreme):
+        rows = np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0], [-np.inf, np.inf, 0.0], [1e-300, 0.0, 3e-300]])
+        rows = rows if with_extreme else rows[:4]
+        out, norms2 = safe_norms2(rows, dots)
+        assert (out is rows) != with_extreme
+        np.testing.assert_array_equal(out[:4], rows[:4])
+        np.testing.assert_array_equal(norms2[:4], [0.0, np.nan, np.inf, np.inf])
+        if with_extreme:
+            # 3e-300 is 0.50175... * 2^-994
+            np.testing.assert_array_equal(out[4], np.ldexp(rows[4], 994))
+            assert 0.5 <= np.max(np.abs(out[4])) < 1.0
+            assert norms2[4] == dots(out[4:], out[4:])[0]

@@ -163,6 +163,27 @@ class TestLossConfig:
             with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
                 LossConfig(fake_term_weights=weights)
 
+    @pytest.mark.parametrize("value", [True, "one", None])
+    def test_non_number_lam_rejected(self, value):
+        with pytest.raises(InvalidArgumentError, match="lam must be finite"):
+            LossConfig(lam=value)
+
+    @pytest.mark.parametrize("weights", [(True, 1.0), (1.0, "one"), (None, 1.0), (1.0,), (1.0, 1.0, 1.0)])
+    def test_non_number_fake_term_weight_rejected(self, weights):
+        with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
+            LossConfig(fake_term_weights=weights)
+
+    def test_number_fields_become_floats(self):
+        cfg = LossConfig(lam="1", fake_term_weights=(2, np.float32(0.5)))
+        assert (cfg.lam, cfg.fake_term_weights) == (1.0, (2.0, 0.5))
+        assert all(type(v) is float for v in (cfg.lam, *cfg.fake_term_weights))
+
+
+@pytest.mark.parametrize("batch", [["x", 1.0], [[1.0, 2.0], [3.0]], {"a": 1.0}, [10**400]])
+def test_non_numeric_scores_rejected(batch):
+    with pytest.raises(InvalidArgumentError, match="real"):
+        gan_loss_hinge(batch, [0.5], [0.5])
+
 
 def test_check_no_zero_vectors_reports_indices():
     vs = [np.ones(4), np.zeros(4), np.ones(4), np.zeros(4)]

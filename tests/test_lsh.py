@@ -198,15 +198,12 @@ class TestProjectBatch:
         with pytest.raises(InvalidArgumentError, match="patch 5"):
             project_batch(p, fs)
 
-    def test_ragged_list_names_patch(self):
+    def test_ragged_list_rejected(self):
         p = new_projector(m=8, n=4, seed=0)
-        fs = [np.ones(8), np.ones(8), np.ones(7), np.ones(8)]
-        with pytest.raises(InvalidArgumentError, match="patch 2: feature length"):
-            project_batch(p, fs)
-        # a bad patch before the misfit is still the one reported
-        fs[1] = np.zeros(8)
-        with pytest.raises(DegenerateInputError, match="patch 1"):
-            project_batch(p, fs)
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            project_batch(p, [np.ones(8), np.ones(8), np.ones(7), np.ones(8)])
+        with pytest.raises(InvalidArgumentError, match=r"\(2, 7\) are not \(count, m=8\)"):
+            project_batch(p, [np.ones(7), np.ones(7)])
 
     def test_unknown_quantize_rejected(self):
         p = new_projector(m=8, n=4, seed=0)

@@ -3,6 +3,7 @@ import pytest
 
 from vsabench.errors import ConfigError, InvalidArgumentError
 from vsabench.patches import (
+    PatchFeatureSet,
     PatchSpec,
     assemble_patches,
     block_lengths,
@@ -115,6 +116,39 @@ def test_per_layer_block_normalization():
     out = normalize_blocks(assemble_patches(fm, spec), lengths)
     assert np.linalg.norm(out.vectors[0, :32]) == pytest.approx(1.0)
     assert np.linalg.norm(out.vectors[0, 32:]) == pytest.approx(1.0)
+
+
+def linalg_normalized(vectors, lengths):
+    """Each layer block divided by its np.linalg.norm row norm, zero blocks left alone."""
+    out = vectors.copy()
+    start = 0
+    for length in lengths:
+        block = out[:, start : start + length]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, norms, out=block, where=norms > 0)
+        start += length
+    return out
+
+
+@pytest.mark.parametrize("lengths", [[32, 16], [1, 47], [48], [300, 700, 3]])
+def test_normalize_blocks_equals_linalg_norm_formula_bitwise(lengths):
+    rng = np.random.default_rng(sum(lengths))
+    vectors = rng.standard_normal((700, sum(lengths))) * rng.uniform(0.01, 100.0, (700, 1))
+    vectors[5, : lengths[0]] = 0.0
+    out = normalize_blocks(PatchFeatureSet(vectors=vectors), lengths)
+    assert out.vectors.tobytes() == linalg_normalized(vectors, lengths).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.0**700, 2.0**-700])
+def test_extreme_blocks_normalize_like_unscaled(scale):
+    # these blocks' squared norms overflow to inf or underflow to 0
+    vectors = np.random.default_rng(4).standard_normal((6, 24))
+    want = normalize_blocks(PatchFeatureSet(vectors=vectors), [16, 8]).vectors
+    scaled = vectors.copy()
+    scaled[:, :16] *= scale
+    scaled[1::2, 16:] *= scale
+    assert normalize_blocks(PatchFeatureSet(vectors=scaled), [16, 8]).vectors.tobytes() == want.tobytes()
 
 
 def test_normalize_blocks_rejects_bad_lengths():
