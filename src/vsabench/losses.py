@@ -29,8 +29,11 @@ class LossConfig:
     def __post_init__(self):
         object.__setattr__(self, "lam", _nonnegative(self.lam, f"lam must be finite and >= 0, got {self.lam!r}"))
         error = f"fake_term_weights must be two finite nonnegative reals, got {self.fake_term_weights!r}"
-        weights = tuple(_nonnegative(w, error) for w in self.fake_term_weights)
-        if len(weights) != 2:
+        try:
+            weights = tuple(_nonnegative(w, error) for w in self.fake_term_weights)
+        except TypeError:
+            raise InvalidArgumentError(error) from None
+        if len(weights) != 2 or isinstance(self.fake_term_weights, (str, bytes)):
             raise InvalidArgumentError(error)
         object.__setattr__(self, "fake_term_weights", weights)
         if self.variant not in VARIANTS:

@@ -1,38 +1,39 @@
 """Locality sensitive hashing: project feature vectors into the hyperspace.
 
-A projector is the value ``(m, n, seed)``. It stands for an n x m matrix
-whose rows are standard-normal samples normalized to unit length, but that
-matrix never exists: ``LshProjector.panels`` draws it from one
-``default_rng(seed)`` in panels of ``_NORM_ROWS`` rows, in order, and
-normalizes each panel in place. A generator fills values in stream order,
-so the panels are bit for bit the rows of one ``standard_normal((n, m))``
-draw. Projection uses each panel once and drops it, so it holds one panel
-and a 2 MB block of its norm's squares, not the matrix (201 MB at
-m = 6144, n = 4096). A panel has ``_NORM_ROWS`` rows (12.6 MB at m = 6144),
-but the last one takes the remainder and can have up to
-``2 * _NORM_ROWS - 1`` rows (25.1 MB at m = 6144).
+A projector is the value ``(m, n, seed)``. It stands for the n x m matrix
+S / sqrt(m), S of +-1 entries, which never exists: ``LshProjector.panels``
+draws S from one ``default_rng(seed)`` by ``hv.fill_bipolar`` in panels of
+``_PANEL_ROWS`` rows, in order, bit for bit the rows of one fill of the
+whole matrix, since every row starts on a fresh word. Each row of S has norm
+exactly sqrt(m), so there is no norm pass: the projection multiplies by the
++-1 panels and scales its (count, n) output once by ``1 / sqrt(m)``. It uses
+each panel once and drops it, so it holds one panel, not the matrix (201 MB
+at m = 6144, n = 4096); the last panel takes the remainder and can have up
+to ``2 * _PANEL_ROWS - 1`` rows (25.1 MB at m = 6144).
+
++-1 rows keep the Johnson-Lindenstrauss guarantee (Achlioptas, 2003), and
+the sign cosine of features at angle theta estimates 1 - 2 theta / pi
+(Charikar, 2002) once m is moderate; ``tests/test_lsh.py`` gates that law
+at m = 64 and 384. At small m it is biased: at m = 16 the sign cosine of
+one feature pair fell 0.022 below it at theta = 2.5.
 
 Cost model: building a projector is free, and every ``project`` or
-``project_batch`` call draws the whole projector again. Pass whole batches
-to ``project_batch``; a loop of ``project`` calls pays one draw per row.
+``project_batch`` call draws it again, so pass whole batches.
 
-Features are normalized to unit length before projection, so every output
-entry is a dot product of two unit vectors and lands in [-1, 1]. Feature
-norms come from ``hv.safe_norms2`` in ``hv.sum_products`` order, so a feature
-whose squared norm underflows or overflows still projects as its unit vector.
-``project`` and ``project_batch`` share one kernel. The unit features are
-zero-padded to a multiple of ``BLOCK_ROWS`` rows, so no BLAS call sees one
-or two rows, which OpenBLAS hands to GEMV or small-matrix code that sums in
-another order. A full panel of ``_NORM_ROWS`` rows is then multiplied in
-one ``(padded, m) @ (m, _NORM_ROWS)`` GEMM over the whole batch. The tail
-panel (``_NORM_ROWS + 1`` to ``2 * _NORM_ROWS - 1`` rows, or all n when n
-is smaller) is multiplied in blocks of exactly ``BLOCK_ROWS`` feature rows,
-because at those widths a block of 64 rows or more, or the whole batch,
-changed a row's last bits. Either way a projected row does not depend on
-the size of its batch or on its position in it. That held for m from 1 to
-6144 and batches of 1 to 2048 rows with numpy 2.4.6 and OpenBLAS 0.3.31 at
-1 and 2 threads; ``TestBatchIndependence`` checks it, and CI runs that test
-against the newest numpy as well.
+Features are normalized to unit length first, with norms from
+``hv.safe_norms2`` in ``hv.sum_products`` order, so every output entry is a
+dot product of two unit vectors in [-1, 1] at any finite feature magnitude.
+``project`` and ``project_batch`` share one kernel. Unit features are
+zero-padded to a multiple of ``BLOCK_ROWS`` rows, since OpenBLAS hands one or
+two rows to GEMV or small-matrix code that sums in another order. Each full
+panel is one ``(padded, m) @ (m, _PANEL_ROWS)`` GEMM over the whole batch;
+the tail panel (``_PANEL_ROWS + 1`` to ``2 * _PANEL_ROWS - 1`` rows, or all n
+when n is smaller) goes in blocks of exactly ``BLOCK_ROWS`` feature rows,
+because at those widths a block of 64 rows or more changed a row's last bits.
+So a projected row does not depend on the size of its batch or its position
+in it. That held for m from 1 to 6144 and batches of 1 to 2048 rows with
+numpy 2.4.6 and OpenBLAS 0.3.31 at 1 and 2 threads; ``TestBatchIndependence``
+checks it, and CI runs that test against the newest numpy as well.
 """
 
 from __future__ import annotations
@@ -43,17 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_int, check_seed, quantized, safe_norms2, sum_products
+from .hv import as_int, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
 from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # feature rows per tail-panel GEMM, and the batch padding unit
-_NORM_ROWS = 256  # projector rows per panel
+_PANEL_ROWS = 256  # projector rows per panel
 
 
 @dataclass(frozen=True)
 class LshProjector:
-    """A seeded random projection from R^m to R^n, deterministic in (m, n, seed),
-    of at most ``vsaf.MAX_ELEMENTS`` entries, the bound on one VSAF layer."""
+    """A seeded random projection from R^m to R^n by the matrix S / sqrt(m), S
+    a +-1 matrix; deterministic in (m, n, seed), of at most
+    ``vsaf.MAX_ELEMENTS`` entries, the bound on one VSAF layer."""
 
     m: int
     n: int
@@ -71,36 +73,29 @@ class LshProjector:
         check_seed(self.seed)
 
     def panels(self) -> Iterator[np.ndarray]:
-        """The projector's rows in order, as fresh (k, m) arrays of unit-norm
-        standard-normal rows: k is ``_NORM_ROWS``, and the last panel takes the
-        remainder too, so it has up to ``2 * _NORM_ROWS - 1`` rows (all n if
-        n is smaller). OpenBLAS sums a GEMM narrower than about 150 columns in
-        another order than the same columns of a wide one, so a narrow tail
-        panel would change the projection's last bits. That threshold, and so
-        the bit-identity of the projection with a full-matrix GEMM, was
-        observed with numpy 2.4.6 and OpenBLAS 0.3.31 on an AVX-512 x86-64
-        host, the build ``tests/test_golden.py`` pins; another BLAS kernel
-        can round either way differently."""
+        """The rows of S in order, as fresh (k, m) +-1 arrays from ``hv.fill_bipolar``,
+        unscaled: k is ``_PANEL_ROWS``, but the last panel takes the remainder too (up to
+        ``2 * _PANEL_ROWS - 1`` rows, all n if smaller), as OpenBLAS sums a GEMM
+        narrower than about 150 columns in another order than a wide one. That
+        threshold, and so the projection's bit-identity with a full-matrix GEMM,
+        was observed with numpy 2.4.6 and OpenBLAS 0.3.31 on an AVX-512 x86-64
+        host, the build ``tests/test_golden.py`` pins."""
         rng = np.random.default_rng(self.seed)
         start = 0
         while start < self.n:
-            rows = self.n - start if self.n - start < 2 * _NORM_ROWS else _NORM_ROWS
-            panel = rng.standard_normal(size=(rows, self.m))
-            panel /= np.sqrt(sum_products(panel, panel))[:, np.newaxis]
-            yield panel
+            rows = self.n - start if self.n - start < 2 * _PANEL_ROWS else _PANEL_ROWS
+            yield fill_bipolar(np.empty((rows, self.m)), rng)
             start += rows
 
 
 def new_projector(m: int, n: int, seed: int) -> LshProjector:
-    """A projector with unit-norm standard-normal rows; nothing is drawn until it is used."""
+    """A projector by the matrix S / sqrt(m), S of +-1 rows; nothing is drawn until it is used."""
     return LshProjector(m=m, n=n, seed=seed)
 
 
 def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms of a (count, m) array, and the rows they belong to: the rows
-    ``hv.safe_norms2`` returns, a copy when a row had to be scaled. Raises
-    naming the lowest non-finite or zero row.
-    """
+    """Row norms of a (count, m) array, and the rows they belong to (``hv.safe_norms2``
+    copies a row it has to scale); raises naming the lowest non-finite or zero row."""
     features, norms2 = safe_norms2(features, sum_products)
     bad = np.flatnonzero(~np.isfinite(norms2) | (norms2 == 0.0))
     if bad.size and not np.isfinite(norms2[bad[0]]):
@@ -132,15 +127,15 @@ def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.nd
     col = 0
     for panel in p.panels() if count else ():
         cols, panel_t = out[:, col : col + len(panel)], panel.T
-        if len(panel) == _NORM_ROWS:
+        if len(panel) == _PANEL_ROWS:
             np.matmul(unit, panel_t, out=cols)
         else:
             for start in range(0, padded, BLOCK_ROWS):
                 np.matmul(unit[start : start + BLOCK_ROWS], panel_t, out=cols[start : start + BLOCK_ROWS])
         col += len(panel)
     out = out[:count]
-    # rows and input are unit vectors; clamp float round-off at the boundary
-    np.clip(out, -1.0, 1.0, out=out)
+    out *= 1.0 / np.sqrt(p.m)
+    np.clip(out, -1.0, 1.0, out=out)  # unit rows of S / sqrt(m) times unit features; clamp round-off
     return quantized(out, quantize)
 
 

@@ -58,12 +58,14 @@ def normalize_blocks(patches: PatchFeatureSet, lengths: list[int]) -> PatchFeatu
     """Scale each layer block of every patch vector to unit Euclidean norm.
 
     Used when feature normalization is scoped per layer rather than over the
-    whole concatenated vector. Norms come from ``hv.safe_norms2`` in
-    ``hv.sum_products`` order, so a block whose squared norm underflows or
-    overflows is normalized too. Zero-norm blocks are left untouched.
+    whole concatenated vector; the lengths are integers >= 1 summing to m.
+    Norms come from ``hv.safe_norms2`` in ``hv.sum_products`` order, so a block
+    whose squared norm underflows or overflows is normalized too. Zero-norm
+    blocks are left untouched.
     """
-    if sum(lengths) != patches.m:
-        raise InvalidArgumentError(f"block lengths {lengths} do not sum to m={patches.m}")
+    lengths = [as_int(length, "an integer block length") for length in lengths]
+    if min(lengths, default=0) < 1 or sum(lengths) != patches.m:
+        raise InvalidArgumentError(f"block lengths {lengths} must be >= 1 and sum to m={patches.m}")
     out = patches.vectors.copy()
     start = 0
     for length in lengths:

@@ -31,13 +31,13 @@ SWEEPS = {
 }
 
 PIPELINE_DIGESTS = {
-    "src_none": "60836f33344b707457b9347c85b90dfb439fdd3b5892aed7bea293d6a66cb3c7",
-    "tgt_none": "797c23c17987475a66a856599c31e3d22e373b7b541d4f9f12a05c5e8f7e2c02",
-    "src_sign": "c37540e1faf4eb934ced8feab4a76aca4599d38f95e6000cfd24844c9111b002",
-    "map_none": "36fab50d3f9992f70fb838f69db2eafc7e4e65edad4ff7f8505220756c1fc390",
-    "map_sign": "2232fb81c6731620ed9041c9350ce6ae8275dce5bb07527aff0e23ee4797b79a",
+    "src_none": "42ef6889d5dc4fba3b0f4ed63ae52c4c0c88e18c5308acc01a2bae6eb27ef721",
+    "tgt_none": "7f2d48f276ed1e40bf8f7e9a87b5335734bcb2eb9928b8c48605db447d6f38a1",
+    "src_sign": "37464dac2d2ac3e1f1740f303d847db7f461eb636519a2ab96713e2831d92ee8",
+    "map_none": "fc8bb4511d68e9ad7e0e45195f0c1ba4ead2afdce640a7acb6632ba544397606",
+    "map_sign": "70804e04d9c3e51a33bfd91976a5ce396b2590b84864d441b138c1d2f3784e9e",
     "map_random": "df0974efb2f3a88a0e4d62e8f13bf1669971ea693716133a70e24bcc19cd15c7",
-    "loss": "3774f47acd3a162f331d566697ae09873c7402cc9f5e639f20edde22d10c6218",
+    "loss": "a417c87fa11b11768a7bb999d3bb23502f3ab3def1a7d04c89f4c33ebd8c3432",
 }
 
 

@@ -173,6 +173,12 @@ class TestLossConfig:
         with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
             LossConfig(fake_term_weights=weights)
 
+    @pytest.mark.parametrize("weights", [None, 1.0, np.float64(2.0), "12", b"12"])
+    def test_non_pair_fake_term_weights_rejected(self, weights):
+        # a scalar is not iterable, and a string's characters are not two weights
+        with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
+            LossConfig(fake_term_weights=weights)
+
     def test_number_fields_become_floats(self):
         cfg = LossConfig(lam="1", fake_term_weights=(2, np.float32(0.5)))
         assert (cfg.lam, cfg.fake_term_weights) == (1.0, (2.0, 0.5))

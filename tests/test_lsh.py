@@ -5,7 +5,7 @@ import pytest
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import cosine_similarity
-from vsabench.lsh import _NORM_ROWS, BLOCK_ROWS, LshProjector, new_projector, project, project_batch
+from vsabench.lsh import _PANEL_ROWS, BLOCK_ROWS, LshProjector, new_projector, project, project_batch
 
 
 def unit_pair_with_cosine(rng, m, rho):
@@ -19,9 +19,20 @@ def unit_pair_with_cosine(rng, m, rho):
     return f1, f2
 
 
+def bipolar_matrix(n, m, seed):
+    """The (n, m) +-1 matrix S, from integer shifts of one uint32 draw: row r
+    takes ceil(m / 32) words of its own, and entry c is +1 where bit c % 32 of
+    word c // 32 is set. C order, as the package's panels are: OpenBLAS sums a
+    product with a Fortran-ordered operand in another order."""
+    words = np.random.default_rng(seed).integers(0, 2**32, size=(n, -(-m // 32)), dtype=np.uint32)
+    c = np.arange(m)
+    bits = (words[:, c // 32] >> (c % 32).astype(np.uint32)) & 1
+    return np.ascontiguousarray(np.where(bits == 1, 1.0, -1.0))
+
+
 def projector_matrix(p):
-    """The projector's (n, m) matrix, which the package itself never builds."""
-    return np.concatenate(list(p.panels()))
+    """The projector's (n, m) matrix S / sqrt(m), which the package itself never builds."""
+    return np.concatenate(list(p.panels())) / np.sqrt(p.m)
 
 
 class TestNewProjector:
@@ -44,12 +55,11 @@ class TestNewProjector:
 
     @pytest.mark.parametrize("seed", [0, 21])
     def test_rows_match_full_matrix_formula(self, seed):
-        # n is not a multiple of the normalization block, so the last block is short
+        # n is not a multiple of the panel height, so the last panel is taller;
+        # m is not a multiple of 32, so each row leaves bits of its last word unused
         m, n = 300, 1000
-        ref = np.random.default_rng(seed).standard_normal(size=(n, m))
-        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
         p = new_projector(m=m, n=n, seed=seed)
-        assert projector_matrix(p).tobytes() == ref.tobytes()
+        assert np.concatenate(list(p.panels())).tobytes() == bipolar_matrix(n, m, seed).tobytes()
 
     def test_zero_dims_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -90,8 +100,8 @@ class TestNewProjector:
     def test_panels_are_full_width_but_the_last(self, n):
         heights = [len(panel) for panel in new_projector(m=3, n=n, seed=0).panels()]
         assert sum(heights) == n
-        assert all(h == _NORM_ROWS for h in heights[:-1])
-        assert min(n, _NORM_ROWS) <= heights[-1] < 2 * _NORM_ROWS
+        assert all(h == _PANEL_ROWS for h in heights[:-1])
+        assert min(n, _PANEL_ROWS) <= heights[-1] < 2 * _PANEL_ROWS
 
 
 class TestProject:
@@ -148,6 +158,24 @@ class TestProject:
         proj = new_projector(m=m, n=n, seed=seed)
         c = cosine_similarity(project(proj, f1, quantize="sign"), project(proj, f2, quantize="sign"))
         assert abs(c - (1.0 - 2.0 * p)) <= 4 * 2 * np.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("m", [64, 384])
+    def test_sign_law_holds_for_bipolar_rows_at_high_draw_count(self, m):
+        # +-1 rows follow Charikar's law only as m grows, so gate it with 409,600
+        # hyperplanes per angle, pooled over ten projector seeds and feature pairs;
+        # the agreements are binomial in the draw count, which sets the SD
+        thetas = np.array([0.1, np.pi / 4, np.pi / 2, 2.5, 3.0])
+        n, seeds = 40960, range(10)
+        agree = np.zeros(len(thetas))
+        for seed in seeds:
+            rng = np.random.default_rng(100 + seed)
+            fs = np.concatenate([unit_pair_with_cosine(rng, m, np.cos(t)) for t in thetas])
+            h = project_batch(new_projector(m=m, n=n, seed=seed), fs.reshape(-1, m), quantize="sign")
+            agree += np.sum(h[0::2] * h[1::2], axis=1)
+        draws = n * len(seeds)
+        p = thetas / np.pi
+        sd = 2 * np.sqrt(p * (1.0 - p) / draws)
+        np.testing.assert_array_less(np.abs(agree / draws - (1.0 - 2.0 * p)), 4 * sd)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -241,10 +269,9 @@ class TestBatchIndependence:
 
 
 def full_matrix_projection(m, n, seed, fs, quantize):
-    """Projection as computed before the projector streamed: one draw of the
-    whole (n, m) matrix, rows normalized, features multiplied in BLOCK_ROWS blocks."""
-    rows = np.random.default_rng(seed).standard_normal(size=(n, m))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    """Projection without streaming: the whole (n, m) +-1 matrix S at once,
+    features multiplied by it in BLOCK_ROWS blocks, the product scaled by 1 / sqrt(m)."""
+    rows = bipolar_matrix(n, m, seed)
     count = len(fs)
     padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
     unit = np.zeros((padded, m))
@@ -252,7 +279,7 @@ def full_matrix_projection(m, n, seed, fs, quantize):
     out = np.empty((padded, n))
     for start in range(0, padded, BLOCK_ROWS):
         np.matmul(unit[start : start + BLOCK_ROWS], rows.T, out=out[start : start + BLOCK_ROWS])
-    out = np.clip(out[:count], -1.0, 1.0)
+    out = np.clip(out[:count] * (1.0 / np.sqrt(m)), -1.0, 1.0)
     return np.where(out >= 0.0, 1.0, -1.0) if quantize == "sign" else out
 
 

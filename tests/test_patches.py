@@ -158,6 +158,24 @@ def test_normalize_blocks_rejects_bad_lengths():
         normalize_blocks(patches, [3])
 
 
+@pytest.mark.parametrize(
+    "lengths,match",
+    [([10, -2], "must be >= 1"), ([8, 0], "must be >= 1"), ([0, 8], "must be >= 1"),
+     ([4.5, 3.5], "integer block length"), ([4, "x4"], "integer block length")],
+)
+def test_normalize_blocks_rejects_lengths_below_one_or_fractional(lengths, match):
+    # [10, -2] sums to m = 8, but would normalize all 8 entries as one block
+    patches = PatchFeatureSet(vectors=np.arange(1.0, 9.0).reshape(1, 8))
+    with pytest.raises(InvalidArgumentError, match=match):
+        normalize_blocks(patches, lengths)
+
+
+def test_normalize_blocks_accepts_integral_float_lengths():
+    patches = PatchFeatureSet(vectors=np.arange(1.0, 9.0).reshape(1, 8))
+    want = normalize_blocks(patches, [4, 4]).vectors
+    assert normalize_blocks(patches, [4.0, 4]).vectors.tobytes() == want.tobytes()
+
+
 def test_stable_across_runs():
     rng = np.random.default_rng(2)
     fm = feature_map_set([("l0", rng.standard_normal((8, 8, 2)))])
