@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_float, as_int, bind, bundle, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
+from .hv import (
+    as_float, as_int, as_tuple, bind, bundle, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
+)
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 
@@ -41,11 +43,9 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", as_int(self.dim, "an integer dim"))
-        for name, vocab in (
-            ("object_vocab", self.object_vocab),
-            ("src_attr_vocab", self.src_attr_vocab),
-            ("tgt_attr_vocab", self.tgt_attr_vocab),
-        ):
+        for name in ("object_vocab", "src_attr_vocab", "tgt_attr_vocab"):
+            vocab = as_tuple(getattr(self, name), f"a sequence of {name} labels")
+            object.__setattr__(self, name, vocab)
             if not vocab:
                 raise InvalidArgumentError(f"{name} must be nonempty")
             if len(set(vocab)) != len(vocab):
@@ -67,8 +67,12 @@ class SceneSpec:
     domain: str = "source"
 
     def __post_init__(self):
-        if not self.pairs:
+        pairs = tuple(as_tuple(p, "an (object, attribute) pair") for p in as_tuple(self.pairs, "a sequence of pairs"))
+        object.__setattr__(self, "pairs", pairs)
+        if not pairs:
             raise InvalidArgumentError("scene needs at least one pair")
+        if any(len(pair) != 2 for pair in pairs):
+            raise InvalidArgumentError(f"each scene pair must be (object, attribute), got {pairs}")
         if self.domain not in ("source", "target"):
             raise InvalidArgumentError(f"domain must be 'source' or 'target', got {self.domain!r}")
 

@@ -65,14 +65,27 @@ def as_float(value, noun: str = "a finite number") -> float:
     raise InvalidArgumentError(f"must be {noun}, got {value!r}")
 
 
+def as_tuple(values, noun: str = "a sequence") -> tuple:
+    """``values`` as a tuple; a string, which would read as its characters, or a non-iterable is rejected."""
+    if not isinstance(values, (str, bytes)):
+        with contextlib.suppress(TypeError):
+            return tuple(values)
+    raise InvalidArgumentError(f"must be {noun}, got {values!r}")
+
+
+def as_float64(v, error: str = "hypervectors must be equal-length numeric vectors") -> np.ndarray:
+    """``v`` as a float64 array (no copy if it is one); ragged or non-numeric input raises ``error``."""
+    try:
+        return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{error}: {exc}") from exc
+
+
 def as_hypervectors(v) -> np.ndarray:
     """Coerce a hypervector or a stack of equal-length ones to float64 (no copy if it
     already is), rejecting empty, ragged or non-finite input; a stack's
     non-finite rows are named."""
-    try:
-        arr = np.asarray(v, dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"hypervectors must be equal-length numeric vectors: {exc}") from exc
+    arr = as_float64(v)
     if arr.ndim < 1 or arr.size < 1:
         raise InvalidArgumentError(f"hypervectors must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float, cosine_similarity
+from .hv import as_float, as_float64, cosine_similarity
 
 VARIANTS = ("nll", "hinge")
 
@@ -48,10 +48,7 @@ def _nonnegative(value, error: str) -> float:
 
 
 def _scores(batch, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(batch, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"{name} must be a batch of numbers: {exc}") from exc
+    arr = as_float64(batch, f"{name} must be a batch of numbers")
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidArgumentError(f"{name} must be a nonempty 1-D score batch, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -121,6 +118,6 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
 
 def check_no_zero_vectors(vs, name: str) -> None:
     """Raise naming every all-zero row of a (count, dim) batch."""
-    idx = np.flatnonzero(~np.any(np.asarray(vs, dtype=np.float64), axis=1))
+    idx = np.flatnonzero(~np.any(as_float64(vs, f"{name} must be equal-length numeric vectors"), axis=1))
     if idx.size:
         raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")

@@ -4,12 +4,12 @@ A projector is the value ``(m, n, seed)``. It stands for the n x m matrix
 S / sqrt(m), S of +-1 entries, which never exists: ``LshProjector.panels``
 draws S from one ``default_rng(seed)`` by ``hv.fill_bipolar`` in panels of
 ``_PANEL_ROWS`` rows, in order, bit for bit the rows of one fill of the
-whole matrix, since every row starts on a fresh word. Each row of S has norm
+whole matrix, since every row starts on a fresh word. The last panel is full
+height too; its rows past n are drawn and never used. Each row of S has norm
 exactly sqrt(m), so there is no norm pass: the projection multiplies by the
 +-1 panels and scales its (count, n) output once by ``1 / sqrt(m)``. It uses
-each panel once and drops it, so it holds one panel, not the matrix (201 MB
-at m = 6144, n = 4096); the last panel takes the remainder and can have up
-to ``2 * _PANEL_ROWS - 1`` rows (25.1 MB at m = 6144).
+each panel once and drops it, so it holds one panel, not the matrix (12.6 MB
+against 201 MB at m = 6144, n = 4096).
 
 +-1 rows keep the Johnson-Lindenstrauss guarantee (Achlioptas, 2003), and
 the sign cosine of features at angle theta estimates 1 - 2 theta / pi
@@ -25,15 +25,12 @@ Features are normalized to unit length first, with norms from
 dot product of two unit vectors in [-1, 1] at any finite feature magnitude.
 ``project`` and ``project_batch`` share one kernel. Unit features are
 zero-padded to a multiple of ``BLOCK_ROWS`` rows, since OpenBLAS hands one or
-two rows to GEMV or small-matrix code that sums in another order. Each full
-panel is one ``(padded, m) @ (m, _PANEL_ROWS)`` GEMM over the whole batch;
-the tail panel (``_PANEL_ROWS + 1`` to ``2 * _PANEL_ROWS - 1`` rows, or all n
-when n is smaller) goes in blocks of exactly ``BLOCK_ROWS`` feature rows,
-because at those widths a block of 64 rows or more changed a row's last bits.
+two rows to GEMV or small-matrix code that sums in another order, and every
+panel is one ``(padded, m) @ (m, _PANEL_ROWS)`` GEMM over the whole batch.
 So a projected row does not depend on the size of its batch or its position
-in it. That held for m from 1 to 6144 and batches of 1 to 2048 rows with
-numpy 2.4.6 and OpenBLAS 0.3.31 at 1 and 2 threads; ``TestBatchIndependence``
-checks it, and CI runs that test against the newest numpy as well.
+in it. That held with numpy 2.4.6 and OpenBLAS 0.3.31 at 1 and 2 threads;
+``TestBatchIndependence`` checks it, and CI runs that test against the
+newest numpy as well.
 """
 
 from __future__ import annotations
@@ -44,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_int, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
+from .hv import as_float64, as_int, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
 from .vsaf import MAX_ELEMENTS
 
-BLOCK_ROWS = 8  # feature rows per tail-panel GEMM, and the batch padding unit
-_PANEL_ROWS = 256  # projector rows per panel
+BLOCK_ROWS = 8  # the batch is zero-padded to a multiple of this many rows
+_PANEL_ROWS = 256  # projector rows per panel, and columns per GEMM
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,12 @@ class LshProjector:
         check_seed(self.seed)
 
     def panels(self) -> Iterator[np.ndarray]:
-        """The rows of S in order, as fresh (k, m) +-1 arrays from ``hv.fill_bipolar``,
-        unscaled: k is ``_PANEL_ROWS``, but the last panel takes the remainder too (up to
-        ``2 * _PANEL_ROWS - 1`` rows, all n if smaller), as OpenBLAS sums a GEMM
-        narrower than about 150 columns in another order than a wide one. That
-        threshold, and so the projection's bit-identity with a full-matrix GEMM,
-        was observed with numpy 2.4.6 and OpenBLAS 0.3.31 on an AVX-512 x86-64
-        host, the build ``tests/test_golden.py`` pins."""
+        """The rows of S in order, as fresh (``_PANEL_ROWS``, m) +-1 arrays from
+        ``hv.fill_bipolar``, unscaled; the last panel's rows past n continue the
+        same stream and are not part of S."""
         rng = np.random.default_rng(self.seed)
-        start = 0
-        while start < self.n:
-            rows = self.n - start if self.n - start < 2 * _PANEL_ROWS else _PANEL_ROWS
-            yield fill_bipolar(np.empty((rows, self.m)), rng)
-            start += rows
+        for _ in range(-(-self.n // _PANEL_ROWS)):
+            yield fill_bipolar(np.empty((_PANEL_ROWS, self.m)), rng)
 
 
 def new_projector(m: int, n: int, seed: int) -> LshProjector:
@@ -107,10 +97,7 @@ def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _feature_matrix(p: LshProjector, fs) -> np.ndarray:
     """``fs``, a PatchFeatureSet or a (count, m) array-like, as a (count, m) float64 array."""
-    try:
-        features = np.asarray(getattr(fs, "vectors", fs), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"features must be equal-length numeric vectors: {exc}") from exc
+    features = as_float64(getattr(fs, "vectors", fs), "features must be equal-length numeric vectors")
     if features.shape != (0,) and (features.ndim != 2 or features.shape[1] != p.m):
         raise InvalidArgumentError(f"features of shape {features.shape} are not (count, m={p.m})")
     return features.reshape(-1, p.m)
@@ -123,17 +110,10 @@ def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.nd
     padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
     unit = np.zeros((padded, p.m))
     np.divide(features, norms[:, np.newaxis], out=unit[:count])
-    out = np.empty((padded, p.n))
-    col = 0
-    for panel in p.panels() if count else ():
-        cols, panel_t = out[:, col : col + len(panel)], panel.T
-        if len(panel) == _PANEL_ROWS:
-            np.matmul(unit, panel_t, out=cols)
-        else:
-            for start in range(0, padded, BLOCK_ROWS):
-                np.matmul(unit[start : start + BLOCK_ROWS], panel_t, out=cols[start : start + BLOCK_ROWS])
-        col += len(panel)
-    out = out[:count]
+    out = np.empty((padded, -(-p.n // _PANEL_ROWS) * _PANEL_ROWS))
+    for col, panel in zip(range(0, out.shape[1], _PANEL_ROWS), p.panels() if count else ()):
+        np.matmul(unit, panel.T, out=out[:, col : col + _PANEL_ROWS])
+    out = np.ascontiguousarray(out[:count, : p.n])  # a copy only when n is not a multiple of _PANEL_ROWS
     out *= 1.0 / np.sqrt(p.m)
     np.clip(out, -1.0, 1.0, out=out)  # unit rows of S / sqrt(m) times unit features; clamp round-off
     return quantized(out, quantize)

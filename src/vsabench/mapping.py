@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_hypervectors, as_int, bind, bundle, check_seed, fill_bipolar, quantized
+from .hv import as_float64, as_hypervectors, as_int, bind, bundle, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class HypervectorMapping:
     per_patch: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.per_patch, dtype=np.float64)
+        arr = as_float64(self.per_patch, "mapping vectors must be equal-length numeric vectors")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidArgumentError(
                 f"mapping must be a nonempty (patch_count, dim) array, got shape {arr.shape}"

@@ -24,7 +24,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from .hv import as_hypervectors, as_int, row_dots, safe_norms2, sum_products
+from .hv import as_float64, as_hypervectors, as_int, row_dots, safe_norms2, sum_products
 
 
 class ItemMemory:
@@ -45,7 +45,7 @@ class ItemMemory:
         use. Rows are validated as ``add`` validates one vector.
         """
         labels = list(labels)
-        rows = np.ascontiguousarray(matrix, dtype=np.float64)
+        rows = np.ascontiguousarray(as_float64(matrix))
         if rows.ndim != 2 or rows.shape[1] < 1:
             raise InvalidArgumentError(f"matrix must be (n, dim) with dim >= 1, got shape {rows.shape}")
         if len(labels) != rows.shape[0]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .hv import as_int, safe_norms2, sum_products
+from .hv import as_int, as_tuple, safe_norms2, sum_products
 from .vsaf import FeatureMapSet
 
 
@@ -26,7 +26,8 @@ class PatchSpec:
     dilation: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(as_int(s, "an integer patch side") for s in self.sides))
+        sides = as_tuple(self.sides, "a sequence of patch sides")
+        object.__setattr__(self, "sides", tuple(as_int(s, "an integer patch side") for s in sides))
         object.__setattr__(self, "dilation", as_int(self.dilation, "an integer dilation"))
         if not self.sides or any(s < 1 for s in self.sides):
             raise InvalidArgumentError(f"patch sides must be positive, got {self.sides}")
@@ -63,7 +64,7 @@ def normalize_blocks(patches: PatchFeatureSet, lengths: list[int]) -> PatchFeatu
     whose squared norm underflows or overflows is normalized too. Zero-norm
     blocks are left untouched.
     """
-    lengths = [as_int(length, "an integer block length") for length in lengths]
+    lengths = [as_int(n, "an integer block length") for n in as_tuple(lengths, "a sequence of block lengths")]
     if min(lengths, default=0) < 1 or sum(lengths) != patches.m:
         raise InvalidArgumentError(f"block lengths {lengths} must be >= 1 and sum to m={patches.m}")
     out = patches.vectors.copy()

@@ -30,6 +30,7 @@ from .errors import (
     VersionError,
     VsafError,
 )
+from .hv import as_float64
 
 MAGIC = b"VSAF"
 VERSION = 1
@@ -184,7 +185,7 @@ HYPERVECTOR_LAYER = "hypervectors"
 def write_hypervectors(hvs, path, layer_name: str = HYPERVECTOR_LAYER) -> None:
     """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer,
     rounded to float32 as ``feature_map_set`` rounds."""
-    stack = np.atleast_2d(np.asarray(hvs, dtype=np.float64))
+    stack = np.atleast_2d(as_float64(hvs))
     if stack.ndim != 2 or stack.size == 0:
         raise InvalidArgumentError(f"expected a nonempty (count, dim) stack, got shape {stack.shape}")
     write_feature_file(feature_map_set([(layer_name, stack[np.newaxis, :, :])]), path)

@@ -123,6 +123,30 @@ class TestDomainAndScene:
         with pytest.raises(InvalidArgumentError):
             DomainSpec(("o", "o"), ("a",), ("b",), dim=16)
 
+    @pytest.mark.parametrize("vocab", ["ab", None, 3])
+    def test_vocab_that_is_not_a_sequence_rejected(self, vocab):
+        # a string would read as one-character labels
+        with pytest.raises(InvalidArgumentError, match="sequence of object_vocab labels"):
+            DomainSpec(vocab, ("a",), ("b",), dim=16)
+        with pytest.raises(InvalidArgumentError, match="sequence of tgt_attr_vocab labels"):
+            DomainSpec(("o",), ("a",), vocab, dim=16)
+
+    def test_vocab_and_pairs_are_stored_as_tuples(self):
+        d = DomainSpec(["o", "p"], iter(["a"]), ["b"], dim=16)
+        assert (d.object_vocab, d.src_attr_vocab, d.tgt_attr_vocab) == (("o", "p"), ("a",), ("b",))
+        assert SceneSpec(pairs=[["o", "a"]]).pairs == (("o", "a"),)
+
+    @pytest.mark.parametrize("pairs,match", [
+        ("ab", "sequence of pairs"),
+        (5, "sequence of pairs"),
+        (["ab"], r"\(object, attribute\) pair"),
+        ((("obj00",),), r"must be \(object, attribute\)"),
+        ((("obj00", "src00", "src01"),), r"must be \(object, attribute\)"),
+    ])
+    def test_malformed_pairs_rejected(self, pairs, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            SceneSpec(pairs=pairs)
+
 
 class TestEncodeScene:
     def test_single_pair_is_exact_bind(self):

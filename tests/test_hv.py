@@ -8,6 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import (
+    as_float64,
+    as_hypervectors,
+    as_tuple,
     bind,
     bundle,
     cosine_similarity,
@@ -293,6 +296,27 @@ class TestStacks:
     def test_ragged_input_rejected(self):
         with pytest.raises(InvalidArgumentError, match="equal-length"):
             bind([np.ones(3), np.ones(4)], [np.ones(3), np.ones(4)])
+
+    @pytest.mark.parametrize("v", [{"a": 1}, [1.0, "x"], "ab", [object()], [10**400]])
+    def test_non_numeric_input_rejected(self, v):
+        # numpy raises TypeError, ValueError or OverflowError for these
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            as_hypervectors(v)
+
+    def test_float64_array_is_not_copied(self):
+        a = np.ones((3, 4))
+        assert as_float64(a) is a and as_hypervectors(a) is a
+
+    @pytest.mark.parametrize(
+        "values,want", [([1, 2], (1, 2)), ((), ()), (iter("ab"), ("a", "b")), (np.arange(2), (0, 1))]
+    )
+    def test_as_tuple_accepts_iterables(self, values, want):
+        assert as_tuple(values) == want
+
+    @pytest.mark.parametrize("values", ["ab", b"ab", 3, None, np.float64(1.0)])
+    def test_as_tuple_rejects_strings_and_non_iterables(self, values):
+        with pytest.raises(InvalidArgumentError, match="must be a sequence"):
+            as_tuple(values)
 
     def test_cosine_stack_equals_rowwise_bitwise(self):
         # rows of ordinary, tiny (squared norm underflows to 0) and huge magnitude

@@ -197,6 +197,12 @@ def test_check_no_zero_vectors_reports_indices():
         check_no_zero_vectors(vs, "batch")
 
 
+@pytest.mark.parametrize("vs", ["ab", [[1.0], [1.0, 2.0]]])
+def test_check_no_zero_vectors_rejects_non_numeric_rows(vs):
+    with pytest.raises(InvalidArgumentError, match="batch must be equal-length"):
+        check_no_zero_vectors(vs, "batch")
+
+
 def test_check_no_zero_vectors_accepts_tiny_nonzero_rows():
     # the squared norm of this row underflows to 0, but the row is not zero
     check_no_zero_vectors(np.full((2, 4), 1e-200), "batch")

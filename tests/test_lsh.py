@@ -32,7 +32,7 @@ def bipolar_matrix(n, m, seed):
 
 def projector_matrix(p):
     """The projector's (n, m) matrix S / sqrt(m), which the package itself never builds."""
-    return np.concatenate(list(p.panels())) / np.sqrt(p.m)
+    return np.concatenate(list(p.panels()))[: p.n] / np.sqrt(p.m)
 
 
 class TestNewProjector:
@@ -55,11 +55,11 @@ class TestNewProjector:
 
     @pytest.mark.parametrize("seed", [0, 21])
     def test_rows_match_full_matrix_formula(self, seed):
-        # n is not a multiple of the panel height, so the last panel is taller;
+        # n is not a multiple of the panel height, so the last panel has rows past n;
         # m is not a multiple of 32, so each row leaves bits of its last word unused
         m, n = 300, 1000
         p = new_projector(m=m, n=n, seed=seed)
-        assert np.concatenate(list(p.panels())).tobytes() == bipolar_matrix(n, m, seed).tobytes()
+        assert np.concatenate(list(p.panels()))[:n].tobytes() == bipolar_matrix(n, m, seed).tobytes()
 
     def test_zero_dims_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -98,10 +98,12 @@ class TestNewProjector:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1000, 4097])
     def test_panels_are_full_width_but_the_last(self, n):
-        heights = [len(panel) for panel in new_projector(m=3, n=n, seed=0).panels()]
-        assert sum(heights) == n
-        assert all(h == _PANEL_ROWS for h in heights[:-1])
-        assert min(n, _PANEL_ROWS) <= heights[-1] < 2 * _PANEL_ROWS
+        # the last panel is full height too: its rows past n continue the formula
+        m = 33
+        panels = list(new_projector(m=m, n=n, seed=0).panels())
+        assert [panel.shape for panel in panels] == [(_PANEL_ROWS, m)] * -(-n // _PANEL_ROWS)
+        rows = len(panels) * _PANEL_ROWS
+        assert np.concatenate(panels).tobytes() == bipolar_matrix(rows, m, 0).tobytes()
 
 
 class TestProject:
@@ -243,7 +245,7 @@ class TestProjectBatch:
         fs = np.random.default_rng(1).standard_normal((BLOCK_ROWS + 3, 16))
         out = project_batch(p, fs)
         assert isinstance(out, np.ndarray) and out.shape == (BLOCK_ROWS + 3, 8)
-        assert out.dtype == np.float64
+        assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
 class TestBatchIndependence:
@@ -252,7 +254,9 @@ class TestBatchIndependence:
     SIZES = (1, 7, 8, 9, 17, 203)
 
     @pytest.mark.parametrize("quantize", ["none", "sign"])
-    @pytest.mark.parametrize("m,n", [(100, 257), (513, 129), (50, 4097), (7, 5), (1, 1), (384, 512)])
+    @pytest.mark.parametrize(
+        "m,n", [(100, 257), (513, 129), (50, 4097), (7, 5), (1, 1), (384, 512), (200, 96), (300, 255)]
+    )
     def test_rows_bitwise_independent_of_batch(self, m, n, quantize):
         p = new_projector(m=m, n=n, seed=m + n)
         rng = np.random.default_rng(n)
@@ -269,17 +273,19 @@ class TestBatchIndependence:
 
 
 def full_matrix_projection(m, n, seed, fs, quantize):
-    """Projection without streaming: the whole (n, m) +-1 matrix S at once,
-    features multiplied by it in BLOCK_ROWS blocks, the product scaled by 1 / sqrt(m)."""
-    rows = bipolar_matrix(n, m, seed)
+    """Projection without streaming: the whole +-1 matrix S at once, drawn to a
+    multiple of 256 rows, features padded to BLOCK_ROWS rows multiplied by it
+    in one GEMM per 256 columns, the first n columns scaled by 1 / sqrt(m)."""
+    width = -(-n // 256) * 256
+    rows = bipolar_matrix(width, m, seed)
     count = len(fs)
     padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
     unit = np.zeros((padded, m))
     unit[:count] = fs / np.linalg.norm(fs, axis=1, keepdims=True)
-    out = np.empty((padded, n))
-    for start in range(0, padded, BLOCK_ROWS):
-        np.matmul(unit[start : start + BLOCK_ROWS], rows.T, out=out[start : start + BLOCK_ROWS])
-    out = np.clip(out[:count] * (1.0 / np.sqrt(m)), -1.0, 1.0)
+    out = np.empty((padded, width))
+    for col in range(0, width, 256):
+        np.matmul(unit, rows[col : col + 256].T, out=out[:, col : col + 256])
+    out = np.clip(out[:count, :n] * (1.0 / np.sqrt(m)), -1.0, 1.0)
     return np.where(out >= 0.0, 1.0, -1.0) if quantize == "sign" else out
 
 
@@ -302,10 +308,11 @@ class TestStreaming:
         got = project_batch(new_projector(m=m, n=512, seed=m), fs)
         assert got.tobytes() == full_matrix_projection(m, 512, m, fs, "none").tobytes()
 
-    @pytest.mark.parametrize("n,last_panel_rows", [(8192, 256), (8191, 511)])
-    def test_peak_memory_is_one_panel(self, n, last_panel_rows):
-        # the full n x 4096 float64 matrix would be 256 MB; the bound is 32 MB
-        # for 256-row panels and covers the 511-row tail panel at n = 8191
+    @pytest.mark.parametrize("n", [8192, 8191])
+    def test_peak_memory_is_one_panel(self, n):
+        # the full n x 4096 float64 matrix would be 256 MB, and one 256-row panel
+        # is 8.4 MB; the next panel is drawn while the last is still held, so
+        # the bound is three panels, at n = 8191 too, whose last panel is full height
         p = new_projector(m=4096, n=n, seed=3)
         fs = np.random.default_rng(4).standard_normal((8, 4096))
         tracemalloc.start()
@@ -314,4 +321,4 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * last_panel_rows * 4096 * 8
+        assert peak < 3 * _PANEL_ROWS * 4096 * 8

@@ -63,6 +63,11 @@ class TestApplyMapping:
         with pytest.raises(InvalidArgumentError, match="equal-length"):
             apply_mapping([np.ones(8), np.ones(7)], u)
 
+    @pytest.mark.parametrize("per_patch", [[[1.0], [1.0, 2.0]], "ab", [{"a": 1}]])
+    def test_ragged_or_non_numeric_mapping_rejected(self, per_patch):
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            HypervectorMapping(per_patch=per_patch)
+
     def test_scene_recovery_cosine(self):
         # analytic 1/sqrt(2) for 2 bundled pairs, Monte-Carlo confirmed
         sims = []

@@ -281,6 +281,11 @@ class TestFromMatrix:
         with pytest.raises(InvalidArgumentError):
             ItemMemory.from_matrix(labels, matrix)
 
+    @pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], [["a"], ["b"]], [[{}], [1.0]]])
+    def test_ragged_or_non_numeric_matrix_rejected(self, matrix):
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            ItemMemory.from_matrix([0, 1], matrix)
+
     def test_dim_mismatch_on_add_and_query_rejected(self):
         mem = ItemMemory.from_matrix(["a"], np.ones((1, 8)))
         with pytest.raises(InvalidArgumentError):

@@ -92,6 +92,7 @@ def test_patch_larger_than_layer():
 
 @pytest.mark.parametrize("sides,dilation", [
     ((), 1), ((0,), 1), ((2.5,), 1), ((True,), 1), ((2,), 0), ((2,), 1.5),
+    (4, 1), (None, 1), ("12", 1),  # a string would read as its characters, sides (1, 2)
 ])
 def test_bad_spec_rejected(sides, dilation):
     with pytest.raises(InvalidArgumentError):
@@ -167,6 +168,13 @@ def test_normalize_blocks_rejects_lengths_below_one_or_fractional(lengths, match
     # [10, -2] sums to m = 8, but would normalize all 8 entries as one block
     patches = PatchFeatureSet(vectors=np.arange(1.0, 9.0).reshape(1, 8))
     with pytest.raises(InvalidArgumentError, match=match):
+        normalize_blocks(patches, lengths)
+
+
+@pytest.mark.parametrize("lengths", [4, None, "8"])
+def test_normalize_blocks_rejects_lengths_that_are_not_a_sequence(lengths):
+    patches = PatchFeatureSet(vectors=np.arange(1.0, 9.0).reshape(1, 8))
+    with pytest.raises(InvalidArgumentError, match="sequence of block lengths"):
         normalize_blocks(patches, lengths)
 
 

@@ -201,6 +201,14 @@ def test_hypervectors_beyond_float32_range_rejected(tmp_path):
     write_hypervectors(np.array([[1.0, -3.4e38]]), path)
 
 
+@pytest.mark.parametrize("hvs", ["ab", [[1.0], [1.0, 2.0]], {"a": 1}])
+def test_ragged_or_non_numeric_hypervectors_rejected(tmp_path, hvs):
+    path = tmp_path / "hv.vsaf"
+    with pytest.raises(InvalidArgumentError, match="equal-length"):
+        write_hypervectors(hvs, path)
+    assert not path.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_feature_map_set_beyond_float32_range_rejected():
     with pytest.raises(VsafError, match="layer 'a' has entries beyond the float32 limit of 3.40282e"):
