@@ -95,7 +95,7 @@ def as_hypervectors(v) -> np.ndarray:
 
 
 def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill a C-contiguous float64 array with independent, equally likely +-1 entries; returns it.
+    """Fill a C-contiguous float32 or float64 array with independent, equally likely +-1 entries; returns it.
 
     ``out`` is read as ``(rows, dim)`` (a 1-D array is one row). Row r takes
     the next ``ceil(dim / 32)`` words of one
@@ -105,7 +105,8 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     never used (up to 31 a row). So filling a matrix equals one
     ``sample_hypervector`` per row, and the generator ends where one
     ``integers(0, 2**32, size=rows * ceil(dim / 32), dtype=np.uint32)`` draw
-    would leave it, for any bit generator. Rows are drawn in blocks of about
+    would leave it, for any bit generator. The dtype changes neither the
+    entries nor the generator's state. Rows are drawn in blocks of about
     ``_BLOCK_ENTRIES`` entries, which keeps the temporaries small.
     """
     rows = out.reshape(-1, out.shape[-1])

@@ -111,8 +111,9 @@ def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.nd
     unit = np.zeros((padded, p.m))
     np.divide(features, norms[:, np.newaxis], out=unit[:count])
     out = np.empty((padded, -(-p.n // _PANEL_ROWS) * _PANEL_ROWS))
-    for col, panel in zip(range(0, out.shape[1], _PANEL_ROWS), p.panels() if count else ()):
-        np.matmul(unit, panel.T, out=out[:, col : col + _PANEL_ROWS])
+    panels = p.panels()
+    for col in range(0, out.shape[1] if count else 0, _PANEL_ROWS):
+        np.matmul(unit, next(panels).T, out=out[:, col : col + _PANEL_ROWS])  # one panel alive at a time
     out = np.ascontiguousarray(out[:count, : p.n])  # a copy only when n is not a multiple of _PANEL_ROWS
     out *= 1.0 / np.sqrt(p.m)
     np.clip(out, -1.0, 1.0, out=out)  # unit rows of S / sqrt(m) times unit features; clamp round-off

@@ -7,9 +7,9 @@ matrix-vector product for one query), then a stable sort of each query's n
 similarities, so retrieval is deterministic and ties go to the earlier
 entry. A stack streams the stored rows once rather than once per query.
 When rows and queries are integer-valued and every dot product is below
-2^53, as in the flip bench's ``ground_truth`` and ``random`` trials, each
-query's similarities are bit for bit those of its own 1-D call; for other
-values only the rounding order of the dot products differs.
+2^53, as with bipolar rows and bundled queries, each query's similarities
+are bit for bit those of its own 1-D call; for other values only the
+rounding order of the dot products differs.
 
 Memory grows by doubling its row capacity; a memory built with
 ``from_matrix`` adopts the caller's matrix without copying it. Rows and

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,9 @@ from vsabench.bench import (
     scene_mapping,
     target_twin,
 )
-from vsabench.errors import InvalidArgumentError
-from vsabench.hv import bind, cosine_similarity, sample_hypervector
+from vsabench import bench
+from vsabench.errors import DegenerateInputError, InvalidArgumentError
+from vsabench.hv import bind, cosine_similarity, fill_bipolar, sample_hypervector
 
 DIM = 4096
 
@@ -305,9 +307,97 @@ class TestMatchesPerLabelLoop:
             want.append((mapping, reference_recovery(d, scene, mapping, 8, seed=3, mix=mix)))
         assert reports_to_csv("mapping_kind", got).encode() == reports_to_csv("mapping_kind", want).encode()
 
+    @pytest.mark.parametrize("dim", [4096, 4097])  # k^2 dim = 2^24, the float32 bound, and just past it
+    @pytest.mark.parametrize("mapping", ["ground_truth", "random"])
+    def test_equal_reports_at_the_float32_bound(self, mapping, dim):
+        d = small_domain(dim=dim, n_obj=64, n_attr=64)
+        scene = SceneSpec(pairs=tuple((f"obj{63 - i:02d}", f"src{i:02d}") for i in range(64)))
+        got = measure_recovery(d, scene, mapping=mapping, trials=2, seed=22)
+        assert got == reference_recovery(d, scene, mapping, trials=2, seed=22)
+
     def test_unknown_object_label_rejected(self):
         with pytest.raises(InvalidArgumentError):
             measure_recovery(small_domain(dim=64), SceneSpec(pairs=(("ghost", "src00"),)), trials=1)
+
+
+def symbol_dtypes(monkeypatch, domain, scene, mapping):
+    """The dtypes of the arrays measure_recovery fills with symbols."""
+    seen = set()
+
+    def spy(out, rng):
+        seen.add(out.dtype)
+        return fill_bipolar(out, rng)
+
+    monkeypatch.setattr(bench, "fill_bipolar", spy)
+    measure_recovery(domain, scene, mapping=mapping, trials=2, seed=1, mix=0.5)
+    return seen
+
+
+class TestFloat32Symbols:
+    """Symbols are float32 exactly while every scan value is an integer of at most 2^24."""
+
+    K64 = SceneSpec(pairs=tuple((f"obj{i:02d}", f"src{i:02d}") for i in range(64)))
+
+    @pytest.mark.parametrize("mapping", ["ground_truth", "random"])
+    def test_float32_up_to_the_bound(self, monkeypatch, mapping):
+        domain = small_domain(dim=4096, n_obj=64, n_attr=64)  # 64^2 * 4096 == 2^24
+        assert symbol_dtypes(monkeypatch, domain, self.K64, mapping) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("mapping", ["ground_truth", "random"])
+    def test_float64_past_the_bound(self, monkeypatch, mapping):
+        domain = small_domain(dim=4097, n_obj=64, n_attr=64)
+        assert symbol_dtypes(monkeypatch, domain, self.K64, mapping) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("dim,k", [(8, 1), (64, 2), (4096, 64)])
+    def test_mixed_is_float64(self, monkeypatch, dim, k):
+        domain = small_domain(dim=dim, n_obj=64, n_attr=64)
+        scene = SceneSpec(pairs=self.K64.pairs[:k])
+        assert symbol_dtypes(monkeypatch, domain, scene, "mixed") == {np.dtype(np.float64)}
+
+
+class TestChunks:
+    @pytest.mark.parametrize("chunk_bytes", [1, 25_000, 1 << 40])
+    @pytest.mark.parametrize("mapping,mix", TestMatchesPerLabelLoop.CASES)
+    def test_report_independent_of_chunk_size(self, monkeypatch, mapping, mix, chunk_bytes):
+        # at dim 129 with 23 or 24 symbol rows, 25,000 bytes hold 2 float32 trials
+        # or 1 float64 trial, so 7 trials end in a partial chunk
+        d = small_domain(dim=129, n_obj=13, n_attr=5)
+        scene = SceneSpec(pairs=(("obj00", "src00"), ("obj05", "src01"), ("obj12", "src04")))
+        want = measure_recovery(d, scene, mapping, trials=7, seed=4, mix=mix)
+        monkeypatch.setattr(bench, "_CHUNK_BYTES", chunk_bytes)
+        assert measure_recovery(d, scene, mapping, trials=7, seed=4, mix=mix) == want
+
+
+def zero_norm_trials(domain, scene, trials, seed):
+    """Trials whose translated scene or target twin is zero, from per-label draws."""
+    zero = []
+    for t in range(trials):
+        symbols = per_label_symbols(domain, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, t))))
+        v_src = encode_scene(symbols, scene)
+        v_tgt = encode_scene(symbols, target_twin(domain, scene))
+        if not np.any(bind(v_src, scene_mapping(domain, symbols, scene))) or not np.any(v_tgt):
+            zero.append(t)
+    return zero
+
+
+class TestZeroNormScene:
+    # at dim 1 and k = 4 the translated scene or the target twin is often 0; at
+    # seed 0 trial 1 has only a zero twin, and trials 4 to 8 a zero translation
+    DOMAIN = small_domain(dim=1)
+    SCENE = SceneSpec(pairs=tuple((f"obj{i:02d}", f"src{i:02d}") for i in range(4)))
+
+    def test_error_names_every_zero_trial_of_the_chunk(self):
+        zero = zero_norm_trials(self.DOMAIN, self.SCENE, trials=10, seed=0)
+        assert len(zero) > 1 and zero[0] > 0
+        message = f"zero-norm translated or target scene in trials {zero}"
+        with pytest.raises(DegenerateInputError, match=re.escape(message)):
+            measure_recovery(self.DOMAIN, self.SCENE, trials=10, seed=0)
+
+    def test_error_names_the_trial_not_its_chunk_row(self, monkeypatch):
+        monkeypatch.setattr(bench, "_CHUNK_BYTES", 1)
+        first = zero_norm_trials(self.DOMAIN, self.SCENE, trials=10, seed=0)[0]
+        with pytest.raises(DegenerateInputError, match=re.escape(f"trials [{first}]")):
+            measure_recovery(self.DOMAIN, self.SCENE, trials=10, seed=0)
 
 
 class TestSweep:

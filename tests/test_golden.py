@@ -30,6 +30,9 @@ SWEEPS = {
     "lambda_proxy": (0.0, 0.3, 1.0),
 }
 
+# flip-capacity scale: 1,024 objects scanned by k = 16 queries a trial at dim 4096
+CAPACITY_DIGEST = "26d8402bf0dc08498bddb7585578810e5cdcef39437cc42e9fccb957dced03fa"
+
 PIPELINE_DIGESTS = {
     "src_none": "42ef6889d5dc4fba3b0f4ed63ae52c4c0c88e18c5308acc01a2bae6eb27ef721",
     "tgt_none": "7f2d48f276ed1e40bf8f7e9a87b5335734bcb2eb9928b8c48605db447d6f38a1",
@@ -50,6 +53,12 @@ def test_sweep_csv_bytes(axis):
     base = BenchConfig(dim=96, k=2, object_vocab_size=8, attr_vocab_size=4, mix=0.5, trials=6, seed=5)
     text = reports_to_csv(axis, run_sweep(axis, SWEEPS[axis], base))
     assert _sha256(text.encode("utf-8")) == SWEEP_DIGESTS[axis]
+
+
+def test_capacity_sweep_csv_bytes():
+    base = BenchConfig(dim=4096, k=16, object_vocab_size=1024, attr_vocab_size=64, trials=4, seed=1)
+    text = reports_to_csv("k", run_sweep("k", (16,), base))
+    assert _sha256(text.encode("utf-8")) == CAPACITY_DIGEST
 
 
 def _pipeline_outputs(tmp_path, capsys) -> dict:

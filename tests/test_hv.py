@@ -248,6 +248,15 @@ class TestFillBipolar:
         np.testing.assert_array_equal(sample_hypervector(5, got), bipolar_from_words(word_draw(want, 1, 5), 5)[0])
         assert_same_state(got, want)
 
+    @pytest.mark.parametrize("shape", [(7,), (9, 33), (1152, 4096), (3, 2**17 + 1)])
+    def test_float32_fill_equals_float64_fill(self, shape):
+        wide, narrow = np.random.default_rng(8), np.random.default_rng(8)
+        want = fill_bipolar(np.empty(shape), wide)
+        got = fill_bipolar(np.empty(shape, dtype=np.float32), narrow)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        assert_same_state(wide, narrow)
+
     def test_balanced(self):
         """+1 and -1 are equally likely, overall and at each bit position of a word, within 6 sigma."""
         out = fill_bipolar(np.empty((256, 4096)), np.random.default_rng(17))

@@ -311,8 +311,8 @@ class TestStreaming:
     @pytest.mark.parametrize("n", [8192, 8191])
     def test_peak_memory_is_one_panel(self, n):
         # the full n x 4096 float64 matrix would be 256 MB, and one 256-row panel
-        # is 8.4 MB; the next panel is drawn while the last is still held, so
-        # the bound is three panels, at n = 8191 too, whose last panel is full height
+        # is 8.4 MB; each panel is dropped before the next is drawn, so the bound
+        # is one and a half panels, at n = 8191 too, whose last panel is full height
         p = new_projector(m=4096, n=n, seed=3)
         fs = np.random.default_rng(4).standard_normal((8, 4096))
         tracemalloc.start()
@@ -321,4 +321,4 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * _PANEL_ROWS * 4096 * 8
+        assert peak < 3 * _PANEL_ROWS * 4096 * 8 // 2
