@@ -6,11 +6,6 @@ attribute pairs should recover the target-domain scene up to superposition
 noise (mean recovery cosine 1/sqrt(k) for k bundled pairs); a random mapping
 should leave object cleanup at chance. Sweeps over dimension, pair count,
 mapping kind, and a mixing fraction reproduce those trends as CSV reports.
-
-``measure_recovery`` runs its trials as array operations, about 1 MiB of
-symbols at a time. It holds them in float32 while every value of the scan is
-an integer of at most 2^24, which float32 holds exactly, and it scans the
-object rows itself rather than through ``ItemMemory``.
 """
 
 from __future__ import annotations
@@ -21,15 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float, as_int, as_tuple, bind, bundle, check_seed, cosine_similarity, fill_bipolar, row_dots
+from .hv import (
+    as_float, as_int, as_tuple, bind, bundle, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
+)
 from .mapping import build_ground_truth_mapping
+from .memory import ItemMemory
 
 MAPPING_KINDS = ("ground_truth", "random", "mixed")
 SWEEP_AXES = ("dim", "k", "mapping_kind", "lambda_proxy")
 
 CSV_HEADER = "axis,value,dim,k,mapping,trials,recovery_cosine,cleanup_accuracy,flip_rate,seed"
-
-_CHUNK_BYTES = 1 << 20  # symbol bytes per chunk of measure_recovery trials; a chunk holds at least one trial
 
 
 @dataclass(frozen=True)
@@ -182,9 +178,8 @@ def materialize(domain: DomainSpec, rng: np.random.Generator) -> DomainSymbols:
     The vectors are row views of one symbol matrix, filled as ``measure_recovery``
     fills a trial's symbols.
     """
-    n_obj, n_attr = len(domain.object_vocab), len(domain.src_attr_vocab)
-    symbols = fill_bipolar(np.empty((n_obj + 2 * n_attr, domain.dim)), rng)
-    objects, src, tgt = np.split(symbols, [n_obj, n_obj + n_attr])
+    symbols, (objects, src, tgt) = _symbol_matrix(domain)
+    fill_bipolar(symbols, rng)
     return DomainSymbols(
         objects=dict(zip(domain.object_vocab, objects)),
         src_attrs=dict(zip(domain.src_attr_vocab, src)),
@@ -226,6 +221,14 @@ def scene_mapping(domain: DomainSpec, symbols: DomainSymbols, scene: SceneSpec) 
     )
 
 
+def _symbol_matrix(domain: DomainSpec, dtype=np.float64) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Uninitialized rows for every symbol, and views of its object,
+    source-attribute and target-attribute rows, each in vocabulary order."""
+    n_obj, n_attr = len(domain.object_vocab), len(domain.src_attr_vocab)
+    symbols = np.empty((n_obj + 2 * n_attr, domain.dim), dtype)
+    return symbols, np.split(symbols, [n_obj, n_obj + n_attr])
+
+
 def _scene_rows(domain: DomainSpec, scene: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     """Object and attribute vocabulary indices of a source scene's pairs.
 
@@ -256,24 +259,21 @@ def measure_recovery(
 ) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
-    Trial t draws from ``SeedSequence(seed, spawn_key=(0, t))``: its object,
-    source-attribute and target-attribute rows in vocabulary order, then, for a
-    ``random`` or ``mixed`` mapping, one random mapping row. Trials run in
-    chunks of about ``_CHUNK_BYTES`` of symbols (at least one trial), each trial
-    filling its own rows of one ``(T, rows, dim)`` buffer, so a report does not
-    depend on the chunking. A chunk encodes its source scenes and target twins
-    by summing bound rows over the scene's pairs, builds the requested mapping
-    kind ('mixed' weights the ground-truth and a random mapping by ``mix``,
-    which is not an energy fraction; see ``BenchConfig``), translates the
-    source scenes, and recovers every object in one batched product of each
-    trial's object rows with its queries, the translated scene unbound by each
-    pair's target attribute. A query's top-1 is its first most similar object.
+    Trial t draws from ``SeedSequence(seed, spawn_key=(0, t))``. Each trial
+    fills one symbol matrix (object, source-attribute and target-attribute rows
+    in vocabulary order) from the trial's generator, reusing one buffer across
+    trials. The scene's pairs are resolved once to row indices. A trial encodes
+    the source scene and its target twin as bundles of bound rows, builds the
+    requested mapping kind ('mixed' weights the ground-truth and a random
+    mapping by ``mix``, which is not an energy fraction; see ``BenchConfig``),
+    translates the source scene, and then recovers every object at once: it
+    unbinds each pair's target attribute and cleans the stack of queries up in
+    one scan of an item memory over the object rows, built once per call.
 
     Symbols are float32 when the mapping is not ``mixed`` and k^2 dim <= 2^24:
-    then every symbol, scene, mapping, query and partial sum of the scan is an
-    integer of magnitude at most 2^24, which float32 holds exactly, and the
-    report is bit for bit the float64 one. The recovery cosine and the
-    similarities are computed in float64.
+    then every symbol, scene, mapping, query and partial sum of the memory's
+    float32 scan is an integer of magnitude at most 2^24, which float32 holds
+    exactly, so the report is bit for bit the float64 one.
     """
     if mapping not in MAPPING_KINDS:
         raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {mapping!r}")
@@ -283,35 +283,37 @@ def measure_recovery(
     check_seed(seed)
     mix = _mix(mix)
     obj, attr = _scene_rows(domain, scene)
-    n_obj, n_attr, dim = len(domain.object_vocab), len(domain.src_attr_vocab), domain.dim
-    dtype = np.float32 if mapping != "mixed" and scene.k**2 * dim <= 2**24 else np.float64
-    rows = n_obj + 2 * n_attr + (mapping != "ground_truth")  # the random mapping row comes last
-    chunk = max(1, _CHUNK_BYTES // (rows * dim * np.dtype(dtype).itemsize))
-    buffer = np.empty((min(chunk, trials), rows, dim), dtype)
+    dtype = np.float32 if mapping != "mixed" and scene.k**2 * domain.dim <= 2**24 else np.float64
+    symbols, (objects, src_attrs, tgt_attrs) = _symbol_matrix(domain, dtype)
+    objects.fill(1.0)
+    # The memory adopts the object rows without a copy and caches their squared
+    # norms once. Every trial refills those rows in place with +-1 entries, so
+    # each cached norm stays exactly dim and the memory stays valid.
+    memory = ItemMemory.from_matrix(range(len(objects)), objects)
 
     cosines = np.empty(trials)
     correct = 0
-    for start in range(0, trials, chunk):
-        symbols = buffer[: min(chunk, trials - start)]
-        for t, trial_symbols in enumerate(symbols, start):
-            fill_bipolar(trial_symbols, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, t))))
-        objects, src, tgt = symbols[:, :n_obj], symbols[:, n_obj + attr], symbols[:, n_obj + n_attr + attr]
-        scene_objects = objects[:, obj]
-        v_src, v_tgt = np.sum(scene_objects * src, axis=1), np.sum(scene_objects * tgt, axis=1)
-        u = symbols[:, -1] if mapping == "random" else np.sum(src * tgt, axis=1)
-        if mapping == "mixed":
-            u = mix * u + (1.0 - mix) * symbols[:, -1]
-        translated = v_src * u
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, t)))
+        fill_bipolar(symbols, rng)
+        scene_objects = objects[obj]
+        v_src = np.sum(scene_objects * src_attrs[attr], axis=0)
+        v_tgt = np.sum(scene_objects * tgt_attrs[attr], axis=0)
 
-        zero = np.flatnonzero(~translated.any(axis=1) | ~v_tgt.any(axis=1))
-        if zero.size:
-            raise DegenerateInputError(f"zero-norm translated or target scene in trials {(start + zero).tolist()}")
-        wide = translated.astype(np.float64, copy=False)  # norms reach k^4 dim, past float32's exact range
-        cosines[start : start + len(symbols)] = cosine_similarity(wide, v_tgt.astype(np.float64, copy=False))
-        # every query is +-translated entrywise, so its squared norm is the translated scene's
-        dots = np.matmul(objects, (translated[:, np.newaxis, :] * tgt).transpose(0, 2, 1))
-        sims = dots / np.sqrt(dim * row_dots(wide, wide))[:, np.newaxis, np.newaxis]
-        correct += int(np.count_nonzero(np.argmax(sims, axis=1) == obj))
+        if mapping == "random":
+            u = sample_hypervector(domain.dim, rng)
+        else:
+            u = build_ground_truth_mapping(src_attrs[attr], tgt_attrs[attr])
+            if mapping == "mixed":
+                u = mix * u + (1.0 - mix) * sample_hypervector(domain.dim, rng)
+
+        translated = bind(v_src, u)
+        if not translated.any() or not v_tgt.any():
+            raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
+        cosines[t] = cosine_similarity(translated, v_tgt)
+
+        tops = memory.cleanup(translated * tgt_attrs[attr])
+        correct += sum(int(top[0][0] == i) for top, i in zip(tops, obj))
 
     sem = float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return BenchReport(

@@ -4,17 +4,23 @@ Entries live as rows of one float64 matrix, with their squared norms cached
 when they are stored. A query, or a ``(count, dim)`` stack of them, is an
 exact scan: one product of the stored rows with the transposed stack (a
 matrix-vector product for one query), then a stable sort of each query's n
-similarities, so retrieval is deterministic and ties go to the earlier
-entry. A stack streams the stored rows once rather than once per query.
-When rows and queries are integer-valued and every dot product is below
-2^53, as with bipolar rows and bundled queries, each query's similarities
-are bit for bit those of its own 1-D call; for other values only the
-rounding order of the dot products differs.
+similarities (for the top 1, its first maximum), so retrieval is
+deterministic and ties go to the earlier entry. A stack streams the stored
+rows once rather than once per query. When rows and queries are
+integer-valued and every dot product is below 2^53, as with bipolar rows and
+bundled queries, each query's similarities are bit for bit those of its own
+1-D call; for other values only the rounding order of the dot products
+differs.
 
 Memory grows by doubling its row capacity; a memory built with
 ``from_matrix`` adopts the caller's matrix without copying it. Rows and
 queries take their squared norms from ``hv.safe_norms2``, so similarities
 agree with ``hv.cosine_similarity`` at any magnitude.
+
+A float32 matrix stays float32 (until the first ``add`` widens it), halving
+the bytes a scan reads; queries are then rounded to float32 and dot products
+summed in float32, which is exact for integers whose partial sums stay within
+2^24, as in the flip bench, and float32-accurate otherwise.
 """
 
 from __future__ import annotations
@@ -40,12 +46,13 @@ class ItemMemory:
     def from_matrix(cls, labels: Iterable[Hashable], matrix) -> "ItemMemory":
         """A memory holding row i of an ``(n, dim)`` matrix under ``labels[i]``.
 
-        A C-contiguous float64 matrix is adopted without a copy (unless a row
-        needs scaling), so the caller must not change it while the memory is in
-        use. Rows are validated as ``add`` validates one vector.
+        A C-contiguous float64 or float32 matrix is adopted without a copy
+        (unless a row needs scaling), so the caller must not change it while the
+        memory is in use. Rows are validated as ``add`` validates one vector.
         """
         labels = list(labels)
-        rows = np.ascontiguousarray(as_float64(matrix))
+        float32 = isinstance(matrix, np.ndarray) and matrix.dtype == np.float32
+        rows = np.ascontiguousarray(matrix if float32 else as_float64(matrix))
         if rows.ndim != 2 or rows.shape[1] < 1:
             raise InvalidArgumentError(f"matrix must be (n, dim) with dim >= 1, got shape {rows.shape}")
         if len(labels) != rows.shape[0]:
@@ -113,8 +120,16 @@ class ItemMemory:
         zero = np.flatnonzero(qn2 == 0.0)
         if zero.size:
             raise DegenerateInputError(f"cleanup query has zero norm (rows {zero.tolist()})")
-        sims = ((self._rows[:n] @ queries.T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        rows = self._rows[:n]
+        with np.errstate(over="ignore"):
+            scanned = queries.astype(rows.dtype, copy=False)
+        if not np.isfinite(scanned).all():
+            raise InvalidArgumentError("cleanup query entries overflow this float32 memory")
+        sims = ((rows @ scanned.T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
+        if k == 1:  # the first maximum, which the stable sort would put first
+            order = np.argmax(sims, axis=1)[:, np.newaxis]
+        else:
+            order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
         tops = [[(self._labels[i], float(s)) for i, s in zip(row, sim[row])] for row, sim in zip(order, sims)]
         return tops[0] if q.ndim == 1 else tops
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -355,49 +356,30 @@ class TestFloat32Symbols:
         assert symbol_dtypes(monkeypatch, domain, scene, "mixed") == {np.dtype(np.float64)}
 
 
-class TestChunks:
-    @pytest.mark.parametrize("chunk_bytes", [1, 25_000, 1 << 40])
-    @pytest.mark.parametrize("mapping,mix", TestMatchesPerLabelLoop.CASES)
-    def test_report_independent_of_chunk_size(self, monkeypatch, mapping, mix, chunk_bytes):
-        # at dim 129 with 23 or 24 symbol rows, 25,000 bytes hold 2 float32 trials
-        # or 1 float64 trial, so 7 trials end in a partial chunk
-        d = small_domain(dim=129, n_obj=13, n_attr=5)
-        scene = SceneSpec(pairs=(("obj00", "src00"), ("obj05", "src01"), ("obj12", "src04")))
-        want = measure_recovery(d, scene, mapping, trials=7, seed=4, mix=mix)
-        monkeypatch.setattr(bench, "_CHUNK_BYTES", chunk_bytes)
-        assert measure_recovery(d, scene, mapping, trials=7, seed=4, mix=mix) == want
-
-
-def zero_norm_trials(domain, scene, trials, seed):
-    """Trials whose translated scene or target twin is zero, from per-label draws."""
-    zero = []
-    for t in range(trials):
+def first_zero_norm_trial(domain, scene, seed):
+    """The first trial whose translated scene or target twin is zero, from per-label draws,
+    and which of the two is zero."""
+    for t in itertools.count():
         symbols = per_label_symbols(domain, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, t))))
         v_src = encode_scene(symbols, scene)
         v_tgt = encode_scene(symbols, target_twin(domain, scene))
-        if not np.any(bind(v_src, scene_mapping(domain, symbols, scene))) or not np.any(v_tgt):
-            zero.append(t)
-    return zero
+        translated = bind(v_src, scene_mapping(domain, symbols, scene))
+        if not np.any(translated) or not np.any(v_tgt):
+            return t, "translated" if np.any(v_tgt) else "twin"
 
 
 class TestZeroNormScene:
-    # at dim 1 and k = 4 the translated scene or the target twin is often 0; at
-    # seed 0 trial 1 has only a zero twin, and trials 4 to 8 a zero translation
+    # at dim 1 and k = 4 the translated scene or the target twin is often 0
     DOMAIN = small_domain(dim=1)
     SCENE = SceneSpec(pairs=tuple((f"obj{i:02d}", f"src{i:02d}") for i in range(4)))
 
-    def test_error_names_every_zero_trial_of_the_chunk(self):
-        zero = zero_norm_trials(self.DOMAIN, self.SCENE, trials=10, seed=0)
-        assert len(zero) > 1 and zero[0] > 0
-        message = f"zero-norm translated or target scene in trials {zero}"
-        with pytest.raises(DegenerateInputError, match=re.escape(message)):
-            measure_recovery(self.DOMAIN, self.SCENE, trials=10, seed=0)
-
-    def test_error_names_the_trial_not_its_chunk_row(self, monkeypatch):
-        monkeypatch.setattr(bench, "_CHUNK_BYTES", 1)
-        first = zero_norm_trials(self.DOMAIN, self.SCENE, trials=10, seed=0)[0]
-        with pytest.raises(DegenerateInputError, match=re.escape(f"trials [{first}]")):
-            measure_recovery(self.DOMAIN, self.SCENE, trials=10, seed=0)
+    @pytest.mark.parametrize("seed,zero", [(0, "twin"), (15, "translated")])
+    def test_error_names_the_trial(self, seed, zero):
+        t, kind = first_zero_norm_trial(self.DOMAIN, self.SCENE, seed)
+        assert t > 0 and kind == zero
+        message = f"zero-norm translated or target scene in trial {t}"
+        with pytest.raises(DegenerateInputError, match=re.escape(message) + "$"):
+            measure_recovery(self.DOMAIN, self.SCENE, trials=t + 5, seed=seed)
 
 
 class TestSweep:

@@ -294,6 +294,66 @@ class TestFromMatrix:
             mem.cleanup(np.ones(9))
 
 
+
+class TestTopOne:
+    def test_ties_go_to_the_earlier_entry(self):
+        v = random_hypervector(64, seed=5)
+        mem = ItemMemory.from_matrix(["x", "first", "second"], np.stack([-v, v, v]))
+        assert mem.cleanup(v) == [("first", 1.0)]
+        assert mem.cleanup(np.stack([v, -v])) == [[("first", 1.0)], [("x", 1.0)]]
+
+    def test_equals_the_head_of_the_full_ranking(self):
+        # integer rows and queries with many tied similarities
+        rng = np.random.default_rng(12)
+        mem = ItemMemory.from_matrix(range(40), rng.integers(-1, 2, size=(40, 9)).astype(np.float64))
+        queries = rng.integers(-2, 3, size=(200, 9)).astype(np.float64)
+        queries[:, 0] = 3.0  # no zero query
+        assert mem.cleanup(queries) == [ranking[:1] for ranking in mem.cleanup(queries, k=40)]
+
+
+class TestFloat32Rows:
+    def bipolar(self, shape, seed):
+        return np.random.default_rng(seed).integers(0, 2, size=shape).astype(np.float32) * 2 - 1
+
+    def test_adopted_without_a_copy(self):
+        matrix = self.bipolar((5, 64), 1)
+        mem = ItemMemory.from_matrix(range(5), matrix)
+        matrix[3] = matrix[0]  # the memory scans the caller's rows
+        assert mem.cleanup(matrix[0], k=2) == [(0, 1.0), (3, 1.0)]
+
+    def test_integer_scan_equals_the_float64_memory(self):
+        # bundles of 16 bipolar rows at dim 4096: every partial dot sum is at most 2^16
+        rows = self.bipolar((300, 4096), 2)
+        queries = np.stack([rows[i : i + 16].sum(axis=0) for i in range(0, 160, 10)]).astype(np.float64)
+        narrow, wide = ItemMemory.from_matrix(range(300), rows), ItemMemory.from_matrix(range(300), rows.astype(np.float64))
+        for k in (1, 5):
+            assert narrow.cleanup(queries, k=k) == wide.cleanup(queries, k=k)
+
+    def test_float_scan_carries_float32_rounding(self):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((50, 257)).astype(np.float32)
+        narrow, wide = ItemMemory.from_matrix(range(50), rows), ItemMemory.from_matrix(range(50), rows.astype(np.float64))
+        q = rng.standard_normal(257)
+        want = dict(wide.cleanup(q, k=50))
+        errors = [abs(sim - want[label]) for label, sim in narrow.cleanup(q, k=50)]
+        assert 0.0 < max(errors) < 1e-6
+        assert narrow.cleanup(q)[0][0] == wide.cleanup(q)[0][0]
+
+    def test_add_widens_to_float64(self):
+        rows = self.bipolar((3, 32), 4)
+        mem = ItemMemory.from_matrix(["a", "b", "c"], rows)
+        extra = np.full(32, 1.0 + 2.0**-40)  # float32 would round this to all ones
+        mem.add("d", extra)
+        wide = ItemMemory.from_matrix(["a", "b", "c", "d"], np.vstack([rows, extra[np.newaxis]]))
+        q = np.linspace(-1.0, 1.0, 32) + 2.0**-40
+        assert mem.cleanup(q, k=4) == wide.cleanup(q, k=4)
+        np.testing.assert_array_equal(rows, self.bipolar((3, 32), 4))
+
+    def test_query_past_float32_range_rejected(self):
+        mem = ItemMemory.from_matrix(range(3), self.bipolar((3, 8), 5))
+        with pytest.raises(InvalidArgumentError, match="float32"):
+            mem.cleanup(np.full(8, 1e39))
+
 def test_noise_bundled_recovery_rate():
     # seeded Monte-Carlo: symbol + equal-norm bundled noise recovered >= 99%
     # from a 100-symbol memory at dim 4096
