@@ -55,10 +55,18 @@ def _path(value) -> str:
     return value
 
 
+def _tokens(text: str) -> list[str]:
+    """Comma-separated tokens, stripped; an empty one is rejected, not dropped."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise ConfigError(f"must be comma-separated values with none empty, got {text!r}")
+    return tokens
+
+
 def _int_list(value) -> list[int]:
     """Comma-separated text or a list, each entry an integer."""
     if isinstance(value, str):
-        value = [tok for tok in value.split(",") if tok != ""]
+        value = _tokens(value)
     if not isinstance(value, list):
         raise ConfigError(f"must be a list of integers, got {value!r}")
     return [as_int(v, "integers") for v in value]
@@ -76,7 +84,7 @@ def _grid_token(tok: str):
 def _grid(value) -> list:
     """Comma-separated text, each token read as an int, else a float, else a string; or a list."""
     if isinstance(value, str):
-        return [_grid_token(tok.strip()) for tok in value.split(",") if tok.strip()]
+        return [_grid_token(tok) for tok in _tokens(value)]
     if not isinstance(value, list):
         raise ConfigError(f"must be a list or comma-separated values, got {value!r}")
     return value

@@ -1,7 +1,10 @@
 """Dense hypervectors, the MAP operators, the bipolar sampler and the sign quantizer.
 
-A hypervector is a float64 array of shape ``(dim,)``, and a stack of them
-(one per patch, say) has shape ``(count, dim)``. ``bind`` and
+A hypervector is a float64 or float32 array of shape ``(dim,)``, and a stack
+of them (one per patch, say) has shape ``(count, dim)``. A float32 array is
+checked as it is and widened only inside the arithmetic, which gives the bits
+of widening it first: a float32 value widens exactly, and the product of two
+is exact in float64. Other input becomes float64, and every result is float64. ``bind`` and
 ``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
 a stack. Sampled vectors are bipolar ({-1, +1}); a bundle is their raw sum
 and may leave [-1, 1], which is fine for every cosine-based consumer downstream.
@@ -81,11 +84,18 @@ def as_float64(v, error: str = "hypervectors must be equal-length numeric vector
         raise InvalidArgumentError(f"{error}: {exc}") from exc
 
 
+def as_float_array(v, error: str = "hypervectors must be equal-length numeric vectors") -> np.ndarray:
+    """``v`` itself if it is a native float32 array, else ``as_float64(v, error)``."""
+    if isinstance(v, np.ndarray) and v.dtype == np.float32:
+        return np.asarray(v)
+    return as_float64(v, error)
+
+
 def as_hypervectors(v) -> np.ndarray:
-    """Coerce a hypervector or a stack of equal-length ones to float64 (no copy if it
-    already is), rejecting empty, ragged or non-finite input; a stack's
-    non-finite rows are named."""
-    arr = as_float64(v)
+    """Coerce a hypervector or a stack of equal-length ones with ``as_float_array``
+    (no copy of a float32 or float64 array), rejecting empty, ragged or
+    non-finite input; a stack's non-finite rows are named."""
+    arr = as_float_array(v)
     if arr.ndim < 1 or arr.size < 1:
         raise InvalidArgumentError(f"hypervectors must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -157,7 +167,7 @@ def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
 def bind(a, b) -> np.ndarray:
     """Elementwise product of two vectors or equal-shape stacks; commutative, self-inverse on bipolar vectors."""
     av, bv = _same_shape(a, b)
-    return av * bv
+    return np.multiply(av, bv, dtype=np.float64)
 
 
 def bundle(vs) -> np.ndarray:
@@ -166,7 +176,9 @@ def bundle(vs) -> np.ndarray:
     stack = as_hypervectors(vs)
     if stack.ndim != 2:
         raise InvalidArgumentError(f"bundle requires a nonempty list of hypervectors, got shape {stack.shape}")
-    return np.sum(stack, axis=0)
+    # widened first: np.sum(..., dtype=np.float64) casts in buffer-sized chunks, which
+    # splits a long sum along the inner loop (a transposed stack) and moves its bits
+    return np.sum(stack.astype(np.float64, copy=False), axis=0)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,7 +222,7 @@ def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.nd
 def cosine_similarity(a, b):
     """dot(a, b) / (|a| |b|) of two vectors (a float) or of two stacks, row by row;
     raises naming the zero-norm rows rather than returning 0."""
-    av, bv = _same_shape(a, b)
+    av, bv = (x.astype(np.float64, copy=False) for x in _same_shape(a, b))
     (a2, na2), (b2, nb2) = safe_norms2(np.atleast_2d(av), row_dots), safe_norms2(np.atleast_2d(bv), row_dots)
     zero = np.flatnonzero((na2 == 0.0) | (nb2 == 0.0))
     if zero.size:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float, as_float64, cosine_similarity
+from .hv import as_float, as_float64, as_float_array, cosine_similarity
 
 VARIANTS = ("nll", "hinge")
 
@@ -118,6 +118,6 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
 
 def check_no_zero_vectors(vs, name: str) -> None:
     """Raise naming every all-zero row of a (count, dim) batch."""
-    idx = np.flatnonzero(~np.any(as_float64(vs, f"{name} must be equal-length numeric vectors"), axis=1))
+    idx = np.flatnonzero(~np.any(as_float_array(vs, f"{name} must be equal-length numeric vectors"), axis=1))
     if idx.size:
         raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")

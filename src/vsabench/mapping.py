@@ -13,17 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_float64, as_hypervectors, as_int, bind, bundle, check_seed, fill_bipolar, quantized
+from .hv import as_float_array, as_hypervectors, as_int, bind, bundle, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
 class HypervectorMapping:
-    """Per-patch mapping vectors stacked as a (patch_count, dim) array."""
+    """Per-patch mapping vectors stacked as a (patch_count, dim) float32 or float64 array."""
 
     per_patch: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = as_float64(self.per_patch, "mapping vectors must be equal-length numeric vectors")
+        arr = as_float_array(self.per_patch, "mapping vectors must be equal-length numeric vectors")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidArgumentError(
                 f"mapping must be a nonempty (patch_count, dim) array, got shape {arr.shape}"
@@ -72,7 +72,7 @@ def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapp
     s, t = _as_stack(src), _as_stack(tgt)
     if s.shape != t.shape:
         raise InvalidArgumentError(f"shape mismatch: src {s.shape} vs tgt {t.shape}")
-    return HypervectorMapping(per_patch=quantized(s * t, quantize))
+    return HypervectorMapping(per_patch=quantized(np.multiply(s, t, dtype=np.float64), quantize))
 
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:

@@ -18,9 +18,10 @@ queries take their squared norms from ``hv.safe_norms2``, so similarities
 agree with ``hv.cosine_similarity`` at any magnitude.
 
 A float32 matrix stays float32 (until the first ``add`` widens it), halving
-the bytes a scan reads; queries are then rounded to float32 and dot products
-summed in float32, which is exact for integers whose partial sums stay within
-2^24, as in the flip bench, and float32-accurate otherwise.
+the bytes a scan reads. A float32 vector or query is checked in float32 and
+widened for its squared norm. Queries to a float32 memory are then rounded to
+float32 and dot products summed in float32, which is exact for integers whose
+partial sums stay within 2^24, as in the flip bench, and float32-accurate otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from .hv import as_float64, as_hypervectors, as_int, row_dots, safe_norms2, sum_products
+from .hv import as_float_array, as_hypervectors, as_int, row_dots, safe_norms2, sum_products
 
 
 class ItemMemory:
@@ -51,8 +52,7 @@ class ItemMemory:
         memory is in use. Rows are validated as ``add`` validates one vector.
         """
         labels = list(labels)
-        float32 = isinstance(matrix, np.ndarray) and matrix.dtype == np.float32
-        rows = np.ascontiguousarray(matrix if float32 else as_float64(matrix))
+        rows = np.ascontiguousarray(as_float_array(matrix))
         if rows.ndim != 2 or rows.shape[1] < 1:
             raise InvalidArgumentError(f"matrix must be (n, dim) with dim >= 1, got shape {rows.shape}")
         if len(labels) != rows.shape[0]:
@@ -81,7 +81,7 @@ class ItemMemory:
         """Append an entry; labels are unique and insertion order is preserved."""
         if label in self._index:
             raise InvalidArgumentError(f"duplicate label {label!r}")
-        v = as_hypervectors(vector)
+        v = as_hypervectors(vector).astype(np.float64, copy=False)
         if v.ndim != 1:
             raise InvalidArgumentError(f"hypervector must be 1-D and nonempty, got shape {v.shape}")
         dim = self.dim
@@ -116,7 +116,7 @@ class ItemMemory:
         q = as_hypervectors(query)
         if q.ndim > 2 or q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
-        queries, qn2 = safe_norms2(np.atleast_2d(q), row_dots)
+        queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots)
         zero = np.flatnonzero(qn2 == 0.0)
         if zero.size:
             raise DegenerateInputError(f"cleanup query has zero norm (rows {zero.tolist()})")

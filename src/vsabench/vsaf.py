@@ -30,7 +30,7 @@ from .errors import (
     VersionError,
     VsafError,
 )
-from .hv import as_float64
+from .hv import as_float_array
 
 MAGIC = b"VSAF"
 VERSION = 1
@@ -185,18 +185,18 @@ HYPERVECTOR_LAYER = "hypervectors"
 def write_hypervectors(hvs, path, layer_name: str = HYPERVECTOR_LAYER) -> None:
     """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer,
     rounded to float32 as ``feature_map_set`` rounds."""
-    stack = np.atleast_2d(as_float64(hvs))
+    stack = np.atleast_2d(as_float_array(hvs))
     if stack.ndim != 2 or stack.size == 0:
         raise InvalidArgumentError(f"expected a nonempty (count, dim) stack, got shape {stack.shape}")
     write_feature_file(feature_map_set([(layer_name, stack[np.newaxis, :, :])]), path)
 
 
 def read_hypervectors(path) -> np.ndarray:
-    """Read a hypervector file back as a (count, dim) float64 array."""
+    """Read a hypervector file back as its (count, dim) float32 payload, checked finite."""
     fm = read_feature_file(path)
     if len(fm.layers) != 1 or fm.layers[0].data.shape[0] != 1:
         raise CorruptContentError(
             f"expected a single 1 x count x dim layer, got "
             f"{[(l.name, l.shape) for l in fm.layers]}"
         )
-    return fm.layers[0].data[0].astype(np.float64)
+    return fm.layers[0].data[0]

@@ -154,6 +154,20 @@ class TestEncode:
         assert repr(value.split(",")[-1]) in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["4,,2", "4,2,", ",4", ""])
+    def test_empty_patch_size_token_rejected(self, value, feature_file, tmp_path, capsys):
+        out = tmp_path / "hv.vsaf"
+        base = ["encode", "--features-in", str(feature_file), "--out", str(out)]
+        code, stdout, stderr = run_cli([*base, "--patch-sizes", value], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("usage error: argument --patch-sizes: ") and "none empty" in stderr
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"patch_sizes": value}))
+        code, stdout, stderr = run_cli([*base, "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: patch_sizes ") and "none empty" in stderr
+        assert not out.exists()
+
     def test_bad_magic_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vsaf"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -389,6 +403,17 @@ class TestBench:
         assert code == 3
         assert stdout == ""
         assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("grid", ["64,,128", "64,", " ,64", ""])
+    def test_empty_grid_token_rejected(self, grid, tmp_path, capsys):
+        code, stdout, err = run_cli(["bench", "--grid", grid, "--trials", "2", "--dim", "64"], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("usage error: argument --grid: ") and "none empty" in err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": grid, "trials": 2, "dim": 64}))
+        code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("config error: grid ") and "none empty" in err
 
     def test_non_numeric_lambda_proxy_grid_exit_3(self, capsys):
         code, stdout, err = run_cli([

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import (
     as_float64,
+    as_float_array,
     as_hypervectors,
     as_tuple,
     bind,
@@ -421,3 +422,82 @@ class TestSafeNorms2:
             np.testing.assert_array_equal(out[4], np.ldexp(rows[4], 994))
             assert 0.5 <= np.max(np.abs(out[4])) < 1.0
             assert norms2[4] == dots(out[4:], out[4:])[0]
+
+
+def float32_stack(shape, seed):
+    """float32 entries of magnitude 2^-80 to 2^60, with +0.0 and -0.0 scattered in
+    (flat index 5 mod 11 and 7 mod 13), so that a product of two can underflow
+    float32 and a sum of many rounds differently in float32 than in float64."""
+    rng = np.random.default_rng(seed)
+    v = (rng.standard_normal(shape) * np.exp2(rng.integers(-80, 61, shape))).astype(np.float32)
+    flat = v.reshape(-1)
+    flat[5::11], flat[7::13] = 0.0, -0.0
+    return v
+
+
+def assert_same_bits(got, want):
+    """Equal float64 results, bit for bit, -0.0 and 0.0 told apart."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def raised(call, *args):
+    """The type and message of the error ``call(*args)`` raises."""
+    with pytest.raises((InvalidArgumentError, DegenerateInputError)) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestFloat32:
+    """A float32 array is checked as it is, and each call gives the bits of the
+    same call on its float64 widening."""
+
+    def test_native_float32_is_not_copied(self):
+        a = float32_stack((3, 4), 0)
+        assert as_float_array(a) is a and as_hypervectors(a) is a
+        assert as_hypervectors(a.astype(">f4")).dtype == np.float64
+        assert as_hypervectors(a.tolist()).dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(4096,), (7, 4097), (300, 3)])
+    def test_bind_and_cosine_match_widened(self, shape):
+        a, b = float32_stack(shape, 1), float32_stack(shape, 2)
+        wa, wb = a.astype(np.float64), b.astype(np.float64)
+        for args in ((a, b), (a, wb), (wa, b)):
+            assert_same_bits(bind(*args), bind(wa, wb))
+            assert_same_bits(cosine_similarity(*args), cosine_similarity(wa, wb))
+        assert_same_bits(bind(a, b), wa * wb)
+
+    def test_bind_keeps_products_float32_would_lose(self):
+        a, b = np.float32([-1e-30, 3e38]), np.float32([1e-30, 3e38])
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.all(np.isin(a * b, [-0.0, np.inf]))  # underflow and overflow in float32
+        assert_same_bits(bind(a, b), a.astype(np.float64) * b.astype(np.float64))
+        assert bind(a, b)[0] < 0.0 and np.isfinite(bind(a, b)[1])
+
+    @pytest.mark.parametrize("stack", [
+        float32_stack((64, 4097), 3),
+        float32_stack((2, 40000), 4).T,  # the summed axis is contiguous, and longer than numpy's cast buffer
+        float32_stack((40000, 3), 5)[:, :1],
+    ], ids=["rows", "transposed", "column"])
+    def test_bundle_matches_widened(self, stack):
+        assert_same_bits(bundle(stack), bundle(stack.astype(np.float64)))
+
+    def test_errors_match_widened(self):
+        a = float32_stack((5, 64), 6)
+        a[[1, 3], 2] = [np.inf, np.nan]
+        zero = float32_stack((4, 64), 7)
+        zero[2] = 0.0
+        cases = [
+            (bind, (a, a), "finite (rows [1, 3])"),
+            (bundle, (a,), "finite (rows [1, 3])"),
+            (cosine_similarity, (zero, zero), "(rows [2])"),
+            (bind, (np.empty(0, np.float32),) * 2, "nonempty"),
+            (bind, (np.ones((2, 2, 2), np.float32),) * 2, "(count, dim)"),
+            (cosine_similarity, (zero, zero[:, :63]), "dimension mismatch"),
+            (bundle, (zero[0],), "nonempty list"),
+        ]
+        for call, args, named in cases:
+            got = raised(call, *args)
+            assert got == raised(call, *(x.astype(np.float64) for x in args))
+            assert named in got[1]

@@ -16,6 +16,9 @@ from vsabench.losses import (
     vsa_cyclic_loss,
 )
 
+from test_hv import float32_stack, raised
+from test_mapping import traced_peak
+
 
 class TestVsaCyclicLoss:
     def test_identical_is_zero(self):
@@ -206,3 +209,29 @@ def test_check_no_zero_vectors_rejects_non_numeric_rows(vs):
 def test_check_no_zero_vectors_accepts_tiny_nonzero_rows():
     # the squared norm of this row underflows to 0, but the row is not zero
     check_no_zero_vectors(np.full((2, 4), 1e-200), "batch")
+
+
+class TestFloat32Stacks:
+    def test_cyclic_loss_matches_widened(self):
+        x, cycled = float32_stack((9, 1031), 1), float32_stack((9, 1031), 2)
+        got = vsa_cyclic_loss(x, cycled)
+        assert got.hex() == vsa_cyclic_loss(x.astype(np.float64), cycled.astype(np.float64)).hex()
+
+    def test_zero_rows_named_as_widened(self):
+        vs = float32_stack((6, 64), 3)
+        vs[1], vs[4] = 0.0, -0.0
+        for call in (lambda v: check_no_zero_vectors(v, "x"), lambda v: vsa_cyclic_loss(v, v)):
+            got = raised(call, vs)
+            assert got == raised(call, vs.astype(np.float64))
+            assert "[1, 4]" in got[1]
+
+    def test_non_finite_rows_named_as_widened(self):
+        vs = float32_stack((6, 64), 4)
+        vs[3, 0] = np.inf
+        got = raised(vsa_cyclic_loss, vs, vs)
+        assert got == raised(vsa_cyclic_loss, vs.astype(np.float64), vs.astype(np.float64))
+        assert "(rows [3])" in got[1]
+
+    def test_zero_check_makes_no_float64_copy(self):
+        vs = float32_stack((1024, 4096), 5)  # 16 MiB; a float64 copy would be 32 MiB
+        assert traced_peak(lambda: check_no_zero_vectors(vs, "x")) < 1 << 20

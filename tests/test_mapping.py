@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vsabench.errors import InvalidArgumentError
-from vsabench.hv import bind, bundle, cosine_similarity, random_hypervector
+from vsabench.hv import bind, bundle, cosine_similarity, quantized, random_hypervector
 from vsabench.lsh import new_projector, project_batch
 from vsabench.mapping import (
     HypervectorMapping,
@@ -13,6 +14,8 @@ from vsabench.mapping import (
     estimate_mapping_paired,
     random_mapping,
 )
+
+from test_hv import assert_same_bits, float32_stack, raised
 
 DIM = 4096
 
@@ -199,3 +202,65 @@ class TestRandomMapping:
             u = random_mapping(1, DIM, seed=s)
             mapped = apply_mapping([v_src], u)[0]
             assert abs(cosine_similarity(mapped, v_tgt)) < 0.1
+
+
+def traced_peak(call) -> int:
+    """The peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFloat32Stacks:
+    """float32 stacks are multiplied into float64 without a widened copy, and give
+    the bits of the same call on float64-widened stacks."""
+
+    def test_mapping_keeps_a_float32_matrix(self):
+        per_patch = float32_stack((3, 64), 1)
+        assert HypervectorMapping(per_patch=per_patch).per_patch is per_patch
+
+    @pytest.mark.parametrize("quantize", ["none", "sign"])
+    def test_estimate_and_apply_match_widened(self, quantize):
+        src, tgt = float32_stack((9, 1031), 2), float32_stack((9, 1031), 3)
+        wide = estimate_mapping_paired(src.astype(np.float64), tgt.astype(np.float64), quantize)
+        u = estimate_mapping_paired(src, tgt, quantize)
+        assert_same_bits(u.per_patch, wide.per_patch)
+        assert_same_bits(u.per_patch, quantized(src.astype(np.float64) * tgt, quantize))
+        narrow_u = HypervectorMapping(per_patch=tgt)
+        want = apply_mapping(src.astype(np.float64), HypervectorMapping(per_patch=tgt.astype(np.float64)))
+        assert_same_bits(apply_mapping(src, narrow_u), want)
+        assert_same_bits(apply_mapping(src, HypervectorMapping(per_patch=tgt.astype(np.float64))), want)
+
+    def test_sign_of_a_product_below_float32_range(self):
+        # in float32 this product underflows to -0.0, whose sign quantizes to +1
+        u = estimate_mapping_paired(np.float32([[-1e-30]]), np.float32([[1e-30]]), "sign")
+        assert u.per_patch.tolist() == [[-1.0]]
+
+    def test_errors_match_widened(self):
+        src = float32_stack((4, 32), 4)
+        src[[0, 2], 5] = [np.nan, -np.inf]
+        tgt = float32_stack((4, 32), 5)
+        u = HypervectorMapping(per_patch=tgt)
+        cases = [
+            (estimate_mapping_paired, (src, tgt), "finite (rows [0, 2])"),
+            (estimate_mapping_paired, (tgt, tgt[:3]), "shape mismatch"),
+            (estimate_mapping_paired, (tgt[0], tgt[0]), "list of hypervectors"),
+            (lambda s: apply_mapping(s, u), (src,), "finite (rows [0, 2])"),
+            (lambda s: apply_mapping(s, u), (tgt[:, :31],), "dimension mismatch"),
+            (lambda s: HypervectorMapping(per_patch=s), (tgt[0],), "(patch_count, dim)"),
+        ]
+        for call, args, named in cases:
+            got = raised(call, *args)
+            assert got == raised(call, *(x.astype(np.float64) for x in args))
+            assert named in got[1]
+
+    def test_peak_is_one_float64_output(self):
+        # two (1024, 4096) float32 stacks of 16 MiB each; a float64 output is 32 MiB
+        src, tgt = float32_stack((1024, 4096), 6), float32_stack((1024, 4096), 7)
+        u = HypervectorMapping(per_patch=tgt)
+        limit = (32 + 4) << 20
+        assert traced_peak(lambda: estimate_mapping_paired(src, tgt)) < limit
+        assert traced_peak(lambda: apply_mapping(src, u)) < limit

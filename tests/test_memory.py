@@ -7,6 +7,8 @@ from vsabench.errors import DegenerateInputError, InvalidArgumentError, InvalidS
 from vsabench.hv import bundle, cosine_similarity, random_hypervector
 from vsabench.memory import ItemMemory
 
+from test_hv import float32_stack, raised
+
 DIM = 4096
 
 
@@ -353,6 +355,40 @@ class TestFloat32Rows:
         mem = ItemMemory.from_matrix(range(3), self.bipolar((3, 8), 5))
         with pytest.raises(InvalidArgumentError, match="float32"):
             mem.cleanup(np.full(8, 1e39))
+
+class TestFloat32Vectors:
+    """float32 vectors and queries are checked in float32 and give the results of
+    their float64 widening, in a float64 memory and in a float32 one."""
+
+    def test_add_and_cleanup_match_widened(self):
+        rows, queries = float32_stack((40, 1031), 1), float32_stack((6, 1031), 2)
+        narrow, wide = ItemMemory(), ItemMemory()
+        for i, row in enumerate(rows):
+            narrow.add(i, row)
+            wide.add(i, row.astype(np.float64))
+        adopted = ItemMemory.from_matrix(range(40), rows)
+        for mem, want in ((narrow, wide), (adopted, adopted)):
+            for k in (1, 40):
+                assert mem.cleanup(queries, k=k) == want.cleanup(queries.astype(np.float64), k=k)
+                assert mem.cleanup(queries[3], k=k) == want.cleanup(queries[3].astype(np.float64), k=k)
+
+    def test_errors_match_widened(self):
+        mem = ItemMemory.from_matrix(range(3), float32_stack((3, 16), 3))
+        queries = float32_stack((5, 16), 4)
+        queries[[1, 4]] = 0.0
+        inf = float32_stack((16,), 5)
+        inf[3] = np.inf
+        for call, arg, named in (
+            (mem.cleanup, queries, "(rows [1, 4])"),
+            (mem.cleanup, queries[:, :15], "query shape"),
+            (lambda v: ItemMemory().add("z", v), queries[1], "'z'"),
+            (lambda v: ItemMemory().add("a", v), inf, "finite"),
+            (lambda v: ItemMemory().add("a", v), queries, "1-D"),
+        ):
+            got = raised(call, arg)
+            assert got == raised(call, arg.astype(np.float64))
+            assert named in got[1]
+
 
 def test_noise_bundled_recovery_rate():
     # seeded Monte-Carlo: symbol + equal-norm bundled noise recovered >= 99%

@@ -30,6 +30,8 @@ from vsabench.vsaf import (
     write_hypervectors,
 )
 
+from test_hv import float32_stack, raised
+
 
 def sample_set(rng):
     return feature_map_set([
@@ -188,6 +190,34 @@ def test_hypervector_round_trip(tmp_path):
     back = read_hypervectors(path)
     assert back.shape == (5, 64)
     np.testing.assert_array_equal(back, hvs)  # bipolar values are exact in float32
+
+
+class TestFloat32Stacks:
+    """A float32 stack is written without a float64 round trip, and read back as float32."""
+
+    @pytest.mark.parametrize("shape", [(7, 1031), (64,)])
+    def test_written_bytes_match_widened(self, shape, tmp_path):
+        hvs = float32_stack(shape, 1)
+        write_hypervectors(hvs, tmp_path / "narrow.vsaf")
+        write_hypervectors(hvs.astype(np.float64), tmp_path / "wide.vsaf")
+        assert (tmp_path / "narrow.vsaf").read_bytes() == (tmp_path / "wide.vsaf").read_bytes()
+
+    def test_read_returns_the_float32_payload(self, tmp_path):
+        hvs = float32_stack((7, 1031), 2)
+        write_hypervectors(hvs, tmp_path / "hv.vsaf")
+        back = read_hypervectors(tmp_path / "hv.vsaf")
+        assert back.dtype == np.float32 and back.flags.c_contiguous
+        assert back.tobytes() == hvs.tobytes()
+
+    def test_errors_match_widened(self, tmp_path):
+        bad = float32_stack((4, 16), 3)
+        bad[2, 1] = np.inf
+        write = lambda v: write_hypervectors(v, tmp_path / "hv.vsaf")
+        for hvs, named in ((bad, "non-finite"), (bad[np.newaxis], "(count, dim) stack"), (bad[:0], "nonempty")):
+            got = raised(write, hvs)
+            assert got == raised(write, hvs.astype(np.float64))
+            assert named in got[1]
+        assert not (tmp_path / "hv.vsaf").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
