@@ -1,0 +1,193 @@
+"""The exception class each public function of ``hv``, ``mapping``, ``memory`` and
+``losses`` raises on each kind of bad input, or ``None`` where it accepts the input.
+
+The table pins behaviour, not wording: a refactor that moves a check from one
+pass to another must keep every row. Messages are pinned where the tests of
+each module name rows or labels.
+"""
+
+import numpy as np
+import pytest
+
+from vsabench.errors import DegenerateInputError, InvalidArgumentError
+from vsabench.hv import (
+    as_float,
+    as_float64,
+    as_float_array,
+    as_hypervectors,
+    as_int,
+    as_tuple,
+    bind,
+    bundle,
+    check_seed,
+    cosine_similarity,
+    random_hypervector,
+    sample_hypervector,
+)
+from vsabench.losses import (
+    LossConfig,
+    check_no_zero_vectors,
+    gan_loss,
+    gan_loss_hinge,
+    gan_loss_nll,
+    total_loss,
+    vsa_cyclic_loss,
+)
+from vsabench.mapping import (
+    HypervectorMapping,
+    apply_mapping,
+    build_ground_truth_mapping,
+    estimate_mapping_paired,
+    random_mapping,
+)
+from vsabench.memory import ItemMemory
+
+IAE, DIE = InvalidArgumentError, DegenerateInputError
+COUNT, DIM = 3, 8
+
+
+def good():
+    return np.linspace(1.0, 2.0, COUNT * DIM).reshape(COUNT, DIM)
+
+
+def with_entry(value):
+    stack = good()
+    stack[1, 4] = value
+    return stack
+
+
+def zero_row():
+    stack = good()
+    stack[1] = 0.0
+    return stack
+
+
+# Each kind of bad input, as a (count, dim) stack next to a good (3, 8) one.
+STACKS = {
+    "nan": with_entry(np.nan),
+    "inf": with_entry(np.inf),
+    "-inf": with_entry(-np.inf),
+    "empty": [],
+    "ragged": [[1.0] * DIM, [1.0] * (DIM - 1), [1.0] * DIM],
+    "dim mismatch": good()[:, :-1],
+    "zero row": zero_row(),
+}
+NOT_ZERO = ("nan", "inf", "-inf", "empty", "ragged", "dim mismatch")
+
+
+def scores(kind):
+    """The score-batch form of a bad input: one batch of three scores in (0, 1)."""
+    return {
+        "nan": [0.5, np.nan, 0.5],
+        "inf": [0.5, np.inf, 0.5],
+        "-inf": [0.5, -np.inf, 0.5],
+        "empty": [],
+        "ragged": [[0.5], [0.5, 0.5]],
+        "zero row": [0.5, 0.0, 0.5],
+    }[kind]
+
+
+def memory():
+    return ItemMemory.from_matrix(range(COUNT), good())
+
+
+def float32_memory():
+    return ItemMemory.from_matrix(range(COUNT), good().astype(np.float32))
+
+
+def cases():
+    """(function, bad input, call, expected exception class or None)."""
+    every = {kind: IAE for kind in NOT_ZERO}
+    one = {kind: IAE for kind in NOT_ZERO if kind != "dim mismatch"}  # for a function of one array
+    table = [
+        # hv: binding and bundling accept zero rows; the cosine does not
+        ("bind(bad, good)", lambda s: bind(s, good()), {**every, "zero row": None}),
+        ("bind(good, bad)", lambda s: bind(good(), s), {**every, "zero row": None}),
+        ("bind(vector)", lambda s: bind(row_of(s), good()[0]), {**every, "zero row": None}),
+        ("bundle", bundle, {**one, "zero row": None}),
+        ("cosine_similarity(bad, good)", lambda s: cosine_similarity(s, good()), {**every, "zero row": DIE}),
+        ("cosine_similarity(good, bad)", lambda s: cosine_similarity(good(), s), {**every, "zero row": DIE}),
+        ("cosine_similarity(vector)", lambda s: cosine_similarity(good()[0], row_of(s)), {**every, "zero row": DIE}),
+        # mapping: a zero mapping or stack is a valid, if useless, input
+        ("apply_mapping(bad, u)", lambda s: apply_mapping(s, HypervectorMapping(per_patch=good())),
+         {**every, "zero row": None}),
+        ("apply_mapping(stack, bad u)", lambda s: apply_mapping(good(), HypervectorMapping(per_patch=s)),
+         {**every, "zero row": None}),
+        ("build_ground_truth_mapping(bad, good)", lambda s: build_ground_truth_mapping(s, good()),
+         {**every, "zero row": None}),
+        ("build_ground_truth_mapping(good, bad)", lambda s: build_ground_truth_mapping(good(), s),
+         {**every, "zero row": None}),
+        ("estimate_mapping_paired(bad, good)", lambda s: estimate_mapping_paired(s, good()),
+         {**every, "zero row": None}),
+        ("estimate_mapping_paired(good, bad, sign)", lambda s: estimate_mapping_paired(good(), s, "sign"),
+         {**every, "zero row": None}),
+        # memory: every stored row and every query needs a nonzero, finite norm
+        ("ItemMemory.from_matrix", lambda s: ItemMemory.from_matrix(range(len(s)), s), {**one, "zero row": DIE}),
+        ("ItemMemory.add", lambda s: memory().add("new", row_of(s)), {**every, "zero row": DIE}),
+        ("ItemMemory.add(empty memory)", lambda s: ItemMemory().add("new", row_of(s)),
+         {**one, "zero row": DIE}),
+        ("ItemMemory.cleanup(stack)", lambda s: memory().cleanup(s), {**every, "zero row": DIE}),
+        ("ItemMemory.cleanup(vector)", lambda s: memory().cleanup(row_of(s)), {**every, "zero row": DIE}),
+        ("float32 ItemMemory.cleanup", lambda s: float32_memory().cleanup(s), {**every, "zero row": DIE}),
+        # losses
+        ("vsa_cyclic_loss(bad, good)", lambda s: vsa_cyclic_loss(s, good()), {**every, "zero row": DIE}),
+        ("vsa_cyclic_loss(good, bad)", lambda s: vsa_cyclic_loss(good(), s), {**every, "zero row": DIE}),
+        # only zero rows are this check's business; finiteness is the cosine's
+        ("check_no_zero_vectors", lambda s: check_no_zero_vectors(s, "x"),
+         {"nan": None, "inf": None, "-inf": None, "ragged": IAE, "zero row": DIE}),
+    ]
+    for label, call, expected in table:
+        for kind, want in expected.items():
+            yield label, kind, call, STACKS[kind], want
+
+    batches = {kind: IAE for kind in ("nan", "inf", "-inf", "empty", "ragged")}
+    for label, call, expected in (
+        ("gan_loss_nll", gan_loss_nll, {**batches, "zero row": IAE}),
+        ("gan_loss_hinge", gan_loss_hinge, {**batches, "zero row": None}),
+        ("gan_loss", gan_loss, {**batches, "zero row": None}),
+    ):
+        for kind, want in expected.items():
+            yield f"{label}(bad, good, good)", kind, lambda b, call=call: call(b, [0.5], [0.5]), scores(kind), want
+            yield f"{label}(good, good, bad)", kind, lambda b, call=call: call([0.5], [0.5], b), scores(kind), want
+
+    for kind, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        yield "total_loss(gan)", kind, lambda v: total_loss(v, 0.5), value, IAE
+        yield "total_loss(vsa)", kind, lambda v: total_loss(0.5, v), value, IAE
+        yield "LossConfig(lam)", kind, lambda v: LossConfig(lam=v), value, IAE
+        yield "LossConfig(fake_term_weights)", kind, lambda v: LossConfig(fake_term_weights=(1.0, v)), value, IAE
+        yield "random_mapping(patch_count)", kind, lambda v: random_mapping(v, DIM, seed=0), value, IAE
+        yield "sample_hypervector(dim)", kind, lambda v: sample_hypervector(v, np.random.default_rng(0)), value, IAE
+        yield "random_hypervector(seed)", kind, lambda v: random_hypervector(DIM, v), value, IAE
+        yield "check_seed", kind, check_seed, value, IAE
+        yield "as_int", kind, as_int, value, IAE
+        yield "as_float", kind, as_float, value, IAE
+    for kind in ("empty", "ragged"):
+        yield "LossConfig(fake_term_weights)", kind, lambda v: LossConfig(fake_term_weights=v), STACKS[kind], IAE
+        yield "HypervectorMapping", kind, lambda s: HypervectorMapping(per_patch=s), STACKS[kind], IAE
+        yield "as_hypervectors", kind, as_hypervectors, STACKS[kind], IAE
+    yield "as_float64", "ragged", as_float64, STACKS["ragged"], IAE
+    yield "as_float_array", "ragged", as_float_array, STACKS["ragged"], IAE
+    yield "as_tuple", "string", as_tuple, "ab", IAE
+    yield "ItemMemory.from_matrix", "label count", lambda s: ItemMemory.from_matrix(range(COUNT + 1), s), good(), IAE
+    yield "HypervectorMapping", "zero row", lambda s: HypervectorMapping(per_patch=s), STACKS["zero row"], None
+    yield "HypervectorMapping", "1-D", lambda s: HypervectorMapping(per_patch=s), good()[0], IAE
+
+
+def row_of(stack):
+    """A stack's bad row as one vector; an empty or ragged list as it is."""
+    return stack if isinstance(stack, list) else stack[1]
+
+
+CASES = list(cases())
+
+
+@pytest.mark.parametrize(
+    "call,arg,expected", [case[2:] for case in CASES], ids=[f"{case[0]}-{case[1]}" for case in CASES]
+)
+def test_error_class(call, arg, expected):
+    if expected is None:
+        call(arg)
+        return
+    with pytest.raises(Exception) as info:
+        call(arg)
+    assert type(info.value) is expected
