@@ -18,7 +18,8 @@ rows one at a time.
 
 ``hv`` is also the one home of the magnitude policy: the cosine here, the
 cleanup memory, the LSH encoder's unit features and per-layer normalization
-all take their row norms from ``safe_norms2``.
+all take their row norms from ``safe_norms2``. So is the finiteness policy: ``check_rows`` checks
+each array in the first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm).
 """
 
 from __future__ import annotations
@@ -92,16 +93,29 @@ def as_float_array(v, error: str = "hypervectors must be equal-length numeric ve
 
 
 def as_hypervectors(v) -> np.ndarray:
-    """Coerce a hypervector or a stack of equal-length ones with ``as_float_array``
-    (no copy of a float32 or float64 array), rejecting empty, ragged or
-    non-finite input; a stack's non-finite rows are named."""
+    """Coerce a hypervector or a stack of equal-length ones with ``as_float_array`` (no copy of a
+    float32 or float64 array), rejecting empty or ragged input; it reads no entry (see ``check_rows``)."""
     arr = as_float_array(v)
     if arr.ndim < 1 or arr.size < 1:
         raise InvalidArgumentError(f"hypervectors must be nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        rows = f" (rows {np.flatnonzero(~np.isfinite(arr).all(axis=1)).tolist()})" if arr.ndim == 2 else ""
-        raise InvalidArgumentError(f"hypervector entries must be finite{rows}")
     return arr
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_rows(values: np.ndarray, zero: str | None = None, labels=None, noun: str = "hypervector entries"):
+    """``values`` (a vector or stack of rows), else ``InvalidArgumentError`` naming (by index or ``labels``)
+    its rows with a non-finite entry, then, given ``zero``, ``DegenerateInputError`` naming those with a 0.
+    ``safe_norms2``'s squared norms come as a column. Only a failing check allocates: a finite sum is all finite."""
+    if np.isfinite(values.sum()) and not (zero and (values == 0.0).any()):
+        return values
+    rows = np.atleast_2d(values)
+    for error, message, bad in ((InvalidArgumentError, f"{noun} must be finite", ~np.isfinite(rows)),
+                                (DegenerateInputError, zero, rows == 0.0)):
+        index = np.flatnonzero(bad.any(axis=1))
+        if message and index.size:
+            names = f"rows {index.tolist()}" if labels is None else f"labels {[labels[i] for i in index]}"
+            raise error(f"{message} ({names})")
+    return values
 
 
 def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -164,21 +178,27 @@ def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
     return av, bv
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bind(a, b) -> np.ndarray:
     """Elementwise product of two vectors or equal-shape stacks; commutative, self-inverse on bipolar vectors."""
     av, bv = _same_shape(a, b)
-    return np.multiply(av, bv, dtype=np.float64)
+    return check_rows(np.multiply(av, bv, dtype=np.float64), noun="hypervector entries and their products")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bundle(vs) -> np.ndarray:
     """Superpose a nonempty (count, dim) stack, or list, of equal-dim hypervectors:
-    their elementwise sum, which commutes over list order."""
+    their elementwise sum, which commutes over list order; an overflow is rejected."""
     stack = as_hypervectors(vs)
     if stack.ndim != 2:
         raise InvalidArgumentError(f"bundle requires a nonempty list of hypervectors, got shape {stack.shape}")
     # widened first: np.sum(..., dtype=np.float64) casts in buffer-sized chunks, which
     # splits a long sum along the inner loop (a transposed stack) and moves its bits
-    return np.sum(stack.astype(np.float64, copy=False), axis=0)
+    total = np.sum(stack.astype(np.float64, copy=False), axis=0)
+    if not np.isfinite(total).all():
+        check_rows(stack)
+        raise InvalidArgumentError("the bundle of finite hypervectors overflows float64")
+    return total
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,12 +241,10 @@ def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.nd
 
 def cosine_similarity(a, b):
     """dot(a, b) / (|a| |b|) of two vectors (a float) or of two stacks, row by row;
-    raises naming the zero-norm rows rather than returning 0."""
+    raises naming the non-finite, then the zero-norm rows rather than returning 0."""
     av, bv = (x.astype(np.float64, copy=False) for x in _same_shape(a, b))
     (a2, na2), (b2, nb2) = safe_norms2(np.atleast_2d(av), row_dots), safe_norms2(np.atleast_2d(bv), row_dots)
-    zero = np.flatnonzero((na2 == 0.0) | (nb2 == 0.0))
-    if zero.size:
-        raise DegenerateInputError(f"cosine similarity undefined for a zero-norm vector (rows {zero.tolist()})")
+    check_rows(np.column_stack((na2, nb2)), "cosine similarity undefined for a zero-norm vector")
     # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
     cos = row_dots(a2, b2) / np.sqrt(na2 * nb2)
     return float(cos[0]) if av.ndim == 1 else cos

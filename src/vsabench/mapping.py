@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_float_array, as_hypervectors, as_int, bind, bundle, check_seed, fill_bipolar, quantized
+from .hv import as_float_array, as_hypervectors, as_int, bind, bundle, check_rows, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
 class HypervectorMapping:
-    """Per-patch mapping vectors stacked as a (patch_count, dim) float32 or float64 array."""
+    """Per-patch mapping vectors, a (patch_count, dim) float32 or float64 array checked finite when built."""
 
     per_patch: np.ndarray = field(repr=False)
 
@@ -28,6 +28,7 @@ class HypervectorMapping:
             raise InvalidArgumentError(
                 f"mapping must be a nonempty (patch_count, dim) array, got shape {arr.shape}"
             )
+        check_rows(arr, noun="mapping entries")
         object.__setattr__(self, "per_patch", arr)
 
     @property
@@ -47,15 +48,8 @@ def _as_stack(vs) -> np.ndarray:
 
 
 def apply_mapping(vs, u: HypervectorMapping) -> np.ndarray:
-    """Bind each patch hypervector with its mapping vector; returns a (patch_count, dim) array."""
-    stack = _as_stack(vs)
-    if stack.shape[0] != u.patch_count:
-        raise InvalidArgumentError(
-            f"got {stack.shape[0]} hypervectors for a {u.patch_count}-patch mapping"
-        )
-    if stack.shape[1] != u.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {stack.shape[1]} vs mapping dim {u.dim}")
-    return bind(stack, u.per_patch)
+    """Bind each patch hypervector with its mapping vector (``bind`` checks shapes and the product)."""
+    return bind(_as_stack(vs), u.per_patch)
 
 
 def build_ground_truth_mapping(src_attrs, tgt_attrs) -> np.ndarray:
@@ -63,16 +57,18 @@ def build_ground_truth_mapping(src_attrs, tgt_attrs) -> np.ndarray:
     return bundle(bind(src_attrs, tgt_attrs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapping:
     """Closed-form per-patch mapping from paired hypervectors: u[i] = src[i] * tgt[i].
 
     For bipolar inputs this satisfies bind(src[i], u[i]) == tgt[i] exactly; for
-    continuous vectors it is only approximately invertible.
+    continuous vectors it is only approximately invertible. The product is checked before its sign.
     """
     s, t = _as_stack(src), _as_stack(tgt)
     if s.shape != t.shape:
         raise InvalidArgumentError(f"shape mismatch: src {s.shape} vs tgt {t.shape}")
-    return HypervectorMapping(per_patch=quantized(np.multiply(s, t, dtype=np.float64), quantize))
+    u = HypervectorMapping(per_patch=np.multiply(s, t, dtype=np.float64))
+    return u if quantize == "none" else HypervectorMapping(per_patch=quantized(u.per_patch, quantize))
 
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:

@@ -30,8 +30,8 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from .hv import as_float_array, as_hypervectors, as_int, row_dots, safe_norms2, sum_products
+from .errors import InvalidArgumentError, InvalidStateError
+from .hv import as_float_array, as_hypervectors, as_int, check_rows, row_dots, safe_norms2, sum_products
 
 
 class ItemMemory:
@@ -61,7 +61,8 @@ class ItemMemory:
         if len(index) != len(labels):
             dup = next(label for i, label in enumerate(labels) if index[label] != i)
             raise InvalidArgumentError(f"duplicate label {dup!r}")
-        rows, norms2 = _stored(rows, labels)
+        rows, norms2 = safe_norms2(rows, sum_products)
+        check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector", labels)
         mem = cls()
         mem._labels, mem._index, mem._rows, mem._norms2 = labels, index, rows, norms2
         return mem
@@ -87,12 +88,12 @@ class ItemMemory:
         dim = self.dim
         if dim is not None and v.shape[0] != dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {dim}")
-        (v,), (n2,) = _stored(v[np.newaxis], [label])
+        rows, norms2 = safe_norms2(v[np.newaxis], sum_products)
+        check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector", [label])
         n = len(self._labels)
         if n == self._norms2.shape[0]:
             self._grow(max(2 * n, 8), v.shape[0])
-        self._rows[n] = v
-        self._norms2[n] = n2
+        self._rows[n], self._norms2[n] = rows[0], norms2[0]
         self._index[label] = n
         self._labels.append(label)
         return self
@@ -117,9 +118,7 @@ class ItemMemory:
         if q.ndim > 2 or q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
         queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots)
-        zero = np.flatnonzero(qn2 == 0.0)
-        if zero.size:
-            raise DegenerateInputError(f"cleanup query has zero norm (rows {zero.tolist()})")
+        check_rows(qn2[:, np.newaxis], "cleanup query has zero norm")
         rows = self._rows[:n]
         with np.errstate(over="ignore"):
             scanned = queries.astype(rows.dtype, copy=False)
@@ -133,16 +132,3 @@ class ItemMemory:
         tops = [[(self._labels[i], float(s)) for i, s in zip(row, sim[row])] for row, sim in zip(order, sims)]
         return tops[0] if q.ndim == 1 else tops
 
-
-def _stored(rows: np.ndarray, labels: list[Hashable]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows fit to store, and their squared norms: rows scaled as ``hv.safe_norms2``
-    scales them, rows with a non-finite entry or zero norm rejected."""
-    rows, norms2 = safe_norms2(rows, sum_products)
-    # only a non-finite entry leaves a norm non-finite once extreme rows are scaled
-    bad = np.flatnonzero(~np.isfinite(norms2))
-    if bad.size:
-        raise InvalidArgumentError(f"hypervector entries must be finite (row {bad[0]}, {labels[bad[0]]!r})")
-    zero = np.flatnonzero(norms2 == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"cannot store zero-norm vector for {labels[zero[0]]!r}")
-    return rows, norms2

@@ -14,6 +14,7 @@ from vsabench.hv import (
     as_tuple,
     bind,
     bundle,
+    check_rows,
     cosine_similarity,
     fill_bipolar,
     quantized,
@@ -501,3 +502,63 @@ class TestFloat32:
             got = raised(call, *args)
             assert got == raised(call, *(x.astype(np.float64) for x in args))
             assert named in got[1]
+
+
+class TestFinitenessGate:
+    """Each array is checked for finiteness by the first pass that computes from it,
+    so a product or sum that overflows float64 is rejected as well."""
+
+    def test_as_hypervectors_reads_no_entry(self):
+        assert np.isnan(as_hypervectors([np.nan, 1.0])[0])
+
+    def test_bind_overflow_rejected(self):
+        # a RuntimeWarning here would fail the test (pyproject turns them into errors)
+        with pytest.raises(InvalidArgumentError, match=r"products must be finite \(rows \[0\]\)"):
+            bind([1e200], [1e200])
+        a = np.ones((3, 4))
+        a[2, 1] = 1e300
+        with pytest.raises(InvalidArgumentError, match=r"products must be finite \(rows \[2\]\)"):
+            bind(a, a)
+
+    def test_bundle_overflow_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="overflows float64"):
+            bundle([[1e308], [1e308]])
+        with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[1\]\)"):
+            bundle([[1e308], [np.inf]])
+
+    def test_products_and_sums_at_the_float64_limit_pass(self):
+        assert bind([1e154], [1e154])[0] == 1e154 * 1e154
+        assert bundle([[1e308], [-1e308], [1e308]])[0] == 1e308
+
+
+def test_each_array_is_checked_once(monkeypatch):
+    """One gate call per array a public call computes from; none on an array it only passes on."""
+    from vsabench import hv, mapping, memory
+
+    calls = []
+
+    def counting(values, *args, **kwargs):
+        calls.append(values.shape)
+        return check_rows(values, *args, **kwargs)
+
+    for module in (hv, mapping, memory):
+        monkeypatch.setattr(module, "check_rows", counting)
+    stack = np.random.default_rng(0).standard_normal((3, 16))
+    u = mapping.HypervectorMapping(per_patch=stack)
+    mem = memory.ItemMemory.from_matrix(range(3), stack)
+    cases = [
+        (lambda: bind(stack, stack), [(3, 16)]),
+        (lambda: bundle(stack), []),  # its sum is checked without the gate
+        (lambda: cosine_similarity(stack, stack), [(3, 2)]),
+        (lambda: mapping.apply_mapping(stack, u), [(3, 16)]),
+        (lambda: mapping.estimate_mapping_paired(stack, stack), [(3, 16)]),
+        (lambda: mapping.build_ground_truth_mapping(stack, stack), [(3, 16)]),
+        (lambda: mapping.HypervectorMapping(per_patch=stack), [(3, 16)]),
+        (lambda: memory.ItemMemory.from_matrix(range(3), stack), [(3, 1)]),
+        (lambda: memory.ItemMemory().add("a", stack[0]), [(1, 1)]),
+        (lambda: mem.cleanup(stack), [(3, 1)]),
+    ]
+    for call, want in cases:
+        calls.clear()
+        call()
+        assert calls == want

@@ -264,3 +264,26 @@ class TestFloat32Stacks:
         limit = (32 + 4) << 20
         assert traced_peak(lambda: estimate_mapping_paired(src, tgt)) < limit
         assert traced_peak(lambda: apply_mapping(src, u)) < limit
+
+
+class TestMappingCheckedWhenBuilt:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mapping_rejected_naming_its_rows(self, bad):
+        per_patch = np.ones((4, 8))
+        per_patch[[1, 3], 2] = bad
+        for arr in (per_patch, per_patch.astype(np.float32)):
+            with pytest.raises(InvalidArgumentError, match=r"mapping entries must be finite \(rows \[1, 3\]\)"):
+                HypervectorMapping(per_patch=arr)
+
+    def test_nan_list_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[0\]\)"):
+            HypervectorMapping(per_patch=[[np.nan, 1.0]])
+
+    @pytest.mark.parametrize("quantize", ["none", "sign"])
+    def test_paired_estimate_checks_its_product_before_the_sign(self, quantize):
+        src = np.ones((2, 4))
+        src[1, 0] = np.nan
+        with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[1\]\)"):
+            estimate_mapping_paired(src, np.ones((2, 4)), quantize)
+        with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[0\]\)"):
+            estimate_mapping_paired([[1e200, 1.0]], [[1e200, 1.0]], quantize)
