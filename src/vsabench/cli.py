@@ -178,10 +178,12 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _merged(args: argparse.Namespace) -> dict:
+def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cfg: {}) -> dict:
     """Flags override config-file values, which override the table's defaults.
     A config-file key the subcommand does not define, or a value its option's
-    converter rejects (even one a flag overrides), is a config error."""
+    converter rejects (even one a flag overrides), is a config error. So is a
+    config-file key that ``unread(cfg)`` maps to the reason the chosen mode
+    does not read it; given as a flag, such an option is a usage error."""
     options = {opt.key: opt for opt in OPTIONS[args.command]}
     file_cfg = _load_config_file(args.config)
     unknown = sorted(set(file_cfg) - set(options))
@@ -193,7 +195,13 @@ def _merged(args: argparse.Namespace) -> dict:
             cfg[key] = options[key].convert(value)
         except ValueError as exc:
             raise ConfigError(f"{key} {exc}") from exc
-    cfg.update((key, value) for key, value in vars(args).items() if key in cfg and value is not None)
+    flags = {key: value for key, value in vars(args).items() if key in cfg and value is not None}
+    cfg.update(flags)
+    for key, reason in unread(cfg).items():
+        if key in flags:
+            raise UsageError(f"{options[key].flag or '--' + key.replace('_', '-')} is not read {reason}")
+        if key in file_cfg:
+            raise ConfigError(f"{key} is not read {reason}")
     return cfg
 
 
@@ -280,7 +288,8 @@ def cmd_encode(args) -> int:
 
 def cmd_map(args) -> int:
     """build a paired or random hypervector mapping"""
-    cfg = _merged(args)
+    cfg = _merged(args, lambda cfg: {} if cfg["mode"] == "paired"
+                  else dict.fromkeys(("tgt", "quantize"), "in random mode"))
     if cfg["src"] is None or cfg["out"] is None:
         raise UsageError("map requires --src and --out")
     seed = _resolve_seed(cfg)
@@ -316,9 +325,13 @@ def _load_scores(path: str | None, name: str):
         raise DegenerateInputError(f"{name} score file {path} does not hold a list of scores: {exc}") from exc
 
 
+_SCORE_KEYS = ("scores_real", "scores_fake_translated", "scores_fake_mapped")
+
+
 def cmd_loss(args) -> int:
     """cyclic / adversarial / total loss metrics as JSON"""
-    cfg = _merged(args)
+    cfg = _merged(args, lambda cfg: {} if any(cfg[key] is not None for key in _SCORE_KEYS)
+                  else dict.fromkeys(("variant", "w1", "w2"), "without score batches"))
     if cfg["x"] is None or cfg["cycled"] is None:
         raise UsageError("loss requires --x and --cycled")
     v_x = _read(vsaf.read_hypervectors, cfg["x"])
@@ -329,10 +342,8 @@ def cmd_loss(args) -> int:
     loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
     vsa = vsa_cyclic_loss(v_x, v_cycled)
 
-    real = _load_scores(cfg["scores_real"], "real")
-    fake_t = _load_scores(cfg["scores_fake_translated"], "fake_translated")
-    fake_m = _load_scores(cfg["scores_fake_mapped"], "fake_mapped")
-    score_batches = (real, fake_t, fake_m)
+    score_batches = [_load_scores(cfg[key], key.removeprefix("scores_")) for key in _SCORE_KEYS]
+    real, fake_t, fake_m = score_batches
     if any(s is not None for s in score_batches) and any(s is None for s in score_batches):
         raise UsageError("loss needs all three score batches or none")
 

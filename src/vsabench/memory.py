@@ -15,13 +15,18 @@ differs.
 Memory grows by doubling its row capacity; a memory built with
 ``from_matrix`` adopts the caller's matrix without copying it. Rows and
 queries take their squared norms from ``hv.safe_norms2``, so similarities
-agree with ``hv.cosine_similarity`` at any magnitude.
+agree with ``hv.cosine_similarity`` at any magnitude. Those squared norms are
+also the finiteness check: ``hv.check_rows`` rejects by them a row or query
+with a non-finite entry or a zero norm.
 
 A float32 matrix stays float32 (until the first ``add`` widens it), halving
-the bytes a scan reads. A float32 vector or query is checked in float32 and
-widened for its squared norm. Queries to a float32 memory are then rounded to
-float32 and dot products summed in float32, which is exact for integers whose
-partial sums stay within 2^24, as in the flip bench, and float32-accurate otherwise.
+the bytes a scan reads. A float32 vector or query is widened for its squared
+norm. Queries to a float32 memory are then rounded to float32 and dot
+products summed in float32, which is exact for integers whose partial sums
+stay within 2^24, as in the flip bench, and float32-accurate otherwise. A
+query whose squared norm lies outside [2^-100, 2^100] is first scaled by a
+power of two, which is exact, so that the cast neither flushes it to zero
+nor overflows it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .hv import as_float_array, as_hypervectors, as_int, check_rows, row_dots, s
 
 
 class ItemMemory:
-    """Ordered store of labeled hypervectors, queried by cosine similarity."""
+    """Ordered store of labeled hypervectors, queried by cosine similarity. A query of
+    extreme norm is scaled by a power of two, which is exact, before a float32 memory's cast."""
 
     def __init__(self):
         self._labels: list[Hashable] = []
@@ -119,12 +125,15 @@ class ItemMemory:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
         queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots)
         check_rows(qn2[:, np.newaxis], "cleanup query has zero norm")
+        # A query with a squared norm outside [2^-100, 2^100], which a float32 memory's cast could flush to 0
+        # or its scan overflow, is scaled by the power of two that puts its norm in [0.5, 1). That is exact,
+        # so no similarity moves; within the range, every entry and partial sum fits float32.
+        extreme = (qn2 < 2.0**-100) | (qn2 > 2.0**100)
+        if extreme.any():
+            e = np.where(extreme, (np.frexp(qn2)[1] + 1) // 2, 0)
+            queries, qn2 = np.ldexp(queries, -e[:, np.newaxis]), np.ldexp(qn2, -2 * e)
         rows = self._rows[:n]
-        with np.errstate(over="ignore"):
-            scanned = queries.astype(rows.dtype, copy=False)
-        if not np.isfinite(scanned).all():
-            raise InvalidArgumentError("cleanup query entries overflow this float32 memory")
-        sims = ((rows @ scanned.T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
+        sims = ((rows @ queries.astype(rows.dtype, copy=False).T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
         if k == 1:  # the first maximum, which the stable sort would put first
             order = np.argmax(sims, axis=1)[:, np.newaxis]
         else:

@@ -255,6 +255,22 @@ class TestMap:
         assert stderr.startswith("data error: ") and "float32" in stderr
         assert not up.exists()
 
+    @pytest.mark.parametrize("flags,cfg", [
+        (["--tgt", "/nonexistent.vsaf"], {}), (["--quantize", "sign"], {}), (["--quantize", "none"], {}),
+        ([], {"tgt": "/nonexistent.vsaf"}), ([], {"quantize": "sign"}),
+    ])
+    def test_option_random_mode_does_not_read_rejected(self, flags, cfg, tmp_path, capsys):
+        src, out, path = tmp_path / "s.vsaf", tmp_path / "u.vsaf", tmp_path / "cfg.json"
+        write_hypervectors(np.ones((2, 32)), src)
+        path.write_text(json.dumps(cfg))
+        code, stdout, stderr = run_cli([
+            "map", "--src", str(src), "--out", str(out), "--mode", "random", "--config", str(path), *flags,
+        ], capsys)
+        name = flags[0] if flags else next(iter(cfg))
+        assert (code, stdout) == ((1, "") if flags else (3, ""))
+        assert stderr == f"{'usage' if flags else 'config'} error: {name} is not read in random mode\n"
+        assert not out.exists()
+
 
 class TestLoss:
     def test_identical_files_zero_vsa(self, tmp_path, capsys):
@@ -352,6 +368,26 @@ class TestLoss:
         code, _, stderr = run_cli(["loss", "--x", str(p), "--cycled", str(p)], capsys)
         assert code == 2
         assert "[1]" in stderr
+
+    @pytest.mark.parametrize("flags,cfg", [
+        (["--variant", "nll"], {}), (["--w1", "5"], {}), (["--w2", "0"], {}), (["--variant", "hinge"], {}),
+        ([], {"variant": "nll"}), ([], {"w1": 5}), ([], {"w2": 1.0}),
+    ])
+    def test_option_unread_without_scores_rejected(self, flags, cfg, tmp_path, capsys):
+        p, path = tmp_path / "x.vsaf", tmp_path / "cfg.json"
+        write_hypervectors(np.ones((2, 8)), p)
+        path.write_text(json.dumps(cfg))
+        code, stdout, stderr = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path), *flags],
+                                       capsys)
+        name = flags[0] if flags else next(iter(cfg))
+        assert (code, stdout) == ((1, "") if flags else (3, ""))
+        assert stderr == f"{'usage' if flags else 'config'} error: {name} is not read without score batches\n"
+
+    def test_lambda_alone_is_read_without_scores(self, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        code, stdout, _ = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--lambda", "3"], capsys)
+        assert code == 0 and json.loads(stdout)["config"]["lambda"] == 3.0
 
 
 class TestBench:

@@ -351,10 +351,21 @@ class TestFloat32Rows:
         assert mem.cleanup(q, k=4) == wide.cleanup(q, k=4)
         np.testing.assert_array_equal(rows, self.bipolar((3, 32), 4))
 
-    def test_query_past_float32_range_rejected(self):
-        mem = ItemMemory.from_matrix(range(3), self.bipolar((3, 8), 5))
-        with pytest.raises(InvalidArgumentError, match="float32"):
-            mem.cleanup(np.full(8, 1e39))
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-46, 1e-38, 1.0, 1e36, 1e39, 1e200, 1e300])
+    def test_query_at_any_scale_matches_the_float64_memory(self, scale):
+        # queries are scaled by a power of two before the float32 cast, so none
+        # underflows to zero or overflows to inf in the float32 scan
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((4, 4096)).astype(np.float32)
+        narrow, wide = ItemMemory.from_matrix(range(4), rows), ItemMemory.from_matrix(range(4), rows.astype(np.float64))
+        noisy = rows[2] + rng.standard_normal(4096)
+        for q in (rows[2].astype(np.float64) * scale, noisy * scale, np.stack([noisy, rows[1]]) * scale):
+            got, want = narrow.cleanup(q, k=4), wide.cleanup(q, k=4)
+            if q.ndim == 1:
+                got, want = [got], [want]
+            for got_row, want_row in zip(got, want):
+                assert got_row[0][0] == want_row[0][0]
+                assert all(abs(dict(got_row)[label] - sim) < 1e-6 for label, sim in want_row)
 
 class TestFloat32Vectors:
     """float32 vectors and queries are checked in float32 and give the results of
