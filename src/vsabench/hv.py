@@ -18,8 +18,8 @@ rows one at a time.
 
 ``hv`` is also the one home of the magnitude policy: the cosine here, the
 cleanup memory, the LSH encoder's unit features and per-layer normalization
-all take their row norms from ``safe_norms2``. So is the finiteness policy: ``check_rows`` checks
-each array in the first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm).
+all take their row norms from ``safe_norms2``. It is the home of the finiteness policy too: ``check_rows``
+checks each array in the first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm).
 """
 
 from __future__ import annotations
@@ -101,19 +101,20 @@ def as_hypervectors(v) -> np.ndarray:
     return arr
 
 
-def check_rows(values: np.ndarray, zero: str | None = None, labels=None, noun: str = "hypervector entries"):
-    """``values`` (a vector or stack of rows), else ``InvalidArgumentError`` naming (by index or ``labels``)
-    its rows with a non-finite entry, then, given ``zero``, ``DegenerateInputError`` naming those with a 0.
-    ``safe_norms2``'s squared norms come as a column. A passing check reads only a finite min and max."""
-    if np.isfinite(values.min()) and np.isfinite(values.max()) and not (zero and (values == 0.0).any()):
+@np.errstate(over="ignore", invalid="ignore")
+def check_rows(values: np.ndarray, zero: str | None = None, noun: str = "hypervector entries"):
+    """``values`` (a vector or stack of rows), else ``InvalidArgumentError`` naming its rows with a
+    non-finite entry, then, given ``zero``, ``DegenerateInputError`` naming those with a 0. A passing
+    check is one sum, as a finite sum has no non-finite term. Squared norms from ``safe_norms2`` come as
+    a column: once it has scaled the extreme rows, only a non-finite entry leaves a squared norm non-finite."""
+    if np.isfinite(values.sum()) and not (zero and (values == 0.0).any()):
         return values
     rows = np.atleast_2d(values)
     for error, message, bad in ((InvalidArgumentError, f"{noun} must be finite", ~np.isfinite(rows)),
                                 (DegenerateInputError, zero, rows == 0.0)):
         index = np.flatnonzero(bad.any(axis=1))
         if message and index.size:
-            names = f"rows {index.tolist()}" if labels is None else f"labels {[labels[i] for i in index]}"
-            raise error(f"{message} ({names})")
+            raise error(f"{message} (rows {index.tolist()})")
     return values
 
 

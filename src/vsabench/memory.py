@@ -68,7 +68,7 @@ class ItemMemory:
             dup = next(label for i, label in enumerate(labels) if index[label] != i)
             raise InvalidArgumentError(f"duplicate label {dup!r}")
         rows, norms2 = safe_norms2(rows, sum_products)
-        check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector", labels)
+        check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector")
         mem = cls()
         mem._labels, mem._index, mem._rows, mem._norms2 = labels, index, rows, norms2
         return mem
@@ -95,7 +95,7 @@ class ItemMemory:
         if dim is not None and v.shape[0] != dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {dim}")
         rows, norms2 = safe_norms2(v[np.newaxis], sum_products)
-        check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector", [label])
+        check_rows(norms2[:, np.newaxis], f"cannot store a zero-norm vector for {label!r}", f"entries of {label!r}")
         n = len(self._labels)
         if n == self._norms2.shape[0]:
             self._grow(max(2 * n, 8), v.shape[0])
