@@ -2,7 +2,7 @@
 
 A hypervector is a float64 or float32 array of shape ``(dim,)``, and a stack
 of them (one per patch, say) has shape ``(count, dim)``. A float32 array is
-checked as it is and widened only inside the arithmetic, which gives the bits
+not copied but widened only inside the arithmetic, which gives the bits
 of widening it first: a float32 value widens exactly, and the product of two
 is exact in float64. Other input becomes float64, and every result is float64. ``bind`` and
 ``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums

@@ -451,7 +451,7 @@ def raised(call, *args):
 
 
 class TestFloat32:
-    """A float32 array is checked as it is, and each call gives the bits of the
+    """A float32 array is not copied, and each call gives the bits of the
     same call on its float64 widening."""
 
     def test_native_float32_is_not_copied(self):

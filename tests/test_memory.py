@@ -353,8 +353,8 @@ class TestFloat32Rows:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-46, 1e-38, 1.0, 1e36, 1e39, 1e200, 1e300])
     def test_query_at_any_scale_matches_the_float64_memory(self, scale):
-        # queries are scaled by a power of two before the float32 cast, so none
-        # underflows to zero or overflows to inf in the float32 scan
+        # a query of extreme norm is scaled by a power of two before the float32
+        # cast, so none underflows to zero or overflows to inf in the scan
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((4, 4096)).astype(np.float32)
         narrow, wide = ItemMemory.from_matrix(range(4), rows), ItemMemory.from_matrix(range(4), rows.astype(np.float64))
@@ -368,8 +368,8 @@ class TestFloat32Rows:
                 assert all(abs(dict(got_row)[label] - sim) < 1e-6 for label, sim in want_row)
 
 class TestFloat32Vectors:
-    """float32 vectors and queries are checked in float32 and give the results of
-    their float64 widening, in a float64 memory and in a float32 one."""
+    """float32 vectors and queries give the results and the errors of their
+    float64 widening, in a float64 memory and in a float32 one."""
 
     def test_add_and_cleanup_match_widened(self):
         rows, queries = float32_stack((40, 1031), 1), float32_stack((6, 1031), 2)
