@@ -124,17 +124,21 @@ def spoiled_file(draw, command, name):
     ])))
 
 
+def valid_files(command) -> dict:
+    """The bytes of each input file the command reads, by flag."""
+    files = {name: vsaf_bytes(layers) for name, layers in FILES[command].items()}
+    if command == "loss":
+        files.update((name, text.encode()) for name, text in SCORES.items())
+    return files
+
+
 @st.composite
 def malformed(draw, command):
     """(file bytes by flag, flags, config-file text or None), with one defect."""
-    files = {name: vsaf_bytes(layers) for name, layers in FILES[command].items()}
-    args = dict(ARGS[command])
-    if command == "loss":
-        files.update((name, text.encode()) for name, text in SCORES.items())
-    config = None
+    files, args, config = valid_files(command), dict(ARGS[command]), None
     options = OPTIONS[command]
-    defect = draw(st.sampled_from(["flag", "config value", "config key", "config file", "argv", "input"]
-                                  if files else ["flag", "config value", "config key", "config file", "argv"]))
+    defects = ["flag", "config value", "config key", "config file", "argv"] + (["input"] if files else [])
+    defect = draw(st.sampled_from(defects))
     if defect == "flag":
         option = draw(st.sampled_from(options))
         files.pop(flag(option), None)
@@ -180,10 +184,7 @@ def run(command, files, args, config, tmp: Path):
 
 @pytest.mark.parametrize("command", sorted(FILES))
 def test_the_unspoiled_arguments_succeed(command, tmp_path):
-    files = {name: vsaf_bytes(layers) for name, layers in FILES[command].items()}
-    if command == "loss":
-        files.update((name, text.encode()) for name, text in SCORES.items())
-    code, out, err = run(command, files, ARGS[command], None, tmp_path)
+    code, out, err = run(command, valid_files(command), ARGS[command], None, tmp_path)
     assert code == 0, err
     assert out
 
