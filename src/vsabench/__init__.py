@@ -1,16 +1,7 @@
 """MAP hypervector algebra, LSH feature encoding, invertible domain mappings,
 cyclic/adversarial losses, and a synthetic semantic-flipping benchmark."""
 
-from .bench import (
-    BenchConfig,
-    BenchReport,
-    DomainSpec,
-    SceneSpec,
-    encode_scene,
-    materialize,
-    measure_recovery,
-    run_sweep,
-)
+from .bench import BenchConfig, BenchReport, measure_recovery, run_sweep
 from .errors import (
     ConfigError,
     DegenerateInputError,

@@ -221,13 +221,16 @@ def sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.ndarray]):
     """A ``(count, dim)`` array's rows and squared norms ``dots(rows, rows)``, ``dots``
     being ``row_dots`` (np.dot order) or ``sum_products``. A row whose squared norm
-    lies outside [2^-500, 2^500] (underflowed, or near overflow) is first scaled,
+    lies outside [2^-500, 2^500] (underflowed, or near overflow), or below 2^-100
+    for float32 rows, whose squares are summed in float32 and lose bits as
+    subnormals there, is first scaled,
     in a copy, by the power of two that puts its largest magnitude in [0.5, 1),
     which changes no cosine and no unit vector. Zero and non-finite rows come
     back unscaled, and ``rows`` itself comes back when no row is scaled."""
     with np.errstate(over="ignore"):
         norms2 = dots(rows, rows)
-    idx = np.flatnonzero(~((2.0**-500 <= norms2) & (norms2 <= 2.0**500)))
+    low = 2.0**-100 if rows.dtype == np.float32 else 2.0**-500
+    idx = np.flatnonzero(~((low <= norms2) & (norms2 <= 2.0**500)))
     if idx.size:
         peak = np.max(np.abs(rows[idx]), axis=1, initial=0.0)
         scalable = np.isfinite(peak) & (peak > 0.0)

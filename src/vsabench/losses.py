@@ -118,6 +118,9 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
 
 def check_no_zero_vectors(vs, name: str) -> None:
     """Raise naming every all-zero row of a (count, dim) batch."""
-    idx = np.flatnonzero(~np.any(as_float_array(vs, f"{name} must be equal-length numeric vectors"), axis=1))
+    stack = as_float_array(vs, f"{name} must be equal-length numeric vectors")
+    if stack.ndim != 2:
+        raise InvalidArgumentError(f"{name} must be a (count, dim) stack, got shape {stack.shape}")
+    idx = np.flatnonzero(~np.any(stack, axis=1))
     if idx.size:
         raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")

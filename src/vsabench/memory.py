@@ -26,7 +26,8 @@ products summed in float32, which is exact for integers whose partial sums
 stay within 2^24, as in the flip bench, and float32-accurate otherwise. A
 query whose squared norm lies outside [2^-100, 2^100] is first scaled by a
 power of two, which is exact, so that the cast neither flushes it to zero
-nor overflows it.
+nor overflows it. A stored float32 row whose squared norm falls below
+2^-100, where its squares would be float32 subnormals, is scaled the same way.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from vsabench.bench import BenchConfig, run_config, run_sweep
+from vsabench.bench import BenchConfig, measure_recovery, run_sweep
 from vsabench.hv import cosine_similarity, random_hypervector
 from vsabench.losses import LossConfig, gan_loss_hinge, total_loss, vsa_cyclic_loss
 from vsabench.lsh import new_projector, project_batch
@@ -62,14 +62,14 @@ def test_criterion_2_recovery_law():
 
 
 def test_criterion_3_cleanup_fidelity():
-    r = run_config(BenchConfig(dim=DIM, k=2, object_vocab_size=32, trials=100, seed=21))
+    r = measure_recovery(BenchConfig(dim=DIM, k=2, object_vocab_size=32, trials=100, seed=21))
     check(3, "cleanup fidelity >= 0.99", r.cleanup_accuracy >= 0.99,
           f"accuracy {r.cleanup_accuracy:.4f}")
 
 
 def test_criterion_4_random_mapping_ablation():
-    r = run_config(BenchConfig(dim=DIM, k=2, object_vocab_size=32, trials=100, seed=21,
-                               mapping="random"))
+    r = measure_recovery(BenchConfig(dim=DIM, k=2, object_vocab_size=32, trials=100, seed=21,
+                                     mapping="random"))
     chance = 1.0 / 32.0
     se = math.sqrt(chance * (1.0 - chance) / r.attempts)
     ok = abs(r.cleanup_accuracy - chance) <= 3 * se

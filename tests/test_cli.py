@@ -458,6 +458,26 @@ class TestBench:
         assert (code, stdout) == (3, "")
         assert "lambda_proxy grid values must be numbers, got 'a'" in err
 
+    @pytest.mark.parametrize("flags,cfg", [
+        (["--grid", "1e300", "--trials", "1"], {}),
+        (["--axis", "k", "--grid", "1", "--dim", "100000000", "--trials", "1"], {}),
+        ([], {"grid": [1e300], "trials": 1}),
+        ([], {"axis": "k", "grid": [1], "dim": 100000000, "trials": 1}),
+    ])
+    def test_oversized_symbol_matrix_exit_3(self, flags, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            code, stdout, stderr = run_cli(["bench", "--config", str(path), *flags], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (3, "")
+        assert stderr.splitlines()[-1].startswith("config error: symbol matrix ") and "cap 2147483648" in stderr
+        assert "Traceback" not in stderr
+        assert peak < 1 << 20
+
     def test_unknown_config_key_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": "64", "trials": 2, "dimm": 5}))

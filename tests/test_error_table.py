@@ -134,7 +134,7 @@ def cases():
         ("vsa_cyclic_loss(good, bad)", lambda s: vsa_cyclic_loss(good(), s), {**every, "zero row": DIE}),
         # only zero rows are this check's business; finiteness is the cosine's
         ("check_no_zero_vectors", lambda s: check_no_zero_vectors(s, "x"),
-         {"nan": None, "inf": None, "-inf": None, "ragged": IAE, "zero row": DIE}),
+         {"nan": None, "inf": None, "-inf": None, "empty": IAE, "ragged": IAE, "zero row": DIE}),
     ]
     for label, call, expected in table:
         for kind, want in expected.items():
@@ -171,6 +171,7 @@ def cases():
     yield "ItemMemory.from_matrix", "label count", lambda s: ItemMemory.from_matrix(range(COUNT + 1), s), good(), IAE
     yield "HypervectorMapping", "zero row", lambda s: HypervectorMapping(per_patch=s), STACKS["zero row"], None
     yield "HypervectorMapping", "1-D", lambda s: HypervectorMapping(per_patch=s), good()[0], IAE
+    yield "check_no_zero_vectors", "1-D", lambda s: check_no_zero_vectors(s, "x"), good()[0], IAE
 
 
 def row_of(stack):

@@ -367,6 +367,18 @@ class TestFloat32Rows:
                 assert got_row[0][0] == want_row[0][0]
                 assert all(abs(dict(got_row)[label] - sim) < 1e-6 for label, sim in want_row)
 
+    @pytest.mark.parametrize("scale", [1e-25, 1e-22, 1e-20, 1e-15, 1e-5, 1.0, 1e5, 1e10, 1e15, 1e18])
+    def test_rows_at_any_scale_match_the_float64_memory(self, scale):
+        # a row whose float32 squares would be subnormal (scale near 1e-22) or whose
+        # float32 squared norm overflows (1e18) is scaled by a power of two when stored
+        base = np.random.default_rng(0).standard_normal((4, 4096))
+        rows = (base * scale).astype(np.float32)
+        narrow, wide = ItemMemory.from_matrix(range(4), rows), ItemMemory.from_matrix(range(4), rows.astype(np.float64))
+        for got, want in zip(narrow.cleanup(base, k=4), wide.cleanup(base, k=4)):
+            assert got[0][0] == want[0][0]
+            assert all(abs(dict(got)[label] - sim) < 1e-6 for label, sim in want)
+
+
 class TestFloat32Vectors:
     """float32 vectors and queries give the results and the errors of their
     float64 widening, in a float64 memory and in a float32 one."""
