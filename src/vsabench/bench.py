@@ -8,6 +8,11 @@ the target-domain scene up to superposition noise (mean recovery cosine
 1/sqrt(k) for k bundled pairs); a random mapping should leave object
 cleanup at chance. Sweeps over dimension, pair count, mapping kind, and a
 mixing fraction reproduce those trends as CSV reports.
+
+Trial t of every config draws its symbols from the same seeded stream, so
+the points of a sweep that share a dim and a symbol dtype share each trial's
+symbol matrix: a sweep pays for one fill per trial for each dim and dtype,
+not one per point.
 """
 
 from __future__ import annotations
@@ -120,6 +125,71 @@ def scene_mapping(config: BenchConfig, src_attrs: np.ndarray, tgt_attrs: np.ndar
     return u
 
 
+def _symbol_dtype(config: BenchConfig):
+    """float32 when the mapping is not ``mixed`` and k^2 dim <= 2^24, else float64."""
+    return np.float32 if config.mapping != "mixed" and config.k**2 * config.dim <= 2**24 else np.float64
+
+
+def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
+    """One report per config. The configs share vocab sizes, trials and seed, so
+    those with the same dim and symbol dtype draw the same symbols each trial:
+    each such group fills one matrix per trial, and every config of the group
+    runs its own trial stages on it."""
+    first = configs[0]
+    n_obj, n_attr, trials = first.object_vocab_size, first.attr_vocab_size, first.trials
+    members = {}
+    for i, config in enumerate(configs):
+        members.setdefault((config.dim, _symbol_dtype(config)), []).append(i)
+    groups = []
+    for (dim, dtype), indices in members.items():
+        symbols = np.empty((n_obj + 2 * n_attr, dim), dtype)
+        objects, src_attrs, tgt_attrs = np.split(symbols, [n_obj, n_obj + n_attr])
+        objects.fill(1.0)
+        # The memory adopts the object rows without a copy and caches their squared
+        # norms once. Every trial refills those rows in place with +-1 entries, so
+        # each cached norm stays exactly dim and the memory stays valid.
+        memory = ItemMemory.from_matrix(range(n_obj), objects)
+        points = []
+        for i in indices:
+            k = configs[i].k
+            points.append((i, configs[i], objects[:k], src_attrs[:k], tgt_attrs[:k]))
+        groups.append((symbols, memory, points))
+
+    cosines = np.empty((len(configs), trials))
+    correct = [0] * len(configs)
+    for t in range(trials):
+        for symbols, memory, points in groups:
+            rng = np.random.default_rng(np.random.SeedSequence(first.seed, spawn_key=(0, t)))
+            materialize(symbols, rng)
+            filled = rng.bit_generator.state
+            for i, config, scene_objects, src, tgt in points:
+                # a random or mixed mapping reads on from the fill, as if it had drawn alone
+                rng.bit_generator.state = filled
+                v_src = encode_scene(scene_objects, src)
+                v_tgt = encode_scene(scene_objects, tgt)
+                translated = bind(v_src, scene_mapping(config, src, tgt, rng))
+                if not translated.any() or not v_tgt.any():
+                    raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
+                cosines[i, t] = cosine_similarity(translated, v_tgt)
+
+                tops = memory.cleanup(translated * tgt)
+                correct[i] += sum(int(top[0][0] == j) for j, top in enumerate(tops))
+
+    return [
+        BenchReport(
+            recovery_cosine=float(np.mean(cosines[i])),
+            cleanup_accuracy=correct[i] / (trials * config.k),
+            dim=config.dim,
+            k=config.k,
+            mapping=config.mapping,
+            trials=trials,
+            seed=config.seed,
+            recovery_cosine_sem=float(np.std(cosines[i], ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+        )
+        for i, config in enumerate(configs)
+    ]
+
+
 def measure_recovery(config: BenchConfig) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
@@ -137,60 +207,35 @@ def measure_recovery(config: BenchConfig) -> BenchReport:
     then every symbol, scene, mapping, query and partial sum of the memory's
     float32 scan is an integer of magnitude at most 2^24, which float32 holds
     exactly, so the report is bit for bit the float64 one.
+
+    This is the one-config case of ``run_sweep``'s trial loop, and pays for
+    one symbol fill per trial.
     """
-    dim, k, trials = config.dim, config.k, config.trials
-    n_obj, n_attr = config.object_vocab_size, config.attr_vocab_size
-    dtype = np.float32 if config.mapping != "mixed" and k**2 * dim <= 2**24 else np.float64
-    symbols = np.empty((n_obj + 2 * n_attr, dim), dtype)
-    objects, src_attrs, tgt_attrs = np.split(symbols, [n_obj, n_obj + n_attr])
-    objects.fill(1.0)
-    # The memory adopts the object rows without a copy and caches their squared
-    # norms once. Every trial refills those rows in place with +-1 entries, so
-    # each cached norm stays exactly dim and the memory stays valid.
-    memory = ItemMemory.from_matrix(range(n_obj), objects)
-    scene_objects, src, tgt = objects[:k], src_attrs[:k], tgt_attrs[:k]
-
-    cosines = np.empty(trials)
-    correct = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, t)))
-        materialize(symbols, rng)
-        v_src = encode_scene(scene_objects, src)
-        v_tgt = encode_scene(scene_objects, tgt)
-        translated = bind(v_src, scene_mapping(config, src, tgt, rng))
-        if not translated.any() or not v_tgt.any():
-            raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
-        cosines[t] = cosine_similarity(translated, v_tgt)
-
-        tops = memory.cleanup(translated * tgt)
-        correct += sum(int(top[0][0] == i) for i, top in enumerate(tops))
-
-    sem = float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return BenchReport(
-        recovery_cosine=float(np.mean(cosines)),
-        cleanup_accuracy=correct / (trials * k),
-        dim=dim,
-        k=k,
-        mapping=config.mapping,
-        trials=trials,
-        seed=config.seed,
-        recovery_cosine_sem=sem,
-    )
+    return _measure([config])[0]
 
 
 def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
     """One report per grid point along the named axis; returns (value, report) pairs.
 
     Every point draws its trials from the same seeded streams, so a point's
-    report depends only on its own config and seed, not on where it sits in
-    the grid."""
+    report is ``measure_recovery`` of its own config, whatever its place in
+    the grid. Points of the same dim and symbol dtype therefore fill the same
+    symbol matrix in trial t, and the sweep fills it once per trial for all of
+    them: a sweep pays for one fill per trial for each dim and dtype among its
+    points, and holds one symbol matrix and item memory for each at once. A
+    random or mixed mapping then draws on from the generator's state just
+    after the fill, which is the stream it would read alone.
+
+    Every grid value is checked before any trial runs. Trials run in order,
+    each over every point, so a degenerate sweep raises ``DegenerateInputError``
+    naming the first trial at which any of its points has a zero-norm scene."""
     if axis not in SWEEP_AXES:
         raise InvalidArgumentError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = list(grid)
     if not grid:
         raise InvalidArgumentError("sweep grid must be nonempty")
 
-    results = []
+    configs = []
     for value in grid:
         try:
             if axis in ("dim", "k"):
@@ -201,8 +246,8 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
                 point = {"mapping": "mixed", "mix": as_float(value, "numbers")}
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{axis} grid values {exc}") from exc
-        results.append((value, measure_recovery(replace(base, **point))))
-    return results
+        configs.append(replace(base, **point))
+    return list(zip(grid, _measure(configs)))
 
 
 def _format_value(value) -> str:

@@ -360,9 +360,22 @@ def cmd_loss(args) -> int:
     return EXIT_OK
 
 
+_SWEPT = {"dim": ("dim",), "k": ("k",), "mapping_kind": ("mapping",), "lambda_proxy": ("mapping", "mix")}
+
+
+def _bench_unread(cfg: dict) -> dict:
+    """The options a bench sweep never reads: those its axis sets on every
+    point, and ``mix`` when no point's mapping is ``mixed``."""
+    unread = dict.fromkeys(_SWEPT[cfg["axis"]], f"under --axis {cfg['axis']}")
+    mappings = cfg["grid"] if cfg["axis"] == "mapping_kind" else [cfg["mapping"]]
+    if "mixed" not in map(str, mappings):
+        unread.setdefault("mix", "without a mixed mapping")
+    return unread
+
+
 def cmd_bench(args) -> int:
     """run a recovery sweep and emit CSV"""
-    cfg = _merged(args)
+    cfg = _merged(args, _bench_unread)
     base = bench_mod.BenchConfig(
         dim=cfg["dim"], k=cfg["k"], object_vocab_size=cfg["objects"], attr_vocab_size=cfg["attrs"],
         mapping=cfg["mapping"], mix=cfg["mix"], trials=cfg["trials"], seed=_resolve_seed(cfg))

@@ -58,6 +58,15 @@ def reference_scenes(config, objects, src, tgt):
     return v_src, v_tgt, sum(bind(src[i], tgt[i]) for i in range(k))
 
 
+def reference_mapping(config, u_gt, rng):
+    """The config's mapping vector from the ground truth and, for random and mixed, a bipolar draw from rng."""
+    if config.mapping == "ground_truth":
+        return u_gt
+    if config.mapping == "random":
+        return sample_hypervector(config.dim, rng)
+    return config.mix * u_gt + (1.0 - config.mix) * sample_hypervector(config.dim, rng)
+
+
 def reference_recovery(config):
     """The per-row trial loop: symbols drawn one row at a time, one scene encoding and one cleanup query
     at a time. Object i carries source attribute i, for i < k, and target attribute i is its twin."""
@@ -68,13 +77,7 @@ def reference_recovery(config):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, t)))
         objects, src, tgt = per_row_symbols(config, rng)
         v_src, v_tgt, u_gt = reference_scenes(config, objects, src, tgt)
-        if config.mapping == "ground_truth":
-            u = u_gt
-        elif config.mapping == "random":
-            u = sample_hypervector(config.dim, rng)
-        else:
-            u = config.mix * u_gt + (1.0 - config.mix) * sample_hypervector(config.dim, rng)
-        translated = bind(v_src, u)
+        translated = bind(v_src, reference_mapping(config, u_gt, rng))
         cosines[t] = cosine_similarity(translated, v_tgt)
         for i in range(k):
             correct += int(reference_cleanup(objects, bind(translated, tgt[i])) == i)
@@ -288,17 +291,23 @@ class TestMatchesPerLabelLoop:
             small_config(dim=64, n_obj=3, n_attr=4, k=4)
 
 
-def symbol_dtypes(monkeypatch, config):
-    """The dtypes of the arrays measure_recovery fills with symbols."""
-    seen = set()
+def symbol_fills(monkeypatch):
+    """The dtype of each array the bench fills with symbols, in the order of the fills."""
+    seen = []
 
     def spy(out, rng):
-        seen.add(out.dtype)
+        seen.append(out.dtype)
         return fill_bipolar(out, rng)
 
     monkeypatch.setattr(bench, "fill_bipolar", spy)
-    measure_recovery(replace(config, trials=2, seed=1, mix=0.5))
     return seen
+
+
+def symbol_dtypes(monkeypatch, config):
+    """The dtypes of the arrays measure_recovery fills with symbols."""
+    seen = symbol_fills(monkeypatch)
+    measure_recovery(replace(config, trials=2, seed=1, mix=0.5))
+    return set(seen)
 
 
 class TestFloat32Symbols:
@@ -325,8 +334,8 @@ def first_zero_norm_trial(config):
     and which of the two is zero."""
     for t in itertools.count():
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, t)))
-        v_src, v_tgt, u = reference_scenes(config, *per_row_symbols(config, rng))
-        translated = bind(v_src, u)
+        v_src, v_tgt, u_gt = reference_scenes(config, *per_row_symbols(config, rng))
+        translated = bind(v_src, reference_mapping(config, u_gt, rng))
         if not np.any(translated) or not np.any(v_tgt):
             return t, "translated" if np.any(v_tgt) else "twin"
 
@@ -342,6 +351,17 @@ class TestZeroNormScene:
         message = f"zero-norm translated or target scene in trial {t}"
         with pytest.raises(DegenerateInputError, match=re.escape(message) + "$"):
             measure_recovery(replace(self.CONFIG, trials=t + 5, seed=seed))
+
+    @pytest.mark.parametrize("seed", [15, 29])
+    def test_sweep_error_names_the_first_trial_of_any_point(self, seed):
+        grid = ["mixed", "random", "ground_truth"]
+        base = replace(self.CONFIG, mix=0.5, seed=seed)
+        firsts = [first_zero_norm_trial(replace(base, mapping=m))[0] for m in grid]
+        t = min(firsts)
+        assert 0 < t < firsts[0]  # a later point, in the other dtype group, degenerates first
+        message = f"zero-norm translated or target scene in trial {t}"
+        with pytest.raises(DegenerateInputError, match=re.escape(message) + "$"):
+            run_sweep("mapping_kind", grid, replace(base, trials=max(firsts) + 5))
 
 
 class TestSweep:
@@ -367,6 +387,40 @@ class TestSweep:
         base = BenchConfig(dim=256, trials=5, seed=9, attr_vocab_size=8)
         forward, backward = dict(run_sweep("k", [1, 4], base)), dict(run_sweep("k", [4, 1], base))
         assert forward[4] == backward[4] == measure_recovery(replace(base, k=4))
+
+    @pytest.mark.parametrize("base", [
+        small_config(dim=129, k=3, trials=6, seed=23, mix=0.3),
+        # past the float32 bound, so the random and mixed points share a float64 group
+        small_config(dim=4097, n_obj=64, n_attr=64, k=64, trials=2, seed=24, mix=0.3),
+    ])
+    @pytest.mark.parametrize("axis,grid", [
+        ("mapping_kind", ["ground_truth", "random", "mixed"]),
+        ("mapping_kind", ["mixed", "random", "ground_truth"]),
+        ("lambda_proxy", [0.0, 0.3, 1.0]),
+        ("lambda_proxy", [1.0, 0.3, 0.0]),
+    ])
+    def test_points_that_draw_after_the_fill_match_measure_recovery(self, axis, grid, base):
+        for value, report in run_sweep(axis, grid, base):
+            point = {"mapping": value} if axis == "mapping_kind" else {"mapping": "mixed", "mix": value}
+            assert report == measure_recovery(replace(base, **point))
+
+    def test_k_sweep_fills_once_a_trial(self, monkeypatch):
+        fills = symbol_fills(monkeypatch)
+        run_sweep("k", [1, 2, 4], small_config(dim=64, trials=3))
+        assert len(fills) == 3
+
+    def test_dim_sweep_fills_once_a_trial_per_point(self, monkeypatch):
+        fills = symbol_fills(monkeypatch)
+        run_sweep("dim", [16, 64, 128, 256], small_config(trials=3))
+        assert len(fills) == 4 * 3
+
+    def test_k_sweep_across_the_float32_bound_fills_once_a_trial_per_dtype(self, monkeypatch):
+        base = small_config(dim=4096, n_obj=65, n_attr=65, trials=2, seed=25)
+        fills = symbol_fills(monkeypatch)
+        results = run_sweep("k", [1, 64, 65, 2], base)  # 65^2 * 4096 > 2^24
+        assert fills == [np.dtype(np.float32), np.dtype(np.float64)] * 2
+        for k, report in results:
+            assert report == measure_recovery(replace(base, k=k))
 
     def test_bad_axis_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vsabench.bench import CSV_HEADER
 from vsabench.cli import main
 from vsabench.vsaf import feature_map_set, read_hypervectors, write_feature_file, write_hypervectors
 
@@ -442,11 +443,11 @@ class TestBench:
 
     @pytest.mark.parametrize("grid", ["64,,128", "64,", " ,64", ""])
     def test_empty_grid_token_rejected(self, grid, tmp_path, capsys):
-        code, stdout, err = run_cli(["bench", "--grid", grid, "--trials", "2", "--dim", "64"], capsys)
+        code, stdout, err = run_cli(["bench", "--grid", grid, "--trials", "2"], capsys)
         assert (code, stdout) == (1, "")
         assert err.startswith("usage error: argument --grid: ") and "none empty" in err
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"grid": grid, "trials": 2, "dim": 64}))
+        path.write_text(json.dumps({"grid": grid, "trials": 2}))
         code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
         assert err.startswith("config error: grid ") and "none empty" in err
@@ -478,6 +479,41 @@ class TestBench:
         assert "Traceback" not in stderr
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("axis,grid,name,value,reason", [
+        ("dim", "64", "dim", "64", "under --axis dim"),
+        ("k", "1,2", "k", "2", "under --axis k"),
+        ("mapping_kind", "ground_truth,random", "mapping", "random", "under --axis mapping_kind"),
+        ("lambda_proxy", "0,1", "mapping", "mixed", "under --axis lambda_proxy"),
+        ("lambda_proxy", "0,1", "mix", "0.5", "under --axis lambda_proxy"),
+        ("mapping_kind", "ground_truth,random", "mix", "0.5", "without a mixed mapping"),
+        ("dim", "64", "mix", "1", "without a mixed mapping"),
+        ("k", "1,2", "mix", "0.5", "without a mixed mapping"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_option_the_sweep_does_not_read_rejected(self, axis, grid, name, value, reason, route, tmp_path, capsys):
+        argv = ["bench", "--axis", axis, "--grid", grid, "--trials", "2"]
+        if route == "flag":
+            code, stdout, stderr = run_cli(argv + [f"--{name}", value], capsys)
+            assert (code, stdout) == (1, "")
+            assert stderr == f"usage error: --{name} is not read {reason}\n"
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({name: value}))
+            code, stdout, stderr = run_cli(argv + ["--config", str(path)], capsys)
+            assert (code, stdout) == (3, "")
+            assert stderr == f"config error: {name} is not read {reason}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "dim", "--grid", "64", "--k", "2", "--mapping", "mixed", "--mix", "0.5"],
+        ["--axis", "k", "--grid", "1,2", "--dim", "64", "--mapping", "random"],
+        ["--axis", "mapping_kind", "--grid", "ground_truth,mixed", "--dim", "64", "--k", "2", "--mix", "0.5"],
+        ["--axis", "lambda_proxy", "--grid", "0,1", "--dim", "64", "--k", "2"],
+    ])
+    def test_options_the_sweep_reads_accepted(self, argv, capsys):
+        code, stdout, stderr = run_cli(["bench", *argv, "--trials", "2"], capsys)
+        assert code == 0, stderr
+        assert stdout.startswith(CSV_HEADER)
+
     def test_unknown_config_key_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": "64", "trials": 2, "dimm": 5}))
@@ -504,7 +540,7 @@ class TestUnwritableOutput:
         return {
             "encode": ["encode", "--features-in", str(feature_file), "--patch-sizes", "4,2", "--dim", "64"],
             "map": ["map", "--src", str(src), "--tgt", str(src)],
-            "bench": ["bench", "--grid", "64", "--trials", "2", "--dim", "64"],
+            "bench": ["bench", "--grid", "64", "--trials", "2"],
         }
 
     @pytest.mark.parametrize("command", ["encode", "map", "bench"])

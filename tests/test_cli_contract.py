@@ -84,7 +84,7 @@ ARGS = {
     "encode": {"--patch-sizes": "2,1", "--dim": "16", "--out": "{tmp}/out.vsaf"},
     "map": {"--out": "{tmp}/out.vsaf"},
     "loss": {"--variant": "nll"},
-    "bench": {"--grid": "16", "--dim": "16", "--trials": "1"},
+    "bench": {"--grid": "16", "--trials": "1"},
 }
 
 
