@@ -10,7 +10,7 @@ from .errors import (
     VsabenchError,
     VsafError,
 )
-from .hv import bind, bundle, cosine_similarity, random_hypervector
+from .hv import bind, bundle, cosine_similarity
 from .losses import LossConfig, gan_loss_hinge, gan_loss_nll, total_loss, vsa_cyclic_loss
 from .lsh import LshProjector, new_projector, project, project_batch
 from .mapping import (

@@ -147,11 +147,6 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def random_hypervector(dim: int, seed: int) -> np.ndarray:
-    """Sample a bipolar hypervector (each entry -1 or +1, equally likely), deterministic in (dim, seed)."""
-    return sample_hypervector(dim, np.random.default_rng(check_seed(seed)))
-
-
 def sample_hypervector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one bipolar hypervector from an existing generator (stream-level determinism)."""
     dim = as_int(dim, "an integer dim")

@@ -21,7 +21,6 @@ from vsabench.hv import (
     bundle,
     check_seed,
     cosine_similarity,
-    random_hypervector,
     sample_hypervector,
 )
 from vsabench.losses import (
@@ -157,7 +156,7 @@ def cases():
         yield "LossConfig(fake_term_weights)", kind, lambda v: LossConfig(fake_term_weights=(1.0, v)), value, IAE
         yield "random_mapping(patch_count)", kind, lambda v: random_mapping(v, DIM, seed=0), value, IAE
         yield "sample_hypervector(dim)", kind, lambda v: sample_hypervector(v, np.random.default_rng(0)), value, IAE
-        yield "random_hypervector(seed)", kind, lambda v: random_hypervector(DIM, v), value, IAE
+        yield "random_mapping(seed)", kind, lambda v: random_mapping(1, DIM, seed=v), value, IAE
         yield "check_seed", kind, check_seed, value, IAE
         yield "as_int", kind, as_int, value, IAE
         yield "as_float", kind, as_float, value, IAE

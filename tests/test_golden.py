@@ -4,7 +4,10 @@ The bytes of the flip-bench CSVs, the encoded and mapping VSAF files and the
 loss JSON are fixed for a given seed. These digests make any change to them
 visible, so that merging samplers, quantizers or cosine paths cannot alter
 output bits unnoticed. They were recorded with numpy 2.4.6 and OpenBLAS
-0.3.31 on x86-64; a different BLAS can round the LSH projection differently.
+0.3.31 on x86-64. The LSH projection is a float32 SGEMM, so a different BLAS
+can round the unquantized encode files, and the map and loss outputs read
+from them, differently; ``tests/test_lsh.py::TestFloat32Accuracy`` bounds
+how far any entry may move from the float64 product.
 """
 
 import hashlib
@@ -34,13 +37,13 @@ SWEEPS = {
 CAPACITY_DIGEST = "26d8402bf0dc08498bddb7585578810e5cdcef39437cc42e9fccb957dced03fa"
 
 PIPELINE_DIGESTS = {
-    "src_none": "42ef6889d5dc4fba3b0f4ed63ae52c4c0c88e18c5308acc01a2bae6eb27ef721",
-    "tgt_none": "7f2d48f276ed1e40bf8f7e9a87b5335734bcb2eb9928b8c48605db447d6f38a1",
+    "src_none": "76d681e640bdbd37df06d4d433078fcd43e3339979b3f686b8ba7ebc1dac43da",
+    "tgt_none": "0cb81d678f52537fcbd89149415c0a60e6be594da67ef236dce0fd1f92f9c504",
     "src_sign": "37464dac2d2ac3e1f1740f303d847db7f461eb636519a2ab96713e2831d92ee8",
-    "map_none": "fc8bb4511d68e9ad7e0e45195f0c1ba4ead2afdce640a7acb6632ba544397606",
+    "map_none": "04a5f3e1fee2b534052b6df2c4832d7c1940ff0c85906367910473177e281d78",
     "map_sign": "70804e04d9c3e51a33bfd91976a5ce396b2590b84864d441b138c1d2f3784e9e",
     "map_random": "df0974efb2f3a88a0e4d62e8f13bf1669971ea693716133a70e24bcc19cd15c7",
-    "loss": "a417c87fa11b11768a7bb999d3bb23502f3ab3def1a7d04c89f4c33ebd8c3432",
+    "loss": "66f7aad7040419947314174fd52b23f4efe3672681f4a2c6802625b5ac5f82ae",
 }
 
 

@@ -15,10 +15,10 @@ from vsabench.hv import (
     bind,
     bundle,
     check_rows,
+    check_seed,
     cosine_similarity,
     fill_bipolar,
     quantized,
-    random_hypervector,
     row_dots,
     safe_norms2,
     sample_hypervector,
@@ -38,21 +38,21 @@ def finite_vectors(dim=8):
 
 class TestRandomHypervector:
     def test_determinism(self):
-        a = random_hypervector(DIM, seed=42)
-        b = random_hypervector(DIM, seed=42)
+        a = sample_hypervector(DIM, np.random.default_rng(42))
+        b = sample_hypervector(DIM, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_bipolar_values(self):
-        v = random_hypervector(DIM, seed=0)
+        v = sample_hypervector(DIM, np.random.default_rng(0))
         assert set(np.unique(v)) <= {-1.0, 1.0}
 
     def test_dim_one(self):
-        v = random_hypervector(1, seed=3)
+        v = sample_hypervector(1, np.random.default_rng(3))
         assert v[0] in (-1.0, 1.0)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            random_hypervector(0, seed=1)
+            sample_hypervector(0, np.random.default_rng(1))
 
     @pytest.mark.parametrize("dim", [96.5, True, None, "x"])
     def test_non_integer_dim_rejected(self, dim):
@@ -64,18 +64,18 @@ class TestRandomHypervector:
             sample_hypervector(96.0, np.random.default_rng(0)), sample_hypervector(96, np.random.default_rng(0)))
 
     def test_bad_seed_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            random_hypervector(DIM, seed=-1)
-        with pytest.raises(InvalidArgumentError):
-            random_hypervector(DIM, seed=2**64)
+        # the check that every seeded entry point (projector, random mapping, bench) runs
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidArgumentError):
+                check_seed(seed)
 
     def test_distinct_seeds_near_orthogonal(self):
         # Monte-Carlo oracle: for bipolar pairs at dim n, E|cos| = sqrt(2/(pi n)).
         expected_abs = math.sqrt(2.0 / (math.pi * DIM))  # ~0.0125 at 4096
         sims = []
         for i in range(1000):
-            a = random_hypervector(DIM, seed=2 * i)
-            b = random_hypervector(DIM, seed=2 * i + 1)
+            a = sample_hypervector(DIM, np.random.default_rng(2 * i))
+            b = sample_hypervector(DIM, np.random.default_rng(2 * i + 1))
             sims.append(abs(cosine_similarity(a, b)))
         assert max(sims) < 0.1
         assert np.mean(sims) <= 2 * expected_abs
@@ -87,12 +87,12 @@ class TestBind:
         np.testing.assert_array_equal(bind([1, -1, 1], [1, 1, -1]), [1.0, -1.0, -1.0])
 
     def test_identity_element(self):
-        v = random_hypervector(DIM, seed=1)
+        v = sample_hypervector(DIM, np.random.default_rng(1))
         np.testing.assert_array_equal(bind(v, np.ones(DIM)), v)
 
     def test_self_inverse_bipolar(self):
         v = np.random.default_rng(2).uniform(-1.0, 1.0, DIM)
-        u = random_hypervector(DIM, seed=3)
+        u = sample_hypervector(DIM, np.random.default_rng(3))
         np.testing.assert_array_equal(bind(bind(v, u), u), v)
 
     def test_dim_mismatch(self):
@@ -112,14 +112,14 @@ class TestBind:
 
 class TestBundle:
     def test_singleton(self):
-        v = random_hypervector(DIM, seed=4)
+        v = sample_hypervector(DIM, np.random.default_rng(4))
         np.testing.assert_array_equal(bundle([v]), v)
 
     def test_hand_computed(self):
         np.testing.assert_array_equal(bundle([[1, -1], [1, 1]]), [2.0, 0.0])
 
     def test_order_invariant(self):
-        vs = [random_hypervector(64, seed=s) for s in range(5)]
+        vs = [sample_hypervector(64, np.random.default_rng(s)) for s in range(5)]
         np.testing.assert_array_equal(bundle(vs), bundle(vs[::-1]))
 
     def test_empty_rejected(self):
@@ -135,8 +135,8 @@ class TestBundle:
         # additively, so cos(a + b, a) concentrates at 1/sqrt(2).
         sims = [
             cosine_similarity(
-                bundle([random_hypervector(DIM, seed=2 * i), random_hypervector(DIM, seed=2 * i + 1)]),
-                random_hypervector(DIM, seed=2 * i),
+                bundle([sample_hypervector(DIM, np.random.default_rng(2 * i)), sample_hypervector(DIM, np.random.default_rng(2 * i + 1))]),
+                sample_hypervector(DIM, np.random.default_rng(2 * i)),
             )
             for i in range(50)
         ]
@@ -145,15 +145,15 @@ class TestBundle:
 
 class TestCosine:
     def test_identity(self):
-        v = random_hypervector(DIM, seed=6)
+        v = sample_hypervector(DIM, np.random.default_rng(6))
         assert cosine_similarity(v, v) == pytest.approx(1.0)
 
     def test_antipodal(self):
-        v = random_hypervector(DIM, seed=7)
+        v = sample_hypervector(DIM, np.random.default_rng(7))
         assert cosine_similarity(v, -v) == pytest.approx(-1.0)
 
     def test_scale_invariance(self):
-        v = random_hypervector(DIM, seed=8)
+        v = sample_hypervector(DIM, np.random.default_rng(8))
         assert cosine_similarity(v, 2 * v) == pytest.approx(1.0)
 
     def test_zero_norm_rejected(self):
@@ -162,7 +162,7 @@ class TestCosine:
 
     def test_flip_noise_identity(self):
         # flipping k of n bipolar entries gives cos = 1 - 2k/n exactly
-        v = random_hypervector(DIM, seed=11)
+        v = sample_hypervector(DIM, np.random.default_rng(11))
         for k in (0, 10, 409, 2048):
             w = v.copy()
             w[:k] *= -1

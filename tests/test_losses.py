@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
-from vsabench.hv import cosine_similarity, random_hypervector
+from vsabench.hv import cosine_similarity, sample_hypervector
 from vsabench.losses import (
     LossConfig,
     check_no_zero_vectors,
@@ -22,22 +22,22 @@ from test_mapping import traced_peak
 
 class TestVsaCyclicLoss:
     def test_identical_is_zero(self):
-        vs = [random_hypervector(256, seed=s) for s in range(4)]
+        vs = [sample_hypervector(256, np.random.default_rng(s)) for s in range(4)]
         assert vsa_cyclic_loss(vs, vs) == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_is_two(self):
-        vs = [random_hypervector(256, seed=s) for s in range(4)]
+        vs = [sample_hypervector(256, np.random.default_rng(s)) for s in range(4)]
         assert vsa_cyclic_loss(vs, [-v for v in vs]) == pytest.approx(2.0)
 
     def test_bipolar_round_trip_exact_zero(self):
-        vs = [random_hypervector(512, seed=s) for s in range(3)]
-        u = [random_hypervector(512, seed=100 + s) for s in range(3)]
+        vs = [sample_hypervector(512, np.random.default_rng(s)) for s in range(3)]
+        u = [sample_hypervector(512, np.random.default_rng(100 + s)) for s in range(3)]
         cycled = [v * w * w for v, w in zip(vs, u)]
         assert vsa_cyclic_loss(vs, cycled) == 0.0
 
     def test_positive_rescale_invariant(self):
-        vs = [random_hypervector(128, seed=s) for s in range(3)]
-        cycled = [random_hypervector(128, seed=10 + s) for s in range(3)]
+        vs = [sample_hypervector(128, np.random.default_rng(s)) for s in range(3)]
+        cycled = [sample_hypervector(128, np.random.default_rng(10 + s)) for s in range(3)]
         scaled = [3.5 * c for c in cycled]
         assert vsa_cyclic_loss(vs, scaled) == pytest.approx(vsa_cyclic_loss(vs, cycled))
 

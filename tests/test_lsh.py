@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def unit_pair_with_cosine(rng, m, rho):
     return f1, f2
 
 
-def bipolar_matrix(n, m, seed):
+def bipolar_matrix(n, m, seed, dtype=np.float32):
     """The (n, m) +-1 matrix S, from integer shifts of one uint32 draw: row r
     takes ceil(m / 32) words of its own, and entry c is +1 where bit c % 32 of
     word c // 32 is set. C order, as the package's panels are: OpenBLAS sums a
@@ -27,7 +28,15 @@ def bipolar_matrix(n, m, seed):
     words = np.random.default_rng(seed).integers(0, 2**32, size=(n, -(-m // 32)), dtype=np.uint32)
     c = np.arange(m)
     bits = (words[:, c // 32] >> (c % 32).astype(np.uint32)) & 1
-    return np.ascontiguousarray(np.where(bits == 1, 1.0, -1.0))
+    return np.ascontiguousarray(np.where(bits == 1, 1.0, -1.0), dtype=dtype)
+
+
+def unit_rows(fs):
+    """The rows of ``fs`` at unit length in float64, each first scaled by the power
+    of two that puts its peak in [0.5, 1): that changes no unit vector, and keeps
+    the squared norm of a row near 1e200 or 1e-200 in range."""
+    fs = np.ldexp(fs, -np.frexp(np.max(np.abs(fs), axis=1, keepdims=True))[1])
+    return fs / np.linalg.norm(fs, axis=1, keepdims=True)
 
 
 def projector_matrix(p):
@@ -272,25 +281,30 @@ class TestBatchIndependence:
                     )
 
 
-def full_matrix_projection(m, n, seed, fs, quantize):
-    """Projection without streaming: the whole +-1 matrix S at once, drawn to a
-    multiple of 256 rows, features padded to BLOCK_ROWS rows multiplied by it
-    in one GEMM per 256 columns, the first n columns scaled by 1 / sqrt(m)."""
+def full_matrix_projection(m, n, seed, fs, quantize, dtype=np.float32):
+    """Projection without streaming, in ``dtype``: the whole +-1 matrix S at once,
+    drawn to a multiple of 256 rows, the float64 unit features rounded to
+    ``dtype`` and padded to BLOCK_ROWS rows, multiplied by S in one GEMM per 256
+    columns, and the first n columns widened to float64 and scaled by 1 / sqrt(m)."""
     width = -(-n // 256) * 256
-    rows = bipolar_matrix(width, m, seed)
+    rows = bipolar_matrix(width, m, seed, dtype)
     count = len(fs)
     padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
-    unit = np.zeros((padded, m))
-    unit[:count] = fs / np.linalg.norm(fs, axis=1, keepdims=True)
-    out = np.empty((padded, width))
+    unit = np.zeros((padded, m), dtype=dtype)
+    unit[:count] = unit_rows(fs)
+    out = np.empty((padded, width), dtype=dtype)
     for col in range(0, width, 256):
         np.matmul(unit, rows[col : col + 256].T, out=out[:, col : col + 256])
-    out = np.clip(out[:count, :n] * (1.0 / np.sqrt(m)), -1.0, 1.0)
+    out = np.clip(out[:count, :n].astype(np.float64) * (1.0 / np.sqrt(m)), -1.0, 1.0)
     return np.where(out >= 0.0, 1.0, -1.0) if quantize == "sign" else out
 
 
+# the independent float64 reference that the float32 projection is bounded against
+float64_projection = partial(full_matrix_projection, dtype=np.float64)
+
+
 class TestStreaming:
-    """The projector is drawn panel by panel, and projects as the whole matrix did."""
+    """The projector is drawn panel by panel, and projects as the whole float32 matrix does."""
 
     @pytest.mark.parametrize("quantize", ["none", "sign"])
     @pytest.mark.parametrize(
@@ -303,15 +317,15 @@ class TestStreaming:
 
     @pytest.mark.parametrize("m,count", [(384, 1024), (6144, 64)])
     def test_full_panels_equal_full_matrix_formula_at_benchmark_shapes(self, m, count):
-        # n = 512 is two full panels, each projected by one GEMM over the whole batch
+        # n = 512 is two full panels, each projected by one SGEMM over the whole batch
         fs = np.random.default_rng(m).standard_normal((count, m))
         got = project_batch(new_projector(m=m, n=512, seed=m), fs)
         assert got.tobytes() == full_matrix_projection(m, 512, m, fs, "none").tobytes()
 
     @pytest.mark.parametrize("n", [8192, 8191])
     def test_peak_memory_is_one_panel(self, n):
-        # the full n x 4096 float64 matrix would be 256 MB, and one 256-row panel
-        # is 8.4 MB; each panel is dropped before the next is drawn, so the bound
+        # the full n x 4096 float32 matrix would be 134 MB, and one 256-row panel
+        # is 4.2 MB; each panel is dropped before the next is drawn, so the bound
         # is one and a half panels, at n = 8191 too, whose last panel is full height
         p = new_projector(m=4096, n=n, seed=3)
         fs = np.random.default_rng(4).standard_normal((8, 4096))
@@ -321,4 +335,45 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * _PANEL_ROWS * 4096 * 8 // 2
+        assert peak < 3 * _PANEL_ROWS * 4096 * 4 // 2
+
+
+class TestFloat32Accuracy:
+    """Each entry of the float32 projection lies within a proven bound of the float64
+    product, and a sign differs from the float64 sign only inside that bound."""
+
+    @staticmethod
+    def bound(m, fs):
+        """Per-row bound on |float32 entry - float64 entry|, as a (count, 1) column.
+
+        The +-1 products are exact, so an inner product of m of them summed in
+        precision 2^-t errs by at most gamma(t) sum |x_i| (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., 3.1). The float32 sum runs over
+        the rounded unit features u~, which move it by at most sum |u_i - u~_i|, and
+        the float64 reference has its own gamma(53) term. Scaling by 1 / sqrt(m),
+        rounded up by at most 2^-53, multiplies the gap; rounding the two scaled
+        products, each below 2 in magnitude, adds at most 2^-53 each; the clip to
+        [-1, 1] shrinks no gap."""
+        u = unit_rows(fs)
+        u32 = u.astype(np.float32).astype(np.float64)
+        gamma = lambda t: m * 2.0**-t / (1.0 - m * 2.0**-t)  # noqa: E731
+        gap = gamma(24) * np.abs(u32).sum(axis=1) + np.abs(u - u32).sum(axis=1) + gamma(53) * np.abs(u).sum(axis=1)
+        return (gap / np.sqrt(m) * (1.0 + 2.0**-52) + 2.0**-51)[:, np.newaxis]
+
+    @pytest.mark.parametrize(
+        "count,m,n", [(64, 6144, 4096), (1024, 384, 4096), (203, 16, 1000), (203, 64, 1000)]
+    )
+    def test_entries_and_signs_within_bound(self, count, m, n):
+        fs = np.random.default_rng(m).standard_normal((count, m))
+        fs[1] *= 1e200
+        fs[2] *= 1e-200
+        p = new_projector(m=m, n=n, seed=m + n)
+        y64 = float64_projection(m, n, p.seed, fs, "none")
+        bound = self.bound(m, fs)
+        assert bound.max() < 4e-4  # the gate is tight enough to mean something at every m
+        got = project_batch(p, fs)
+        assert got.dtype == np.float64
+        err = np.abs(got - y64)
+        assert (err <= bound).all(), f"largest error {err.max():.3e} over bound at {np.unravel_index((err / bound).argmax(), err.shape)}"
+        flipped = project_batch(p, fs, quantize="sign") != np.where(y64 >= 0.0, 1.0, -1.0)
+        assert (np.abs(y64) <= bound)[flipped].all()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vsabench.errors import InvalidArgumentError
-from vsabench.hv import bind, bundle, cosine_similarity, quantized, random_hypervector
+from vsabench.hv import bind, bundle, cosine_similarity, quantized, sample_hypervector
 from vsabench.lsh import new_projector, project_batch
 from vsabench.mapping import (
     HypervectorMapping,
@@ -83,12 +83,12 @@ class TestApplyMapping:
 
 class TestGroundTruthMapping:
     def test_single_pair_exact(self):
-        a, b = random_hypervector(64, seed=0), random_hypervector(64, seed=1)
+        a, b = sample_hypervector(64, np.random.default_rng(0)), sample_hypervector(64, np.random.default_rng(1))
         np.testing.assert_array_equal(build_ground_truth_mapping([a], [b]), bind(a, b))
 
     def test_pair_order_invariant(self):
-        srcs = [random_hypervector(64, seed=2 * i) for i in range(4)]
-        tgts = [random_hypervector(64, seed=2 * i + 1) for i in range(4)]
+        srcs = [sample_hypervector(64, np.random.default_rng(2 * i)) for i in range(4)]
+        tgts = [sample_hypervector(64, np.random.default_rng(2 * i + 1)) for i in range(4)]
         np.testing.assert_array_equal(
             build_ground_truth_mapping(srcs, tgts), build_ground_truth_mapping(srcs[::-1], tgts[::-1])
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vsabench.errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
-from vsabench.hv import bundle, cosine_similarity, random_hypervector
+from vsabench.hv import bundle, cosine_similarity, sample_hypervector
 from vsabench.memory import ItemMemory
 
 from test_hv import float32_stack, raised
@@ -15,14 +15,14 @@ DIM = 4096
 def filled_memory(n_items, dim, seed0=0):
     mem = ItemMemory()
     for i in range(n_items):
-        mem.add(f"item{i}", random_hypervector(dim, seed=seed0 + i))
+        mem.add(f"item{i}", sample_hypervector(dim, np.random.default_rng(seed0 + i)))
     return mem
 
 
 class TestAdd:
     def test_exact_lookup_after_add(self):
         mem = ItemMemory()
-        v = random_hypervector(256, seed=1)
+        v = sample_hypervector(256, np.random.default_rng(1))
         mem.add("x", v)
         label, sim = mem.cleanup(v)[0]
         assert label == "x"
@@ -31,16 +31,16 @@ class TestAdd:
     def test_duplicate_label_rejected(self):
         mem = filled_memory(2, 64)
         with pytest.raises(InvalidArgumentError):
-            mem.add("item0", random_hypervector(64, seed=9))
+            mem.add("item0", sample_hypervector(64, np.random.default_rng(9)))
 
     def test_dim_mismatch_rejected(self):
         mem = filled_memory(1, 64)
         with pytest.raises(InvalidArgumentError):
-            mem.add("other", random_hypervector(65, seed=9))
+            mem.add("other", sample_hypervector(65, np.random.default_rng(9)))
 
     def test_preserves_previous_entries(self):
         mem = filled_memory(3, 64)
-        mem.add("extra", random_hypervector(64, seed=50))
+        mem.add("extra", sample_hypervector(64, np.random.default_rng(50)))
         assert mem.labels == ["item0", "item1", "item2", "extra"]
 
 
@@ -49,7 +49,7 @@ class TestCleanup:
         # flipping 10% of bipolar entries gives similarity exactly 1 - 2*0.1
         dim = 5000
         mem = filled_memory(8, dim, seed0=200)
-        v = random_hypervector(dim, seed=999)
+        v = sample_hypervector(dim, np.random.default_rng(999))
         mem.add("probe", v)
         noisy = v.copy()
         noisy[: dim // 10] *= -1
@@ -59,8 +59,8 @@ class TestCleanup:
 
     def test_bundle_query_returns_both(self):
         mem = filled_memory(10, DIM, seed0=100)
-        v0 = random_hypervector(DIM, seed=100)
-        v3 = random_hypervector(DIM, seed=103)
+        v0 = sample_hypervector(DIM, np.random.default_rng(100))
+        v3 = sample_hypervector(DIM, np.random.default_rng(103))
         top2 = mem.cleanup(bundle([v0, v3]), k=2)
         labels = {label for label, _ in top2}
         assert labels == {"item0", "item3"}
@@ -69,17 +69,17 @@ class TestCleanup:
 
     def test_k_equal_len_returns_every_label_once(self):
         mem = filled_memory(6, 128)
-        results = mem.cleanup(random_hypervector(128, seed=77), k=6)
+        results = mem.cleanup(sample_hypervector(128, np.random.default_rng(77)), k=6)
         assert sorted(label for label, _ in results) == sorted(mem.labels)
 
     def test_scale_invariant(self):
         mem = filled_memory(5, 256)
-        q = random_hypervector(256, seed=40)
+        q = sample_hypervector(256, np.random.default_rng(40))
         assert mem.cleanup(q, k=5) == mem.cleanup(4.0 * q, k=5)
 
     def test_tie_break_insertion_order(self):
         mem = ItemMemory()
-        v = random_hypervector(64, seed=5)
+        v = sample_hypervector(64, np.random.default_rng(5))
         mem.add("later_dup_first", v)
         mem.add("second", v.copy())
         assert mem.cleanup(v, k=2)[0][0] == "later_dup_first"
@@ -116,7 +116,7 @@ class TestStackedCleanup:
 
     def test_single_row_stack_is_a_list_of_one(self):
         mem = filled_memory(4, 64)
-        q = random_hypervector(64, seed=2)
+        q = sample_hypervector(64, np.random.default_rng(2))
         assert mem.cleanup(q[np.newaxis], k=2) == [mem.cleanup(q, k=2)]
 
     def test_zero_row_named(self):
@@ -164,7 +164,7 @@ class TestCleanupK:
 
     def test_integral_float_k_is_that_integer(self):
         mem = filled_memory(4, 64)
-        q = random_hypervector(64, seed=1)
+        q = sample_hypervector(64, np.random.default_rng(1))
         assert mem.cleanup(q, k=2.0) == mem.cleanup(q, k=np.int64(2)) == mem.cleanup(q, k=2)
         assert len(mem.cleanup(q, k=3.0)) == 3
 
@@ -184,7 +184,7 @@ def parent_formula(vectors, query):
 class TestGrowth:
     def test_add_after_cleanup_is_visible(self):
         mem = filled_memory(3, 64)
-        v = random_hypervector(64, seed=77)
+        v = sample_hypervector(64, np.random.default_rng(77))
         assert mem.cleanup(v)[0][0] != "late"
         mem.add("late", v)
         assert mem.cleanup(v)[0] == ("late", 1.0)
@@ -217,17 +217,17 @@ class TestFromMatrix:
             assert adopted.cleanup(q, k=20) == built.cleanup(q, k=20)
 
     def test_add_after_from_matrix_leaves_matrix_alone(self):
-        matrix = np.stack([random_hypervector(32, seed=i) for i in range(3)])
+        matrix = np.stack([sample_hypervector(32, np.random.default_rng(i)) for i in range(3)])
         before = matrix.copy()
         mem = ItemMemory.from_matrix(["a", "b", "c"], matrix)
-        mem.add("d", random_hypervector(32, seed=9))
+        mem.add("d", sample_hypervector(32, np.random.default_rng(9)))
         assert mem.labels == ["a", "b", "c", "d"]
-        assert mem.cleanup(random_hypervector(32, seed=9))[0][0] == "d"
+        assert mem.cleanup(sample_hypervector(32, np.random.default_rng(9)))[0][0] == "d"
         assert mem.cleanup(matrix[1])[0][0] == "b"
         np.testing.assert_array_equal(matrix, before)
 
     def test_tie_break_insertion_order(self):
-        v = random_hypervector(64, seed=5)
+        v = sample_hypervector(64, np.random.default_rng(5))
         mem = ItemMemory.from_matrix(["first", "second"], np.stack([v, v]))
         assert [label for label, _ in mem.cleanup(v, k=2)] == ["first", "second"]
 
@@ -299,7 +299,7 @@ class TestFromMatrix:
 
 class TestTopOne:
     def test_ties_go_to_the_earlier_entry(self):
-        v = random_hypervector(64, seed=5)
+        v = sample_hypervector(64, np.random.default_rng(5))
         mem = ItemMemory.from_matrix(["x", "first", "second"], np.stack([-v, v, v]))
         assert mem.cleanup(v) == [("first", 1.0)]
         assert mem.cleanup(np.stack([v, -v])) == [[("first", 1.0)], [("x", 1.0)]]
