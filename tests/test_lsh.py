@@ -351,9 +351,9 @@ class TestFloat32Accuracy:
         Stability of Numerical Algorithms, 2nd ed., 3.1). The float32 sum runs over
         the rounded unit features u~, which move it by at most sum |u_i - u~_i|, and
         the float64 reference has its own gamma(53) term. Scaling by 1 / sqrt(m),
-        rounded up by at most 2^-53, multiplies the gap; rounding the two scaled
-        products, each below 2 in magnitude, adds at most 2^-53 each; the clip to
-        [-1, 1] shrinks no gap."""
+        which its square root and division round by a relative 2^-52 at most,
+        multiplies the gap; rounding the two scaled products, each below 2 in
+        magnitude, adds at most 2^-53 each; the clip to [-1, 1] shrinks no gap."""
         u = unit_rows(fs)
         u32 = u.astype(np.float32).astype(np.float64)
         gamma = lambda t: m * 2.0**-t / (1.0 - m * 2.0**-t)  # noqa: E731
@@ -370,10 +370,12 @@ class TestFloat32Accuracy:
         p = new_projector(m=m, n=n, seed=m + n)
         y64 = float64_projection(m, n, p.seed, fs, "none")
         bound = self.bound(m, fs)
-        assert bound.max() < 4e-4  # the gate is tight enough to mean something at every m
+        # a few percent of an entry's typical size 1 / sqrt(m) at m = 6144, far less at smaller m
+        assert bound.max() < 4e-4
         got = project_batch(p, fs)
         assert got.dtype == np.float64
         err = np.abs(got - y64)
-        assert (err <= bound).all(), f"largest error {err.max():.3e} over bound at {np.unravel_index((err / bound).argmax(), err.shape)}"
+        worst = np.unravel_index((err / bound).argmax(), err.shape)
+        assert (err <= bound).all(), f"error {err[worst]:.3e} over the bound {bound[worst[0], 0]:.3e} at {worst}"
         flipped = project_batch(p, fs, quantize="sign") != np.where(y64 >= 0.0, 1.0, -1.0)
         assert (np.abs(y64) <= bound)[flipped].all()
