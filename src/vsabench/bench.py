@@ -29,7 +29,14 @@ from .memory import ItemMemory
 from .vsaf import MAX_ELEMENTS
 
 MAPPING_KINDS = ("ground_truth", "random", "mixed")
-SWEEP_AXES = ("dim", "k", "mapping_kind", "lambda_proxy")
+# Each sweep axis: the BenchConfig fields it sets on every point, and their values from one grid value.
+SWEEPS = {
+    "dim": (("dim",), lambda value: (as_int(value, "integers"),)),
+    "k": (("k",), lambda value: (as_int(value, "integers"),)),
+    "mapping_kind": (("mapping",), lambda value: (str(value),)),
+    "lambda_proxy": (("mapping", "mix"), lambda value: ("mixed", as_float(value, "numbers"))),
+}
+SWEEP_AXES = tuple(SWEEPS)
 
 CSV_HEADER = "axis,value,dim,k,mapping,trials,recovery_cosine,cleanup_accuracy,flip_rate,seed"
 
@@ -235,18 +242,14 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
     if not grid:
         raise InvalidArgumentError("sweep grid must be nonempty")
 
+    fields, point = SWEEPS[axis]
     configs = []
     for value in grid:
         try:
-            if axis in ("dim", "k"):
-                point = {axis: as_int(value, "integers")}
-            elif axis == "mapping_kind":
-                point = {"mapping": str(value)}
-            else:
-                point = {"mapping": "mixed", "mix": as_float(value, "numbers")}
+            values = point(value)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{axis} grid values {exc}") from exc
-        configs.append(replace(base, **point))
+        configs.append(replace(base, **dict(zip(fields, values))))
     return list(zip(grid, _measure(configs)))
 
 

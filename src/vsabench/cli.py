@@ -309,7 +309,8 @@ def cmd_map(args) -> int:
 
 
 def _load_scores(path: str | None, name: str):
-    """Scores from a JSON file of a nonempty flat list of finite, non-boolean numbers."""
+    """Scores from a JSON file that ``losses._scores`` accepts, a nonempty flat list of finite,
+    non-boolean numbers."""
     if path is None:
         return None
     try:
@@ -317,10 +318,7 @@ def _load_scores(path: str | None, name: str):
     except OSError as exc:
         raise DegenerateInputError(f"cannot read {name} scores from {path}: {exc}") from exc
     try:
-        scores = json.loads(raw)
-        if not isinstance(scores, list) or any(isinstance(s, bool) for s in scores):
-            raise InvalidArgumentError(f"{name} must be a list of numbers, not booleans")
-        return _scores(scores, name)
+        return _scores(json.loads(raw), name)
     except (json.JSONDecodeError, InvalidArgumentError) as exc:
         raise DegenerateInputError(f"{name} score file {path} does not hold a list of scores: {exc}") from exc
 
@@ -360,13 +358,11 @@ def cmd_loss(args) -> int:
     return EXIT_OK
 
 
-_SWEPT = {"dim": ("dim",), "k": ("k",), "mapping_kind": ("mapping",), "lambda_proxy": ("mapping", "mix")}
-
-
 def _bench_unread(cfg: dict) -> dict:
     """The options a bench sweep never reads: those its axis sets on every
     point, and ``mix`` when no point's mapping is ``mixed``."""
-    unread = dict.fromkeys(_SWEPT[cfg["axis"]], f"under --axis {cfg['axis']}")
+    fields, _ = bench_mod.SWEEPS[cfg["axis"]]
+    unread = dict.fromkeys(fields, f"under --axis {cfg['axis']}")
     mappings = cfg["grid"] if cfg["axis"] == "mapping_kind" else [cfg["mapping"]]
     if "mixed" not in map(str, mappings):
         unread.setdefault("mix", "without a mixed mapping")

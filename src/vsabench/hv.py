@@ -18,7 +18,9 @@ rows one at a time.
 
 ``hv`` is also the one home of the magnitude policy: the cosine here, the
 cleanup memory, the LSH encoder's unit features and per-layer normalization
-all take their row norms from ``safe_norms2``. It is the home of the finiteness policy too: ``check_rows``
+all take their row norms from ``safe_norms2``, whose one range table holds the
+squared norms a row keeps unscaled, chosen by the dtype its products are summed
+in. It is the home of the finiteness policy too: ``check_rows``
 checks each array in the first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm).
 """
 
@@ -213,19 +215,23 @@ def sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+# The squared norms a row keeps unscaled, by the dtype its products are summed in: below
+# 2^-100 float32 squares lose bits as subnormals, and beyond 2^100 a float32 scan can overflow.
+_NORM2_RANGE = {np.dtype(np.float32): (2.0**-100, 2.0**100), np.dtype(np.float64): (2.0**-500, 2.0**500)}
+
+
+def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.ndarray], summed_in=None):
     """A ``(count, dim)`` array's rows and squared norms ``dots(rows, rows)``, ``dots``
-    being ``row_dots`` (np.dot order) or ``sum_products``. A row whose squared norm
-    lies outside [2^-500, 2^500] (underflowed, or near overflow), or below 2^-100
-    for float32 rows, whose squares are summed in float32 and lose bits as
-    subnormals there, is first scaled,
-    in a copy, by the power of two that puts its largest magnitude in [0.5, 1),
+    being ``row_dots`` (np.dot order) or ``sum_products``. A row whose squared norm lies
+    outside ``_NORM2_RANGE`` of ``summed_in``, the dtype its products are summed in (by
+    default its own): [2^-100, 2^100] for float32, [2^-500, 2^500] for float64, is first
+    scaled, in a copy, by the power of two that puts its largest magnitude in [0.5, 1),
     which changes no cosine and no unit vector. Zero and non-finite rows come
     back unscaled, and ``rows`` itself comes back when no row is scaled."""
     with np.errstate(over="ignore"):
         norms2 = dots(rows, rows)
-    low = 2.0**-100 if rows.dtype == np.float32 else 2.0**-500
-    idx = np.flatnonzero(~((low <= norms2) & (norms2 <= 2.0**500)))
+    low, high = _NORM2_RANGE[rows.dtype if summed_in is None else np.dtype(summed_in)]
+    idx = np.flatnonzero(~((low <= norms2) & (norms2 <= high)))
     if idx.size:
         peak = np.max(np.abs(rows[idx]), axis=1, initial=0.0)
         scalable = np.isfinite(peak) & (peak > 0.0)

@@ -48,9 +48,15 @@ def _nonnegative(value, error: str) -> float:
 
 
 def _scores(batch, name: str) -> np.ndarray:
+    """``batch`` as a nonempty 1-D float64 array of finite scores; the one score rule of the
+    library and the CLI. A boolean is not a score: a bool array, or a ``True`` or ``False``
+    entry of a list or object array, is rejected. A numeric array's entries are not visited."""
     arr = as_float64(batch, f"{name} must be a batch of numbers")
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidArgumentError(f"{name} must be a nonempty 1-D score batch, got shape {arr.shape}")
+    dtype = getattr(batch, "dtype", np.dtype(object))
+    if dtype == np.bool_ or dtype == object and any(isinstance(s, (bool, np.bool_)) for s in batch):
+        raise InvalidArgumentError(f"{name} must be a batch of numbers, not booleans")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} contains non-finite scores")
     return arr

@@ -23,8 +23,8 @@ from ``hv.safe_norms2`` in ``hv.sum_products`` order, so every output entry
 is a dot product of two unit vectors in [-1, 1] at any finite feature
 magnitude. They are rounded once to float32, and the float32 product is
 widened before the scale; ``project_batch`` states its error bound, which
-``TestFloat32Accuracy`` gates. ``project`` and ``project_batch`` share one
-kernel. Unit features are zero-padded to a multiple of ``BLOCK_ROWS`` rows,
+``TestFloat32Accuracy`` gates. ``project`` is a one-row ``project_batch``.
+Unit features are zero-padded to a multiple of ``BLOCK_ROWS`` rows,
 since OpenBLAS hands one or two rows to GEMV or small-matrix code that sums
 in another order, and every panel is one ``(padded, m) @ (m, _PANEL_ROWS)``
 SGEMM over the whole batch. So a projected row does not depend on the size
@@ -83,42 +83,6 @@ def new_projector(m: int, n: int, seed: int) -> LshProjector:
     return LshProjector(m=m, n=n, seed=seed)
 
 
-def _row_norms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms of a (count, m) array, and the rows they belong to (``hv.safe_norms2``
-    copies a row it has to scale); raises naming the lowest non-finite or zero row."""
-    features, norms2 = safe_norms2(features, sum_products)
-    bad = np.flatnonzero(~np.isfinite(norms2) | (norms2 == 0.0))
-    if bad.size and not np.isfinite(norms2[bad[0]]):
-        raise InvalidArgumentError(f"patch {bad[0]}: feature entries must be finite")
-    if bad.size:
-        raise DegenerateInputError(f"patch {bad[0]}: cannot project a zero feature vector")
-    return features, np.sqrt(norms2)
-
-
-def _feature_matrix(p: LshProjector, fs) -> np.ndarray:
-    """``fs``, a PatchFeatureSet or a (count, m) array-like, as a (count, m) float64 array."""
-    features = as_float64(getattr(fs, "vectors", fs), "features must be equal-length numeric vectors")
-    if features.shape != (0,) and (features.ndim != 2 or features.shape[1] != p.m):
-        raise InvalidArgumentError(f"features of shape {features.shape} are not (count, m={p.m})")
-    return features.reshape(-1, p.m)
-
-
-def _project_rows(p: LshProjector, features: np.ndarray, quantize: str) -> np.ndarray:
-    """Project the rows of a (count, m) float64 array, each scaled to unit length; (count, n)."""
-    count = features.shape[0]
-    features, norms = _row_norms(features)
-    padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
-    unit = np.zeros((padded, p.m), dtype=np.float32)
-    np.divide(features, norms[:, np.newaxis], out=unit[:count])  # float64 quotients, rounded once
-    out = np.empty((padded, -(-p.n // _PANEL_ROWS) * _PANEL_ROWS), dtype=np.float32)
-    panels = p.panels()
-    for col in range(0, out.shape[1] if count else 0, _PANEL_ROWS):
-        np.matmul(unit, next(panels).T, out=out[:, col : col + _PANEL_ROWS])  # one panel alive at a time
-    out = np.multiply(out[:count, : p.n], 1.0 / np.sqrt(p.m), dtype=np.float64)  # widened, then scaled
-    np.clip(out, -1.0, 1.0, out=out)  # unit rows of S / sqrt(m) times unit features; clamp round-off
-    return quantized(out, quantize)
-
-
 def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
     """Project one feature vector into [-1, 1]^n, bitwise its row of ``project_batch``.
 
@@ -127,7 +91,7 @@ def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
     entries to {-1, +1} with sign(0) -> +1, which restores exact unbinding at
     the cost of similarity fidelity.
     """
-    return _project_rows(p, _feature_matrix(p, [f]), quantize)[0]
+    return project_batch(p, [f], quantize)[0]
 
 
 def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
@@ -145,4 +109,23 @@ def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
     A non-finite or zero feature is named by its patch index. Empty input
     (``[]`` or a (0, m) array) gives a (0, n) array.
     """
-    return _project_rows(p, _feature_matrix(p, fs), quantize)
+    features = as_float64(getattr(fs, "vectors", fs), "features must be equal-length numeric vectors")
+    if features.shape != (0,) and (features.ndim != 2 or features.shape[1] != p.m):
+        raise InvalidArgumentError(f"features of shape {features.shape} are not (count, m={p.m})")
+    features, norms2 = safe_norms2(features.reshape(-1, p.m), sum_products)  # a scaled row is a copy
+    bad = np.flatnonzero(~np.isfinite(norms2) | (norms2 == 0.0))
+    if bad.size and not np.isfinite(norms2[bad[0]]):
+        raise InvalidArgumentError(f"patch {bad[0]}: feature entries must be finite")
+    if bad.size:
+        raise DegenerateInputError(f"patch {bad[0]}: cannot project a zero feature vector")
+    count = features.shape[0]
+    padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
+    unit = np.zeros((padded, p.m), dtype=np.float32)
+    np.divide(features, np.sqrt(norms2)[:, np.newaxis], out=unit[:count])  # float64 quotients, rounded once
+    out = np.empty((padded, -(-p.n // _PANEL_ROWS) * _PANEL_ROWS), dtype=np.float32)
+    panels = p.panels()
+    for col in range(0, out.shape[1] if count else 0, _PANEL_ROWS):
+        np.matmul(unit, next(panels).T, out=out[:, col : col + _PANEL_ROWS])  # one panel alive at a time
+    out = np.multiply(out[:count, : p.n], 1.0 / np.sqrt(p.m), dtype=np.float64)  # widened, then scaled
+    np.clip(out, -1.0, 1.0, out=out)  # unit rows of S / sqrt(m) times unit features; clamp round-off
+    return quantized(out, quantize)

@@ -23,11 +23,12 @@ A float32 matrix stays float32 (until the first ``add`` widens it), halving
 the bytes a scan reads. A float32 vector or query is widened for its squared
 norm. Queries to a float32 memory are then rounded to float32 and dot
 products summed in float32, which is exact for integers whose partial sums
-stay within 2^24, as in the flip bench, and float32-accurate otherwise. A
-query whose squared norm lies outside [2^-100, 2^100] is first scaled by a
-power of two, which is exact, so that the cast neither flushes it to zero
-nor overflows it. A stored float32 row whose squared norm falls below
-2^-100, where its squares would be float32 subnormals, is scaled the same way.
+stay within 2^24, as in the flip bench, and float32-accurate otherwise.
+Query scaling belongs to ``safe_norms2``, which is told the dtype the scan
+sums in: a query to a float32 memory whose squared norm lies outside its
+float32 range is first scaled by a power of two, which is exact, so that the
+cast neither flushes it to zero nor overflows it, and a stored float32 row
+outside that range is scaled the same way.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .hv import as_float_array, as_hypervectors, as_int, check_rows, row_dots, s
 
 
 class ItemMemory:
-    """Ordered store of labeled hypervectors, queried by cosine similarity. A query of
-    extreme norm is scaled by a power of two, which is exact, before a float32 memory's cast."""
+    """Ordered store of labeled hypervectors, queried by cosine similarity. ``safe_norms2``
+    scales a query of extreme norm by a power of two, which is exact, before a float32 memory's cast."""
 
     def __init__(self):
         self._labels: list[Hashable] = []
@@ -124,16 +125,10 @@ class ItemMemory:
         q = as_hypervectors(query)
         if q.ndim > 2 or q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
-        queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots)
-        check_rows(qn2[:, np.newaxis], "cleanup query has zero norm")
-        # A query with a squared norm outside [2^-100, 2^100], which a float32 memory's cast could flush to 0
-        # or its scan overflow, is scaled by the power of two that puts its norm in [0.5, 1). That is exact,
-        # so no similarity moves; within the range, every entry and partial sum fits float32.
-        extreme = (qn2 < 2.0**-100) | (qn2 > 2.0**100)
-        if extreme.any():
-            e = np.where(extreme, (np.frexp(qn2)[1] + 1) // 2, 0)
-            queries, qn2 = np.ldexp(queries, -e[:, np.newaxis]), np.ldexp(qn2, -2 * e)
         rows = self._rows[:n]
+        # widened for the norm, but scaled into the range of the dtype the scan sums in
+        queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots, rows.dtype)
+        check_rows(qn2[:, np.newaxis], "cleanup query has zero norm")
         sims = ((rows @ queries.astype(rows.dtype, copy=False).T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
         if k == 1:  # the first maximum, which the stable sort would put first
             order = np.argmax(sims, axis=1)[:, np.newaxis]

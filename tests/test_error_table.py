@@ -83,6 +83,8 @@ def scores(kind):
         "empty": [],
         "ragged": [[0.5], [0.5, 0.5]],
         "zero row": [0.5, 0.0, 0.5],
+        "bool entry": [0.5, True, 0.5],
+        "bool array": np.array([True, False, True]),
     }[kind]
 
 
@@ -139,7 +141,7 @@ def cases():
         for kind, want in expected.items():
             yield label, kind, call, STACKS[kind], want
 
-    batches = {kind: IAE for kind in ("nan", "inf", "-inf", "empty", "ragged")}
+    batches = {kind: IAE for kind in ("nan", "inf", "-inf", "empty", "ragged", "bool entry", "bool array")}
     for label, call, expected in (
         ("gan_loss_nll", gan_loss_nll, {**batches, "zero row": IAE}),
         ("gan_loss_hinge", gan_loss_hinge, {**batches, "zero row": None}),

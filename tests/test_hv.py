@@ -394,6 +394,24 @@ class TestSafeNorms2:
         else:
             np.testing.assert_array_equal(norms2, [norm2, 36.0])
 
+    @pytest.mark.parametrize("dtype,summed_in,high", [
+        (np.float64, None, 2.0**500),
+        (np.float32, None, 2.0**100),
+        (np.float64, np.float32, 2.0**100),  # float64 queries to a float32 cleanup scan
+    ])
+    @pytest.mark.parametrize("factor,scaled", [(1.0, False), (2.0, True)])
+    def test_range_follows_the_summing_dtype(self, dtype, summed_in, high, factor, scaled):
+        rows = np.full((2, 4), 3.0, dtype)
+        for norm2 in (high * factor, 1.0 / (high * factor)):
+            def dots(a, b, norm2=norm2):  # the given squared norm for row 0 on the first call
+                got = row_dots(a, b)
+                if a.shape[0] == 2:
+                    got[0] = norm2
+                return got
+
+            out, _ = safe_norms2(rows, dots, summed_in)
+            assert (out is not rows) == scaled
+
     @pytest.mark.parametrize("dots", KERNELS)
     def test_ordinary_rows_are_the_input_itself(self, dots):
         rows = np.random.default_rng(2).standard_normal((5, 33)) * [[1e-70], [1.0], [1e70], [2.0**-240], [2.0**240]]

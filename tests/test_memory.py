@@ -378,6 +378,26 @@ class TestFloat32Rows:
             assert got[0][0] == want[0][0]
             assert all(abs(dict(got)[label] - sim) < 1e-6 for label, sim in want)
 
+    @pytest.mark.parametrize("s", [60, -60, 101, -101, 200, -200, 499, -499, 501, -501, 600, -600])
+    def test_scaled_integer_queries_give_the_float64_memory_bits(self, s):
+        # hv.safe_norms2 scales a query into the range of the dtype the scan sums in by a power of
+        # two, which is exact, so both memories scan the same integers up to a power of two
+        rows, attrs = self.bipolar((40, 256), 5), self.bipolar((4, 256), 6)
+        # unbound bundles of four bindings: row j plus three noise terms, integer-valued
+        queries = np.stack([attrs[0] * (rows[j : j + 4] * attrs).sum(axis=0) for j in (0, 9, 30)]).astype(np.float64)
+        narrow, wide = ItemMemory.from_matrix(range(40), rows), ItemMemory.from_matrix(range(40), rows.astype(np.float64))
+
+        def bits(tops):
+            return [[(label, sim.hex()) for label, sim in row] for row in tops]
+
+        for q in (np.ldexp(queries[1], s), np.ldexp(queries, s)):
+            for k in (1, 40):
+                got, want = narrow.cleanup(q, k=k), wide.cleanup(q, k=k)
+                if q.ndim == 1:
+                    got, want = [got], [want]
+                assert bits(got) == bits(want)
+                assert [row[0][0] for row in got] == ([9] if q.ndim == 1 else [0, 9, 30])
+
 
 class TestFloat32Vectors:
     """float32 vectors and queries give the results and the errors of their
