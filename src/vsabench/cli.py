@@ -50,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _path(value) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"must be a nonempty path, got {value!r}")
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ConfigError(f"must be a nonempty path with no NUL byte, got {value!r}")
     return value
 
 
@@ -162,17 +162,20 @@ OPTIONS = {
 }
 
 
+def _load_json(path: str, error: type[Exception], what: str):
+    """The value of the UTF-8 JSON file at ``path``. A file that cannot be opened or read, bytes
+    that are not UTF-8, text that is not JSON or nests too deeply to parse, and a path with a NUL
+    byte all raise ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a NUL byte
+        raise error(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    cfg = _load_json(path, ConfigError, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return cfg
@@ -309,17 +312,14 @@ def cmd_map(args) -> int:
 
 
 def _load_scores(path: str | None, name: str):
-    """Scores from a JSON file that ``losses._scores`` accepts, a nonempty flat list of finite,
+    """Scores from a UTF-8 JSON file that ``losses._scores`` accepts, a nonempty flat list of finite,
     non-boolean numbers."""
     if path is None:
         return None
+    batch = _load_json(path, DegenerateInputError, f"{name} score file")
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DegenerateInputError(f"cannot read {name} scores from {path}: {exc}") from exc
-    try:
-        return _scores(json.loads(raw), name)
-    except (json.JSONDecodeError, InvalidArgumentError) as exc:
+        return _scores(batch, name)
+    except InvalidArgumentError as exc:
         raise DegenerateInputError(f"{name} score file {path} does not hold a list of scores: {exc}") from exc
 
 

@@ -1,10 +1,14 @@
 """Dense hypervectors, the MAP operators, the bipolar sampler and the sign quantizer.
 
 A hypervector is a float64 or float32 array of shape ``(dim,)``, and a stack
-of them (one per patch, say) has shape ``(count, dim)``. A float32 array is
-not copied but widened only inside the arithmetic, which gives the bits
-of widening it first: a float32 value widens exactly, and the product of two
-is exact in float64. Other input becomes float64, and every result is float64. ``bind`` and
+of them (one per patch, say) has shape ``(count, dim)``. Every stack enters
+through one gate, ``as_hypervectors``, which rejects empty input and any rank
+its caller does not take. A float32 array is not copied but widened only
+inside the arithmetic, which gives the bits of widening it first: a float32
+value widens exactly, and the product of two is exact in float64. Other input
+becomes float64 under the one number rule, ``as_float64``, which also reads
+LSH features and score batches and rejects text, bytes and complex entries
+rather than parse or truncate them. Every result is float64. ``bind`` and
 ``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
 a stack. Sampled vectors are bipolar ({-1, +1}); a bundle is their raw sum
 and may leave [-1, 1], which is fine for every cosine-based consumer downstream.
@@ -79,27 +83,38 @@ def as_tuple(values, noun: str = "a sequence") -> tuple:
     raise InvalidArgumentError(f"must be {noun}, got {values!r}")
 
 
+# Entries that a float64 cast would parse (text) or truncate (complex) rather than reject.
+_NOT_REAL = (str, bytes, complex, np.complexfloating)
+
+
 def as_float64(v, error: str = "hypervectors must be equal-length numeric vectors") -> np.ndarray:
-    """``v`` as a float64 array (no copy if it is one); ragged or non-numeric input raises ``error``."""
+    """``v`` as a float64 array (no copy if it is one): the one number rule. Ragged input, and
+    text, bytes or complex entries, which the cast would parse or truncate, raise ``error``;
+    only an object array's entries are visited."""
     try:
-        return np.asarray(v, dtype=np.float64)
+        arr = np.asarray(v)
+        kind = arr.dtype.kind
+        if kind not in "biufO" or kind == "O" and any(isinstance(x, _NOT_REAL) for x in arr.flat):
+            raise TypeError(f"entries must be real numbers, not text, bytes or complex (dtype {arr.dtype})")
+        return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"{error}: {exc}") from exc
 
 
-def as_float_array(v, error: str = "hypervectors must be equal-length numeric vectors") -> np.ndarray:
-    """``v`` itself if it is a native float32 array, else ``as_float64(v, error)``."""
+_SHAPES = {1: "(dim,) vector", 2: "(count, dim) stack"}
+
+
+def as_hypervectors(v, ndim=(1, 2), noun: str = "hypervectors") -> np.ndarray:
+    """The one stack gate: ``v`` itself if it is a native float32 array, else ``as_float64(v)``,
+    rejecting empty input and any rank not in ``ndim``. A native float32 or float64 array is not
+    copied, and no entry is checked for finiteness (see ``check_rows``)."""
     if isinstance(v, np.ndarray) and v.dtype == np.float32:
-        return np.asarray(v)
-    return as_float64(v, error)
-
-
-def as_hypervectors(v) -> np.ndarray:
-    """Coerce a hypervector or a stack of equal-length ones with ``as_float_array`` (no copy of a
-    float32 or float64 array), rejecting empty or ragged input; it reads no entry (see ``check_rows``)."""
-    arr = as_float_array(v)
-    if arr.ndim < 1 or arr.size < 1:
-        raise InvalidArgumentError(f"hypervectors must be nonempty, got shape {arr.shape}")
+        arr = np.asarray(v)
+    else:
+        arr = as_float64(v, f"{noun} must be equal-length numeric vectors")
+    if arr.size < 1 or arr.ndim not in ndim:
+        shapes = " or ".join(_SHAPES[n] for n in ndim)
+        raise InvalidArgumentError(f"{noun} must be a nonempty {shapes}, got shape {arr.shape}")
     return arr
 
 
@@ -168,8 +183,6 @@ def quantized(v: np.ndarray, mode: str) -> np.ndarray:
 
 def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
     av, bv = as_hypervectors(a), as_hypervectors(b)
-    if av.ndim > 2:
-        raise InvalidArgumentError(f"expected (dim,) or (count, dim) arrays, got shape {av.shape}")
     if av.shape != bv.shape:
         raise InvalidArgumentError(f"dimension mismatch: {av.shape} vs {bv.shape}")
     return av, bv
@@ -186,9 +199,7 @@ def bind(a, b) -> np.ndarray:
 def bundle(vs) -> np.ndarray:
     """Superpose a nonempty (count, dim) stack, or list, of equal-dim hypervectors:
     their elementwise sum, which commutes over list order; an overflow is rejected."""
-    stack = as_hypervectors(vs)
-    if stack.ndim != 2:
-        raise InvalidArgumentError(f"bundle requires a nonempty list of hypervectors, got shape {stack.shape}")
+    stack = as_hypervectors(vs, (2,))
     # widened first: np.sum(..., dtype=np.float64) casts in buffer-sized chunks, which
     # splits a long sum along the inner loop (a transposed stack) and moves its bits
     total = np.sum(stack.astype(np.float64, copy=False), axis=0)

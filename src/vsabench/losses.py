@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float, as_float64, as_float_array, cosine_similarity
+from .hv import as_float, as_float64, as_hypervectors, cosine_similarity
 
 VARIANTS = ("nll", "hinge")
 
@@ -124,9 +124,7 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
 
 def check_no_zero_vectors(vs, name: str) -> None:
     """Raise naming every all-zero row of a (count, dim) batch."""
-    stack = as_float_array(vs, f"{name} must be equal-length numeric vectors")
-    if stack.ndim != 2:
-        raise InvalidArgumentError(f"{name} must be a (count, dim) stack, got shape {stack.shape}")
+    stack = as_hypervectors(vs, (2,), name)
     idx = np.flatnonzero(~np.any(stack, axis=1))
     if idx.size:
         raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_float_array, as_hypervectors, as_int, bind, bundle, check_rows, check_seed, fill_bipolar, quantized
+from .hv import as_hypervectors, as_int, bind, bundle, check_rows, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,7 @@ class HypervectorMapping:
     per_patch: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = as_float_array(self.per_patch, "mapping vectors must be equal-length numeric vectors")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidArgumentError(
-                f"mapping must be a nonempty (patch_count, dim) array, got shape {arr.shape}"
-            )
+        arr = as_hypervectors(self.per_patch, (2,), "mapping vectors")
         check_rows(arr, noun="mapping entries")
         object.__setattr__(self, "per_patch", arr)
 
@@ -41,10 +37,7 @@ class HypervectorMapping:
 
 
 def _as_stack(vs) -> np.ndarray:
-    arr = as_hypervectors(vs)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"expected a nonempty list of hypervectors, got shape {arr.shape}")
-    return arr
+    return as_hypervectors(vs, (2,))
 
 
 def apply_mapping(vs, u: HypervectorMapping) -> np.ndarray:

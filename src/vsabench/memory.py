@@ -12,16 +12,17 @@ bundled queries, each query's similarities are bit for bit those of its own
 1-D call; for other values only the rounding order of the dot products
 differs.
 
-Memory grows by doubling its row capacity; a memory built with
+The matrix holds exactly the stored entries: ``add`` appends its row to a
+new matrix, which costs O(n * dim) a call, and a memory built with
 ``from_matrix`` adopts the caller's matrix without copying it. Rows and
 queries take their squared norms from ``hv.safe_norms2``, so similarities
 agree with ``hv.cosine_similarity`` at any magnitude. Those squared norms are
 also the finiteness check: ``hv.check_rows`` rejects by them a row or query
 with a non-finite entry or a zero norm.
 
-A float32 matrix stays float32 (until the first ``add`` widens it), halving
-the bytes a scan reads. A float32 vector or query is widened for its squared
-norm. Queries to a float32 memory are then rounded to float32 and dot
+A float32 matrix stays float32, halving the bytes a scan reads, until an
+``add`` stores a widened copy. A float32 vector or query is widened for its
+squared norm. Queries to a float32 memory are then rounded to float32 and dot
 products summed in float32, which is exact for integers whose partial sums
 stay within 2^24, as in the flip bench, and float32-accurate otherwise.
 Query scaling belongs to ``safe_norms2``, which is told the dtype the scan
@@ -38,7 +39,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
-from .hv import as_float_array, as_hypervectors, as_int, check_rows, row_dots, safe_norms2, sum_products
+from .hv import as_hypervectors, as_int, check_rows, row_dots, safe_norms2, sum_products
 
 
 class ItemMemory:
@@ -60,9 +61,7 @@ class ItemMemory:
         memory is in use. Rows are validated as ``add`` validates one vector.
         """
         labels = list(labels)
-        rows = np.ascontiguousarray(as_float_array(matrix))
-        if rows.ndim != 2 or rows.shape[1] < 1:
-            raise InvalidArgumentError(f"matrix must be (n, dim) with dim >= 1, got shape {rows.shape}")
+        rows = np.ascontiguousarray(as_hypervectors(matrix, (2,)))
         if len(labels) != rows.shape[0]:
             raise InvalidArgumentError(f"{len(labels)} labels for {rows.shape[0]} rows")
         index = {label: i for i, label in enumerate(labels)}
@@ -90,46 +89,34 @@ class ItemMemory:
         """Append an entry; labels are unique and insertion order is preserved."""
         if label in self._index:
             raise InvalidArgumentError(f"duplicate label {label!r}")
-        v = as_hypervectors(vector).astype(np.float64, copy=False)
-        if v.ndim != 1:
-            raise InvalidArgumentError(f"hypervector must be 1-D and nonempty, got shape {v.shape}")
-        dim = self.dim
-        if dim is not None and v.shape[0] != dim:
-            raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {dim}")
+        v = as_hypervectors(vector, (1,)).astype(np.float64, copy=False)
+        if self._labels and v.shape[0] != self.dim:
+            raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {self.dim}")
         rows, norms2 = safe_norms2(v[np.newaxis], sum_products)
         check_rows(norms2[:, np.newaxis], f"cannot store a zero-norm vector for {label!r}", f"entries of {label!r}")
-        n = len(self._labels)
-        if n == self._norms2.shape[0]:
-            self._grow(max(2 * n, 8), v.shape[0])
-        self._rows[n], self._norms2[n] = rows[0], norms2[0]
-        self._index[label] = n
+        # a new matrix, which widens float32 rows; an empty memory's (0, 0) rows take the vector's dim
+        self._rows = np.concatenate((self._rows.reshape(-1, v.shape[0]), rows))
+        self._norms2 = np.concatenate((self._norms2, norms2))
+        self._index[label] = len(self._labels)
         self._labels.append(label)
         return self
-
-    def _grow(self, capacity: int, dim: int) -> None:
-        n = len(self._labels)
-        rows, norms2 = np.empty((capacity, dim)), np.empty(capacity)
-        if n:
-            rows[:n], norms2[:n] = self._rows[:n], self._norms2[:n]
-        self._rows, self._norms2 = rows, norms2
 
     def cleanup(self, query, k: int = 1) -> list:
         """Top-k (label, cosine similarity) of a ``(dim,)`` query, ties broken by
         insertion order; for a ``(count, dim)`` stack, one such list per row."""
-        n = len(self._labels)
-        if not n:
+        if not self._labels:
             raise InvalidStateError("cleanup on an empty memory")
         k = as_int(k, "an integer k")
         if k < 1:
             raise InvalidArgumentError(f"k must be >= 1, got {k}")
         q = as_hypervectors(query)
-        if q.ndim > 2 or q.shape[-1] != self.dim:
+        if q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
-        rows = self._rows[:n]
+        rows = self._rows
         # widened for the norm, but scaled into the range of the dtype the scan sums in
         queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots, rows.dtype)
         check_rows(qn2[:, np.newaxis], "cleanup query has zero norm")
-        sims = ((rows @ queries.astype(rows.dtype, copy=False).T) / np.sqrt(self._norms2[:n, np.newaxis] * qn2)).T
+        sims = ((rows @ queries.astype(rows.dtype, copy=False).T) / np.sqrt(self._norms2[:, np.newaxis] * qn2)).T
         if k == 1:  # the first maximum, which the stable sort would put first
             order = np.argmax(sims, axis=1)[:, np.newaxis]
         else:

@@ -30,7 +30,7 @@ from .errors import (
     VersionError,
     VsafError,
 )
-from .hv import as_float_array
+from .hv import as_hypervectors
 
 MAGIC = b"VSAF"
 VERSION = 1
@@ -185,9 +185,7 @@ HYPERVECTOR_LAYER = "hypervectors"
 def write_hypervectors(hvs, path, layer_name: str = HYPERVECTOR_LAYER) -> None:
     """Serialize a (count, dim) stack of hypervectors as a 1 x count x dim layer,
     rounded to float32 as ``feature_map_set`` rounds."""
-    stack = np.atleast_2d(as_float_array(hvs))
-    if stack.ndim != 2 or stack.size == 0:
-        raise InvalidArgumentError(f"expected a nonempty (count, dim) stack, got shape {stack.shape}")
+    stack = np.atleast_2d(as_hypervectors(hvs))
     write_feature_file(feature_map_set([(layer_name, stack[np.newaxis, :, :])]), path)
 
 

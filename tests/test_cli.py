@@ -361,6 +361,23 @@ class TestLoss:
         assert err.startswith("data error: ") and str(files["real"]) in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b'["0.5"]', b"\xff\xfe[0.5]", b"[" * 100_000, b"[" + b"9" * 5000 + b"]"],
+                             ids=["text entry", "not UTF-8", "nested too deeply", "5000-digit integer"])
+    def test_text_or_unparsable_score_file_exit_2(self, content, tmp_path, capsys):
+        p = tmp_path / "x.vsaf"
+        write_hypervectors(np.ones((2, 8)), p)
+        files = {name: tmp_path / f"{name}.json" for name in ("real", "ft", "fm")}
+        files["real"].write_bytes(content)
+        files["ft"].write_text("[0.5]")
+        files["fm"].write_text("[0.5]")
+        code, stdout, err = run_cli([
+            "loss", "--x", str(p), "--cycled", str(p), "--scores-real", str(files["real"]),
+            "--scores-fake-translated", str(files["ft"]), "--scores-fake-mapped", str(files["fm"]),
+        ], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("data error: ") and str(files["real"]) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_zero_vector_exit_2_with_index(self, tmp_path, capsys):
         hvs = np.ones((2, 16))
         hvs[1] = 0.0
@@ -520,6 +537,17 @@ class TestBench:
         code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
         assert "'dimm'" in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"grid": "64", "trials": 2, "out": "a\\u0000b"}',
+                                         b"[" * 100_000, b'{"dim": ' + b"9" * 5000 + b"}"],
+                             ids=["not UTF-8", "NUL in path", "nested too deeply", "5000-digit integer"])
+    def test_unparsable_config_file_or_nul_path_exit_3(self, content, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("VSAIT_SEED", "17")

@@ -41,11 +41,12 @@ BAD_JSON = {
     "int": [NAN, INF, -INF, 1.5, "x", "1.5", [], [1, [2]], {}, True, None],
     "float": [NAN, INF, -INF, "x", "nan", [], [1, [2]], {}, True, None],
     "choice": ["x", "", 1, [], None, True, NAN],
-    "path": ["", 5, 1.5, [], None, True, {}],
+    "path": ["", 5, 1.5, [], None, True, {}, "a\u0000b"],
     "int_list": ["", "2,,1", [], [1.5], ["x"], [[2], [1, 1]], [NAN], [INF], 2, NAN, {}, None, True],
     "grid": ["", "16,,32", [], [NAN], [INF], [-INF], [[16]], [None], ["x"], [1.5], [True], {}, None, NAN, 16],
 }
-BAD_CONFIG_FILES = ["", "{", "[1, 2]", "null", "NaN", '"dim"', '{"dim": }']
+BAD_CONFIG_FILES = ["", "{", "[1, 2]", "null", "NaN", '"dim"', '{"dim": }', b"\xff\xfe{}", "[" * 100_000,
+                    '{"dim": ' + "9" * 5000 + "}"]
 
 
 def kind(option) -> str:
@@ -159,7 +160,9 @@ def malformed(draw, command):
     else:
         name = draw(st.sampled_from(sorted(files)))
         if name.startswith("--scores"):
-            files[name] = draw(st.sampled_from(["", "[]", "[NaN]", "[0.5, [1]]", '"x"', "[true]", "{}"])).encode()
+            files[name] = draw(st.sampled_from([b"", b"[]", b"[NaN]", b"[0.5, [1]]", b'"x"', b"[true]", b"{}",
+                                                b'["0.5"]', b"\xff\xfe[0.5]", b"[" * 100_000,
+                                                b"[" + b"9" * 5000 + b"]"]))
         else:
             files[name] = spoiled_file(draw, command, name)
     return files, args, config
@@ -174,8 +177,9 @@ def run(command, files, args, config, tmp: Path):
     for name, value in args.items():
         argv += [name] if value is None else [name, value.replace("{tmp}", str(tmp))]
     if config is not None:
-        (tmp / "config.json").write_text(config)
-        argv += ["--config", str(tmp / "config.json")]
+        path = tmp / "config.json"
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
+        argv += ["--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

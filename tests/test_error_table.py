@@ -13,7 +13,6 @@ from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import (
     as_float,
     as_float64,
-    as_float_array,
     as_hypervectors,
     as_int,
     as_tuple,
@@ -70,8 +69,10 @@ STACKS = {
     "ragged": [[1.0] * DIM, [1.0] * (DIM - 1), [1.0] * DIM],
     "dim mismatch": good()[:, :-1],
     "zero row": zero_row(),
+    "text": good().astype(str),
+    "complex": good() + 0j,
 }
-NOT_ZERO = ("nan", "inf", "-inf", "empty", "ragged", "dim mismatch")
+NOT_ZERO = ("nan", "inf", "-inf", "empty", "ragged", "dim mismatch", "text", "complex")
 
 
 def scores(kind):
@@ -85,6 +86,7 @@ def scores(kind):
         "zero row": [0.5, 0.0, 0.5],
         "bool entry": [0.5, True, 0.5],
         "bool array": np.array([True, False, True]),
+        "text entry": ["0.5", 0.5, 0.5],
     }[kind]
 
 
@@ -135,13 +137,15 @@ def cases():
         ("vsa_cyclic_loss(good, bad)", lambda s: vsa_cyclic_loss(good(), s), {**every, "zero row": DIE}),
         # only zero rows are this check's business; finiteness is the cosine's
         ("check_no_zero_vectors", lambda s: check_no_zero_vectors(s, "x"),
-         {"nan": None, "inf": None, "-inf": None, "empty": IAE, "ragged": IAE, "zero row": DIE}),
+         {"nan": None, "inf": None, "-inf": None, "empty": IAE, "ragged": IAE, "zero row": DIE,
+          "text": IAE, "complex": IAE}),
     ]
     for label, call, expected in table:
         for kind, want in expected.items():
             yield label, kind, call, STACKS[kind], want
 
-    batches = {kind: IAE for kind in ("nan", "inf", "-inf", "empty", "ragged", "bool entry", "bool array")}
+    batches = {kind: IAE for kind in ("nan", "inf", "-inf", "empty", "ragged", "bool entry", "bool array",
+                                      "text entry")}
     for label, call, expected in (
         ("gan_loss_nll", gan_loss_nll, {**batches, "zero row": IAE}),
         ("gan_loss_hinge", gan_loss_hinge, {**batches, "zero row": None}),
@@ -167,9 +171,10 @@ def cases():
         yield "HypervectorMapping", kind, lambda s: HypervectorMapping(per_patch=s), STACKS[kind], IAE
         yield "as_hypervectors", kind, as_hypervectors, STACKS[kind], IAE
     yield "as_float64", "ragged", as_float64, STACKS["ragged"], IAE
-    yield "as_float_array", "ragged", as_float_array, STACKS["ragged"], IAE
     yield "as_tuple", "string", as_tuple, "ab", IAE
     yield "ItemMemory.from_matrix", "label count", lambda s: ItemMemory.from_matrix(range(COUNT + 1), s), good(), IAE
+    yield "ItemMemory.from_matrix", "zero rows", lambda s: ItemMemory.from_matrix([], s), np.empty((0, DIM)), IAE
+    yield "check_no_zero_vectors", "zero rows", lambda s: check_no_zero_vectors(s, "x"), np.empty((0, DIM)), IAE
     yield "HypervectorMapping", "zero row", lambda s: HypervectorMapping(per_patch=s), STACKS["zero row"], None
     yield "HypervectorMapping", "1-D", lambda s: HypervectorMapping(per_patch=s), good()[0], IAE
     yield "check_no_zero_vectors", "1-D", lambda s: check_no_zero_vectors(s, "x"), good()[0], IAE

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import (
     as_float64,
-    as_float_array,
     as_hypervectors,
     as_tuple,
     bind,
@@ -318,6 +317,17 @@ class TestStacks:
         a = np.ones((3, 4))
         assert as_float64(a) is a and as_hypervectors(a) is a
 
+    @pytest.mark.parametrize("v", [
+        ["1.5", "2"], np.array(["1.5", "2"]), np.array([b"1", b"2"]), np.array([1 + 2j, 1]),
+        np.array([1.0, 2.0], np.complex64), np.array(["1", 2.0], dtype=object), [10**30, "0.5"],
+        np.array([np.complex64(1), 1.0], dtype=object),
+    ])
+    def test_text_and_complex_entries_rejected_not_parsed(self, v):
+        # the cast would parse the text and drop the imaginary parts
+        for call in (as_float64, as_hypervectors, lambda x: bind(x, [1.0, 1.0])):
+            with pytest.raises(InvalidArgumentError, match="equal-length numeric vectors"):
+                call(v)
+
     @pytest.mark.parametrize(
         "values,want", [([1, 2], (1, 2)), ((), ()), (iter("ab"), ("a", "b")), (np.arange(2), (0, 1))]
     )
@@ -474,7 +484,7 @@ class TestFloat32:
 
     def test_native_float32_is_not_copied(self):
         a = float32_stack((3, 4), 0)
-        assert as_float_array(a) is a and as_hypervectors(a) is a
+        assert as_hypervectors(a) is a
         assert as_hypervectors(a.astype(">f4")).dtype == np.float64
         assert as_hypervectors(a.tolist()).dtype == np.float64
 
@@ -514,7 +524,7 @@ class TestFloat32:
             (bind, (np.empty(0, np.float32),) * 2, "nonempty"),
             (bind, (np.ones((2, 2, 2), np.float32),) * 2, "(count, dim)"),
             (cosine_similarity, (zero, zero[:, :63]), "dimension mismatch"),
-            (bundle, (zero[0],), "nonempty list"),
+            (bundle, (zero[0],), "nonempty (count, dim) stack"),
         ]
         for call, args, named in cases:
             got = raised(call, *args)

@@ -247,10 +247,10 @@ class TestFloat32Stacks:
         cases = [
             (estimate_mapping_paired, (src, tgt), "finite (rows [0, 2])"),
             (estimate_mapping_paired, (tgt, tgt[:3]), "shape mismatch"),
-            (estimate_mapping_paired, (tgt[0], tgt[0]), "list of hypervectors"),
+            (estimate_mapping_paired, (tgt[0], tgt[0]), "nonempty (count, dim) stack"),
             (lambda s: apply_mapping(s, u), (src,), "finite (rows [0, 2])"),
             (lambda s: apply_mapping(s, u), (tgt[:, :31],), "dimension mismatch"),
-            (lambda s: HypervectorMapping(per_patch=s), (tgt[0],), "(patch_count, dim)"),
+            (lambda s: HypervectorMapping(per_patch=s), (tgt[0],), "mapping vectors must be a nonempty (count, dim) stack"),
         ]
         for call, args, named in cases:
             got = raised(call, *args)

@@ -426,7 +426,7 @@ class TestFloat32Vectors:
             (mem.cleanup, queries[:, :15], "query shape"),
             (lambda v: ItemMemory().add("z", v), queries[1], "'z'"),
             (lambda v: ItemMemory().add("a", v), inf, "finite"),
-            (lambda v: ItemMemory().add("a", v), queries, "1-D"),
+            (lambda v: ItemMemory().add("a", v), queries, "nonempty (dim,) vector"),
         ):
             got = raised(call, arg)
             assert got == raised(call, arg.astype(np.float64))

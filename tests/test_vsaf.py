@@ -220,6 +220,13 @@ class TestFloat32Stacks:
         assert not (tmp_path / "hv.vsaf").exists()
 
 
+@pytest.mark.parametrize("hvs", [1.0, np.float32(1.0), np.array(2.0)])
+def test_scalar_is_not_a_hypervector_stack(tmp_path, hvs):
+    with pytest.raises(InvalidArgumentError, match=r"nonempty \(dim,\) vector or \(count, dim\) stack"):
+        write_hypervectors(hvs, tmp_path / "hv.vsaf")
+    assert not (tmp_path / "hv.vsaf").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hypervectors_beyond_float32_range_rejected(tmp_path):
     path = tmp_path / "hv.vsaf"
