@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float, as_int, bind, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
+from .hv import as_count, as_float, as_int, bind, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 from .vsaf import MAX_ELEMENTS
@@ -85,12 +85,10 @@ class BenchConfig:
 
     def __post_init__(self):
         for name in ("dim", "k", "object_vocab_size", "attr_vocab_size", "trials"):
-            object.__setattr__(self, name, as_int(getattr(self, name), f"an integer {name}"))
-        if self.dim < 1:
-            raise InvalidArgumentError(f"dim must be >= 1, got {self.dim}")
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.mapping not in MAPPING_KINDS:
             raise InvalidArgumentError(f"mapping must be one of {MAPPING_KINDS}, got {self.mapping!r}")
-        if self.k < 1 or self.k > min(self.object_vocab_size, self.attr_vocab_size):
+        if self.k > min(self.object_vocab_size, self.attr_vocab_size):
             raise InvalidArgumentError(
                 f"k must be in [1, min(vocab sizes)], got k={self.k} with "
                 f"{self.object_vocab_size} objects and {self.attr_vocab_size} attributes"
@@ -104,8 +102,6 @@ class BenchConfig:
         if not 0.0 <= mix <= 1.0:
             raise InvalidArgumentError(f"mix must be in [0, 1], got {mix}")
         object.__setattr__(self, "mix", mix)
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
         check_seed(self.seed)
 
 

@@ -172,15 +172,6 @@ def _load_json(path: str, error: type[Exception], what: str):
         raise error(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = _load_json(path, ConfigError, "config file")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
 def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cfg: {}) -> dict:
     """Flags override config-file values, which override the table's defaults.
     A config-file key the subcommand does not define, or a value its option's
@@ -188,7 +179,9 @@ def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cf
     config-file key that ``unread(cfg)`` maps to the reason the chosen mode
     does not read it; given as a flag, such an option is a usage error."""
     options = {opt.key: opt for opt in OPTIONS[args.command]}
-    file_cfg = _load_config_file(args.config)
+    file_cfg = {} if args.config is None else _load_json(args.config, ConfigError, "config file")
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
     unknown = sorted(set(file_cfg) - set(options))
     if unknown:
         raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
@@ -295,12 +288,12 @@ def cmd_map(args) -> int:
                   else dict.fromkeys(("tgt", "quantize"), "in random mode"))
     if cfg["src"] is None or cfg["out"] is None:
         raise UsageError("map requires --src and --out")
+    if cfg["mode"] == "paired" and cfg["tgt"] is None:
+        raise UsageError("map --mode paired requires --tgt")
     seed = _resolve_seed(cfg)
     _check_out(cfg["out"])
     src = _read(vsaf.read_hypervectors, cfg["src"])
     if cfg["mode"] == "paired":
-        if cfg["tgt"] is None:
-            raise UsageError("map --mode paired requires --tgt")
         tgt = _read(vsaf.read_hypervectors, cfg["tgt"])
         u = mapping.estimate_mapping_paired(src, tgt, quantize=cfg["quantize"])
     else:
@@ -311,11 +304,9 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _load_scores(path: str | None, name: str):
+def _load_scores(path: str, name: str):
     """Scores from a UTF-8 JSON file that ``losses._scores`` accepts, a nonempty flat list of finite,
     non-boolean numbers."""
-    if path is None:
-        return None
     batch = _load_json(path, DegenerateInputError, f"{name} score file")
     try:
         return _scores(batch, name)
@@ -332,6 +323,9 @@ def cmd_loss(args) -> int:
                   else dict.fromkeys(("variant", "w1", "w2"), "without score batches"))
     if cfg["x"] is None or cfg["cycled"] is None:
         raise UsageError("loss requires --x and --cycled")
+    scored = [cfg[key] is not None for key in _SCORE_KEYS]
+    if any(scored) and not all(scored):
+        raise UsageError("loss needs all three score batches or none")
     v_x = _read(vsaf.read_hypervectors, cfg["x"])
     v_cycled = _read(vsaf.read_hypervectors, cfg["cycled"])
     check_no_zero_vectors(v_x, "x")
@@ -340,13 +334,9 @@ def cmd_loss(args) -> int:
     loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
     vsa = vsa_cyclic_loss(v_x, v_cycled)
 
-    score_batches = [_load_scores(cfg[key], key.removeprefix("scores_")) for key in _SCORE_KEYS]
-    real, fake_t, fake_m = score_batches
-    if any(s is not None for s in score_batches) and any(s is None for s in score_batches):
-        raise UsageError("loss needs all three score batches or none")
-
-    if real is not None:
-        d_loss, g_loss = gan_loss(real, fake_t, fake_m, loss_cfg)
+    if all(scored):
+        batches = [_load_scores(cfg[key], key.removeprefix("scores_")) for key in _SCORE_KEYS]
+        d_loss, g_loss = gan_loss(*batches, loss_cfg)
         total = total_loss(g_loss, vsa, loss_cfg)
     else:
         d_loss = g_loss = None

@@ -8,7 +8,10 @@ inside the arithmetic, which gives the bits of widening it first: a float32
 value widens exactly, and the product of two is exact in float64. Other input
 becomes float64 under the one number rule, ``as_float64``, which also reads
 LSH features and score batches and rejects text, bytes and complex entries
-rather than parse or truncate them. Every result is float64. ``bind`` and
+rather than parse or truncate them. Scalars have one rule each: ``as_int``
+for an integer, ``as_count`` for a count (an integer >= 1: a dim, a k, a
+patch side), ``as_float`` for a finite number and ``as_tuple`` for a
+sequence. Every result is float64. ``bind`` and
 ``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
 a stack. Sampled vectors are bipolar ({-1, +1}); a bundle is their raw sum
 and may leave [-1, 1], which is fine for every cosine-based consumer downstream.
@@ -65,6 +68,13 @@ def as_int(value, noun: str = "an integer") -> int:
         with contextlib.suppress(ValueError):
             return int(value)
     raise InvalidArgumentError(f"must be {noun}, got {value!r}")
+
+
+def as_count(value, noun: str) -> int:
+    """``value`` under the ``as_int`` rule as a positive int; the one count rule."""
+    if (count := as_int(value, f"an integer {noun}")) < 1:
+        raise InvalidArgumentError(f"{noun} must be >= 1, got {count}")
+    return count
 
 
 def as_float(value, noun: str = "a finite number") -> float:
@@ -166,10 +176,7 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def sample_hypervector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one bipolar hypervector from an existing generator (stream-level determinism)."""
-    dim = as_int(dim, "an integer dim")
-    if dim < 1:
-        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
-    return fill_bipolar(np.empty(dim), rng)
+    return fill_bipolar(np.empty(as_count(dim, "dim")), rng)
 
 
 def quantized(v: np.ndarray, mode: str) -> np.ndarray:

@@ -65,10 +65,8 @@ def _scores(batch, name: str) -> np.ndarray:
 def vsa_cyclic_loss(v_x, v_cycled) -> float:
     """Mean row-wise cosine distance between (patch_count, dim) stacks of original and
     cycled patch hypervectors; range [0, 2]."""
-    distances = 1.0 - cosine_similarity(v_x, v_cycled)
-    if np.ndim(distances) != 1:
-        raise InvalidArgumentError("need two (patch_count, dim) stacks, got single hypervectors")
-    return float(np.mean(distances))
+    x, cycled = as_hypervectors(v_x, (2,), "x"), as_hypervectors(v_cycled, (2,), "cycled")
+    return float(np.mean(1.0 - cosine_similarity(x, cycled)))
 
 
 def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:

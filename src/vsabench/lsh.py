@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float64, as_int, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
+from .hv import as_count, as_float64, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
 from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # the batch is zero-padded to a multiple of this many rows
@@ -59,10 +59,8 @@ class LshProjector:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", as_int(self.m, "an integer m"))
-        object.__setattr__(self, "n", as_int(self.n, "an integer n"))
-        if self.m < 1 or self.n < 1:
-            raise InvalidArgumentError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
+        object.__setattr__(self, "m", as_count(self.m, "m"))
+        object.__setattr__(self, "n", as_count(self.n, "n"))
         if self.m * self.n > MAX_ELEMENTS:
             raise InvalidArgumentError(
                 f"projector of m={self.m} by n={self.n} has {self.m * self.n} elements (cap {MAX_ELEMENTS})"

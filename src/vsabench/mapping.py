@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .hv import as_hypervectors, as_int, bind, bundle, check_rows, check_seed, fill_bipolar, quantized
+from .hv import _same_shape, as_count, as_hypervectors, bind, bundle, check_rows, check_seed, fill_bipolar, quantized
 
 
 @dataclass(frozen=True)
@@ -57,19 +56,13 @@ def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapp
     For bipolar inputs this satisfies bind(src[i], u[i]) == tgt[i] exactly; for
     continuous vectors it is only approximately invertible. The product is checked before its sign.
     """
-    s, t = _as_stack(src), _as_stack(tgt)
-    if s.shape != t.shape:
-        raise InvalidArgumentError(f"shape mismatch: src {s.shape} vs tgt {t.shape}")
+    s, t = _same_shape(_as_stack(src), _as_stack(tgt))
     u = HypervectorMapping(per_patch=np.multiply(s, t, dtype=np.float64))
     return u if quantize == "none" else HypervectorMapping(per_patch=quantized(u.per_patch, quantize))
 
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:
     """Independent bipolar mapping vectors per patch (the ablation baseline)."""
-    patch_count, dim = as_int(patch_count, "an integer patch_count"), as_int(dim, "an integer dim")
-    if patch_count < 1 or dim < 1:
-        raise InvalidArgumentError(
-            f"patch_count and dim must be >= 1, got {patch_count}, {dim}"
-        )
+    shape = as_count(patch_count, "patch_count"), as_count(dim, "dim")
     rng = np.random.default_rng(check_seed(seed))
-    return HypervectorMapping(per_patch=fill_bipolar(np.empty((patch_count, dim)), rng))
+    return HypervectorMapping(per_patch=fill_bipolar(np.empty(shape), rng))

@@ -12,7 +12,9 @@ bundled queries, each query's similarities are bit for bit those of its own
 1-D call; for other values only the rounding order of the dot products
 differs.
 
-The matrix holds exactly the stored entries: ``add`` appends its row to a
+Labels are unique and hashable, as the memory keys an index by them; an
+unhashable label is rejected with ``InvalidArgumentError`` naming it. The
+matrix holds exactly the stored entries: ``add`` appends its row to a
 new matrix, which costs O(n * dim) a call, and a memory built with
 ``from_matrix`` adopts the caller's matrix without copying it. Rows and
 queries take their squared norms from ``hv.safe_norms2``, so similarities
@@ -39,7 +41,16 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidStateError
-from .hv import as_hypervectors, as_int, check_rows, row_dots, safe_norms2, sum_products
+from .hv import as_count, as_hypervectors, check_rows, row_dots, safe_norms2, sum_products
+
+
+def _hashable(label: Hashable) -> Hashable:
+    """``label``, which a memory keys its index by, else ``InvalidArgumentError`` naming it."""
+    try:
+        hash(label)
+    except TypeError:
+        raise InvalidArgumentError(f"label {label!r} is not hashable") from None
+    return label
 
 
 class ItemMemory:
@@ -60,7 +71,7 @@ class ItemMemory:
         (unless a row needs scaling), so the caller must not change it while the
         memory is in use. Rows are validated as ``add`` validates one vector.
         """
-        labels = list(labels)
+        labels = [_hashable(label) for label in labels]
         rows = np.ascontiguousarray(as_hypervectors(matrix, (2,)))
         if len(labels) != rows.shape[0]:
             raise InvalidArgumentError(f"{len(labels)} labels for {rows.shape[0]} rows")
@@ -87,7 +98,7 @@ class ItemMemory:
 
     def add(self, label: Hashable, vector) -> "ItemMemory":
         """Append an entry; labels are unique and insertion order is preserved."""
-        if label in self._index:
+        if _hashable(label) in self._index:
             raise InvalidArgumentError(f"duplicate label {label!r}")
         v = as_hypervectors(vector, (1,)).astype(np.float64, copy=False)
         if self._labels and v.shape[0] != self.dim:
@@ -106,9 +117,7 @@ class ItemMemory:
         insertion order; for a ``(count, dim)`` stack, one such list per row."""
         if not self._labels:
             raise InvalidStateError("cleanup on an empty memory")
-        k = as_int(k, "an integer k")
-        if k < 1:
-            raise InvalidArgumentError(f"k must be >= 1, got {k}")
+        k = as_count(k, "k")
         q = as_hypervectors(query)
         if q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")

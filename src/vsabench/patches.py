@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .hv import as_int, as_tuple, safe_norms2, sum_products
+from .hv import as_count, as_int, as_tuple, safe_norms2, sum_products
 from .vsaf import FeatureMapSet
 
 
@@ -27,12 +27,10 @@ class PatchSpec:
 
     def __post_init__(self):
         sides = as_tuple(self.sides, "a sequence of patch sides")
-        object.__setattr__(self, "sides", tuple(as_int(s, "an integer patch side") for s in sides))
-        object.__setattr__(self, "dilation", as_int(self.dilation, "an integer dilation"))
-        if not self.sides or any(s < 1 for s in self.sides):
-            raise InvalidArgumentError(f"patch sides must be positive, got {self.sides}")
-        if self.dilation < 1:
-            raise InvalidArgumentError(f"dilation must be >= 1, got {self.dilation}")
+        if not sides:
+            raise InvalidArgumentError("patch sides must be nonempty, got ()")
+        object.__setattr__(self, "sides", tuple(as_count(s, "patch side") for s in sides))
+        object.__setattr__(self, "dilation", as_count(self.dilation, "dilation"))
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,9 @@ def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
             f"patch spec has {len(spec.sides)} sides for {len(fm.layers)} layers"
         )
     d = spec.dilation
-    grid_shape = None
+    blocks = []
     for side, layer in zip(spec.sides, fm.layers):
-        h, w, _ = layer.data.shape
+        h, w, c = layer.data.shape
         footprint = side * d
         if (side - 1) * d + 1 > h or (side - 1) * d + 1 > w:
             raise InvalidArgumentError(
@@ -98,18 +96,12 @@ def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
                 f"footprint {footprint} (side {side} * dilation {d})"
             )
         shape = (h // footprint, w // footprint)
-        if grid_shape is None:
-            grid_shape = shape
-        elif shape != grid_shape:
+        if blocks and shape != grid_shape:
             raise ConfigError(
                 f"layer {layer.name!r}: grid {shape} does not match {grid_shape} "
                 f"of earlier layers"
             )
-
-    gh, gw = grid_shape
-    blocks = []
-    for side, layer in zip(spec.sides, fm.layers):
-        c = layer.data.shape[2]
+        gh, gw = grid_shape = shape
         # split each axis into (grid cell, patch position, dilation offset); keep offset 0
         cells = layer.data.reshape(gh, side, d, gw, side, d, c)[:, :, 0, :, :, 0, :]
         blocks.append(cells.transpose(0, 2, 1, 3, 4).reshape(gh * gw, side * side * c))

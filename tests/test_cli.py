@@ -652,3 +652,17 @@ def test_console_entry_point_runs():
 
 def test_no_subcommand_exit_1(capsys):
     assert main([]) == 1
+
+
+# A missing option and an unreadable input at once: the usage rule is decided
+# before any file is read, so the command exits 1, not 2.
+@pytest.mark.parametrize("argv,message", [
+    (["map", "--src", "{tmp}/missing.vsaf", "--out", "{tmp}/u.vsaf"], "map --mode paired requires --tgt"),
+    (["loss", "--x", "{tmp}/missing.vsaf", "--cycled", "{tmp}/missing.vsaf", "--scores-real", "{tmp}/missing.json"],
+     "loss needs all three score batches or none"),
+], ids=["map without --tgt", "loss with one score batch"])
+def test_usage_error_before_any_file_is_read(argv, message, tmp_path, capsys):
+    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"usage error: {message}\n"
+    assert "Traceback" not in stderr

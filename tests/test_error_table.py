@@ -3,14 +3,18 @@
 
 The table pins behaviour, not wording: a refactor that moves a check from one
 pass to another must keep every row. Messages are pinned where the tests of
-each module name rows or labels.
+each module name rows or labels. The one exception is the count rule,
+``hv.as_count``: every count parameter of the package states a count below 1
+in its one wording, which the second table pins.
 """
 
 import numpy as np
 import pytest
 
+from vsabench.bench import BenchConfig
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import (
+    as_count,
     as_float,
     as_float64,
     as_hypervectors,
@@ -38,7 +42,9 @@ from vsabench.mapping import (
     estimate_mapping_paired,
     random_mapping,
 )
+from vsabench.lsh import LshProjector
 from vsabench.memory import ItemMemory
+from vsabench.patches import PatchSpec
 
 IAE, DIE = InvalidArgumentError, DegenerateInputError
 COUNT, DIM = 3, 8
@@ -178,6 +184,11 @@ def cases():
     yield "HypervectorMapping", "zero row", lambda s: HypervectorMapping(per_patch=s), STACKS["zero row"], None
     yield "HypervectorMapping", "1-D", lambda s: HypervectorMapping(per_patch=s), good()[0], IAE
     yield "check_no_zero_vectors", "1-D", lambda s: check_no_zero_vectors(s, "x"), good()[0], IAE
+    # a pair of single vectors is rejected by rank before the cosine, zero or not
+    yield "vsa_cyclic_loss", "1-D zero pair", lambda v: vsa_cyclic_loss(v, v), np.zeros(DIM), IAE
+    yield "ItemMemory.from_matrix", "unhashable label", lambda s: ItemMemory.from_matrix([[1]], s), good()[:1], IAE
+    yield "ItemMemory.add", "unhashable label", lambda v: ItemMemory().add([1], v), good()[0], IAE
+    yield "ItemMemory.add", "unhashable label, nonempty memory", lambda v: memory().add({}, v), good()[0], IAE
 
 
 def row_of(stack):
@@ -198,3 +209,28 @@ def test_error_class(call, arg, expected):
     with pytest.raises(Exception) as info:
         call(arg)
     assert type(info.value) is expected
+
+
+# Each count parameter at 0, and the noun the count rule names it by.
+COUNTS = [
+    ("as_count", "count", lambda: as_count(0, "count")),
+    ("sample_hypervector(dim)", "dim", lambda: sample_hypervector(0, np.random.default_rng(0))),
+    ("BenchConfig(dim)", "dim", lambda: BenchConfig(dim=0)),
+    ("BenchConfig(k)", "k", lambda: BenchConfig(k=0)),
+    ("BenchConfig(object_vocab_size)", "object_vocab_size", lambda: BenchConfig(object_vocab_size=0)),
+    ("BenchConfig(attr_vocab_size)", "attr_vocab_size", lambda: BenchConfig(attr_vocab_size=0)),
+    ("BenchConfig(trials)", "trials", lambda: BenchConfig(trials=0)),
+    ("LshProjector(m)", "m", lambda: LshProjector(m=0, n=4, seed=0)),
+    ("LshProjector(n)", "n", lambda: LshProjector(m=4, n=0, seed=0)),
+    ("random_mapping(patch_count)", "patch_count", lambda: random_mapping(0, DIM, seed=0)),
+    ("random_mapping(dim)", "dim", lambda: random_mapping(COUNT, 0, seed=0)),
+    ("ItemMemory.cleanup(k)", "k", lambda: memory().cleanup(good()[0], k=0)),
+    ("PatchSpec(sides)", "patch side", lambda: PatchSpec(sides=(2, 0))),
+    ("PatchSpec(dilation)", "dilation", lambda: PatchSpec(sides=(2,), dilation=0)),
+]
+
+
+@pytest.mark.parametrize("call,noun", [(call, noun) for _, noun, call in COUNTS], ids=[case[0] for case in COUNTS])
+def test_count_below_one(call, noun):
+    with pytest.raises(InvalidArgumentError, match=f"^{noun} must be >= 1, got 0$"):
+        call()

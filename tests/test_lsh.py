@@ -77,7 +77,7 @@ class TestNewProjector:
             new_projector(m=5, n=0, seed=0)
 
     def test_direct_construction_is_validated(self):
-        with pytest.raises(InvalidArgumentError, match="m and n"):
+        with pytest.raises(InvalidArgumentError, match="must be >= 1"):
             LshProjector(m=0, n=5, seed=0)
         with pytest.raises(InvalidArgumentError, match="cap 2147483648"):
             LshProjector(m=2**16, n=2**15 + 1, seed=0)

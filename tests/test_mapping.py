@@ -246,7 +246,7 @@ class TestFloat32Stacks:
         u = HypervectorMapping(per_patch=tgt)
         cases = [
             (estimate_mapping_paired, (src, tgt), "finite (rows [0, 2])"),
-            (estimate_mapping_paired, (tgt, tgt[:3]), "shape mismatch"),
+            (estimate_mapping_paired, (tgt, tgt[:3]), "dimension mismatch"),
             (estimate_mapping_paired, (tgt[0], tgt[0]), "nonempty (count, dim) stack"),
             (lambda s: apply_mapping(s, u), (src,), "finite (rows [0, 2])"),
             (lambda s: apply_mapping(s, u), (tgt[:, :31],), "dimension mismatch"),

@@ -33,6 +33,10 @@ class TestAdd:
         with pytest.raises(InvalidArgumentError):
             mem.add("item0", sample_hypervector(64, np.random.default_rng(9)))
 
+    def test_unhashable_label_named(self):
+        with pytest.raises(InvalidArgumentError, match=r"^label \['x'\] is not hashable$"):
+            ItemMemory().add(["x"], np.ones(8))
+
     def test_dim_mismatch_rejected(self):
         mem = filled_memory(1, 64)
         with pytest.raises(InvalidArgumentError):
@@ -234,6 +238,11 @@ class TestFromMatrix:
     def test_duplicate_label_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ItemMemory.from_matrix(["a", "b", "a"], np.ones((3, 8)))
+
+    def test_unhashable_label_named(self):
+        # a tuple holding a list is no more hashable than the list
+        with pytest.raises(InvalidArgumentError, match=r"^label \('b', \[1\]\) is not hashable$"):
+            ItemMemory.from_matrix(["a", ("b", [1])], np.ones((2, 8)))
 
     def test_zero_row_rejected(self):
         matrix = np.ones((3, 8))
