@@ -28,8 +28,8 @@ from .errors import (
     InvalidStateError,
     VsafError,
 )
-from .hv import QUANTIZE_MODES, as_float, as_int
-from .losses import VARIANTS, LossConfig, _scores, check_no_zero_vectors, gan_loss, total_loss, vsa_cyclic_loss
+from .hv import QUANTIZE_MODES, as_count, as_float, as_int, check_seed
+from .losses import VARIANTS, LossConfig, _scores, gan_loss, total_loss, vsa_cyclic_loss
 from .patches import PatchSpec, assemble_patches, block_lengths, normalize_blocks
 
 EXIT_OK = 0
@@ -212,10 +212,11 @@ def _flag_type(convert: Callable) -> Callable:
 
 
 def _resolve_seed(cfg: dict) -> int:
+    """The flag or config seed, else ``VSAIT_SEED``, else 0, under ``hv.check_seed``."""
     if cfg["seed"] is not None:
-        return cfg["seed"]
+        return check_seed(cfg["seed"])
     try:
-        return as_int(os.environ.get("VSAIT_SEED", 0))
+        return check_seed(as_int(os.environ.get("VSAIT_SEED", 0)))
     except InvalidArgumentError as exc:
         raise ConfigError(f"VSAIT_SEED {exc}") from exc
 
@@ -267,18 +268,18 @@ def cmd_encode(args) -> int:
         raise UsageError("encode requires --features-in and --out")
     if cfg["patch_sizes"] is None:
         raise UsageError("encode requires --patch-sizes")
-    seed = _resolve_seed(cfg)
+    seed, dim = _resolve_seed(cfg), as_count(cfg["dim"], "dim")
+    spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
     _check_out(cfg["out"])
     fm = _read(vsaf.read_feature_file, cfg["features_in"])
-    spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
     patches = assemble_patches(fm, spec)
     if cfg["norm_scope"] == "per_layer":
         patches = normalize_blocks(patches, block_lengths(fm, spec))
 
-    projector = lsh.new_projector(m=patches.m, n=cfg["dim"], seed=seed)
+    projector = lsh.new_projector(m=patches.m, n=dim, seed=seed)
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
     _write(lambda out: vsaf.write_hypervectors(hvs, out), cfg["out"])
-    _emit({"patch_count": patches.patch_count, "m": patches.m, "n": cfg["dim"], "seed": seed})
+    _emit({"patch_count": patches.patch_count, "m": patches.m, "n": dim, "seed": seed})
     return EXIT_OK
 
 
@@ -326,21 +327,16 @@ def cmd_loss(args) -> int:
     scored = [cfg[key] is not None for key in _SCORE_KEYS]
     if any(scored) and not all(scored):
         raise UsageError("loss needs all three score batches or none")
+    loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
     v_x = _read(vsaf.read_hypervectors, cfg["x"])
     v_cycled = _read(vsaf.read_hypervectors, cfg["cycled"])
-    check_no_zero_vectors(v_x, "x")
-    check_no_zero_vectors(v_cycled, "cycled")
-
-    loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
     vsa = vsa_cyclic_loss(v_x, v_cycled)
 
+    d_loss = g_loss = None
     if all(scored):
         batches = [_load_scores(cfg[key], key.removeprefix("scores_")) for key in _SCORE_KEYS]
         d_loss, g_loss = gan_loss(*batches, loss_cfg)
-        total = total_loss(g_loss, vsa, loss_cfg)
-    else:
-        d_loss = g_loss = None
-        total = total_loss(0.0, vsa, loss_cfg)
+    total = total_loss(0.0 if g_loss is None else g_loss, vsa, loss_cfg)
 
     _emit({"vsa": vsa, "gan_d": d_loss, "gan_g": g_loss, "total": total, "config": {
         "lambda": loss_cfg.lam, "variant": loss_cfg.variant,

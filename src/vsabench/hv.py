@@ -78,9 +78,9 @@ def as_count(value, noun: str) -> int:
 
 
 def as_float(value, noun: str = "a finite number") -> float:
-    """``value`` as a finite float; booleans, non-numbers, NaN and infinities are rejected."""
+    """``value`` as a finite float; booleans (numpy's too), non-numbers, NaN and infinities are rejected."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if not isinstance(value, bool) and np.isfinite(number := float(value)):
+        if not isinstance(value, (bool, np.bool_)) and np.isfinite(number := float(value)):
             return number
     raise InvalidArgumentError(f"must be {noun}, got {value!r}")
 

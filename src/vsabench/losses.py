@@ -64,8 +64,8 @@ def _scores(batch, name: str) -> np.ndarray:
 
 def vsa_cyclic_loss(v_x, v_cycled) -> float:
     """Mean row-wise cosine distance between (patch_count, dim) stacks of original and
-    cycled patch hypervectors; range [0, 2]."""
-    x, cycled = as_hypervectors(v_x, (2,), "x"), as_hypervectors(v_cycled, (2,), "cycled")
+    cycled patch hypervectors; range [0, 2]. A zero row is named by ``check_no_zero_vectors``."""
+    x, cycled = check_no_zero_vectors(v_x, "x"), check_no_zero_vectors(v_cycled, "cycled")
     return float(np.mean(1.0 - cosine_similarity(x, cycled)))
 
 
@@ -120,9 +120,10 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
     return float(gan + cfg.lam * vsa)
 
 
-def check_no_zero_vectors(vs, name: str) -> None:
-    """Raise naming every all-zero row of a (count, dim) batch."""
+def check_no_zero_vectors(vs, name: str) -> np.ndarray:
+    """``vs`` as a (count, dim) stack through the rank gate; raises naming every all-zero row."""
     stack = as_hypervectors(vs, (2,), name)
     idx = np.flatnonzero(~np.any(stack, axis=1))
     if idx.size:
         raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")
+    return stack

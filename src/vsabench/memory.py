@@ -14,16 +14,19 @@ differs.
 
 Labels are unique and hashable, as the memory keys an index by them; an
 unhashable label is rejected with ``InvalidArgumentError`` naming it. The
-matrix holds exactly the stored entries: ``add`` appends its row to a
-new matrix, which costs O(n * dim) a call, and a memory built with
-``from_matrix`` adopts the caller's matrix without copying it. Rows and
-queries take their squared norms from ``hv.safe_norms2``, so similarities
-agree with ``hv.cosine_similarity`` at any magnitude. Those squared norms are
-also the finiteness check: ``hv.check_rows`` rejects by them a row or query
-with a non-finite entry or a zero norm.
+matrix holds exactly the stored entries. ``from_matrix`` is the one store
+path: it adopts the caller's matrix without copying it, and ``add`` rebuilds
+the memory through it from a new matrix that ends in the added row, which
+costs O(n * dim) a call. Rows and queries take their squared norms from
+``hv.safe_norms2``, so similarities agree with ``hv.cosine_similarity`` at
+any magnitude. Those squared norms are also the finiteness check:
+``hv.check_rows`` rejects by them a row or query with a non-finite entry or a
+zero norm.
 
 A float32 matrix stays float32, halving the bytes a scan reads, until an
-``add`` stores a widened copy. A float32 vector or query is widened for its
+``add`` stores a widened copy; a grown memory then holds the float64 squared
+norm of every row, so it answers bit for bit as ``from_matrix`` of the same
+labels and widened rows. A float32 vector or query is widened for its
 squared norm. Queries to a float32 memory are then rounded to float32 and dot
 products summed in float32, which is exact for integers whose partial sums
 stay within 2^24, as in the flip bench, and float32-accurate otherwise.
@@ -69,7 +72,7 @@ class ItemMemory:
 
         A C-contiguous float64 or float32 matrix is adopted without a copy
         (unless a row needs scaling), so the caller must not change it while the
-        memory is in use. Rows are validated as ``add`` validates one vector.
+        memory is in use. It holds the store rules: ``add`` rebuilds through it.
         """
         labels = [_hashable(label) for label in labels]
         rows = np.ascontiguousarray(as_hypervectors(matrix, (2,)))
@@ -97,19 +100,14 @@ class ItemMemory:
         return self._rows.shape[1] if self._rows.shape[1] else None
 
     def add(self, label: Hashable, vector) -> "ItemMemory":
-        """Append an entry; labels are unique and insertion order is preserved."""
-        if _hashable(label) in self._index:
-            raise InvalidArgumentError(f"duplicate label {label!r}")
+        """Append an entry; labels are unique and insertion order is preserved. The memory is rebuilt
+        by ``from_matrix`` from a new matrix, which widens float32 rows, that ends in the vector."""
         v = as_hypervectors(vector, (1,)).astype(np.float64, copy=False)
         if self._labels and v.shape[0] != self.dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {self.dim}")
-        rows, norms2 = safe_norms2(v[np.newaxis], sum_products)
-        check_rows(norms2[:, np.newaxis], f"cannot store a zero-norm vector for {label!r}", f"entries of {label!r}")
-        # a new matrix, which widens float32 rows; an empty memory's (0, 0) rows take the vector's dim
-        self._rows = np.concatenate((self._rows.reshape(-1, v.shape[0]), rows))
-        self._norms2 = np.concatenate((self._norms2, norms2))
-        self._index[label] = len(self._labels)
-        self._labels.append(label)
+        # an empty memory's (0, 0) rows take the vector's dim
+        rows = np.concatenate((self._rows.reshape(-1, v.shape[0]), v[np.newaxis]))
+        vars(self).update(vars(self.from_matrix([*self._labels, label], rows)))
         return self
 
     def cleanup(self, query, k: int = 1) -> list:

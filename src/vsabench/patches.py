@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .hv import as_count, as_int, as_tuple, safe_norms2, sum_products
+from .hv import as_count, as_tuple, safe_norms2, sum_products
 from .vsaf import FeatureMapSet
 
 
@@ -62,9 +62,9 @@ def normalize_blocks(patches: PatchFeatureSet, lengths: list[int]) -> PatchFeatu
     whose squared norm underflows or overflows is normalized too. Zero-norm
     blocks are left untouched.
     """
-    lengths = [as_int(n, "an integer block length") for n in as_tuple(lengths, "a sequence of block lengths")]
-    if min(lengths, default=0) < 1 or sum(lengths) != patches.m:
-        raise InvalidArgumentError(f"block lengths {lengths} must be >= 1 and sum to m={patches.m}")
+    lengths = [as_count(n, "block length") for n in as_tuple(lengths, "a sequence of block lengths")]
+    if sum(lengths) != patches.m:
+        raise InvalidArgumentError(f"block lengths {lengths} must sum to m={patches.m}")
     out = patches.vectors.copy()
     start = 0
     for length in lengths:

@@ -256,6 +256,18 @@ class TestMap:
         assert stderr.startswith("data error: ") and "float32" in stderr
         assert not up.exists()
 
+    @pytest.mark.parametrize("flags,env", [(["--seed", "-1"], "0"), ([], str(2**64))], ids=["flag", "VSAIT_SEED"])
+    def test_paired_out_of_range_seed_exit_3(self, flags, env, tmp_path, capsys, monkeypatch):
+        src, out = tmp_path / "s.vsaf", tmp_path / "u.vsaf"
+        write_hypervectors(np.ones((2, 32)), src)
+        monkeypatch.setenv("VSAIT_SEED", env)
+        code, stdout, stderr = run_cli(["map", "--src", str(src), "--tgt", str(src), "--out", str(out), *flags],
+                                       capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: ") and stderr.count("\n") == 1
+        assert "seed must be in [0, 2^64)" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,cfg", [
         (["--tgt", "/nonexistent.vsaf"], {}), (["--quantize", "sign"], {}), (["--quantize", "none"], {}),
         ([], {"tgt": "/nonexistent.vsaf"}), ([], {"quantize": "sign"}),
@@ -666,3 +678,29 @@ def test_usage_error_before_any_file_is_read(argv, message, tmp_path, capsys):
     assert (code, stdout) == (1, "")
     assert stderr == f"usage error: {message}\n"
     assert "Traceback" not in stderr
+
+
+# A value rule that needs no file and an unreadable input at once: the value rule
+# is decided before any file is read, so the command exits 3, not 2.
+ENCODE_MISSING = ["encode", "--features-in", "{tmp}/missing.vsaf", "--out", "{tmp}/o.vsaf"]
+LOSS_MISSING = ["loss", "--x", "{tmp}/missing.vsaf", "--cycled", "{tmp}/missing.vsaf"]
+SCORES_MISSING = [arg for flag in ("--scores-real", "--scores-fake-translated", "--scores-fake-mapped")
+                  for arg in (flag, "{tmp}/missing.json")]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([*LOSS_MISSING, "--lambda", "-1"], "lam must be finite and >= 0, got -1.0"),
+    ([*LOSS_MISSING, *SCORES_MISSING, "--w1", "-1"],
+     "fake_term_weights must be two finite nonnegative reals, got (-1.0, 1.0)"),
+    ([*ENCODE_MISSING, "--patch-sizes", "0"], "patch side must be >= 1, got 0"),
+    ([*ENCODE_MISSING, "--patch-sizes", "4,2", "--dilation", "0"], "dilation must be >= 1, got 0"),
+    ([*ENCODE_MISSING, "--patch-sizes", "4,2", "--dim", "0"], "dim must be >= 1, got 0"),
+    ([*ENCODE_MISSING, "--patch-sizes", "4,2", "--seed", "-1"], "seed must be in [0, 2^64), got -1"),
+    (["map", "--src", "{tmp}/missing.vsaf", "--out", "{tmp}/u.vsaf", "--mode", "random", "--seed", "-1"],
+     "seed must be in [0, 2^64), got -1"),
+], ids=["loss --lambda", "loss --w1", "encode --patch-sizes", "encode --dilation", "encode --dim", "encode --seed",
+        "map --seed"])
+def test_value_rule_before_any_file_is_read(argv, message, tmp_path, capsys):
+    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"config error: {message}\n"

@@ -44,7 +44,7 @@ from vsabench.mapping import (
 )
 from vsabench.lsh import LshProjector
 from vsabench.memory import ItemMemory
-from vsabench.patches import PatchSpec
+from vsabench.patches import PatchFeatureSet, PatchSpec, normalize_blocks
 
 IAE, DIE = InvalidArgumentError, DegenerateInputError
 COUNT, DIM = 3, 8
@@ -178,6 +178,9 @@ def cases():
         yield "as_hypervectors", kind, as_hypervectors, STACKS[kind], IAE
     yield "as_float64", "ragged", as_float64, STACKS["ragged"], IAE
     yield "as_tuple", "string", as_tuple, "ab", IAE
+    yield "as_float", "numpy bool", as_float, np.True_, IAE
+    yield "BenchConfig(mix)", "numpy bool", lambda v: BenchConfig(mapping="mixed", mix=v), np.True_, IAE
+    yield "LossConfig(lam)", "numpy bool", lambda v: LossConfig(lam=v), np.False_, IAE
     yield "ItemMemory.from_matrix", "label count", lambda s: ItemMemory.from_matrix(range(COUNT + 1), s), good(), IAE
     yield "ItemMemory.from_matrix", "zero rows", lambda s: ItemMemory.from_matrix([], s), np.empty((0, DIM)), IAE
     yield "check_no_zero_vectors", "zero rows", lambda s: check_no_zero_vectors(s, "x"), np.empty((0, DIM)), IAE
@@ -227,6 +230,7 @@ COUNTS = [
     ("ItemMemory.cleanup(k)", "k", lambda: memory().cleanup(good()[0], k=0)),
     ("PatchSpec(sides)", "patch side", lambda: PatchSpec(sides=(2, 0))),
     ("PatchSpec(dilation)", "dilation", lambda: PatchSpec(sides=(2,), dilation=0)),
+    ("normalize_blocks(lengths)", "block length", lambda: normalize_blocks(PatchFeatureSet(vectors=good()), [DIM, 0])),
 ]
 
 

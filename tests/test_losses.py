@@ -52,6 +52,13 @@ class TestVsaCyclicLoss:
         with pytest.raises(DegenerateInputError):
             vsa_cyclic_loss([np.ones(8)], [np.zeros(8)])
 
+    @pytest.mark.parametrize("name", ["x", "cycled"])
+    def test_zero_row_named(self, name):
+        stacks = {"x": np.ones((3, 8)), "cycled": np.ones((3, 8))}
+        stacks[name][2] = 0.0
+        with pytest.raises(DegenerateInputError, match=rf"^{name}: zero-norm hypervectors at indices \[2\]$"):
+            vsa_cyclic_loss(stacks["x"], stacks["cycled"])
+
     def test_equals_per_patch_loop_bitwise(self):
         rng = np.random.default_rng(1)
         xs, cs = rng.standard_normal((7, 96)), rng.standard_normal((7, 96))

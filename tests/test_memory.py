@@ -424,6 +424,14 @@ class TestFloat32Vectors:
                 assert mem.cleanup(queries, k=k) == want.cleanup(queries.astype(np.float64), k=k)
                 assert mem.cleanup(queries[3], k=k) == want.cleanup(queries[3].astype(np.float64), k=k)
 
+    def test_grown_memory_matches_from_matrix_of_widened_rows(self):
+        # float32 sums of these rows' squares round differently from float64 ones
+        rng = np.random.default_rng(6)
+        rows, queries = rng.standard_normal((6, 64)).astype(np.float32), rng.standard_normal((4, 64))
+        grown = ItemMemory.from_matrix(range(5), rows[:5]).add(5, rows[5])
+        built = ItemMemory.from_matrix(range(6), rows.astype(np.float64))
+        assert grown.cleanup(queries, k=6) == built.cleanup(queries, k=6)
+
     def test_errors_match_widened(self):
         mem = ItemMemory.from_matrix(range(3), float32_stack((3, 16), 3))
         queries = float32_stack((5, 16), 4)
@@ -433,7 +441,7 @@ class TestFloat32Vectors:
         for call, arg, named in (
             (mem.cleanup, queries, "(rows [1, 4])"),
             (mem.cleanup, queries[:, :15], "query shape"),
-            (lambda v: ItemMemory().add("z", v), queries[1], "'z'"),
+            (lambda v: ItemMemory().add("z", v), queries[1], "zero-norm vector (rows [0])"),
             (lambda v: ItemMemory().add("a", v), inf, "finite"),
             (lambda v: ItemMemory().add("a", v), queries, "nonempty (dim,) vector"),
         ):
