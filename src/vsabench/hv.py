@@ -27,8 +27,9 @@ rows one at a time.
 cleanup memory, the LSH encoder's unit features and per-layer normalization
 all take their row norms from ``safe_norms2``, whose one range table holds the
 squared norms a row keeps unscaled, chosen by the dtype its products are summed
-in. It is the home of the finiteness policy too: ``check_rows``
-checks each array in the first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm).
+in. It is the home of the finiteness policy too: ``check_rows`` checks each array in the
+first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm), and ``as_float``
+each single number; ``np.isfinite`` appears nowhere else in the package.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def as_hypervectors(v, ndim=(1, 2), noun: str = "hypervectors") -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def check_rows(values: np.ndarray, zero: str | None = None, noun: str = "hypervector entries"):
     """``values`` (a vector or stack of rows), else ``InvalidArgumentError`` naming its rows with a
-    non-finite entry, then, given ``zero``, ``DegenerateInputError`` naming those with a 0. A passing
-    check is one sum, as a finite sum has no non-finite term. Squared norms from ``safe_norms2`` come as
-    a column: once it has scaled the extreme rows, only a non-finite entry leaves a squared norm non-finite."""
+    non-finite entry, then, given ``zero``, ``DegenerateInputError`` naming those with a 0: the first 8,
+    then a count of the rest. A passing check is one sum, as a finite sum has no non-finite term. VSAF
+    layers come as a row per pixel; scores, and squared norms from ``safe_norms2`` (LSH features, say), as a
+    column: once it has scaled the extreme rows, only a non-finite entry leaves a squared norm non-finite."""
     if np.isfinite(values.sum()) and not (zero and (values == 0.0).any()):
         return values
     rows = np.atleast_2d(values)
@@ -141,7 +143,8 @@ def check_rows(values: np.ndarray, zero: str | None = None, noun: str = "hyperve
                                 (DegenerateInputError, zero, rows == 0.0)):
         index = np.flatnonzero(bad.any(axis=1))
         if message and index.size:
-            raise error(f"{message} (rows {index.tolist()})")
+            more = f" and {index.size - 8} more" if index.size > 8 else ""
+            raise error(f"{message} (rows {index[:8].tolist()}{more})")
     return values
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_float, as_float64, as_hypervectors, cosine_similarity
+from .hv import as_float, as_float64, as_hypervectors, check_rows, cosine_similarity
 
 VARIANTS = ("nll", "hinge")
 
@@ -50,15 +50,15 @@ def _nonnegative(value, error: str) -> float:
 def _scores(batch, name: str) -> np.ndarray:
     """``batch`` as a nonempty 1-D float64 array of finite scores; the one score rule of the
     library and the CLI. A boolean is not a score: a bool array, or a ``True`` or ``False``
-    entry of a list or object array, is rejected. A numeric array's entries are not visited."""
+    entry of a list or object array, is rejected. A numeric array's entries are not visited,
+    and ``hv.check_rows`` names the non-finite ones as rows of a column."""
     arr = as_float64(batch, f"{name} must be a batch of numbers")
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidArgumentError(f"{name} must be a nonempty 1-D score batch, got shape {arr.shape}")
     dtype = getattr(batch, "dtype", np.dtype(object))
     if dtype == np.bool_ or dtype == object and any(isinstance(s, (bool, np.bool_)) for s in batch):
         raise InvalidArgumentError(f"{name} must be a batch of numbers, not booleans")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} contains non-finite scores")
+    check_rows(arr[:, np.newaxis], noun=f"{name} scores")
     return arr
 
 
@@ -69,11 +69,12 @@ def vsa_cyclic_loss(v_x, v_cycled) -> float:
     return float(np.mean(1.0 - cosine_similarity(x, cycled)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
     """Non-saturating log-likelihood adversarial loss over probability scores.
 
-    Returns (d_loss, g_loss). The two fake batches are the translated and
-    mapped hypervector scores, weighted by cfg.fake_term_weights.
+    Returns (d_loss, g_loss), each finite (``as_float``). The two fake batches are
+    the translated and mapped hypervector scores, weighted by cfg.fake_term_weights.
     """
     r = _scores(real, "real")
     ft = _scores(fake_translated, "fake_translated")
@@ -88,11 +89,12 @@ def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfi
         + w2 * np.mean(np.log1p(-fm))
     )
     g_loss = -(w1 * np.mean(np.log(ft)) + w2 * np.mean(np.log(fm)))
-    return float(d_loss), float(g_loss)
+    return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gan_loss_hinge(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
-    """Geometric-GAN hinge loss over unbounded scores. Returns (d_loss, g_loss)."""
+    """Geometric-GAN hinge loss over unbounded scores. Returns (d_loss, g_loss), each finite (``as_float``)."""
     r = _scores(real, "real")
     ft = _scores(fake_translated, "fake_translated")
     fm = _scores(fake_mapped, "fake_mapped")
@@ -103,7 +105,7 @@ def gan_loss_hinge(real, fake_translated, fake_mapped, cfg: LossConfig = LossCon
         + w2 * np.mean(np.maximum(0.0, 1.0 + fm))
     )
     g_loss = -(w1 * np.mean(ft) + w2 * np.mean(fm))
-    return float(d_loss), float(g_loss)
+    return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
 
 
 def gan_loss(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
@@ -114,10 +116,9 @@ def gan_loss(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig())
 
 
 def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
-    """gan + lam * vsa."""
-    if not (np.isfinite(gan) and np.isfinite(vsa)):
-        raise InvalidArgumentError(f"loss terms must be finite, got gan={gan}, vsa={vsa}")
-    return float(gan + cfg.lam * vsa)
+    """gan + lam * vsa; each term and the total is a finite number, not a boolean (``as_float``)."""
+    total = as_float(gan, "a finite gan loss term") + cfg.lam * as_float(vsa, "a finite vsa loss term")
+    return as_float(total, "a finite total loss")
 
 
 def check_no_zero_vectors(vs, name: str) -> np.ndarray:

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_count, as_float64, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
+from .errors import InvalidArgumentError
+from .hv import as_count, as_float64, check_rows, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
 from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # the batch is zero-padded to a multiple of this many rows
@@ -104,18 +104,14 @@ def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
 
     Accepts a PatchFeatureSet or a (count, m) array-like, such as a list of
     equal-length feature vectors; ragged or wrongly shaped input is rejected.
-    A non-finite or zero feature is named by its patch index. Empty input
-    (``[]`` or a (0, m) array) gives a (0, n) array.
+    ``hv.check_rows`` names the non-finite, then the zero features by row.
+    Empty input (``[]`` or a (0, m) array) gives a (0, n) array.
     """
     features = as_float64(getattr(fs, "vectors", fs), "features must be equal-length numeric vectors")
     if features.shape != (0,) and (features.ndim != 2 or features.shape[1] != p.m):
         raise InvalidArgumentError(f"features of shape {features.shape} are not (count, m={p.m})")
     features, norms2 = safe_norms2(features.reshape(-1, p.m), sum_products)  # a scaled row is a copy
-    bad = np.flatnonzero(~np.isfinite(norms2) | (norms2 == 0.0))
-    if bad.size and not np.isfinite(norms2[bad[0]]):
-        raise InvalidArgumentError(f"patch {bad[0]}: feature entries must be finite")
-    if bad.size:
-        raise DegenerateInputError(f"patch {bad[0]}: cannot project a zero feature vector")
+    check_rows(norms2[:, np.newaxis], "cannot project a zero feature vector", "feature entries")
     count = features.shape[0]
     padded = -(-count // BLOCK_ROWS) * BLOCK_ROWS
     unit = np.zeros((padded, p.m), dtype=np.float32)

@@ -12,7 +12,7 @@ bundled queries, each query's similarities are bit for bit those of its own
 1-D call; for other values only the rounding order of the dot products
 differs.
 
-Labels are unique and hashable, as the memory keys an index by them; an
+Labels are unique and hashable (``from_matrix`` keys a dict by them); an
 unhashable label is rejected with ``InvalidArgumentError`` naming it. The
 matrix holds exactly the stored entries. ``from_matrix`` is the one store
 path: it adopts the caller's matrix without copying it, and ``add`` rebuilds
@@ -48,7 +48,7 @@ from .hv import as_count, as_hypervectors, check_rows, row_dots, safe_norms2, su
 
 
 def _hashable(label: Hashable) -> Hashable:
-    """``label``, which a memory keys its index by, else ``InvalidArgumentError`` naming it."""
+    """``label``, which ``from_matrix`` keys a dict by, else ``InvalidArgumentError`` naming it."""
     try:
         hash(label)
     except TypeError:
@@ -62,7 +62,6 @@ class ItemMemory:
 
     def __init__(self):
         self._labels: list[Hashable] = []
-        self._index: dict[Hashable, int] = {}
         self._rows = np.empty((0, 0))
         self._norms2 = np.empty(0)
 
@@ -85,7 +84,7 @@ class ItemMemory:
         rows, norms2 = safe_norms2(rows, sum_products)
         check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector")
         mem = cls()
-        mem._labels, mem._index, mem._rows, mem._norms2 = labels, index, rows, norms2
+        mem._labels, mem._rows, mem._norms2 = labels, rows, norms2
         return mem
 
     def __len__(self) -> int:

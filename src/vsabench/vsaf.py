@@ -30,7 +30,7 @@ from .errors import (
     VersionError,
     VsafError,
 )
-from .hv import as_hypervectors
+from .hv import as_hypervectors, check_rows
 
 MAGIC = b"VSAF"
 VERSION = 1
@@ -68,8 +68,7 @@ class FeatureMapSet:
                     f"layer {layer.name!r} must be H x W x C with all dims >= 1, "
                     f"got shape {layer.data.shape}"
                 )
-            if not np.all(np.isfinite(layer.data)):
-                raise InvalidArgumentError(f"layer {layer.name!r} has non-finite entries")
+            check_rows(layer.data.reshape(-1, layer.data.shape[2]), noun=f"layer {layer.name!r} entries")
 
 
 def feature_map_set(named_tensors) -> FeatureMapSet:

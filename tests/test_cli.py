@@ -413,6 +413,23 @@ class TestLoss:
         assert (code, stdout) == ((1, "") if flags else (3, ""))
         assert stderr == f"{'usage' if flags else 'config'} error: {name} is not read without score batches\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags,scores", [
+        (["--lambda", "1e308"], None), (["--w1", "1e308", "--w2", "1e308"], "[0.1]"), ([], "[1e308, 1e308]"),
+    ], ids=["lambda", "weights", "scores"])
+    def test_infinite_loss_exit_3(self, flags, scores, tmp_path, capsys):
+        xp, cp, sp = tmp_path / "x.vsaf", tmp_path / "neg.vsaf", tmp_path / "s.json"
+        write_hypervectors(np.eye(2), xp)
+        write_hypervectors(-np.eye(2), cp)
+        argv = ["loss", "--x", str(xp), "--cycled", str(cp), *flags]
+        if scores is not None:
+            sp.write_text(scores)
+            argv += [arg for flag in ("--scores-real", "--scores-fake-translated", "--scores-fake-mapped")
+                     for arg in (flag, str(sp))]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("config error: must be a finite ") and stderr.count("\n") == 1
+
     def test_lambda_alone_is_read_without_scores(self, tmp_path, capsys):
         p = tmp_path / "x.vsaf"
         write_hypervectors(np.ones((2, 8)), p)

@@ -172,6 +172,14 @@ def cases():
         yield "check_seed", kind, check_seed, value, IAE
         yield "as_int", kind, as_int, value, IAE
         yield "as_float", kind, as_float, value, IAE
+    for kind, value in (("text", "a"), ("None", None), ("numpy bool", np.True_)):
+        yield "total_loss(gan)", kind, lambda v: total_loss(v, 0.1), value, IAE
+        yield "total_loss(vsa)", kind, lambda v: total_loss(0.1, v), value, IAE
+    # finite inputs whose loss overflows float64
+    huge = LossConfig(fake_term_weights=(1e308, 1e308))
+    yield "gan_loss_hinge", "overflow", lambda b: gan_loss_hinge(b, b, b, huge), [0.1], IAE
+    yield "gan_loss_nll", "overflow", lambda b: gan_loss_nll([0.5], b, b, huge), [0.999], IAE
+    yield "total_loss", "overflow", lambda v: total_loss(0.0, v, LossConfig(lam=1e308)), 2.0, IAE
     for kind in ("empty", "ragged"):
         yield "LossConfig(fake_term_weights)", kind, lambda v: LossConfig(fake_term_weights=v), STACKS[kind], IAE
         yield "HypervectorMapping", kind, lambda s: HypervectorMapping(per_patch=s), STACKS[kind], IAE

@@ -554,6 +554,14 @@ class TestFinitenessGate:
         with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[1\]\)"):
             bundle([[1e308], [np.inf]])
 
+    def test_row_list_names_the_first_eight(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            check_rows(np.full((200_000, 2), np.nan))
+        assert len(str(info.value)) < 200
+        assert str(info.value).endswith("(rows [0, 1, 2, 3, 4, 5, 6, 7] and 199992 more)")
+        with pytest.raises(DegenerateInputError, match=r"zero \(rows \[0, 2, 4, 6, 8, 10, 12, 14\] and 2 more\)$"):
+            check_rows(np.tile([[0.0], [1.0]], (10, 1)), "zero")
+
     def test_products_and_sums_at_the_float64_limit_pass(self):
         assert bind([1e154], [1e154])[0] == 1e154 * 1e154
         assert bundle([[1e308], [-1e308], [1e308]])[0] == 1e308

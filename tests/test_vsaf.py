@@ -213,7 +213,7 @@ class TestFloat32Stacks:
         bad = float32_stack((4, 16), 3)
         bad[2, 1] = np.inf
         write = lambda v: write_hypervectors(v, tmp_path / "hv.vsaf")
-        for hvs, named in ((bad, "non-finite"), (bad[np.newaxis], "(count, dim) stack"), (bad[:0], "nonempty")):
+        for hvs, named in ((bad, "must be finite"), (bad[np.newaxis], "(count, dim) stack"), (bad[:0], "nonempty")):
             got = raised(write, hvs)
             assert got == raised(write, hvs.astype(np.float64))
             assert named in got[1]
@@ -232,7 +232,7 @@ def test_hypervectors_beyond_float32_range_rejected(tmp_path):
     path = tmp_path / "hv.vsaf"
     with pytest.raises(VsafError, match="float32 limit of 3.40282e"):
         write_hypervectors(np.array([[1.0, -1e39]]), path)
-    with pytest.raises(InvalidArgumentError, match="non-finite"):
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
         write_hypervectors(np.array([[1.0, -np.inf]]), path)
     assert not path.exists()
     write_hypervectors(np.array([[1.0, -3.4e38]]), path)
@@ -270,6 +270,18 @@ def test_corrupt_content_raises_vsaf_error(blob, tmp_path):
     path.write_bytes(blob)
     with pytest.raises(CorruptContentError):
         read_feature_file(path)
+
+
+def test_non_finite_stack_row_is_named(tmp_path):
+    hvs = np.ones((3, 4))
+    hvs[1, 2] = np.nan
+    with pytest.raises(InvalidArgumentError, match=r"layer 'hypervectors' entries must be finite \(rows \[1\]\)"):
+        write_hypervectors(hvs, tmp_path / "hv.vsaf")
+    path = tmp_path / "corrupt.vsaf"
+    path.write_bytes(b"VSAF" + struct.pack("<II", 1, 1) + layer_header(b"hypervectors", 1, 3, 4)
+                     + hvs.astype("<f4").tobytes())
+    with pytest.raises(CorruptContentError, match=r"rows \[1\]"):
+        read_hypervectors(path)
 
 
 def test_hypervector_layout_mismatch_raises_vsaf_error(tmp_path):
