@@ -27,9 +27,9 @@ rows one at a time.
 cleanup memory, the LSH encoder's unit features and per-layer normalization
 all take their row norms from ``safe_norms2``, whose one range table holds the
 squared norms a row keeps unscaled, chosen by the dtype its products are summed
-in. It is the home of the finiteness policy too: ``check_rows`` checks each array in the
-first pass that computes from it (``bind``'s product, ``bundle``'s sum, a norm), and ``as_float``
-each single number; ``np.isfinite`` appears nowhere else in the package.
+in. It is the home of the finiteness policy too: ``check_rows`` checks each array in the first pass
+that computes from it (``bind``'s product, ``bundle``'s sum, a norm) and is the only place that builds
+a list of bad rows; ``as_float`` checks each single number; ``np.isfinite`` appears nowhere else.
 """
 
 from __future__ import annotations

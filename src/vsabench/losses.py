@@ -1,21 +1,28 @@
 """Score-space loss functions: cyclic consistency, adversarial terms, total objective.
 
 The discriminator itself is out of scope; the adversarial losses take batches
-of externally supplied scores. The nll variant reads scores as probabilities
-in (0, 1); the hinge variant takes unbounded reals.
+of externally supplied scores. ``gan_loss`` is the one body of the adversarial
+loss: each variant is a row of ``_TERMS``, and ``gan_loss_nll`` and
+``gan_loss_hinge`` are ``gan_loss`` with the variant set. The nll variant reads
+scores as probabilities in (0, 1); the hinge variant takes unbounded reals.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .hv import as_float, as_float64, as_hypervectors, check_rows, cosine_similarity
 
-VARIANTS = ("nll", "hinge")
+# variant -> (sign of d_loss, D term of a real score, D term of a fake score, G term of a fake score)
+_TERMS = {
+    "nll": (-1.0, np.log, lambda f: np.log1p(-f), np.log),
+    "hinge": (1.0, lambda r: np.maximum(0.0, 1.0 - r), lambda f: np.maximum(0.0, 1.0 + f), lambda f: f),
+}
+VARIANTS = tuple(_TERMS)
 
 
 @dataclass(frozen=True)
@@ -48,10 +55,11 @@ def _nonnegative(value, error: str) -> float:
 
 
 def _scores(batch, name: str) -> np.ndarray:
-    """``batch`` as a nonempty 1-D float64 array of finite scores; the one score rule of the
-    library and the CLI. A boolean is not a score: a bool array, or a ``True`` or ``False``
-    entry of a list or object array, is rejected. A numeric array's entries are not visited,
-    and ``hv.check_rows`` names the non-finite ones as rows of a column."""
+    """``batch`` as a nonempty 1-D float64 array of finite scores with a finite sum; the one score rule
+    of the library and the CLI. A boolean is not a score: a bool array, or a ``True`` or ``False``
+    entry of a list or object array, is rejected. A numeric array's entries are not visited, and
+    ``hv.check_rows`` names the non-finite ones as rows of a column; ``as_float`` then rejects a sum
+    that overflows float64."""
     arr = as_float64(batch, f"{name} must be a batch of numbers")
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidArgumentError(f"{name} must be a nonempty 1-D score batch, got shape {arr.shape}")
@@ -59,6 +67,8 @@ def _scores(batch, name: str) -> np.ndarray:
     if dtype == np.bool_ or dtype == object and any(isinstance(s, (bool, np.bool_)) for s in batch):
         raise InvalidArgumentError(f"{name} must be a batch of numbers, not booleans")
     check_rows(arr[:, np.newaxis], noun=f"{name} scores")
+    with np.errstate(over="ignore"):
+        as_float(arr.sum(), f"a finite sum of {name} scores")
     return arr
 
 
@@ -70,49 +80,32 @@ def vsa_cyclic_loss(v_x, v_cycled) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
-    """Non-saturating log-likelihood adversarial loss over probability scores.
-
-    Returns (d_loss, g_loss), each finite (``as_float``). The two fake batches are
-    the translated and mapped hypervector scores, weighted by cfg.fake_term_weights.
-    """
-    r = _scores(real, "real")
-    ft = _scores(fake_translated, "fake_translated")
-    fm = _scores(fake_mapped, "fake_mapped")
-    for name, batch in (("real", r), ("fake_translated", ft), ("fake_mapped", fm)):
-        if np.any(batch <= 0.0) or np.any(batch >= 1.0):
-            raise InvalidArgumentError(f"{name}: nll scores must lie strictly in (0, 1)")
-    w1, w2 = cfg.fake_term_weights
-    d_loss = -(
-        np.mean(np.log(r))
-        + w1 * np.mean(np.log1p(-ft))
-        + w2 * np.mean(np.log1p(-fm))
-    )
-    g_loss = -(w1 * np.mean(np.log(ft)) + w2 * np.mean(np.log(fm)))
-    return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def gan_loss_hinge(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
-    """Geometric-GAN hinge loss over unbounded scores. Returns (d_loss, g_loss), each finite (``as_float``)."""
-    r = _scores(real, "real")
-    ft = _scores(fake_translated, "fake_translated")
-    fm = _scores(fake_mapped, "fake_mapped")
-    w1, w2 = cfg.fake_term_weights
-    d_loss = (
-        np.mean(np.maximum(0.0, 1.0 - r))
-        + w1 * np.mean(np.maximum(0.0, 1.0 + ft))
-        + w2 * np.mean(np.maximum(0.0, 1.0 + fm))
-    )
-    g_loss = -(w1 * np.mean(ft) + w2 * np.mean(fm))
-    return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
-
-
 def gan_loss(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
-    """Dispatch on cfg.variant."""
+    """The adversarial loss of cfg.variant, (d_loss, g_loss), each finite (``as_float``). With (sign, D_real,
+    D_fake, G) = ``_TERMS[cfg.variant]``, (w1, w2) = cfg.fake_term_weights and ft, fm the translated and mapped
+    scores: d_loss = sign * (mean D_real(real) + w1 * mean D_fake(ft) + w2 * mean D_fake(fm)) and g_loss =
+    -(w1 * mean G(ft) + w2 * mean G(fm)). A negation outside the sum keeps the sign of a zero loss."""
+    names = ("real", "fake_translated", "fake_mapped")
+    r, ft, fm = batches = [_scores(b, name) for b, name in zip((real, fake_translated, fake_mapped), names)]
     if cfg.variant == "nll":
-        return gan_loss_nll(real, fake_translated, fake_mapped, cfg)
-    return gan_loss_hinge(real, fake_translated, fake_mapped, cfg)
+        for name, batch in zip(names, batches):
+            if np.any(batch <= 0.0) or np.any(batch >= 1.0):
+                raise InvalidArgumentError(f"{name}: nll scores must lie strictly in (0, 1)")
+    sign, d_real, d_fake, g_fake = _TERMS[cfg.variant]
+    w1, w2 = cfg.fake_term_weights
+    d_loss = sign * (np.mean(d_real(r)) + w1 * np.mean(d_fake(ft)) + w2 * np.mean(d_fake(fm)))
+    g_loss = -(w1 * np.mean(g_fake(ft)) + w2 * np.mean(g_fake(fm)))
+    return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
+
+
+def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
+    """Non-saturating log-likelihood adversarial loss over probability scores (Goodfellow et al., 2014)."""
+    return gan_loss(real, fake_translated, fake_mapped, replace(cfg, variant="nll"))
+
+
+def gan_loss_hinge(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
+    """Geometric-GAN hinge loss over unbounded scores (Lim & Ye, 2017)."""
+    return gan_loss(real, fake_translated, fake_mapped, replace(cfg, variant="hinge"))
 
 
 def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
@@ -122,9 +115,8 @@ def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:
 
 
 def check_no_zero_vectors(vs, name: str) -> np.ndarray:
-    """``vs`` as a (count, dim) stack through the rank gate; raises naming every all-zero row."""
+    """``vs`` as a (count, dim) stack through the rank gate; ``hv.check_rows`` raises
+    ``DegenerateInputError`` naming the first 8 all-zero rows."""
     stack = as_hypervectors(vs, (2,), name)
-    idx = np.flatnonzero(~np.any(stack, axis=1))
-    if idx.size:
-        raise DegenerateInputError(f"{name}: zero-norm hypervectors at indices {idx.tolist()}")
+    check_rows(np.any(stack, axis=1)[:, np.newaxis], f"{name}: zero-norm hypervectors")
     return stack

@@ -415,8 +415,8 @@ class TestLoss:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags,scores", [
-        (["--lambda", "1e308"], None), (["--w1", "1e308", "--w2", "1e308"], "[0.1]"), ([], "[1e308, 1e308]"),
-    ], ids=["lambda", "weights", "scores"])
+        (["--lambda", "1e308"], None), (["--w1", "1e308", "--w2", "1e308"], "[0.1]"),
+    ], ids=["lambda", "weights"])
     def test_infinite_loss_exit_3(self, flags, scores, tmp_path, capsys):
         xp, cp, sp = tmp_path / "x.vsaf", tmp_path / "neg.vsaf", tmp_path / "s.json"
         write_hypervectors(np.eye(2), xp)
@@ -429,6 +429,19 @@ class TestLoss:
         code, stdout, stderr = run_cli(argv, capsys)
         assert (code, stdout) == (3, "")
         assert stderr.startswith("config error: must be a finite ") and stderr.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_score_file_exit_2(self, tmp_path, capsys):
+        xp, cp, sp = tmp_path / "x.vsaf", tmp_path / "neg.vsaf", tmp_path / "big.json"
+        write_hypervectors(np.eye(2), xp)
+        write_hypervectors(-np.eye(2), cp)
+        sp.write_text("[1e308, 1e308]")
+        code, stdout, stderr = run_cli(["loss", "--x", str(xp), "--cycled", str(cp), *[
+            arg for flag in ("--scores-real", "--scores-fake-translated", "--scores-fake-mapped")
+            for arg in (flag, str(sp))]], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"data error: real score file {sp} does not hold a list of scores: "
+                          "must be a finite sum of real scores, got np.float64(inf)\n")
 
     def test_lambda_alone_is_read_without_scores(self, tmp_path, capsys):
         p = tmp_path / "x.vsaf"

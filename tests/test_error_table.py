@@ -93,6 +93,7 @@ def scores(kind):
         "bool entry": [0.5, True, 0.5],
         "bool array": np.array([True, False, True]),
         "text entry": ["0.5", 0.5, 0.5],
+        "sum overflow": [1e308, 1e308],
     }[kind]
 
 
@@ -151,7 +152,7 @@ def cases():
             yield label, kind, call, STACKS[kind], want
 
     batches = {kind: IAE for kind in ("nan", "inf", "-inf", "empty", "ragged", "bool entry", "bool array",
-                                      "text entry")}
+                                      "text entry", "sum overflow")}
     for label, call, expected in (
         ("gan_loss_nll", gan_loss_nll, {**batches, "zero row": IAE}),
         ("gan_loss_hinge", gan_loss_hinge, {**batches, "zero row": None}),

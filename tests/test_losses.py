@@ -10,6 +10,7 @@ from vsabench.hv import cosine_similarity, sample_hypervector
 from vsabench.losses import (
     LossConfig,
     check_no_zero_vectors,
+    gan_loss,
     gan_loss_hinge,
     gan_loss_nll,
     total_loss,
@@ -56,7 +57,7 @@ class TestVsaCyclicLoss:
     def test_zero_row_named(self, name):
         stacks = {"x": np.ones((3, 8)), "cycled": np.ones((3, 8))}
         stacks[name][2] = 0.0
-        with pytest.raises(DegenerateInputError, match=rf"^{name}: zero-norm hypervectors at indices \[2\]$"):
+        with pytest.raises(DegenerateInputError, match=rf"^{name}: zero-norm hypervectors \(rows \[2\]\)$"):
             vsa_cyclic_loss(stacks["x"], stacks["cycled"])
 
     def test_equals_per_patch_loop_bitwise(self):
@@ -132,6 +133,43 @@ class TestGanHinge:
         assert g == pytest.approx(-0.3)
 
 
+def written_out_nll(r, ft, fm, w1, w2):
+    """The nll expressions as written out before both variants shared ``gan_loss``."""
+    d = -(np.mean(np.log(r)) + w1 * np.mean(np.log1p(-ft)) + w2 * np.mean(np.log1p(-fm)))
+    return d, -(w1 * np.mean(np.log(ft)) + w2 * np.mean(np.log(fm)))
+
+
+def written_out_hinge(r, ft, fm, w1, w2):
+    """The hinge expressions as written out before both variants shared ``gan_loss``."""
+    d = (np.mean(np.maximum(0.0, 1.0 - r)) + w1 * np.mean(np.maximum(0.0, 1.0 + ft))
+         + w2 * np.mean(np.maximum(0.0, 1.0 + fm)))
+    return d, -(w1 * np.mean(ft) + w2 * np.mean(fm))
+
+
+def gan_batches(variant):
+    rng = np.random.default_rng(7)
+    for sizes in ((1, 1, 1), (2, 5, 3), (17, 64, 64)):
+        draw = (lambda n: rng.uniform(0.01, 0.99, n)) if variant == "nll" else (lambda n: 3 * rng.standard_normal(n))
+        yield tuple(draw(n) for n in sizes)
+    if variant == "hinge":
+        yield np.array([0.0]), np.array([1.0, -1.0]), np.array([0.0])  # g is -0.0 at every weight
+
+
+class TestGanBitwise:
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.3, 2.5), (1.0, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("variant,written_out,call,other", [
+        ("nll", written_out_nll, gan_loss_nll, "hinge"), ("hinge", written_out_hinge, gan_loss_hinge, "nll"),
+    ])
+    def test_matches_written_out_expressions(self, variant, written_out, call, other, weights):
+        for batches in gan_batches(variant):
+            want = np.array(written_out(*batches, *weights)).tobytes()
+            cfg = LossConfig(fake_term_weights=weights, variant=variant)
+            assert np.array(gan_loss(*batches, cfg)).tobytes() == want
+            for cfg_variant in (variant, other):
+                got = call(*batches, LossConfig(fake_term_weights=weights, variant=cfg_variant))
+                assert np.array(got).tobytes() == want
+
+
 class TestTotalLoss:
     def test_lambda_zero(self):
         cfg = LossConfig(lam=0.0)
@@ -205,6 +243,12 @@ def test_check_no_zero_vectors_reports_indices():
     vs = [np.ones(4), np.zeros(4), np.ones(4), np.zeros(4)]
     with pytest.raises(DegenerateInputError, match=r"\[1, 3\]"):
         check_no_zero_vectors(vs, "batch")
+
+
+def test_check_no_zero_vectors_names_the_first_8_rows():
+    with pytest.raises(DegenerateInputError) as info:
+        check_no_zero_vectors(np.zeros((200_000, 2)), "x")
+    assert str(info.value) == "x: zero-norm hypervectors (rows [0, 1, 2, 3, 4, 5, 6, 7] and 199992 more)"
 
 
 @pytest.mark.parametrize("vs", ["ab", [[1.0], [1.0, 2.0]]])
