@@ -232,12 +232,15 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
     Every grid value is checked before any trial runs. Trials run in order,
     each over every point, so a degenerate sweep raises ``DegenerateInputError``
     naming the first trial at which any of its points has a zero-norm scene."""
+    grid = list(grid)
+    return list(zip(grid, _measure(sweep_configs(axis, grid, base))))
+
+
+def sweep_configs(axis: str, grid, base: BenchConfig) -> list[BenchConfig]:
+    """Each grid point's config: ``base`` with the fields the axis sets taken from the point's
+    value. An unknown axis, an empty grid or a bad value raises ``InvalidArgumentError``."""
     if axis not in SWEEP_AXES:
         raise InvalidArgumentError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    grid = list(grid)
-    if not grid:
-        raise InvalidArgumentError("sweep grid must be nonempty")
-
     fields, point = SWEEPS[axis]
     configs = []
     for value in grid:
@@ -246,7 +249,9 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{axis} grid values {exc}") from exc
         configs.append(replace(base, **dict(zip(fields, values))))
-    return list(zip(grid, _measure(configs)))
+    if not configs:
+        raise InvalidArgumentError("sweep grid must be nonempty")
+    return configs
 
 
 def _format_value(value) -> str:

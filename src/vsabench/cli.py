@@ -5,8 +5,10 @@ Subcommands: ``encode`` (VSAF features -> patch hypervectors), ``map``
 total metrics as JSON), ``bench`` (sweep reports as CSV).
 
 stdout carries only machine-readable results; diagnostics go to stderr.
-Exit codes: 0 success, 1 usage, 2 data error, 3 config error. Seeds resolve
-as flag > config file > VSAIT_SEED env var > 0.
+Exit codes: 0 success, 1 usage, 2 data error, 3 config error. The stage that
+fails decides 3 or 2: a command's rules stage (config file, value rules that
+need no file) comes first, then its files stage (``--out``, inputs, the work,
+writes). Seeds resolve as flag > config file > VSAIT_SEED env var > 0.
 """
 
 from __future__ import annotations
@@ -17,17 +19,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import bench as bench_mod
 from . import lsh, mapping, vsaf
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    InvalidArgumentError,
-    InvalidStateError,
-    VsafError,
-)
+from .errors import ConfigError, InvalidArgumentError, VsabenchError, VsafError
 from .hv import QUANTIZE_MODES, as_count, as_float, as_int, check_seed
 from .losses import VARIANTS, LossConfig, _scores, gan_loss, total_loss, vsa_cyclic_loss
 from .patches import PatchSpec, assemble_patches, block_lengths, normalize_blocks
@@ -162,14 +158,14 @@ OPTIONS = {
 }
 
 
-def _load_json(path: str, error: type[Exception], what: str):
+def _load_json(path: str, what: str):
     """The value of the UTF-8 JSON file at ``path``. A file that cannot be opened or read, bytes
     that are not UTF-8, text that is not JSON or nests too deeply to parse, and a path with a NUL
-    byte all raise ``error``."""
+    byte all raise ``VsabenchError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a NUL byte
-        raise error(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
+        raise VsabenchError(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
 
 
 def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cfg: {}) -> dict:
@@ -179,7 +175,7 @@ def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cf
     config-file key that ``unread(cfg)`` maps to the reason the chosen mode
     does not read it; given as a flag, such an option is a usage error."""
     options = {opt.key: opt for opt in OPTIONS[args.command]}
-    file_cfg = {} if args.config is None else _load_json(args.config, ConfigError, "config file")
+    file_cfg = {} if args.config is None else _load_json(args.config, "config file")
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
     unknown = sorted(set(file_cfg) - set(options))
@@ -261,7 +257,7 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> Iterator[None]:
     """project VSAF feature maps to patch hypervectors"""
     cfg = _merged(args)
     if cfg["features_in"] is None or cfg["out"] is None:
@@ -270,6 +266,8 @@ def cmd_encode(args) -> int:
         raise UsageError("encode requires --patch-sizes")
     seed, dim = _resolve_seed(cfg), as_count(cfg["dim"], "dim")
     spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
+    lsh.LshProjector(m=1, n=dim, seed=seed)  # the projector's cap, for the least m
+    yield
     _check_out(cfg["out"])
     fm = _read(vsaf.read_feature_file, cfg["features_in"])
     patches = assemble_patches(fm, spec)
@@ -280,10 +278,9 @@ def cmd_encode(args) -> int:
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
     _write(lambda out: vsaf.write_hypervectors(hvs, out), cfg["out"])
     _emit({"patch_count": patches.patch_count, "m": patches.m, "n": dim, "seed": seed})
-    return EXIT_OK
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> Iterator[None]:
     """build a paired or random hypervector mapping"""
     cfg = _merged(args, lambda cfg: {} if cfg["mode"] == "paired"
                   else dict.fromkeys(("tgt", "quantize"), "in random mode"))
@@ -292,6 +289,7 @@ def cmd_map(args) -> int:
     if cfg["mode"] == "paired" and cfg["tgt"] is None:
         raise UsageError("map --mode paired requires --tgt")
     seed = _resolve_seed(cfg)
+    yield
     _check_out(cfg["out"])
     src = _read(vsaf.read_hypervectors, cfg["src"])
     if cfg["mode"] == "paired":
@@ -302,23 +300,22 @@ def cmd_map(args) -> int:
 
     _write(lambda out: vsaf.write_hypervectors(u.per_patch, out, layer_name="mapping"), cfg["out"])
     _emit({"patch_count": u.patch_count, "dim": u.dim, "mode": cfg["mode"], "seed": seed})
-    return EXIT_OK
 
 
 def _load_scores(path: str, name: str):
     """Scores from a UTF-8 JSON file that ``losses._scores`` accepts, a nonempty flat list of finite,
     non-boolean numbers."""
-    batch = _load_json(path, DegenerateInputError, f"{name} score file")
+    batch = _load_json(path, f"{name} score file")
     try:
         return _scores(batch, name)
     except InvalidArgumentError as exc:
-        raise DegenerateInputError(f"{name} score file {path} does not hold a list of scores: {exc}") from exc
+        raise VsabenchError(f"{name} score file {path} does not hold a list of scores: {exc}") from exc
 
 
 _SCORE_KEYS = ("scores_real", "scores_fake_translated", "scores_fake_mapped")
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args) -> Iterator[None]:
     """cyclic / adversarial / total loss metrics as JSON"""
     cfg = _merged(args, lambda cfg: {} if any(cfg[key] is not None for key in _SCORE_KEYS)
                   else dict.fromkeys(("variant", "w1", "w2"), "without score batches"))
@@ -328,6 +325,7 @@ def cmd_loss(args) -> int:
     if any(scored) and not all(scored):
         raise UsageError("loss needs all three score batches or none")
     loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
+    yield
     v_x = _read(vsaf.read_hypervectors, cfg["x"])
     v_cycled = _read(vsaf.read_hypervectors, cfg["cycled"])
     vsa = vsa_cyclic_loss(v_x, v_cycled)
@@ -341,7 +339,6 @@ def cmd_loss(args) -> int:
     _emit({"vsa": vsa, "gan_d": d_loss, "gan_g": g_loss, "total": total, "config": {
         "lambda": loss_cfg.lam, "variant": loss_cfg.variant,
         "fake_term_weights": list(loss_cfg.fake_term_weights)}})
-    return EXIT_OK
 
 
 def _bench_unread(cfg: dict) -> dict:
@@ -355,12 +352,14 @@ def _bench_unread(cfg: dict) -> dict:
     return unread
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> Iterator[None]:
     """run a recovery sweep and emit CSV"""
     cfg = _merged(args, _bench_unread)
     base = bench_mod.BenchConfig(
         dim=cfg["dim"], k=cfg["k"], object_vocab_size=cfg["objects"], attr_vocab_size=cfg["attrs"],
         mapping=cfg["mapping"], mix=cfg["mix"], trials=cfg["trials"], seed=_resolve_seed(cfg))
+    bench_mod.sweep_configs(cfg["axis"], cfg["grid"], base)
+    yield
     if cfg["out"] is not None:
         _check_out(cfg["out"])
     print(f"bench axis={cfg['axis']} grid={cfg['grid']} base={base}", file=sys.stderr)
@@ -371,7 +370,6 @@ def cmd_bench(args) -> int:
         _write(lambda out: Path(out).write_text(csv_text, encoding="utf-8", newline=""), cfg["out"])
     else:
         sys.stdout.write(csv_text)
-    return EXIT_OK
 
 
 COMMANDS = {"encode": cmd_encode, "map": cmd_map, "loss": cmd_loss, "bench": cmd_bench}
@@ -392,21 +390,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; return its exit code: 1 for a usage fault, and for a package error 3 if
+    the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
+    code = EXIT_CONFIG
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (encode, map, loss, bench)")
-        return args.func(args)
+        stages = args.func(args)
+        for code in (EXIT_CONFIG, EXIT_DATA):
+            next(stages, None)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (VsafError, DegenerateInputError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, InvalidArgumentError, InvalidStateError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except VsabenchError as exc:
+        print(f"{'data' if code == EXIT_DATA else 'config'} error: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -443,6 +443,15 @@ class TestSweep:
         with pytest.raises(InvalidArgumentError):
             run_sweep("dim", [], BenchConfig())
 
+    def test_sweep_configs_checks_the_grid_without_running_a_trial(self, monkeypatch):
+        monkeypatch.setattr(bench, "_measure", None)
+        base = BenchConfig(dim=128, trials=1, seed=4)
+        configs = bench.sweep_configs("lambda_proxy", iter([0, 0.5]), base)
+        assert configs == [replace(base, mapping="mixed", mix=mix) for mix in (0.0, 0.5)]
+        for grid in ([], [0, "a"]):
+            with pytest.raises(InvalidArgumentError):
+                bench.sweep_configs("lambda_proxy", grid, base)
+
 
 class TestCsv:
     def test_header_and_rows(self):

@@ -68,13 +68,13 @@ class TestEncode:
         assert not np.array_equal(outs["vector"], outs["per_layer"])
         assert np.all(np.abs(outs["per_layer"]) <= 1.0)
 
-    def test_mismatched_patch_spec_exit_3(self, feature_file, tmp_path, capsys):
+    def test_mismatched_patch_spec_exit_2(self, feature_file, tmp_path, capsys):
         out = tmp_path / "hv.vsaf"
         code, stdout, stderr = run_cli([
             "encode", "--features-in", str(feature_file), "--out", str(out),
             "--patch-sizes", "4,4", "--dim", "64",
         ], capsys)
-        assert code == 3
+        assert code == 2
         assert "conv2" in stderr
         assert not out.exists()
 
@@ -94,7 +94,10 @@ class TestEncode:
         assert stderr.startswith("config error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags,cfg", [(["--dim", "1000000000000000"], {}), ([], {"dim": 1e15})])
+    @pytest.mark.parametrize("flags,cfg", [
+        (["--dim", "1000000000000000"], {}), ([], {"dim": 1e15}),
+        (["--dim", "3000000000", "--features-in", "/nonexistent/missing.vsaf"], {}),
+    ])
     def test_oversized_projector_exit_3(self, flags, cfg, feature_file, tmp_path, capsys):
         out = tmp_path / "hv.vsaf"
         path = tmp_path / "cfg.json"
@@ -417,7 +420,7 @@ class TestLoss:
     @pytest.mark.parametrize("flags,scores", [
         (["--lambda", "1e308"], None), (["--w1", "1e308", "--w2", "1e308"], "[0.1]"),
     ], ids=["lambda", "weights"])
-    def test_infinite_loss_exit_3(self, flags, scores, tmp_path, capsys):
+    def test_infinite_loss_exit_2(self, flags, scores, tmp_path, capsys):
         xp, cp, sp = tmp_path / "x.vsaf", tmp_path / "neg.vsaf", tmp_path / "s.json"
         write_hypervectors(np.eye(2), xp)
         write_hypervectors(-np.eye(2), cp)
@@ -427,8 +430,8 @@ class TestLoss:
             argv += [arg for flag in ("--scores-real", "--scores-fake-translated", "--scores-fake-mapped")
                      for arg in (flag, str(sp))]
         code, stdout, stderr = run_cli(argv, capsys)
-        assert (code, stdout) == (3, "")
-        assert stderr.startswith("config error: must be a finite ") and stderr.count("\n") == 1
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("data error: must be a finite ") and stderr.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_score_file_exit_2(self, tmp_path, capsys):
@@ -510,6 +513,11 @@ class TestBench:
         code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
         assert err.startswith("config error: grid ") and "none empty" in err
+
+    def test_degenerate_scene_exit_2(self, capsys):
+        code, stdout, err = run_cli(["bench", "--axis", "dim", "--grid", "1", "--trials", "2"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == "data error: zero-norm translated or target scene in trial 0"
 
     def test_non_numeric_lambda_proxy_grid_exit_3(self, capsys):
         code, stdout, err = run_cli([
@@ -710,8 +718,9 @@ def test_usage_error_before_any_file_is_read(argv, message, tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
-# A value rule that needs no file and an unreadable input at once: the value rule
-# is decided before any file is read, so the command exits 3, not 2.
+# A value rule that needs no file and an unreadable input or unwritable --out at
+# once: the value rule is decided before any file is touched, so the command
+# exits 3, not 2.
 ENCODE_MISSING = ["encode", "--features-in", "{tmp}/missing.vsaf", "--out", "{tmp}/o.vsaf"]
 LOSS_MISSING = ["loss", "--x", "{tmp}/missing.vsaf", "--cycled", "{tmp}/missing.vsaf"]
 SCORES_MISSING = [arg for flag in ("--scores-real", "--scores-fake-translated", "--scores-fake-mapped")
@@ -728,9 +737,34 @@ SCORES_MISSING = [arg for flag in ("--scores-real", "--scores-fake-translated", 
     ([*ENCODE_MISSING, "--patch-sizes", "4,2", "--seed", "-1"], "seed must be in [0, 2^64), got -1"),
     (["map", "--src", "{tmp}/missing.vsaf", "--out", "{tmp}/u.vsaf", "--mode", "random", "--seed", "-1"],
      "seed must be in [0, 2^64), got -1"),
+    (["bench", "--axis", "k", "--grid", "0", "--out", "{tmp}/missing/x.csv"], "k must be >= 1, got 0"),
 ], ids=["loss --lambda", "loss --w1", "encode --patch-sizes", "encode --dilation", "encode --dim", "encode --seed",
-        "map --seed"])
+        "map --seed", "bench --grid"])
 def test_value_rule_before_any_file_is_read(argv, message, tmp_path, capsys):
     code, stdout, stderr = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
     assert (code, stdout) == (3, "")
     assert stderr == f"config error: {message}\n"
+
+
+# A rule that only the contents of the input files break is a data error, whatever
+# class the library raises: the files are at fault, not a flag or a config value.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,message", [
+    (["map", "--src", "{tmp}/a.vsaf", "--tgt", "{tmp}/b.vsaf", "--out", "{tmp}/u.vsaf"],
+     "dimension mismatch: (4, 8) vs (3, 8)"),
+    (["loss", "--x", "{tmp}/a.vsaf", "--cycled", "{tmp}/b.vsaf"], "dimension mismatch: (4, 8) vs (3, 8)"),
+    (["loss", "--x", "{tmp}/x.vsaf", "--cycled", "{tmp}/neg.vsaf", "--scores-real", "{tmp}/small.json",
+      "--scores-fake-translated", "{tmp}/big.json", "--scores-fake-mapped", "{tmp}/big.json"],
+     "must be a finite discriminator loss, got np.float64(inf)"),
+], ids=["map shapes", "loss shapes", "loss scores"])
+def test_data_rule_after_the_files_are_read(argv, message, tmp_path, capsys):
+    write_hypervectors(np.ones((4, 8)), tmp_path / "a.vsaf")
+    write_hypervectors(np.ones((3, 8)), tmp_path / "b.vsaf")
+    write_hypervectors(np.eye(2), tmp_path / "x.vsaf")
+    write_hypervectors(-np.eye(2), tmp_path / "neg.vsaf")
+    (tmp_path / "small.json").write_text("[0.1]")
+    (tmp_path / "big.json").write_text("[1e308]")
+    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"data error: {message}\n"
+    assert not (tmp_path / "u.vsaf").exists()

@@ -1,10 +1,16 @@
 """The CLI's exit-code contract under malformed input.
 
 Each example starts from arguments that every subcommand accepts, spoils one
-thing (a flag, a config-file value or key, or the bytes of a VSAF input) and
-checks that the command exits 1 (usage), 2 (data) or 3 (config), prints
+thing (a flag, a config-file value or key, or the bytes of an input file) and
+checks that the command exits with the code of the stage that fails, prints
 nothing on stdout, ends stderr with the error line and raises no exception,
-so a user never sees a traceback.
+so a user never sees a traceback:
+
+- 1 (usage) for a bad argv, or a flag its converter rejects;
+- 3 (config) for a spoiled config file, key or value, or a flag value the
+  converter accepts and a value rule rejects (``bench --grid x``);
+- 2 (data) for a spoiled input file, or a path (flag or config value) in a
+  missing directory.
 """
 
 import contextlib
@@ -41,7 +47,7 @@ BAD_JSON = {
     "int": [NAN, INF, -INF, 1.5, "x", "1.5", [], [1, [2]], {}, True, None],
     "float": [NAN, INF, -INF, "x", "nan", [], [1, [2]], {}, True, None],
     "choice": ["x", "", 1, [], None, True, NAN],
-    "path": ["", 5, 1.5, [], None, True, {}, "a\u0000b"],
+    "path": ["", 5, 1.5, [], None, True, {}, "a\u0000b", "{tmp}/missing/x.vsaf"],
     "int_list": ["", "2,,1", [], [1.5], ["x"], [[2], [1, 1]], [NAN], [INF], 2, NAN, {}, None, True],
     "grid": ["", "16,,32", [], [NAN], [INF], [-INF], [[16]], [None], ["x"], [1.5], [True], {}, None, NAN, 16],
 }
@@ -135,20 +141,28 @@ def valid_files(command) -> dict:
 
 @st.composite
 def malformed(draw, command):
-    """(file bytes by flag, flags, config-file text or None), with one defect."""
-    files, args, config = valid_files(command), dict(ARGS[command]), None
+    """(file bytes by flag, flags, config-file text or None, expected exit code), with one defect."""
+    files, args, config, code = valid_files(command), dict(ARGS[command]), None, 3
     options = OPTIONS[command]
     defects = ["flag", "config value", "config key", "config file", "argv"] + (["input"] if files else [])
     defect = draw(st.sampled_from(defects))
     if defect == "flag":
         option = draw(st.sampled_from(options))
         files.pop(flag(option), None)
-        args[flag(option)] = draw(st.sampled_from(BAD_TEXT[kind(option)]))
+        args[flag(option)] = text = draw(st.sampled_from(BAD_TEXT[kind(option)]))
+        try:
+            option.convert(text)
+        except ValueError:
+            code = 1
+        else:  # argparse reads "-inf" as an option, which leaves the flag without its value
+            code = 1 if text.startswith("-") else 2 if kind(option) == "path" else 3
     elif defect == "config value":  # with no flag to override it
         option = draw(st.sampled_from(options))
         files.pop(flag(option), None)
         args.pop(flag(option), None)
-        config = json.dumps({option.key: draw(st.sampled_from(BAD_JSON[kind(option)]))})
+        value = draw(st.sampled_from(BAD_JSON[kind(option)]))
+        config = json.dumps({option.key: value})
+        code = 2 if value == "{tmp}/missing/x.vsaf" else 3
     elif defect == "config key":
         keys = {option.key for option in options}
         key = draw(st.text(string.ascii_lowercase + "_-", min_size=1, max_size=12).filter(lambda k: k not in keys))
@@ -157,7 +171,9 @@ def malformed(draw, command):
         config = draw(st.sampled_from(BAD_CONFIG_FILES))
     elif defect == "argv":
         args[draw(st.sampled_from(["--bogus", "--dimm", "-x", "--config"]))] = None
+        code = 1
     else:
+        code = 2
         name = draw(st.sampled_from(sorted(files)))
         if name.startswith("--scores"):
             files[name] = draw(st.sampled_from([b"", b"[]", b"[NaN]", b"[0.5, [1]]", b'"x"', b"[true]", b"{}",
@@ -165,7 +181,7 @@ def malformed(draw, command):
                                                 b"[" + b"9" * 5000 + b"]"]))
         else:
             files[name] = spoiled_file(draw, command, name)
-    return files, args, config
+    return files, args, config, code
 
 
 def run(command, files, args, config, tmp: Path):
@@ -178,7 +194,7 @@ def run(command, files, args, config, tmp: Path):
         argv += [name] if value is None else [name, value.replace("{tmp}", str(tmp))]
     if config is not None:
         path = tmp / "config.json"
-        path.write_bytes(config if isinstance(config, bytes) else config.encode())
+        path.write_bytes(config if isinstance(config, bytes) else config.replace("{tmp}", str(tmp)).encode())
         argv += ["--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -196,10 +212,10 @@ def test_the_unspoiled_arguments_succeed(command, tmp_path):
 @settings(max_examples=120)
 @given(st.sampled_from(sorted(FILES)).flatmap(lambda command: st.tuples(st.just(command), malformed(command))))
 def test_malformed_input_exits_1_2_or_3(case):
-    command, (files, args, config) = case
+    command, (files, args, config, expected) = case
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = run(command, files, args, config, Path(tmp))
-    assert code in (1, 2, 3), (code, err)
+    assert code == expected, (code, err)
     assert out == ""
-    assert err.splitlines()[-1].startswith(("usage error: ", "data error: ", "config error: "))
+    assert err.splitlines()[-1].startswith({1: "usage error: ", 2: "data error: ", 3: "config error: "}[code])
     assert "Traceback" not in err
