@@ -2,16 +2,9 @@
 cyclic/adversarial losses, and a synthetic semantic-flipping benchmark."""
 
 from .bench import BenchConfig, BenchReport, measure_recovery, run_sweep
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    InvalidArgumentError,
-    InvalidStateError,
-    VsabenchError,
-    VsafError,
-)
+from .errors import DegenerateInputError, InvalidArgumentError, VsabenchError, VsafError
 from .hv import bind, bundle, cosine_similarity
-from .losses import LossConfig, gan_loss_hinge, gan_loss_nll, total_loss, vsa_cyclic_loss
+from .losses import LossConfig, gan_loss, total_loss, vsa_cyclic_loss
 from .lsh import LshProjector, new_projector, project, project_batch
 from .mapping import (
     HypervectorMapping,

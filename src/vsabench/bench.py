@@ -151,7 +151,7 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
         # The memory adopts the object rows without a copy and caches their squared
         # norms once. Every trial refills those rows in place with +-1 entries, so
         # each cached norm stays exactly dim and the memory stays valid.
-        memory = ItemMemory.from_matrix(range(n_obj), objects)
+        memory = ItemMemory(range(n_obj), objects)
         points = []
         for i in indices:
             k = configs[i].k

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import bench as bench_mod
 from . import lsh, mapping, vsaf
-from .errors import ConfigError, InvalidArgumentError, VsabenchError, VsafError
+from .errors import InvalidArgumentError, VsabenchError, VsafError
 from .hv import QUANTIZE_MODES, as_count, as_float, as_int, check_seed
 from .losses import VARIANTS, LossConfig, _scores, gan_loss, total_loss, vsa_cyclic_loss
 from .patches import PatchSpec, assemble_patches, block_lengths, normalize_blocks
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _path(value) -> str:
     if not isinstance(value, str) or not value or "\0" in value:
-        raise ConfigError(f"must be a nonempty path with no NUL byte, got {value!r}")
+        raise InvalidArgumentError(f"must be a nonempty path with no NUL byte, got {value!r}")
     return value
 
 
@@ -55,7 +55,7 @@ def _tokens(text: str) -> list[str]:
     """Comma-separated tokens, stripped; an empty one is rejected, not dropped."""
     tokens = [tok.strip() for tok in text.split(",")]
     if "" in tokens:
-        raise ConfigError(f"must be comma-separated values with none empty, got {text!r}")
+        raise InvalidArgumentError(f"must be comma-separated values with none empty, got {text!r}")
     return tokens
 
 
@@ -64,7 +64,7 @@ def _int_list(value) -> list[int]:
     if isinstance(value, str):
         value = _tokens(value)
     if not isinstance(value, list):
-        raise ConfigError(f"must be a list of integers, got {value!r}")
+        raise InvalidArgumentError(f"must be a list of integers, got {value!r}")
     return [as_int(v, "integers") for v in value]
 
 
@@ -82,7 +82,7 @@ def _grid(value) -> list:
     if isinstance(value, str):
         return [_grid_token(tok) for tok in _tokens(value)]
     if not isinstance(value, list):
-        raise ConfigError(f"must be a list or comma-separated values, got {value!r}")
+        raise InvalidArgumentError(f"must be a list or comma-separated values, got {value!r}")
     return value
 
 
@@ -91,7 +91,7 @@ class _Choice(tuple):
 
     def __call__(self, value):
         if value not in self:
-            raise ConfigError(f"must be one of {', '.join(self)}, got {value!r}")
+            raise InvalidArgumentError(f"must be one of {', '.join(self)}, got {value!r}")
         return value
 
 
@@ -177,23 +177,23 @@ def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cf
     options = {opt.key: opt for opt in OPTIONS[args.command]}
     file_cfg = {} if args.config is None else _load_json(args.config, "config file")
     if not isinstance(file_cfg, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object")
+        raise InvalidArgumentError(f"config file {args.config} must hold a JSON object")
     unknown = sorted(set(file_cfg) - set(options))
     if unknown:
-        raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
+        raise InvalidArgumentError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
     cfg = {key: opt.default for key, opt in options.items()}
     for key, value in file_cfg.items():
         try:
             cfg[key] = options[key].convert(value)
         except ValueError as exc:
-            raise ConfigError(f"{key} {exc}") from exc
+            raise InvalidArgumentError(f"{key} {exc}") from exc
     flags = {key: value for key, value in vars(args).items() if key in cfg and value is not None}
     cfg.update(flags)
     for key, reason in unread(cfg).items():
         if key in flags:
             raise UsageError(f"{options[key].flag or '--' + key.replace('_', '-')} is not read {reason}")
         if key in file_cfg:
-            raise ConfigError(f"{key} is not read {reason}")
+            raise InvalidArgumentError(f"{key} is not read {reason}")
     return cfg
 
 
@@ -214,7 +214,7 @@ def _resolve_seed(cfg: dict) -> int:
     try:
         return check_seed(as_int(os.environ.get("VSAIT_SEED", 0)))
     except InvalidArgumentError as exc:
-        raise ConfigError(f"VSAIT_SEED {exc}") from exc
+        raise InvalidArgumentError(f"VSAIT_SEED {exc}") from exc
 
 
 def _read(read, path: str):
@@ -389,12 +389,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each value that starts with one ``-`` joined to its flag as ``--flag=value``, which
+    argparse would read as a flag; ``-h`` and a ``--token`` stay flags, so a missing value stays a usage error."""
+    flags = {"--config"} | {opt.flag or "--" + opt.key.replace("_", "-") for opts in OPTIONS.values() for opt in opts}
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in flags and argv[i].startswith("-") and not argv[i].startswith("--") and argv[i] != "-h":
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     """Run one subcommand; return its exit code: 1 for a usage fault, and for a package error 3 if
     the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
     code = EXIT_CONFIG
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (encode, map, loss, bench)")
         stages = args.func(args)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; ``InvalidArgumentError`` is its one value error."""
 
 
 class VsabenchError(Exception):
@@ -11,14 +11,6 @@ class InvalidArgumentError(VsabenchError, ValueError):
 
 class DegenerateInputError(VsabenchError, ValueError):
     """Input is structurally valid but numerically degenerate (e.g. zero vector)."""
-
-
-class InvalidStateError(VsabenchError, RuntimeError):
-    """Operation called on an object in a state that cannot serve it."""
-
-
-class ConfigError(VsabenchError, ValueError):
-    """A configuration is internally inconsistent (e.g. misaligned patch grids)."""
 
 
 class VsafError(VsabenchError):

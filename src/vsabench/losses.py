@@ -1,23 +1,24 @@
 """Score-space loss functions: cyclic consistency, adversarial terms, total objective.
 
 The discriminator itself is out of scope; the adversarial losses take batches
-of externally supplied scores. ``gan_loss`` is the one body of the adversarial
-loss: each variant is a row of ``_TERMS``, and ``gan_loss_nll`` and
-``gan_loss_hinge`` are ``gan_loss`` with the variant set. The nll variant reads
-scores as probabilities in (0, 1); the hinge variant takes unbounded reals.
+of externally supplied scores. ``gan_loss`` is the one adversarial loss: each
+variant is a row of ``_TERMS``, chosen by ``LossConfig.variant``. The nll
+variant reads scores as probabilities in (0, 1); the hinge variant takes
+unbounded reals.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .hv import as_float, as_float64, as_hypervectors, check_rows, cosine_similarity
 
-# variant -> (sign of d_loss, D term of a real score, D term of a fake score, G term of a fake score)
+# variant -> (sign of d_loss, D term of a real score, D term of a fake score, G term of a fake score): the
+# non-saturating log-likelihood of Goodfellow et al. (2014) and the geometric-GAN hinge of Lim & Ye (2017)
 _TERMS = {
     "nll": (-1.0, np.log, lambda f: np.log1p(-f), np.log),
     "hinge": (1.0, lambda r: np.maximum(0.0, 1.0 - r), lambda f: np.maximum(0.0, 1.0 + f), lambda f: f),
@@ -96,16 +97,6 @@ def gan_loss(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig())
     d_loss = sign * (np.mean(d_real(r)) + w1 * np.mean(d_fake(ft)) + w2 * np.mean(d_fake(fm)))
     g_loss = -(w1 * np.mean(g_fake(ft)) + w2 * np.mean(g_fake(fm)))
     return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
-
-
-def gan_loss_nll(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
-    """Non-saturating log-likelihood adversarial loss over probability scores (Goodfellow et al., 2014)."""
-    return gan_loss(real, fake_translated, fake_mapped, replace(cfg, variant="nll"))
-
-
-def gan_loss_hinge(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
-    """Geometric-GAN hinge loss over unbounded scores (Lim & Ye, 2017)."""
-    return gan_loss(real, fake_translated, fake_mapped, replace(cfg, variant="hinge"))
 
 
 def total_loss(gan: float, vsa: float, cfg: LossConfig = LossConfig()) -> float:

@@ -12,20 +12,20 @@ bundled queries, each query's similarities are bit for bit those of its own
 1-D call; for other values only the rounding order of the dot products
 differs.
 
-Labels are unique and hashable (``from_matrix`` keys a dict by them); an
+Labels are unique and hashable (the constructor keys a dict by them); an
 unhashable label is rejected with ``InvalidArgumentError`` naming it. The
-matrix holds exactly the stored entries. ``from_matrix`` is the one store
-path: it adopts the caller's matrix without copying it, and ``add`` rebuilds
-the memory through it from a new matrix that ends in the added row, which
-costs O(n * dim) a call. Rows and queries take their squared norms from
-``hv.safe_norms2``, so similarities agree with ``hv.cosine_similarity`` at
-any magnitude. Those squared norms are also the finiteness check:
-``hv.check_rows`` rejects by them a row or query with a non-finite entry or a
-zero norm.
+matrix holds exactly the stored entries, at least one. ``ItemMemory(labels,
+matrix)`` is the one store path: it adopts the caller's matrix without
+copying it, and ``add`` rebuilds the memory through it from a new matrix that
+ends in the added row, which costs O(n * dim) a call. Rows and queries take
+their squared norms from ``hv.safe_norms2``, so similarities agree with
+``hv.cosine_similarity`` at any magnitude. Those squared norms are also the
+finiteness check: ``hv.check_rows`` rejects by them a row or query with a
+non-finite entry or a zero norm.
 
 A float32 matrix stays float32, halving the bytes a scan reads, until an
 ``add`` stores a widened copy; a grown memory then holds the float64 squared
-norm of every row, so it answers bit for bit as ``from_matrix`` of the same
+norm of every row, so it answers bit for bit as a memory built from the same
 labels and widened rows. A float32 vector or query is widened for its
 squared norm. Queries to a float32 memory are then rounded to float32 and dot
 products summed in float32, which is exact for integers whose partial sums
@@ -43,12 +43,12 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError
+from .errors import InvalidArgumentError
 from .hv import as_count, as_hypervectors, check_rows, row_dots, safe_norms2, sum_products
 
 
 def _hashable(label: Hashable) -> Hashable:
-    """``label``, which ``from_matrix`` keys a dict by, else ``InvalidArgumentError`` naming it."""
+    """``label``, which ``ItemMemory`` keys a dict by, else ``InvalidArgumentError`` naming it."""
     try:
         hash(label)
     except TypeError:
@@ -60,14 +60,8 @@ class ItemMemory:
     """Ordered store of labeled hypervectors, queried by cosine similarity. ``safe_norms2``
     scales a query of extreme norm by a power of two, which is exact, before a float32 memory's cast."""
 
-    def __init__(self):
-        self._labels: list[Hashable] = []
-        self._rows = np.empty((0, 0))
-        self._norms2 = np.empty(0)
-
-    @classmethod
-    def from_matrix(cls, labels: Iterable[Hashable], matrix) -> "ItemMemory":
-        """A memory holding row i of an ``(n, dim)`` matrix under ``labels[i]``.
+    def __init__(self, labels: Iterable[Hashable], matrix):
+        """A memory holding row i of a nonempty ``(n, dim)`` matrix under ``labels[i]``.
 
         A C-contiguous float64 or float32 matrix is adopted without a copy
         (unless a row needs scaling), so the caller must not change it while the
@@ -83,9 +77,7 @@ class ItemMemory:
             raise InvalidArgumentError(f"duplicate label {dup!r}")
         rows, norms2 = safe_norms2(rows, sum_products)
         check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector")
-        mem = cls()
-        mem._labels, mem._rows, mem._norms2 = labels, rows, norms2
-        return mem
+        self._labels, self._rows, self._norms2 = labels, rows, norms2
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -95,25 +87,21 @@ class ItemMemory:
         return list(self._labels)
 
     @property
-    def dim(self) -> int | None:
-        return self._rows.shape[1] if self._rows.shape[1] else None
+    def dim(self) -> int:
+        return self._rows.shape[1]
 
     def add(self, label: Hashable, vector) -> "ItemMemory":
         """Append an entry; labels are unique and insertion order is preserved. The memory is rebuilt
-        by ``from_matrix`` from a new matrix, which widens float32 rows, that ends in the vector."""
+        by its constructor from a new matrix, which widens float32 rows, that ends in the vector."""
         v = as_hypervectors(vector, (1,)).astype(np.float64, copy=False)
-        if self._labels and v.shape[0] != self.dim:
+        if v.shape[0] != self.dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {self.dim}")
-        # an empty memory's (0, 0) rows take the vector's dim
-        rows = np.concatenate((self._rows.reshape(-1, v.shape[0]), v[np.newaxis]))
-        vars(self).update(vars(self.from_matrix([*self._labels, label], rows)))
+        vars(self).update(vars(ItemMemory([*self._labels, label], np.concatenate((self._rows, v[np.newaxis])))))
         return self
 
     def cleanup(self, query, k: int = 1) -> list:
         """Top-k (label, cosine similarity) of a ``(dim,)`` query, ties broken by
         insertion order; for a ``(count, dim)`` stack, one such list per row."""
-        if not self._labels:
-            raise InvalidStateError("cleanup on an empty memory")
         k = as_count(k, "k")
         q = as_hypervectors(query)
         if q.shape[-1] != self.dim:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .hv import as_count, as_tuple, safe_norms2, sum_products
 from .vsaf import FeatureMapSet
 
@@ -91,13 +91,13 @@ def assemble_patches(fm: FeatureMapSet, spec: PatchSpec) -> PatchFeatureSet:
                 f"exceeds spatial extent {h}x{w}"
             )
         if h % footprint != 0 or w % footprint != 0:
-            raise ConfigError(
+            raise InvalidArgumentError(
                 f"layer {layer.name!r}: extent {h}x{w} does not tile by "
                 f"footprint {footprint} (side {side} * dilation {d})"
             )
         shape = (h // footprint, w // footprint)
         if blocks and shape != grid_shape:
-            raise ConfigError(
+            raise InvalidArgumentError(
                 f"layer {layer.name!r}: grid {shape} does not match {grid_shape} "
                 f"of earlier layers"
             )

@@ -15,7 +15,7 @@ import numpy as np
 
 from vsabench.bench import BenchConfig, measure_recovery, run_sweep
 from vsabench.hv import cosine_similarity, sample_hypervector
-from vsabench.losses import LossConfig, gan_loss_hinge, total_loss, vsa_cyclic_loss
+from vsabench.losses import LossConfig, gan_loss, total_loss, vsa_cyclic_loss
 from vsabench.lsh import new_projector, project_batch
 from vsabench.vsaf import feature_map_set, read_feature_file, write_feature_file
 
@@ -105,7 +105,7 @@ def test_criterion_7_loss_identities():
     vs = [sample_hypervector(DIM, np.random.default_rng(s)) for s in range(4)]
     ok = vsa_cyclic_loss(vs, vs) == 0.0
     ok &= vsa_cyclic_loss(vs, [-v for v in vs]) == 2.0
-    d_loss, _ = gan_loss_hinge([1.0, 2.5], [-1.0, -4.0], [-1.5])
+    d_loss, _ = gan_loss([1.0, 2.5], [-1.0, -4.0], [-1.5], LossConfig(variant="hinge"))
     ok &= d_loss == 0.0
     for lam in (0.0, 5.0, 10.0):
         ok &= total_loss(1.25, 0.4, LossConfig(lam=lam)) == 1.25 + lam * 0.4

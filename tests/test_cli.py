@@ -526,6 +526,30 @@ class TestBench:
         assert (code, stdout) == (3, "")
         assert "lambda_proxy grid values must be numbers, got 'a'" in err
 
+    @pytest.mark.parametrize("grid,named", [("-inf", "got -inf"), ("-0.5,1", "got -0.5")])
+    def test_flag_value_starting_with_a_dash_exit_3(self, grid, named, capsys):
+        # argparse alone takes "-inf" for a flag; the value reads as "--grid=-inf" does
+        errs = []
+        for argv in (["--grid", grid], [f"--grid={grid}"]):
+            code, stdout, err = run_cli(["bench", "--axis", "lambda_proxy", *argv, "--dim", "64", "--trials", "2"], capsys)
+            assert (code, stdout) == (3, "")
+            assert err.startswith("config error: ") and named in err
+            errs.append(err)
+        assert errs[0] == errs[1]
+
+    def test_out_value_starting_with_a_dash_is_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run_cli(["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2",
+                                   "--out", "-x.csv"], capsys)
+        assert (code, stdout) == (0, "")
+        assert (tmp_path / "-x.csv").read_text().startswith(CSV_HEADER)
+
+    @pytest.mark.parametrize("argv", [["--grid", "--dim", "64"], ["--dim", "64", "--grid"], ["--grid", "-h"]])
+    def test_flag_without_a_value_stays_a_usage_error(self, argv, capsys):
+        code, stdout, err = run_cli(["bench", *argv], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "usage error: argument --grid: expected one argument\n"
+
     @pytest.mark.parametrize("flags,cfg", [
         (["--grid", "1e300", "--trials", "1"], {}),
         (["--axis", "k", "--grid", "1", "--dim", "100000000", "--trials", "1"], {}),

@@ -581,7 +581,7 @@ def test_each_array_is_checked_once(monkeypatch):
         monkeypatch.setattr(module, "check_rows", counting)
     stack = np.random.default_rng(0).standard_normal((3, 16))
     u = mapping.HypervectorMapping(per_patch=stack)
-    mem = memory.ItemMemory.from_matrix(range(3), stack)
+    mem, one = memory.ItemMemory(range(3), stack), memory.ItemMemory([0], stack[:1])
     cases = [
         (lambda: bind(stack, stack), [(3, 16)]),
         (lambda: bundle(stack), []),  # its sum is checked without the gate
@@ -590,8 +590,8 @@ def test_each_array_is_checked_once(monkeypatch):
         (lambda: mapping.estimate_mapping_paired(stack, stack), [(3, 16)]),
         (lambda: mapping.build_ground_truth_mapping(stack, stack), [(3, 16)]),
         (lambda: mapping.HypervectorMapping(per_patch=stack), [(3, 16)]),
-        (lambda: memory.ItemMemory.from_matrix(range(3), stack), [(3, 1)]),
-        (lambda: memory.ItemMemory().add("a", stack[0]), [(1, 1)]),
+        (lambda: memory.ItemMemory(range(3), stack), [(3, 1)]),
+        (lambda: one.add(1, stack[1]), [(2, 1)]),
         (lambda: mem.cleanup(stack), [(3, 1)]),
     ]
     for call, want in cases:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vsabench.errors import DegenerateInputError, InvalidArgumentError, InvalidStateError
+from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import bundle, cosine_similarity, sample_hypervector
 from vsabench.memory import ItemMemory
 
@@ -13,15 +13,15 @@ DIM = 4096
 
 
 def filled_memory(n_items, dim, seed0=0):
-    mem = ItemMemory()
-    for i in range(n_items):
+    mem = ItemMemory(["item0"], sample_hypervector(dim, np.random.default_rng(seed0))[np.newaxis])
+    for i in range(1, n_items):
         mem.add(f"item{i}", sample_hypervector(dim, np.random.default_rng(seed0 + i)))
     return mem
 
 
 class TestAdd:
     def test_exact_lookup_after_add(self):
-        mem = ItemMemory()
+        mem = filled_memory(2, 256, seed0=10)
         v = sample_hypervector(256, np.random.default_rng(1))
         mem.add("x", v)
         label, sim = mem.cleanup(v)[0]
@@ -35,7 +35,7 @@ class TestAdd:
 
     def test_unhashable_label_named(self):
         with pytest.raises(InvalidArgumentError, match=r"^label \['x'\] is not hashable$"):
-            ItemMemory().add(["x"], np.ones(8))
+            filled_memory(1, 8).add(["x"], np.ones(8))
 
     def test_dim_mismatch_rejected(self):
         mem = filled_memory(1, 64)
@@ -82,15 +82,17 @@ class TestCleanup:
         assert mem.cleanup(q, k=5) == mem.cleanup(4.0 * q, k=5)
 
     def test_tie_break_insertion_order(self):
-        mem = ItemMemory()
         v = sample_hypervector(64, np.random.default_rng(5))
-        mem.add("later_dup_first", v)
+        mem = ItemMemory(["later_dup_first"], v[np.newaxis])
         mem.add("second", v.copy())
         assert mem.cleanup(v, k=2)[0][0] == "later_dup_first"
 
     def test_empty_memory_rejected(self):
-        with pytest.raises(InvalidStateError):
-            ItemMemory().cleanup(np.ones(4))
+        # a memory holds at least one entry: it has no empty constructor, and zero rows are rejected
+        with pytest.raises(TypeError):
+            ItemMemory()
+        with pytest.raises(InvalidArgumentError):
+            ItemMemory([], np.empty((0, 4)))
 
     def test_zero_query_rejected(self):
         mem = filled_memory(2, 16)
@@ -103,7 +105,7 @@ class TestStackedCleanup:
         # bipolar rows and integer queries: every dot product is an exact integer
         rng = np.random.default_rng(6)
         rows = rng.integers(0, 2, size=(300, 1031)) * 2.0 - 1.0
-        mem = ItemMemory.from_matrix(range(300), rows)
+        mem = ItemMemory(range(300), rows)
         queries = rng.integers(-16, 17, size=(13, 1031)).astype(np.float64)
         got = mem.cleanup(queries, k=5)
         assert len(got) == 13
@@ -111,7 +113,7 @@ class TestStackedCleanup:
 
     def test_float_stack_has_the_labels_of_its_rows(self):
         rng = np.random.default_rng(7)
-        mem = ItemMemory.from_matrix(range(50), rng.standard_normal((50, 257)))
+        mem = ItemMemory(range(50), rng.standard_normal((50, 257)))
         queries = rng.standard_normal((9, 257))
         for got, q in zip(mem.cleanup(queries, k=4), queries):
             want = mem.cleanup(q, k=4)
@@ -146,7 +148,7 @@ class TestStackedCleanup:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_row_cleans_up_like_its_1d_call(self, scale):
         rng = np.random.default_rng(9)
-        mem = ItemMemory.from_matrix(list("abcdef"), rng.standard_normal((6, 64)))
+        mem = ItemMemory(list("abcdef"), rng.standard_normal((6, 64)))
         queries = rng.standard_normal((3, 64))
         queries[1] *= scale
         got = mem.cleanup(queries, k=6)[1]
@@ -198,8 +200,8 @@ class TestGrowth:
         # non-integer entries, an odd dim and a count that crosses several capacity doublings
         rng = np.random.default_rng(3)
         vectors = list(rng.standard_normal((37, 1031)) * rng.uniform(0.1, 10.0, (37, 1)))
-        mem = ItemMemory()
-        for i, v in enumerate(vectors):
+        mem = ItemMemory([0], vectors[0][np.newaxis])
+        for i, v in enumerate(vectors[1:], start=1):
             mem.add(i, v)
         for _ in range(5):
             q = rng.standard_normal(1031)
@@ -211,10 +213,10 @@ class TestFromMatrix:
         rng = np.random.default_rng(4)
         matrix = rng.standard_normal((20, 257))
         labels = [f"m{i}" for i in range(20)]
-        built = ItemMemory()
-        for label, row in zip(labels, matrix):
+        built = ItemMemory(labels[:1], matrix[:1].copy())
+        for label, row in zip(labels[1:], matrix[1:]):
             built.add(label, row.copy())
-        adopted = ItemMemory.from_matrix(labels, matrix)
+        adopted = ItemMemory(labels, matrix)
         assert adopted.labels == built.labels and len(adopted) == 20 and adopted.dim == 257
         for _ in range(5):
             q = rng.standard_normal(257)
@@ -223,7 +225,7 @@ class TestFromMatrix:
     def test_add_after_from_matrix_leaves_matrix_alone(self):
         matrix = np.stack([sample_hypervector(32, np.random.default_rng(i)) for i in range(3)])
         before = matrix.copy()
-        mem = ItemMemory.from_matrix(["a", "b", "c"], matrix)
+        mem = ItemMemory(["a", "b", "c"], matrix)
         mem.add("d", sample_hypervector(32, np.random.default_rng(9)))
         assert mem.labels == ["a", "b", "c", "d"]
         assert mem.cleanup(sample_hypervector(32, np.random.default_rng(9)))[0][0] == "d"
@@ -232,37 +234,37 @@ class TestFromMatrix:
 
     def test_tie_break_insertion_order(self):
         v = sample_hypervector(64, np.random.default_rng(5))
-        mem = ItemMemory.from_matrix(["first", "second"], np.stack([v, v]))
+        mem = ItemMemory(["first", "second"], np.stack([v, v]))
         assert [label for label, _ in mem.cleanup(v, k=2)] == ["first", "second"]
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            ItemMemory.from_matrix(["a", "b", "a"], np.ones((3, 8)))
+            ItemMemory(["a", "b", "a"], np.ones((3, 8)))
 
     def test_unhashable_label_named(self):
         # a tuple holding a list is no more hashable than the list
         with pytest.raises(InvalidArgumentError, match=r"^label \('b', \[1\]\) is not hashable$"):
-            ItemMemory.from_matrix(["a", ("b", [1])], np.ones((2, 8)))
+            ItemMemory(["a", ("b", [1])], np.ones((2, 8)))
 
     def test_zero_row_rejected(self):
         matrix = np.ones((3, 8))
         matrix[1] = 0.0
         with pytest.raises(DegenerateInputError):
-            ItemMemory.from_matrix(["a", "b", "c"], matrix)
+            ItemMemory(["a", "b", "c"], matrix)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         matrix = np.ones((3, 8))
         matrix[2, 5] = bad
         with pytest.raises(InvalidArgumentError):
-            ItemMemory.from_matrix(["a", "b", "c"], matrix)
+            ItemMemory(["a", "b", "c"], matrix)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_huge_finite_entries_accepted_as_add_accepts_them(self):
         # the squared norm overflows to inf, which is not a non-finite entry
         row = np.full(8, 1e200)
-        ItemMemory().add("big", row)
-        assert len(ItemMemory.from_matrix(["big"], row[None, :])) == 1
+        ItemMemory(["one"], np.ones((1, 8))).add("big", row)
+        assert len(ItemMemory(["big"], row[None, :])) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -272,11 +274,11 @@ class TestFromMatrix:
         rows = rng.standard_normal((6, 64))
         queries = rows[:3] + rng.standard_normal((3, 64))
         labels = list("abcdef")
-        unit = ItemMemory.from_matrix(labels, rows)
-        added = ItemMemory()
-        for label, row in zip(labels, scale * rows):
+        unit = ItemMemory(labels, rows)
+        added = ItemMemory(labels[:1], scale * rows[:1])
+        for label, row in zip(labels[1:], scale * rows[1:]):
             added.add(label, row)
-        for mem in (ItemMemory.from_matrix(labels, scale * rows), added):
+        for mem in (ItemMemory(labels, scale * rows), added):
             for q in queries:
                 got = mem.cleanup(scale * q, k=6)
                 assert [label for label, _ in got] == [label for label, _ in unit.cleanup(q, k=6)]
@@ -290,15 +292,15 @@ class TestFromMatrix:
     ])
     def test_shape_mismatch_rejected(self, labels, matrix):
         with pytest.raises(InvalidArgumentError):
-            ItemMemory.from_matrix(labels, matrix)
+            ItemMemory(labels, matrix)
 
     @pytest.mark.parametrize("matrix", [[[1.0], [1.0, 2.0]], [["a"], ["b"]], [[{}], [1.0]]])
     def test_ragged_or_non_numeric_matrix_rejected(self, matrix):
         with pytest.raises(InvalidArgumentError, match="equal-length"):
-            ItemMemory.from_matrix([0, 1], matrix)
+            ItemMemory([0, 1], matrix)
 
     def test_dim_mismatch_on_add_and_query_rejected(self):
-        mem = ItemMemory.from_matrix(["a"], np.ones((1, 8)))
+        mem = ItemMemory(["a"], np.ones((1, 8)))
         with pytest.raises(InvalidArgumentError):
             mem.add("b", np.ones(9))
         with pytest.raises(InvalidArgumentError):
@@ -309,14 +311,14 @@ class TestFromMatrix:
 class TestTopOne:
     def test_ties_go_to_the_earlier_entry(self):
         v = sample_hypervector(64, np.random.default_rng(5))
-        mem = ItemMemory.from_matrix(["x", "first", "second"], np.stack([-v, v, v]))
+        mem = ItemMemory(["x", "first", "second"], np.stack([-v, v, v]))
         assert mem.cleanup(v) == [("first", 1.0)]
         assert mem.cleanup(np.stack([v, -v])) == [[("first", 1.0)], [("x", 1.0)]]
 
     def test_equals_the_head_of_the_full_ranking(self):
         # integer rows and queries with many tied similarities
         rng = np.random.default_rng(12)
-        mem = ItemMemory.from_matrix(range(40), rng.integers(-1, 2, size=(40, 9)).astype(np.float64))
+        mem = ItemMemory(range(40), rng.integers(-1, 2, size=(40, 9)).astype(np.float64))
         queries = rng.integers(-2, 3, size=(200, 9)).astype(np.float64)
         queries[:, 0] = 3.0  # no zero query
         assert mem.cleanup(queries) == [ranking[:1] for ranking in mem.cleanup(queries, k=40)]
@@ -328,7 +330,7 @@ class TestFloat32Rows:
 
     def test_adopted_without_a_copy(self):
         matrix = self.bipolar((5, 64), 1)
-        mem = ItemMemory.from_matrix(range(5), matrix)
+        mem = ItemMemory(range(5), matrix)
         matrix[3] = matrix[0]  # the memory scans the caller's rows
         assert mem.cleanup(matrix[0], k=2) == [(0, 1.0), (3, 1.0)]
 
@@ -336,14 +338,14 @@ class TestFloat32Rows:
         # bundles of 16 bipolar rows at dim 4096: every partial dot sum is at most 2^16
         rows = self.bipolar((300, 4096), 2)
         queries = np.stack([rows[i : i + 16].sum(axis=0) for i in range(0, 160, 10)]).astype(np.float64)
-        narrow, wide = ItemMemory.from_matrix(range(300), rows), ItemMemory.from_matrix(range(300), rows.astype(np.float64))
+        narrow, wide = ItemMemory(range(300), rows), ItemMemory(range(300), rows.astype(np.float64))
         for k in (1, 5):
             assert narrow.cleanup(queries, k=k) == wide.cleanup(queries, k=k)
 
     def test_float_scan_carries_float32_rounding(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((50, 257)).astype(np.float32)
-        narrow, wide = ItemMemory.from_matrix(range(50), rows), ItemMemory.from_matrix(range(50), rows.astype(np.float64))
+        narrow, wide = ItemMemory(range(50), rows), ItemMemory(range(50), rows.astype(np.float64))
         q = rng.standard_normal(257)
         want = dict(wide.cleanup(q, k=50))
         errors = [abs(sim - want[label]) for label, sim in narrow.cleanup(q, k=50)]
@@ -352,10 +354,10 @@ class TestFloat32Rows:
 
     def test_add_widens_to_float64(self):
         rows = self.bipolar((3, 32), 4)
-        mem = ItemMemory.from_matrix(["a", "b", "c"], rows)
+        mem = ItemMemory(["a", "b", "c"], rows)
         extra = np.full(32, 1.0 + 2.0**-40)  # float32 would round this to all ones
         mem.add("d", extra)
-        wide = ItemMemory.from_matrix(["a", "b", "c", "d"], np.vstack([rows, extra[np.newaxis]]))
+        wide = ItemMemory(["a", "b", "c", "d"], np.vstack([rows, extra[np.newaxis]]))
         q = np.linspace(-1.0, 1.0, 32) + 2.0**-40
         assert mem.cleanup(q, k=4) == wide.cleanup(q, k=4)
         np.testing.assert_array_equal(rows, self.bipolar((3, 32), 4))
@@ -366,7 +368,7 @@ class TestFloat32Rows:
         # cast, so none underflows to zero or overflows to inf in the scan
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((4, 4096)).astype(np.float32)
-        narrow, wide = ItemMemory.from_matrix(range(4), rows), ItemMemory.from_matrix(range(4), rows.astype(np.float64))
+        narrow, wide = ItemMemory(range(4), rows), ItemMemory(range(4), rows.astype(np.float64))
         noisy = rows[2] + rng.standard_normal(4096)
         for q in (rows[2].astype(np.float64) * scale, noisy * scale, np.stack([noisy, rows[1]]) * scale):
             got, want = narrow.cleanup(q, k=4), wide.cleanup(q, k=4)
@@ -382,7 +384,7 @@ class TestFloat32Rows:
         # float32 squared norm overflows (1e18) is scaled by a power of two when stored
         base = np.random.default_rng(0).standard_normal((4, 4096))
         rows = (base * scale).astype(np.float32)
-        narrow, wide = ItemMemory.from_matrix(range(4), rows), ItemMemory.from_matrix(range(4), rows.astype(np.float64))
+        narrow, wide = ItemMemory(range(4), rows), ItemMemory(range(4), rows.astype(np.float64))
         for got, want in zip(narrow.cleanup(base, k=4), wide.cleanup(base, k=4)):
             assert got[0][0] == want[0][0]
             assert all(abs(dict(got)[label] - sim) < 1e-6 for label, sim in want)
@@ -394,7 +396,7 @@ class TestFloat32Rows:
         rows, attrs = self.bipolar((40, 256), 5), self.bipolar((4, 256), 6)
         # unbound bundles of four bindings: row j plus three noise terms, integer-valued
         queries = np.stack([attrs[0] * (rows[j : j + 4] * attrs).sum(axis=0) for j in (0, 9, 30)]).astype(np.float64)
-        narrow, wide = ItemMemory.from_matrix(range(40), rows), ItemMemory.from_matrix(range(40), rows.astype(np.float64))
+        narrow, wide = ItemMemory(range(40), rows), ItemMemory(range(40), rows.astype(np.float64))
 
         def bits(tops):
             return [[(label, sim.hex()) for label, sim in row] for row in tops]
@@ -414,11 +416,11 @@ class TestFloat32Vectors:
 
     def test_add_and_cleanup_match_widened(self):
         rows, queries = float32_stack((40, 1031), 1), float32_stack((6, 1031), 2)
-        narrow, wide = ItemMemory(), ItemMemory()
-        for i, row in enumerate(rows):
+        narrow, wide = ItemMemory([0], rows[:1]), ItemMemory([0], rows[:1].astype(np.float64))
+        for i, row in enumerate(rows[1:], start=1):
             narrow.add(i, row)
             wide.add(i, row.astype(np.float64))
-        adopted = ItemMemory.from_matrix(range(40), rows)
+        adopted = ItemMemory(range(40), rows)
         for mem, want in ((narrow, wide), (adopted, adopted)):
             for k in (1, 40):
                 assert mem.cleanup(queries, k=k) == want.cleanup(queries.astype(np.float64), k=k)
@@ -428,22 +430,25 @@ class TestFloat32Vectors:
         # float32 sums of these rows' squares round differently from float64 ones
         rng = np.random.default_rng(6)
         rows, queries = rng.standard_normal((6, 64)).astype(np.float32), rng.standard_normal((4, 64))
-        grown = ItemMemory.from_matrix(range(5), rows[:5]).add(5, rows[5])
-        built = ItemMemory.from_matrix(range(6), rows.astype(np.float64))
+        grown = ItemMemory(range(5), rows[:5]).add(5, rows[5])
+        built = ItemMemory(range(6), rows.astype(np.float64))
         assert grown.cleanup(queries, k=6) == built.cleanup(queries, k=6)
 
     def test_errors_match_widened(self):
-        mem = ItemMemory.from_matrix(range(3), float32_stack((3, 16), 3))
+        mem = ItemMemory(range(3), float32_stack((3, 16), 3))
         queries = float32_stack((5, 16), 4)
         queries[[1, 4]] = 0.0
         inf = float32_stack((16,), 5)
         inf[3] = np.inf
+        def add(v):
+            return ItemMemory(["o"], np.ones((1, 16))).add("a", v)
+
         for call, arg, named in (
             (mem.cleanup, queries, "(rows [1, 4])"),
             (mem.cleanup, queries[:, :15], "query shape"),
-            (lambda v: ItemMemory().add("z", v), queries[1], "zero-norm vector (rows [0])"),
-            (lambda v: ItemMemory().add("a", v), inf, "finite"),
-            (lambda v: ItemMemory().add("a", v), queries, "nonempty (dim,) vector"),
+            (add, queries[1], "zero-norm vector (rows [1])"),
+            (add, inf, "finite"),
+            (add, queries, "nonempty (dim,) vector"),
         ):
             got = raised(call, arg)
             assert got == raised(call, arg.astype(np.float64))
@@ -454,12 +459,8 @@ def test_noise_bundled_recovery_rate():
     # seeded Monte-Carlo: symbol + equal-norm bundled noise recovered >= 99%
     # from a 100-symbol memory at dim 4096
     rng = np.random.default_rng(0)
-    mem = ItemMemory()
-    symbols = []
-    for i in range(100):
-        v = rng.integers(0, 2, size=DIM).astype(np.float64) * 2 - 1
-        symbols.append(v)
-        mem.add(f"s{i}", v)
+    symbols = [rng.integers(0, 2, size=DIM).astype(np.float64) * 2 - 1 for _ in range(100)]
+    mem = ItemMemory([f"s{i}" for i in range(100)], np.stack(symbols))
     correct = 0
     trials = 300
     for t in range(trials):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vsabench.errors import ConfigError, InvalidArgumentError
+from vsabench.errors import InvalidArgumentError
 from vsabench.patches import (
     PatchFeatureSet,
     PatchSpec,
@@ -74,13 +74,13 @@ def test_misaligned_grid_names_layer():
         ("fine", np.zeros((8, 8, 1))),
         ("coarse", np.zeros((4, 4, 1))),
     ])
-    with pytest.raises(ConfigError, match="coarse"):
+    with pytest.raises(InvalidArgumentError, match="coarse"):
         assemble_patches(fm, PatchSpec(sides=(2, 4)))
 
 
 def test_non_tiling_extent_names_layer():
     fm = feature_map_set([("odd", np.zeros((5, 5, 1)))])
-    with pytest.raises(ConfigError, match="odd"):
+    with pytest.raises(InvalidArgumentError, match="odd"):
         assemble_patches(fm, PatchSpec(sides=(2,)))
 
 
