@@ -157,6 +157,9 @@ OPTIONS = {
     ),
 }
 
+_CONFIG = Option("config", str, help="JSON config file; flags override")
+_FLAGS = {o.key: o.flag or "--" + o.key.replace("_", "-") for opts in OPTIONS.values() for o in (*opts, _CONFIG)}
+
 
 def _load_json(path: str, what: str):
     """The value of the UTF-8 JSON file at ``path``. A file that cannot be opened or read, bytes
@@ -191,7 +194,7 @@ def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cf
     cfg.update(flags)
     for key, reason in unread(cfg).items():
         if key in flags:
-            raise UsageError(f"{options[key].flag or '--' + key.replace('_', '-')} is not read {reason}")
+            raise UsageError(f"{_FLAGS[key]} is not read {reason}")
         if key in file_cfg:
             raise InvalidArgumentError(f"{key} is not read {reason}")
     return cfg
@@ -376,15 +379,13 @@ COMMANDS = {"encode": cmd_encode, "map": cmd_map, "loss": cmd_loss, "bench": cmd
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="vsabench", description=__doc__)
+    parser = _Parser(prog="vsabench", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
     for name, func in COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
-        for opt in OPTIONS[name]:
-            p.add_argument(opt.flag or "--" + opt.key.replace("_", "-"), dest=opt.key,
-                           type=_flag_type(opt.convert), help=opt.help,
+        p = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
+        for opt in (*OPTIONS[name], _CONFIG):
+            p.add_argument(_FLAGS[opt.key], dest=opt.key, type=_flag_type(opt.convert), help=opt.help,
                            metavar="{%s}" % ",".join(opt.convert) if isinstance(opt.convert, _Choice) else None)
-        p.add_argument("--config", help="JSON config file; flags override")
         p.set_defaults(func=func)
     return parser
 
@@ -392,9 +393,8 @@ def build_parser() -> _Parser:
 def _joined(argv: list[str]) -> list[str]:
     """``argv`` with each value that starts with one ``-`` joined to its flag as ``--flag=value``, which
     argparse would read as a flag; ``-h`` and a ``--token`` stay flags, so a missing value stays a usage error."""
-    flags = {"--config"} | {opt.flag or "--" + opt.key.replace("_", "-") for opts in OPTIONS.values() for opt in opts}
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in flags and argv[i].startswith("-") and not argv[i].startswith("--") and argv[i] != "-h":
+        if argv[i - 1] in _FLAGS.values() and argv[i][:1] == "-" and argv[i][:2] != "--" and argv[i] != "-h":
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     return argv
 

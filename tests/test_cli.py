@@ -544,6 +544,13 @@ class TestBench:
         assert (code, stdout) == (0, "")
         assert (tmp_path / "-x.csv").read_text().startswith(CSV_HEADER)
 
+    @pytest.mark.parametrize("argv", [["--gri", "-inf"], ["--gri=-inf"], ["--gri", "1,2"]])
+    def test_abbreviated_flag_is_a_usage_error(self, argv, capsys):
+        # a flag is its full name, so the rule above holds for every flag a user can give
+        code, stdout, err = run_cli(["bench", "--axis", "k", *argv, "--dim", "64", "--trials", "2"], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"usage error: unrecognized arguments: {' '.join(argv)}\n"
+
     @pytest.mark.parametrize("argv", [["--grid", "--dim", "64"], ["--dim", "64", "--grid"], ["--grid", "-h"]])
     def test_flag_without_a_value_stays_a_usage_error(self, argv, capsys):
         code, stdout, err = run_cli(["bench", *argv], capsys)

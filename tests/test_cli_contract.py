@@ -8,7 +8,8 @@ so a user never sees a traceback:
 
 - 1 (usage) for a bad argv, or a flag its converter rejects;
 - 3 (config) for a spoiled config file, key or value, or a flag value the
-  converter accepts and a value rule rejects (``bench --grid x``);
+  converter accepts and a value rule rejects (``bench --grid x``, or
+  ``bench --grid -inf``, whose value starts with a dash);
 - 2 (data) for a spoiled input file, or a path (flag or config value) in a
   missing directory.
 """
@@ -154,8 +155,8 @@ def malformed(draw, command):
             option.convert(text)
         except ValueError:
             code = 1
-        else:  # argparse reads "-inf" as an option, which leaves the flag without its value
-            code = 1 if text.startswith("-") else 2 if kind(option) == "path" else 3
+        else:  # a value that starts with "-", such as "-inf", is read as the flag's value too
+            code = 2 if kind(option) == "path" else 3
     elif defect == "config value":  # with no flag to override it
         option = draw(st.sampled_from(options))
         files.pop(flag(option), None)

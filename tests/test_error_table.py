@@ -202,7 +202,9 @@ def cases():
     # a pair of single vectors is rejected by rank before the cosine, zero or not
     yield "vsa_cyclic_loss", "1-D zero pair", lambda v: vsa_cyclic_loss(v, v), np.zeros(DIM), IAE
     yield "ItemMemory.from_matrix", "unhashable label", lambda s: ItemMemory([[1]], s), good()[:1], IAE
-    yield "ItemMemory.add", "unhashable label", lambda v: memory().add([1], v), good()[0], IAE
+    # a one-row float32 memory, which add would widen, and a three-row float64 one
+    row32 = good()[0].astype(np.float32)
+    yield "ItemMemory.add", "unhashable label", lambda v: ItemMemory([0], v[np.newaxis]).add([1], v), row32, IAE
     yield "ItemMemory.add", "unhashable label, nonempty memory", lambda v: memory().add({}, v), good()[0], IAE
 
 
