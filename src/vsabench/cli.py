@@ -96,14 +96,15 @@ class _Choice(tuple):
 
 
 class Option(NamedTuple):
-    """A subcommand option: config key, the converter that checks and types its flag
-    and config-file values, default, and flag if not ``--key-with-dashes``."""
+    """A subcommand option: config key, the converter that checks and types its flag text and
+    config-file value, default, flag if not ``--key-with-dashes``, and whether a value is required."""
 
     key: str
     convert: Callable
     default: object = None
     help: str | None = None
     flag: str | None = None
+    required: bool = False
 
 
 _BENCH = bench_mod.BenchConfig()
@@ -113,27 +114,27 @@ _SEED = Option("seed", as_int)
 
 OPTIONS = {
     "encode": (
-        Option("features_in", _path),
-        Option("out", _path),
+        Option("features_in", _path, required=True),
+        Option("out", _path, required=True),
         Option("dim", as_int, DEFAULT_DIM, f"hypervector dimensionality (default {DEFAULT_DIM})"),
         _SEED,
-        Option("patch_sizes", _int_list, help="comma-separated per-layer patch sides, e.g. 16,8,4"),
+        Option("patch_sizes", _int_list, help="comma-separated per-layer patch sides, e.g. 16,8,4", required=True),
         Option("dilation", as_int, 1),
         _QUANTIZE,
         Option("norm_scope", _Choice(("vector", "per_layer")), "vector",
                "normalize the whole concatenated vector or each layer block first"),
     ),
     "map": (
-        Option("src", _path),
+        Option("src", _path, required=True),
         Option("tgt", _path),
-        Option("out", _path),
+        Option("out", _path, required=True),
         Option("mode", _Choice(("paired", "random")), "paired"),
         _QUANTIZE,
         _SEED,
     ),
     "loss": (
-        Option("x", _path),
-        Option("cycled", _path),
+        Option("x", _path, required=True),
+        Option("cycled", _path, required=True),
         Option("scores_real", _path),
         Option("scores_fake_translated", _path),
         Option("scores_fake_mapped", _path),
@@ -161,28 +162,41 @@ _CONFIG = Option("config", str, help="JSON config file; flags override")
 _FLAGS = {o.key: o.flag or "--" + o.key.replace("_", "-") for opts in OPTIONS.values() for o in (*opts, _CONFIG)}
 
 
+def _unique(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is rejected, not overwritten."""
+    keys = sorted(key for key, _ in pairs)
+    if repeated := sorted({a for a, b in zip(keys, keys[1:]) if a == b}):
+        raise ValueError(f"repeated key(s) {', '.join(map(repr, repeated))}")
+    return dict(pairs)
+
+
 def _load_json(path: str, what: str):
     """The value of the UTF-8 JSON file at ``path``. A file that cannot be opened or read, bytes
-    that are not UTF-8, text that is not JSON or nests too deeply to parse, and a path with a NUL
-    byte all raise ``VsabenchError``."""
+    that are not UTF-8, text that is not JSON or nests too deeply to parse, an object with a
+    repeated key, and a path with a NUL byte all raise ``VsabenchError``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a NUL byte
         raise VsabenchError(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
 
 
 def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cfg: {}) -> dict:
-    """Flags override config-file values, which override the table's defaults.
-    A config-file key the subcommand does not define, or a value its option's
-    converter rejects (even one a flag overrides), is a config error. So is a
-    config-file key that ``unread(cfg)`` maps to the reason the chosen mode
-    does not read it; given as a flag, such an option is a usage error."""
+    """Flags override config-file values, which override the table's defaults. A flag text its
+    option's converter rejects is a usage error, decided first. A config-file key the subcommand does
+    not define, or a value its converter rejects (even one a flag overrides), is a config error. So is
+    a config-file key that ``unread(cfg)`` maps to the reason the chosen mode does not read it; as a
+    flag, such an option is a usage error, and so is a required option that neither gives."""
     options = {opt.key: opt for opt in OPTIONS[args.command]}
+    flags = {key: text for key, text in vars(args).items() if key in options and text is not None}
+    for key, text in flags.items():
+        try:
+            flags[key] = options[key].convert(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {_FLAGS[key]}: {exc}") from exc
     file_cfg = {} if args.config is None else _load_json(args.config, "config file")
     if not isinstance(file_cfg, dict):
         raise InvalidArgumentError(f"config file {args.config} must hold a JSON object")
-    unknown = sorted(set(file_cfg) - set(options))
-    if unknown:
+    if unknown := sorted(set(file_cfg) - set(options)):
         raise InvalidArgumentError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
     cfg = {key: opt.default for key, opt in options.items()}
     for key, value in file_cfg.items():
@@ -190,24 +204,15 @@ def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cf
             cfg[key] = options[key].convert(value)
         except ValueError as exc:
             raise InvalidArgumentError(f"{key} {exc}") from exc
-    flags = {key: value for key, value in vars(args).items() if key in cfg and value is not None}
     cfg.update(flags)
     for key, reason in unread(cfg).items():
         if key in flags:
             raise UsageError(f"{_FLAGS[key]} is not read {reason}")
         if key in file_cfg:
             raise InvalidArgumentError(f"{key} is not read {reason}")
+    if missing := [_FLAGS[key] for key, opt in options.items() if opt.required and cfg[key] is None]:
+        raise UsageError(f"{args.command} requires {', '.join(missing)}")
     return cfg
-
-
-def _flag_type(convert: Callable) -> Callable:
-    """``convert`` as an argparse type whose usage error names the flag and the reason."""
-    def parse(text: str):
-        try:
-            return convert(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    return parse
 
 
 def _resolve_seed(cfg: dict) -> int:
@@ -218,13 +223,6 @@ def _resolve_seed(cfg: dict) -> int:
         return check_seed(as_int(os.environ.get("VSAIT_SEED", 0)))
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"VSAIT_SEED {exc}") from exc
-
-
-def _read(read, path: str):
-    try:
-        return read(path)
-    except OSError as exc:
-        raise VsafError(f"cannot read {path}: {exc}") from exc
 
 
 def _check_out(path: str) -> None:
@@ -256,23 +254,26 @@ def _write(write, path: str) -> None:
         raise VsafError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+def _emit(text: str) -> None:
+    """Write and flush a result on stdout; an OSError is raised to ``main`` as a files-stage fault."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        with open(os.devnull, "wb") as null:  # so that Python's flush at exit cannot fail again
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise
 
 
 def cmd_encode(args) -> Iterator[None]:
     """project VSAF feature maps to patch hypervectors"""
     cfg = _merged(args)
-    if cfg["features_in"] is None or cfg["out"] is None:
-        raise UsageError("encode requires --features-in and --out")
-    if cfg["patch_sizes"] is None:
-        raise UsageError("encode requires --patch-sizes")
     seed, dim = _resolve_seed(cfg), as_count(cfg["dim"], "dim")
     spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
     lsh.LshProjector(m=1, n=dim, seed=seed)  # the projector's cap, for the least m
     yield
     _check_out(cfg["out"])
-    fm = _read(vsaf.read_feature_file, cfg["features_in"])
+    fm = vsaf.read_feature_file(cfg["features_in"])
     patches = assemble_patches(fm, spec)
     if cfg["norm_scope"] == "per_layer":
         patches = normalize_blocks(patches, block_lengths(fm, spec))
@@ -280,29 +281,27 @@ def cmd_encode(args) -> Iterator[None]:
     projector = lsh.new_projector(m=patches.m, n=dim, seed=seed)
     hvs = lsh.project_batch(projector, patches, quantize=cfg["quantize"])
     _write(lambda out: vsaf.write_hypervectors(hvs, out), cfg["out"])
-    _emit({"patch_count": patches.patch_count, "m": patches.m, "n": dim, "seed": seed})
+    _emit(json.dumps(dict(patch_count=patches.patch_count, m=patches.m, n=dim, seed=seed), sort_keys=True) + "\n")
 
 
 def cmd_map(args) -> Iterator[None]:
     """build a paired or random hypervector mapping"""
     cfg = _merged(args, lambda cfg: {} if cfg["mode"] == "paired"
                   else dict.fromkeys(("tgt", "quantize"), "in random mode"))
-    if cfg["src"] is None or cfg["out"] is None:
-        raise UsageError("map requires --src and --out")
     if cfg["mode"] == "paired" and cfg["tgt"] is None:
         raise UsageError("map --mode paired requires --tgt")
     seed = _resolve_seed(cfg)
     yield
     _check_out(cfg["out"])
-    src = _read(vsaf.read_hypervectors, cfg["src"])
+    src = vsaf.read_hypervectors(cfg["src"])
     if cfg["mode"] == "paired":
-        tgt = _read(vsaf.read_hypervectors, cfg["tgt"])
+        tgt = vsaf.read_hypervectors(cfg["tgt"])
         u = mapping.estimate_mapping_paired(src, tgt, quantize=cfg["quantize"])
     else:
         u = mapping.random_mapping(patch_count=src.shape[0], dim=src.shape[1], seed=seed)
 
     _write(lambda out: vsaf.write_hypervectors(u.per_patch, out, layer_name="mapping"), cfg["out"])
-    _emit({"patch_count": u.patch_count, "dim": u.dim, "mode": cfg["mode"], "seed": seed})
+    _emit(json.dumps(dict(patch_count=u.patch_count, dim=u.dim, mode=cfg["mode"], seed=seed), sort_keys=True) + "\n")
 
 
 def _load_scores(path: str, name: str):
@@ -322,15 +321,13 @@ def cmd_loss(args) -> Iterator[None]:
     """cyclic / adversarial / total loss metrics as JSON"""
     cfg = _merged(args, lambda cfg: {} if any(cfg[key] is not None for key in _SCORE_KEYS)
                   else dict.fromkeys(("variant", "w1", "w2"), "without score batches"))
-    if cfg["x"] is None or cfg["cycled"] is None:
-        raise UsageError("loss requires --x and --cycled")
     scored = [cfg[key] is not None for key in _SCORE_KEYS]
     if any(scored) and not all(scored):
         raise UsageError("loss needs all three score batches or none")
     loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
     yield
-    v_x = _read(vsaf.read_hypervectors, cfg["x"])
-    v_cycled = _read(vsaf.read_hypervectors, cfg["cycled"])
+    v_x = vsaf.read_hypervectors(cfg["x"])
+    v_cycled = vsaf.read_hypervectors(cfg["cycled"])
     vsa = vsa_cyclic_loss(v_x, v_cycled)
 
     d_loss = g_loss = None
@@ -339,9 +336,9 @@ def cmd_loss(args) -> Iterator[None]:
         d_loss, g_loss = gan_loss(*batches, loss_cfg)
     total = total_loss(0.0 if g_loss is None else g_loss, vsa, loss_cfg)
 
-    _emit({"vsa": vsa, "gan_d": d_loss, "gan_g": g_loss, "total": total, "config": {
+    _emit(json.dumps({"vsa": vsa, "gan_d": d_loss, "gan_g": g_loss, "total": total, "config": {
         "lambda": loss_cfg.lam, "variant": loss_cfg.variant,
-        "fake_term_weights": list(loss_cfg.fake_term_weights)}})
+        "fake_term_weights": list(loss_cfg.fake_term_weights)}}, sort_keys=True) + "\n")
 
 
 def _bench_unread(cfg: dict) -> dict:
@@ -372,7 +369,7 @@ def cmd_bench(args) -> Iterator[None]:
     if cfg["out"] is not None:
         _write(lambda out: Path(out).write_text(csv_text, encoding="utf-8", newline=""), cfg["out"])
     else:
-        sys.stdout.write(csv_text)
+        _emit(csv_text)
 
 
 COMMANDS = {"encode": cmd_encode, "map": cmd_map, "loss": cmd_loss, "bench": cmd_bench}
@@ -384,7 +381,7 @@ def build_parser() -> _Parser:
     for name, func in COMMANDS.items():
         p = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
         for opt in (*OPTIONS[name], _CONFIG):
-            p.add_argument(_FLAGS[opt.key], dest=opt.key, type=_flag_type(opt.convert), help=opt.help,
+            p.add_argument(_FLAGS[opt.key], dest=opt.key, help=opt.help,
                            metavar="{%s}" % ",".join(opt.convert) if isinstance(opt.convert, _Choice) else None)
         p.set_defaults(func=func)
     return parser
@@ -400,8 +397,8 @@ def _joined(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; return its exit code: 1 for a usage fault, and for a package error 3 if
-    the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
+    """Run one subcommand; return its exit code: 1 for a usage fault, and for a package or OS error 3
+    if the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
     code = EXIT_CONFIG
     try:
         args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
@@ -413,7 +410,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except VsabenchError as exc:
+    except (VsabenchError, OSError) as exc:
         print(f"{'data' if code == EXIT_DATA else 'config'} error: {exc}", file=sys.stderr)
         return code
     return EXIT_OK

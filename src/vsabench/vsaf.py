@@ -12,7 +12,6 @@ Round-trips are bit-exact for float32 payloads.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import stat
@@ -103,21 +102,22 @@ def write_feature_file(fm: FeatureMapSet, path) -> None:
 
 
 class _Reader:
-    """Reads a file object of known size front to back, checking each request
-    against that size before it reads or allocates anything."""
+    """Reads a file object front to back. Given its size, it checks each request against
+    that size before it reads or allocates anything; a stream of unknown size (a pipe or
+    a device) has each payload read in bounded chunks, so it is allocated as it arrives."""
 
-    def __init__(self, f, size: int):
+    def __init__(self, f, size: int | None):
         self.f = f
         self.size = size
         self.pos = 0
 
     def _claim(self, count: int) -> None:
-        if self.pos + count > self.size:
+        if self.size is not None and self.pos + count > self.size:
             raise TruncatedPayloadError(f"need {count} bytes at offset {self.pos}, file has {self.size}")
         self.pos += count
 
     def _check(self, got: int, count: int) -> None:
-        if got != count:  # the file shrank after its size was taken
+        if got != count:  # a stream ended, or the file shrank after its size was taken
             raise TruncatedPayloadError(f"read {got} of {count} bytes before offset {self.pos}")
 
     def take(self, count: int) -> bytes:
@@ -133,21 +133,25 @@ class _Reader:
         """The next payload of this shape, read straight into a new little-endian float32 array."""
         count = 4 * math.prod(shape)
         self._claim(count)
-        data = np.empty(shape, dtype="<f4")
-        self._check(self.f.readinto(memoryview(data).cast("B")), count)
+        if self.size is None:
+            blob = bytearray()
+            while len(blob) < count and (chunk := self.f.read(min(count - len(blob), 1 << 20))):
+                blob += chunk
+            self._check(len(blob), count)
+            data = np.frombuffer(blob, dtype="<f4").reshape(shape)
+        else:
+            data = np.empty(shape, dtype="<f4")
+            self._check(self.f.readinto(memoryview(data).cast("B")), count)
         return data.astype(np.float32, copy=False)  # a no-op on little-endian hosts
 
 
 def read_feature_file(path) -> FeatureMapSet:
-    """Read a VSAF file; each payload is checked against the file size, then
-    read straight into its array, so it is allocated once and copied once."""
+    """Read a VSAF file; each payload of a regular file is checked against the file size,
+    then read straight into its array, so it is allocated once and copied once. A pipe or
+    device has no size to check against, so its payloads are read in bounded chunks."""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode):
-            reader = _Reader(f, st.st_size)
-        else:  # a pipe or device has no size to check against, so read it whole
-            blob = f.read()
-            reader = _Reader(io.BytesIO(blob), len(blob))
+        reader = _Reader(f, st.st_size if stat.S_ISREG(st.st_mode) else None)
         magic = reader.take(4)
         if magic != MAGIC:
             raise BadMagicError(f"expected magic {MAGIC!r}, got {magic!r}")

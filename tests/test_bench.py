@@ -468,3 +468,11 @@ class TestCsv:
         a = reports_to_csv("dim", run_sweep("dim", [128, 256], base))
         b = reports_to_csv("dim", run_sweep("dim", [128, 256], base))
         assert a == b
+
+    def test_boolean_axis_value_rejected(self):
+        # True would print as 1 or True, neither of which the axis meant
+        report = BenchReport(recovery_cosine=1.0, cleanup_accuracy=1.0, dim=8, k=1, mapping="ground_truth",
+                             trials=1, seed=0)
+        assert reports_to_csv("k", [(1, report)]).split("\n")[1].startswith("k,1,")
+        with pytest.raises(InvalidArgumentError, match="boolean axis values are not supported"):
+            reports_to_csv("k", [(True, report)])

@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -705,7 +706,7 @@ class TestUnwritableOutput:
         for out in (existing, fresh):
             code, _, stderr = run_cli(["map", "--src", str(tmp_path / "absent.vsaf"), "--mode", "random",
                                        "--out", str(out)], capsys)
-            assert code == 2 and "cannot read" in stderr
+            assert code == 2 and str(tmp_path / "absent.vsaf") in stderr and "No such file" in stderr
         assert existing.read_bytes() == b"earlier result"
         assert not fresh.exists()
 
@@ -736,12 +737,25 @@ def test_no_subcommand_exit_1(capsys):
 
 
 # A missing option and an unreadable input at once: the usage rule is decided
-# before any file is read, so the command exits 1, not 2.
+# before any file is read, so the command exits 1, not 2. A command names every
+# required option that neither a flag nor the config file gives, in the table's
+# order, once its flags have been converted and the unread rule has passed.
 @pytest.mark.parametrize("argv,message", [
     (["map", "--src", "{tmp}/missing.vsaf", "--out", "{tmp}/u.vsaf"], "map --mode paired requires --tgt"),
     (["loss", "--x", "{tmp}/missing.vsaf", "--cycled", "{tmp}/missing.vsaf", "--scores-real", "{tmp}/missing.json"],
      "loss needs all three score batches or none"),
-], ids=["map without --tgt", "loss with one score batch"])
+    (["encode"], "encode requires --features-in, --out, --patch-sizes"),
+    (["encode", "--features-in", "{tmp}/missing.vsaf", "--out", "{tmp}/o.vsaf"], "encode requires --patch-sizes"),
+    (["encode", "--patch-sizes", "2", "--dim", "64"], "encode requires --features-in, --out"),
+    (["map", "--mode", "random"], "map requires --src, --out"),
+    (["map", "--src", "{tmp}/missing.vsaf", "--tgt", "{tmp}/missing.vsaf"], "map requires --out"),
+    (["loss"], "loss requires --x, --cycled"),
+    (["loss", "--x", "{tmp}/missing.vsaf", "--lambda", "2"], "loss requires --cycled"),
+    (["encode", "--dim", "x"], "argument --dim: must be an integer, got 'x'"),
+    (["map", "--mode", "random", "--tgt", "{tmp}/missing.vsaf"], "--tgt is not read in random mode"),
+], ids=["map without --tgt", "loss with one score batch", "encode", "encode without --patch-sizes",
+        "encode without paths", "map", "map without --out", "loss", "loss without --cycled",
+        "a bad flag before a missing option", "an unread flag before a missing option"])
 def test_usage_error_before_any_file_is_read(argv, message, tmp_path, capsys):
     code, stdout, stderr = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
     assert (code, stdout) == (1, "")
@@ -799,3 +813,86 @@ def test_data_rule_after_the_files_are_read(argv, message, tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert stderr == f"data error: {message}\n"
     assert not (tmp_path / "u.vsaf").exists()
+
+
+def test_required_option_from_the_config_file_is_given(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"x": str(tmp_path / "missing.vsaf"), "cycled": str(tmp_path / "missing.vsaf")}))
+    code, stdout, stderr = run_cli(["loss", "--config", str(path)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("data error: ") and "missing.vsaf" in stderr
+
+
+def test_repeated_config_key_exit_3(tmp_path, capsys):
+    # JSON would keep the last value; the config file is rejected rather than read in part
+    path = tmp_path / "cfg.json"
+    path.write_text('{"dim": 64, "trials": 2, "dim": 128}')
+    code, stdout, stderr = run_cli(["bench", "--axis", "k", "--grid", "1,2", "--config", str(path)], capsys)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"config error: cannot read config file {path} as UTF-8 JSON: repeated key(s) 'dim'\n"
+
+
+def test_bad_flag_is_decided_before_the_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{")
+    code, stdout, stderr = run_cli(["bench", "--trials", "x", "--config", str(path)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "usage error: argument --trials: must be an integer, got 'x'\n"
+
+
+@pytest.fixture()
+def stdout_argv(feature_file, tmp_path):
+    """Arguments with which each command succeeds and writes its result on stdout."""
+    hvs = tmp_path / "hvs.vsaf"
+    write_hypervectors(np.eye(4), hvs)
+    return {
+        "encode": ["encode", "--features-in", str(feature_file), "--patch-sizes", "4,2", "--dim", "64",
+                   "--out", str(tmp_path / "hv.vsaf")],
+        "map": ["map", "--src", str(hvs), "--tgt", str(hvs), "--out", str(tmp_path / "u.vsaf")],
+        "loss": ["loss", "--x", str(hvs), "--cycled", str(hvs)],
+        "bench": ["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2"],
+    }
+
+
+def run_with_stdout(argv, stdout):
+    proc = subprocess.run([sys.executable, "-m", "vsabench.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stderr.splitlines()[-1]
+
+
+# A result that cannot reach stdout is a files-stage fault like any other failed write.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["encode", "map", "loss", "bench"])
+def test_full_stdout_exit_2(command, stdout_argv):
+    with open("/dev/full", "wb") as full:
+        assert run_with_stdout(stdout_argv[command], full) == (2, "data error: [Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("command", ["loss", "bench"])
+def test_closed_stdout_pipe_exit_2(command, stdout_argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert run_with_stdout(stdout_argv[command], write_end) == (2, "data error: [Errno 32] Broken pipe")
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_input_device_exit_2_at_once(tmp_path):
+    # /dev/zero never ends, so it must be read only as far as its magic; the child's address
+    # space is capped, so a reader that takes it whole fails quickly instead of filling memory
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "vsabench.cli", "encode", "--features-in", "/dev/zero", "--patch-sizes", "1",
+         "--dim", "64", "--out", str(tmp_path / "hv.vsaf")],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "data error: expected magic b'VSAF', got b'\\x00\\x00\\x00\\x00'\n"

@@ -133,7 +133,7 @@ def test_file_shorter_than_its_stat_size_raises_truncated(cut, tmp_path, monkeyp
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("cut", [None, -5], ids=["whole", "truncated"])
 def test_pipe_is_read_like_a_file(cut, tmp_path):
-    # a pipe has no size to check against, so the reader takes it whole first
+    # a pipe has no size to check against, so each payload is read as it arrives
     path, fifo = tmp_path / "features.vsaf", tmp_path / "pipe"
     fm = sample_set(np.random.default_rng(5))
     write_feature_file(fm, path)
@@ -151,6 +151,63 @@ def test_pipe_is_read_like_a_file(cut, tmp_path):
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+def read_on_a_thread(path, timeout=10.0):
+    """``read_feature_file(path)`` on a thread that must end within ``timeout`` seconds,
+    so that a read that does not stop fails the test rather than hanging it."""
+    outcome = {}
+
+    def read():
+        try:
+            outcome["value"] = read_feature_file(path)
+        except Exception as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout)
+    assert not reader.is_alive(), f"reading {path} did not end within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_payload_of_several_chunks_is_bit_exact(tmp_path):
+    # 2.4 MB of payload arrives in three bounded reads
+    path, fifo = tmp_path / "features.vsaf", tmp_path / "pipe"
+    fm = feature_map_set([("a", np.random.default_rng(6).standard_normal((2, 300, 1000)))])
+    write_feature_file(fm, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        back = read_on_a_thread(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.layers[0].data.tobytes() == fm.layers[0].data.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_that_ends_before_its_claimed_payload_allocates_none_of_it(tmp_path):
+    # the header claims a 2^31-entry (8 GiB) layer, and the pipe then ends
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    blob = b"VSAF" + struct.pack("<II", 1, 1) + layer_header(b"a", 1, 2**15, 2**16) + np.ones(4, "<f4").tobytes()
+    writer = threading.Thread(target=lambda: fifo.write_bytes(blob), daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match=f"read 16 of {2**33} bytes"):
+            read_on_a_thread(fifo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert peak < 1 << 22  # one bounded read, not the claimed 8 GiB
 
 
 def test_truncated_header(tmp_path):
@@ -176,6 +233,22 @@ def test_zero_dimension_rejected(tmp_path):
     path.write_bytes(header)
     with pytest.raises(DimensionOverflowError):
         read_feature_file(path)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 1, 1, 1), (0, 2, 2), (2, 2, 0)])
+def test_layer_not_h_w_c_with_all_dims_positive_rejected(shape):
+    with pytest.raises(InvalidArgumentError, match=r"must be H x W x C with all dims >= 1"):
+        FeatureMapSet((FeatureMapLayer("a", np.ones(shape, np.float32)),))
+
+
+def test_layer_name_longer_than_its_u16_length_rejected(tmp_path):
+    path = tmp_path / "long.vsaf"
+    write_feature_file(feature_map_set([("a" * 0xFFFF, np.ones((1, 1, 1)))]), path)
+    assert read_feature_file(path).layers[0].name == "a" * 0xFFFF
+    path.unlink()
+    with pytest.raises(InvalidArgumentError, match="layer name too long: 65536 bytes"):
+        write_feature_file(feature_map_set([("\u00e9" * 0x8000, np.ones((1, 1, 1)))]), path)
+    assert not path.exists()
 
 
 def test_duplicate_layer_names_rejected():
