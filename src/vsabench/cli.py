@@ -18,6 +18,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -34,6 +35,7 @@ EXIT_DATA = 2
 EXIT_CONFIG = 3
 
 DEFAULT_DIM = 4096
+JSON_CAP = 64 << 20  # bytes a config or score file may hold, so that a device such as /dev/zero is not read whole
 
 
 class UsageError(Exception):
@@ -118,7 +120,8 @@ OPTIONS = {
         Option("out", _path, required=True),
         Option("dim", as_int, DEFAULT_DIM, f"hypervector dimensionality (default {DEFAULT_DIM})"),
         _SEED,
-        Option("patch_sizes", _int_list, help="comma-separated per-layer patch sides, e.g. 16,8,4", required=True),
+        Option("sides", _int_list, help="comma-separated per-layer patch sides, e.g. 16,8,4", flag="--patch-sizes",
+               required=True),
         Option("dilation", as_int, 1),
         _QUANTIZE,
         Option("norm_scope", _Choice(("vector", "per_layer")), "vector",
@@ -148,8 +151,8 @@ OPTIONS = {
         Option("grid", _grid, [128, 4096], "comma-separated axis values"),
         Option("dim", as_int, _BENCH.dim),
         Option("k", as_int, _BENCH.k),
-        Option("objects", as_int, _BENCH.object_vocab_size),
-        Option("attrs", as_int, _BENCH.attr_vocab_size),
+        Option("object_vocab_size", as_int, _BENCH.object_vocab_size, flag="--objects"),
+        Option("attr_vocab_size", as_int, _BENCH.attr_vocab_size, flag="--attrs"),
         Option("mapping", _Choice(bench_mod.MAPPING_KINDS), _BENCH.mapping),
         Option("mix", as_float, _BENCH.mix),
         Option("trials", as_int, _BENCH.trials),
@@ -171,12 +174,18 @@ def _unique(pairs: list) -> dict:
 
 
 def _load_json(path: str, what: str):
-    """The value of the UTF-8 JSON file at ``path``. A file that cannot be opened or read, bytes
-    that are not UTF-8, text that is not JSON or nests too deeply to parse, an object with a
-    repeated key, and a path with a NUL byte all raise ``VsabenchError``."""
+    """The value of the UTF-8 JSON file at ``path``. A file that cannot be opened or read, one
+    longer than ``JSON_CAP`` bytes, bytes that are not UTF-8, text that is not JSON or nests too
+    deeply to parse, an object with a repeated key, and a path with a NUL byte all raise ``VsabenchError``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a NUL byte
+        with open(path, "rb") as f:  # in chunks, so a short file allocates no more than it holds
+            blob = bytearray()
+            while len(blob) <= JSON_CAP and (chunk := f.read(min(1 << 16, JSON_CAP + 1 - len(blob)))):
+                blob += chunk
+        if len(blob) > JSON_CAP:
+            raise ValueError(f"longer than the cap of {JSON_CAP} bytes")
+        return json.loads(blob.decode("utf-8"), object_pairs_hook=_unique)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: too long, not UTF-8, not JSON, a NUL byte
         raise VsabenchError(f"cannot read {what} {path} as UTF-8 JSON: {exc}") from exc
 
 
@@ -197,7 +206,7 @@ def _merged(args: argparse.Namespace, unread: Callable[[dict], dict] = lambda cf
     if not isinstance(file_cfg, dict):
         raise InvalidArgumentError(f"config file {args.config} must hold a JSON object")
     if unknown := sorted(set(file_cfg) - set(options)):
-        raise InvalidArgumentError(f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}")
+        raise InvalidArgumentError(f"unknown config key(s) {unknown} for {args.command}; its keys are {[*options]}")
     cfg = {key: opt.default for key, opt in options.items()}
     for key, value in file_cfg.items():
         try:
@@ -256,6 +265,8 @@ def _write(write, path: str) -> None:
 
 def _emit(text: str) -> None:
     """Write and flush a result on stdout; an OSError is raised to ``main`` as a files-stage fault."""
+    if sys.stdout is None:  # Python found fd 1 closed at startup
+        raise OSError("stdout is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -269,7 +280,7 @@ def cmd_encode(args) -> Iterator[None]:
     """project VSAF feature maps to patch hypervectors"""
     cfg = _merged(args)
     seed, dim = _resolve_seed(cfg), as_count(cfg["dim"], "dim")
-    spec = PatchSpec(sides=tuple(cfg["patch_sizes"]), dilation=cfg["dilation"])
+    spec = PatchSpec(sides=cfg["sides"], dilation=cfg["dilation"])
     lsh.LshProjector(m=1, n=dim, seed=seed)  # the projector's cap, for the least m
     yield
     _check_out(cfg["out"])
@@ -355,9 +366,7 @@ def _bench_unread(cfg: dict) -> dict:
 def cmd_bench(args) -> Iterator[None]:
     """run a recovery sweep and emit CSV"""
     cfg = _merged(args, _bench_unread)
-    base = bench_mod.BenchConfig(
-        dim=cfg["dim"], k=cfg["k"], object_vocab_size=cfg["objects"], attr_vocab_size=cfg["attrs"],
-        mapping=cfg["mapping"], mix=cfg["mix"], trials=cfg["trials"], seed=_resolve_seed(cfg))
+    base = bench_mod.BenchConfig(**{f.name: cfg[f.name] for f in fields(_BENCH)} | {"seed": _resolve_seed(cfg)})
     bench_mod.sweep_configs(cfg["axis"], cfg["grid"], base)
     yield
     if cfg["out"] is not None:

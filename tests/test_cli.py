@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -8,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vsabench.bench import CSV_HEADER
-from vsabench.cli import main
+from vsabench import cli
+from vsabench.bench import CSV_HEADER, SWEEPS, BenchConfig
+from vsabench.cli import JSON_CAP, OPTIONS, main
 from vsabench.vsaf import feature_map_set, read_hypervectors, write_feature_file, write_hypervectors
 
 
@@ -81,7 +83,7 @@ class TestEncode:
 
     @pytest.mark.parametrize("cfg", [
         {"dilation": 1.5}, {"dim": "wide"}, {"seed": "abc"},
-        {"patch_sizes": [2.5]}, {"patch_sizes": ["x"]}, {"patch_sizes": 4}, {"features_in": 5}, {"out": 7},
+        {"sides": [2.5]}, {"sides": ["x"]}, {"sides": 4}, {"features_in": 5}, {"out": 7},
     ])
     def test_mistyped_config_value_exit_3(self, cfg, feature_file, tmp_path, capsys):
         out = tmp_path / "hv.vsaf"
@@ -92,7 +94,7 @@ class TestEncode:
             "--patch-sizes", "4,2", "--config", str(path),
         ], capsys)
         assert (code, stdout) == (3, "")
-        assert stderr.startswith("config error: ")
+        assert stderr.startswith(f"config error: {next(iter(cfg))} ")  # the value rule, not the unknown-key rule
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,cfg", [
@@ -167,10 +169,10 @@ class TestEncode:
         assert (code, stdout) == (1, "")
         assert stderr.startswith("usage error: argument --patch-sizes: ") and "none empty" in stderr
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"patch_sizes": value}))
+        path.write_text(json.dumps({"sides": value}))
         code, stdout, stderr = run_cli([*base, "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
-        assert stderr.startswith("config error: patch_sizes ") and "none empty" in stderr
+        assert stderr.startswith("config error: sides ") and "none empty" in stderr
         assert not out.exists()
 
     def test_bad_magic_exit_2(self, tmp_path, capsys):
@@ -308,7 +310,7 @@ class TestLoss:
         path.write_text(json.dumps(cfg))
         code, stdout, err = run_cli(["loss", "--x", str(p), "--cycled", str(p), "--config", str(path)], capsys)
         assert (code, stdout) == (3, "")
-        assert err.startswith("config error: ")
+        assert err.startswith(f"config error: {next(iter(cfg))} ")
 
     @pytest.mark.parametrize("flag", ["--lambda", "--w1", "--w2"])
     @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
@@ -502,7 +504,7 @@ class TestBench:
         code, stdout, err = run_cli(["bench", "--config", str(path)], capsys)
         assert code == 3
         assert stdout == ""
-        assert err.startswith("config error: ")
+        assert err.startswith(f"config error: {next(iter(cfg))} ")
 
     @pytest.mark.parametrize("grid", ["64,,128", "64,", " ,64", ""])
     def test_empty_grid_token_rejected(self, grid, tmp_path, capsys):
@@ -630,6 +632,21 @@ class TestBench:
         assert (code, stdout) == (3, "")
         assert err.startswith("config error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_config_keys_are_the_config_fields(self):
+        # so the fields a sweep sets on every point name the options it never reads
+        keys = {opt.key for opt in OPTIONS["bench"]}
+        assert {f.name for f in dataclasses.fields(BenchConfig)} <= keys
+        assert {name for names, _ in SWEEPS.values() for name in names} <= keys
+
+    def test_vocab_sizes_read_from_the_config_file(self, tmp_path, capsys):
+        argv = ["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"object_vocab_size": 8, "attr_vocab_size": 4}))
+        code, from_file, stderr = run_cli([*argv, "--config", str(path)], capsys)
+        assert code == 0, stderr
+        assert "object_vocab_size=8, attr_vocab_size=4," in stderr
+        assert run_cli([*argv, "--objects", "8", "--attrs", "4"], capsys)[:2] == (0, from_file)
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("VSAIT_SEED", "17")
@@ -854,9 +871,9 @@ def stdout_argv(feature_file, tmp_path):
     }
 
 
-def run_with_stdout(argv, stdout):
+def run_with_stdout(argv, stdout, preexec_fn=None):
     proc = subprocess.run([sys.executable, "-m", "vsabench.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=120)
+                          text=True, timeout=120, preexec_fn=preexec_fn)
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
     return proc.returncode, proc.stderr.splitlines()[-1]
 
@@ -879,20 +896,74 @@ def test_closed_stdout_pipe_exit_2(command, stdout_argv):
         os.close(write_end)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
-def test_endless_input_device_exit_2_at_once(tmp_path):
-    # /dev/zero never ends, so it must be read only as far as its magic; the child's address
-    # space is capped, so a reader that takes it whole fails quickly instead of filling memory
+def run_capped(argv):
+    """The CLI run in a child whose address space is capped at 512 MiB, so that a reader that
+    takes an endless device whole fails quickly instead of filling memory."""
     import resource
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "vsabench.cli", "encode", "--features-in", "/dev/zero", "--patch-sizes", "1",
-         "--dim", "64", "--out", str(tmp_path / "hv.vsaf")],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
-    )
+    return subprocess.run([sys.executable, "-m", "vsabench.cli", *argv], capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap, env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_input_device_exit_2_at_once(tmp_path):
+    # /dev/zero never ends, so it must be read only as far as its magic
+    proc = run_capped(["encode", "--features-in", "/dev/zero", "--patch-sizes", "1", "--dim", "64",
+                       "--out", str(tmp_path / "hv.vsaf")])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "data error: expected magic b'VSAF', got b'\\x00\\x00\\x00\\x00'\n"
+
+
+# A config-file key is the name of the library field it fills; a key a command does not
+# define is rejected with the command's keys, so an old name or a typo finds the right one.
+@pytest.mark.parametrize("argv,key,new", [
+    (["bench", "--axis", "k", "--grid", "1,2"], "objects", "object_vocab_size"),
+    (["bench", "--axis", "k", "--grid", "1,2"], "attrs", "attr_vocab_size"),
+    (["encode", "--features-in", "{tmp}/missing.vsaf", "--out", "{tmp}/o.vsaf"], "patch_sizes", "sides"),
+])
+def test_unknown_config_key_lists_the_keys(argv, key, new, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 8}))
+    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--config", str(path)],
+                                   capsys)
+    assert (code, stdout) == (3, "")
+    keys = [opt.key for opt in OPTIONS[argv[0]]]
+    assert stderr == f"config error: unknown config key(s) {[key]} for {argv[0]}; its keys are {keys}\n"
+    assert new in keys
+
+
+# With fd 1 closed when it starts (`>&-`), Python sets sys.stdout to None.
+@pytest.mark.parametrize("command", ["encode", "map", "loss", "bench"])
+def test_closed_stdout_exit_2(command, stdout_argv):
+    assert run_with_stdout(stdout_argv[command], None, lambda: os.close(1)) == (2, "data error: stdout is closed")
+
+
+def test_json_file_longer_than_the_cap_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "JSON_CAP", 8)
+    path = tmp_path / "cfg.json"
+    argv = ["bench", "--axis", "dim", "--grid", "64", "--trials", "2", "--config", str(path)]
+    path.write_text('{"k": 2}')
+    assert run_cli(argv, capsys)[0] == 0
+    path.write_text('{"k": 2} ')
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"config error: cannot read config file {path} as UTF-8 JSON: longer than the cap of 8 bytes\n"
+
+
+# /dev/zero never ends: a config or score file on it is read to JSON_CAP bytes and
+# rejected there, at the stage that reads it.
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv,code,what", [
+    (["bench", "--config", "/dev/zero"], 3, "config error: cannot read config file"),
+    (["loss", "--x", "{x}", "--cycled", "{x}", "--scores-real", "/dev/zero", "--scores-fake-translated", "/dev/zero",
+      "--scores-fake-mapped", "/dev/zero"], 2, "data error: cannot read real score file"),
+], ids=["config", "scores"])
+def test_endless_json_file_rejected_at_the_cap(argv, code, what, tmp_path):
+    x = tmp_path / "x.vsaf"
+    write_hypervectors(np.eye(2), x)
+    proc = run_capped([arg.replace("{x}", str(x)) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == f"{what} /dev/zero as UTF-8 JSON: longer than the cap of {JSON_CAP} bytes\n"

@@ -1,6 +1,6 @@
 """The CLI's exit-code contract under malformed input.
 
-Each example starts from arguments that every subcommand accepts, spoils one
+Each case starts from arguments that every subcommand accepts, spoils one
 thing (a flag, a config-file value or key, or the bytes of an input file) and
 checks that the command exits with the code of the stage that fails, prints
 nothing on stdout, ends stderr with the error line and raises no exception,
@@ -12,6 +12,11 @@ so a user never sees a traceback:
   ``bench --grid -inf``, whose value starts with a dash);
 - 2 (data) for a spoiled input file, or a path (flag or config value) in a
   missing directory.
+
+The finite defects (every bad flag text and config value of every option of
+every command, every bad config file, every bad argv) run as parametrized
+cases, all of them on every run. Hypothesis draws only the unbounded ones:
+unknown config keys, and input files spoiled at a random offset or entry.
 """
 
 import contextlib
@@ -28,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsabench.cli import OPTIONS, _Choice, _grid, _int_list, _path, main
+from vsabench.cli import _FLAGS, OPTIONS, _Choice, _grid, _int_list, _path, main
 from vsabench.hv import as_float, as_int
 
 NAN, INF = math.nan, math.inf
@@ -60,10 +65,6 @@ def kind(option) -> str:
     if isinstance(option.convert, _Choice):
         return "choice"
     return {as_int: "int", as_float: "float", _path: "path", _int_list: "int_list", _grid: "grid"}[option.convert]
-
-
-def flag(option) -> str:
-    return option.flag or "--" + option.key.replace("_", "-")
 
 
 def vsaf_bytes(layers) -> bytes:
@@ -140,39 +141,38 @@ def valid_files(command) -> dict:
     return files
 
 
+def flag_cases():
+    """(command, flag, text, expected code) for every bad flag text of every option."""
+    for command, options in OPTIONS.items():
+        for option in options:
+            for text in BAD_TEXT[kind(option)]:
+                try:
+                    option.convert(text)
+                except ValueError:
+                    code = 1
+                else:  # a value that starts with "-", such as "-inf", is read as the flag's value too
+                    code = 2 if kind(option) == "path" else 3
+                yield pytest.param(command, _FLAGS[option.key], text, code, id=f"{command} {option.key}={text!r}")
+
+
+def config_value_cases():
+    """(command, key, value, expected code) for every bad config value of every option."""
+    for command, options in OPTIONS.items():
+        for option in options:
+            for value in BAD_JSON[kind(option)]:
+                code = 2 if value == "{tmp}/missing/x.vsaf" else 3
+                yield pytest.param(command, option.key, value, code, id=f"{command} {option.key}={value!r}")
+
+
 @st.composite
 def malformed(draw, command):
-    """(file bytes by flag, flags, config-file text or None, expected exit code), with one defect."""
-    files, args, config, code = valid_files(command), dict(ARGS[command]), None, 3
-    options = OPTIONS[command]
-    defects = ["flag", "config value", "config key", "config file", "argv"] + (["input"] if files else [])
-    defect = draw(st.sampled_from(defects))
-    if defect == "flag":
-        option = draw(st.sampled_from(options))
-        files.pop(flag(option), None)
-        args[flag(option)] = text = draw(st.sampled_from(BAD_TEXT[kind(option)]))
-        try:
-            option.convert(text)
-        except ValueError:
-            code = 1
-        else:  # a value that starts with "-", such as "-inf", is read as the flag's value too
-            code = 2 if kind(option) == "path" else 3
-    elif defect == "config value":  # with no flag to override it
-        option = draw(st.sampled_from(options))
-        files.pop(flag(option), None)
-        args.pop(flag(option), None)
-        value = draw(st.sampled_from(BAD_JSON[kind(option)]))
-        config = json.dumps({option.key: value})
-        code = 2 if value == "{tmp}/missing/x.vsaf" else 3
-    elif defect == "config key":
-        keys = {option.key for option in options}
+    """(file bytes by flag, config-file text or None, expected exit code), with one unknown config key
+    or one spoiled input file."""
+    files, config, code = valid_files(command), None, 3
+    keys = {option.key for option in OPTIONS[command]}
+    if not files or draw(st.booleans()):
         key = draw(st.text(string.ascii_lowercase + "_-", min_size=1, max_size=12).filter(lambda k: k not in keys))
         config = json.dumps({key: draw(st.sampled_from([1, "x", None, [1]]))})
-    elif defect == "config file":
-        config = draw(st.sampled_from(BAD_CONFIG_FILES))
-    elif defect == "argv":
-        args[draw(st.sampled_from(["--bogus", "--dimm", "-x", "--config"]))] = None
-        code = 1
     else:
         code = 2
         name = draw(st.sampled_from(sorted(files)))
@@ -182,7 +182,7 @@ def malformed(draw, command):
                                                 b"[" + b"9" * 5000 + b"]"]))
         else:
             files[name] = spoiled_file(draw, command, name)
-    return files, args, config, code
+    return files, config, code
 
 
 def run(command, files, args, config, tmp: Path):
@@ -210,13 +210,46 @@ def test_the_unspoiled_arguments_succeed(command, tmp_path):
     assert out
 
 
-@settings(max_examples=120)
-@given(st.sampled_from(sorted(FILES)).flatmap(lambda command: st.tuples(st.just(command), malformed(command))))
-def test_malformed_input_exits_1_2_or_3(case):
-    command, (files, args, config, expected) = case
-    with tempfile.TemporaryDirectory() as tmp:
-        code, out, err = run(command, files, args, config, Path(tmp))
+def check(command, files, args, config, expected, tmp: Path):
+    code, out, err = run(command, files, args, config, tmp)
     assert code == expected, (code, err)
     assert out == ""
     assert err.splitlines()[-1].startswith({1: "usage error: ", 2: "data error: ", 3: "config error: "}[code])
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,name,text,expected", flag_cases())
+def test_bad_flag_exits_1_2_or_3(command, name, text, expected, tmp_path):
+    files, args = valid_files(command), dict(ARGS[command])
+    files.pop(name, None)
+    args[name] = text
+    check(command, files, args, None, expected, tmp_path)
+
+
+@pytest.mark.parametrize("command,key,value,expected", config_value_cases())
+def test_bad_config_value_exits_2_or_3(command, key, value, expected, tmp_path):
+    # with no flag to override it
+    files, args = valid_files(command), dict(ARGS[command])
+    files.pop(_FLAGS[key], None)
+    args.pop(_FLAGS[key], None)
+    check(command, files, args, json.dumps({key: value}), expected, tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(FILES))
+@pytest.mark.parametrize("config", BAD_CONFIG_FILES, ids=[repr(c[:12]) for c in BAD_CONFIG_FILES])
+def test_bad_config_file_exits_3(command, config, tmp_path):
+    check(command, valid_files(command), ARGS[command], config, 3, tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(FILES))
+@pytest.mark.parametrize("arg", ["--bogus", "--dimm", "-x", "--config"])
+def test_bad_argv_exits_1(command, arg, tmp_path):
+    check(command, valid_files(command), {**ARGS[command], arg: None}, None, 1, tmp_path)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(sorted(FILES)).flatmap(lambda command: st.tuples(st.just(command), malformed(command))))
+def test_malformed_input_exits_1_2_or_3(case):
+    command, (files, config, expected) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        check(command, files, ARGS[command], config, expected, Path(tmp))
