@@ -263,17 +263,28 @@ def _write(write, path: str) -> None:
         raise VsafError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str) -> None:
-    """Write and flush a result on stdout; an OSError is raised to ``main`` as a files-stage fault."""
-    if sys.stdout is None:  # Python found fd 1 closed at startup
-        raise OSError("stdout is closed")
+def _put(stream, name: str, text: str) -> None:
+    """Write and flush ``text`` on a standard stream; an OSError is raised."""
+    if stream is None:  # Python found its fd closed at startup
+        raise OSError(f"{name} is closed")
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError:
         with open(os.devnull, "wb") as null:  # so that Python's flush at exit cannot fail again
-            os.dup2(null.fileno(), sys.stdout.fileno())
+            os.dup2(null.fileno(), stream.fileno())
         raise
+
+
+def _emit(text: str) -> None:
+    """Write and flush a result on stdout; an OSError is raised to ``main`` as a files-stage fault."""
+    _put(sys.stdout, "stdout", text)
+
+
+def _diagnose(text: str) -> None:
+    """Write a diagnostic line on stderr; one that cannot be written is dropped, and fails nothing."""
+    with contextlib.suppress(OSError):
+        _put(sys.stderr, "stderr", text + "\n")
 
 
 def cmd_encode(args) -> Iterator[None]:
@@ -371,7 +382,7 @@ def cmd_bench(args) -> Iterator[None]:
     yield
     if cfg["out"] is not None:
         _check_out(cfg["out"])
-    print(f"bench axis={cfg['axis']} grid={cfg['grid']} base={base}", file=sys.stderr)
+    _diagnose(f"bench axis={cfg['axis']} grid={cfg['grid']} base={base}")
 
     results = bench_mod.run_sweep(cfg["axis"], cfg["grid"], base)
     csv_text = bench_mod.reports_to_csv(cfg["axis"], results)
@@ -417,10 +428,10 @@ def main(argv=None) -> int:
         for code in (EXIT_CONFIG, EXIT_DATA):
             next(stages, None)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
     except (VsabenchError, OSError) as exc:
-        print(f"{'data' if code == EXIT_DATA else 'config'} error: {exc}", file=sys.stderr)
+        _diagnose(f"{'data' if code == EXIT_DATA else 'config'} error: {exc}")
         return code
     return EXIT_OK
 

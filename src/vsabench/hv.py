@@ -3,18 +3,24 @@
 A hypervector is a float64 or float32 array of shape ``(dim,)``, and a stack
 of them (one per patch, say) has shape ``(count, dim)``. Every stack enters
 through one gate, ``as_hypervectors``, which rejects empty input and any rank
-its caller does not take. A float32 array is not copied but widened only
-inside the arithmetic, which gives the bits of widening it first: a float32
-value widens exactly, and the product of two is exact in float64. Other input
-becomes float64 under the one number rule, ``as_float64``, which also reads
-LSH features and score batches and rejects text, bytes and complex entries
-rather than parse or truncate them. Scalars have one rule each: ``as_int``
-for an integer, ``as_count`` for a count (an integer >= 1: a dim, a k, a
-patch side), ``as_float`` for a finite number and ``as_tuple`` for a
-sequence. Every result is float64. ``bind`` and
-``cosine_similarity`` work row by row on equal-shape stacks; ``bundle`` sums
-a stack. Sampled vectors are bipolar ({-1, +1}); a bundle is their raw sum
-and may leave [-1, 1], which is fine for every cosine-based consumer downstream.
+its caller does not take. A float32 array is not copied. Other input becomes
+float64 under the one number rule, ``as_float64``, which also reads LSH
+features and score batches and rejects text, bytes and complex entries rather
+than parse or truncate them. Scalars have one rule each: ``as_int`` for an
+integer, ``as_count`` for a count (an integer >= 1: a dim, a k, a patch
+side), ``as_float`` for a finite number and ``as_tuple`` for a sequence.
+
+``bind`` of two float32 arrays is float32. The float64 product of two float32
+values is exact, so the float32 product is its float32 rounding (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 2), and a VSAF
+file written from either holds the same bytes; a float32 product past the
+float32 range is taken in float64 instead. Every other result is float64, with
+float32 input widened inside the arithmetic (by the cosine, one row block of
+``_BLOCK_ENTRIES`` entries at a time), which gives the bits of widening it first.
+``bind`` and ``cosine_similarity`` work row by row on equal-shape
+stacks; ``bundle`` sums a stack. Sampled vectors are bipolar ({-1, +1}); a
+bundle is their raw sum and may leave [-1, 1], which is fine for every
+cosine-based consumer downstream.
 
 The bipolar sampler spends one random bit per entry. A row of ``dim``
 entries takes the next ``ceil(dim / 32)`` words of one uint32 stream, and
@@ -45,10 +51,16 @@ MAX_SEED = 2**64 - 1
 
 QUANTIZE_MODES = ("none", "sign")
 
-# Entries per row block in fill_bipolar and sum_products, which bounds their
-# temporaries (one byte and one bit per entry, or one float64) to about 300 KB
-# and 2 MB whatever the array's shape; a row longer than this is one block of its own.
+# Entries per row block in fill_bipolar, sum_products, cosine_similarity and the LSH
+# projection's tail, which bounds their temporaries (one byte and one bit per entry,
+# or one float64) to about 300 KB and 2 MB whatever the array's shape; a row longer
+# than this is one block of its own.
 _BLOCK_ENTRIES = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """The rows of one block of rows ``width`` entries long."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
 
 
 def check_seed(seed: int) -> int:
@@ -165,7 +177,7 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     rows = out.reshape(-1, out.shape[-1])
     dim = rows.shape[1]
-    step = max(1, _BLOCK_ENTRIES // max(dim, 1))
+    step = block_rows(dim)
     for r in range(0, rows.shape[0], step):
         block = rows[r : r + step]
         words = rng.integers(0, 2**32, size=(block.shape[0], -(-dim // 32)), dtype=np.uint32)
@@ -199,10 +211,21 @@ def _same_shape(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _checked_product(a: np.ndarray, b: np.ndarray, check: Callable[[np.ndarray], object]):
+    """``check`` of the elementwise product of two equal-shape arrays: their float32 product if both
+    are float32 and ``check`` accepts it, else their float64 product. So a float32 product that
+    overflows is taken again in float64, which keeps each entry finite there, and a non-finite
+    factor is named by ``check`` as in float64."""
+    if a.dtype == b.dtype == np.float32:
+        with contextlib.suppress(InvalidArgumentError):
+            return check(np.multiply(a, b))
+    return check(np.multiply(a, b, dtype=np.float64))
+
+
 def bind(a, b) -> np.ndarray:
-    """Elementwise product of two vectors or equal-shape stacks; commutative, self-inverse on bipolar vectors."""
-    av, bv = _same_shape(a, b)
-    return check_rows(np.multiply(av, bv, dtype=np.float64), noun="hypervector entries and their products")
+    """Elementwise product of two vectors or equal-shape stacks, float32 for two float32 arrays unless
+    that overflows (``_checked_product``); commutative, self-inverse on bipolar vectors."""
+    return _checked_product(*_same_shape(a, b), lambda p: check_rows(p, noun="hypervector entries and their products"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -229,7 +252,7 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.sum(a * b, axis=1)``, computed in row blocks to bound the temporary;
     for ``b is a`` its square root is bit for bit ``np.linalg.norm(a, axis=1)``."""
-    step = max(1, _BLOCK_ENTRIES // max(a.shape[1], 1))
+    step = block_rows(a.shape[1])
     out = np.empty(a.shape[0])
     for r in range(0, a.shape[0], step):
         out[r : r + step] = np.sum(a[r : r + step] * b[r : r + step], axis=1)
@@ -264,12 +287,25 @@ def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.nd
     return rows, norms2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row's dot is not read: the gate names the row
+def _cosine_terms(a: np.ndarray, b: np.ndarray):
+    """Each row's dot product and the two squared norms, of two equal-shape blocks widened to float64
+    and each row scaled by ``safe_norms2``."""
+    (a2, na2), (b2, nb2) = (safe_norms2(x.astype(np.float64, copy=False), row_dots) for x in (a, b))
+    return row_dots(a2, b2), na2, nb2
+
+
 def cosine_similarity(a, b):
     """dot(a, b) / (|a| |b|) of two vectors (a float) or of two stacks, row by row;
-    raises naming the non-finite, then the zero-norm rows rather than returning 0."""
-    av, bv = (x.astype(np.float64, copy=False) for x in _same_shape(a, b))
-    (a2, na2), (b2, nb2) = safe_norms2(np.atleast_2d(av), row_dots), safe_norms2(np.atleast_2d(bv), row_dots)
+    raises naming the non-finite, then the zero-norm rows rather than returning 0.
+    Each row is summed on its own, so widening a block of rows at a time gives the
+    bits of widening the whole stack."""
+    av, bv = _same_shape(a, b)
+    a2, b2 = np.atleast_2d(av), np.atleast_2d(bv)
+    step = block_rows(a2.shape[1])
+    blocks = [_cosine_terms(a2[r : r + step], b2[r : r + step]) for r in range(0, a2.shape[0], step)]
+    dots, na2, nb2 = blocks[0] if len(blocks) == 1 else (np.concatenate(terms) for terms in zip(*blocks))
     check_rows(np.column_stack((na2, nb2)), "cosine similarity undefined for a zero-norm vector")
     # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
-    cos = row_dots(a2, b2) / np.sqrt(na2 * nb2)
+    cos = dots / np.sqrt(na2 * nb2)
     return float(cos[0]) if av.ndim == 1 else cos

@@ -22,7 +22,9 @@ batches. Features are normalized to unit length in float64 first, with norms
 from ``hv.safe_norms2`` in ``hv.sum_products`` order, so every output entry
 is a dot product of two unit vectors in [-1, 1] at any finite feature
 magnitude. They are rounded once to float32, and the float32 product is
-widened before the scale; ``project_batch`` states its error bound, which
+widened before the scale, clipped to [-1, 1] and rounded once more to the
+float32 that a VSAF file stores, a block of rows at a time, in place; the
+result is float32. ``project_batch`` states its error bound, which
 ``TestFloat32Accuracy`` gates. ``project`` is a one-row ``project_batch``.
 Unit features are zero-padded to a multiple of ``BLOCK_ROWS`` rows,
 since OpenBLAS hands one or two rows to GEMV or small-matrix code that sums
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hv import as_count, as_float64, check_rows, check_seed, fill_bipolar, quantized, safe_norms2, sum_products
+from .hv import (as_count, as_float64, block_rows, check_rows, check_seed, fill_bipolar, quantized, safe_norms2,
+                 sum_products)
 from .vsaf import MAX_ELEMENTS
 
 BLOCK_ROWS = 8  # the batch is zero-padded to a multiple of this many rows
@@ -93,14 +96,15 @@ def project(p: LshProjector, f, quantize: str = "none") -> np.ndarray:
 
 
 def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
-    """Project each feature vector, preserving order; returns a (count, n) float64 array.
+    """Project each feature vector, preserving order; returns a C-contiguous (count, n) float32 array.
 
     Each panel is one float32 SGEMM of exact +-1 products, so an entry lies
     within (gamma_m sum |u~_i| + sum |u_i - u~_i|) / sqrt(m) of the float64
-    product, plus the float64 rounding of the scale; u is the float64 unit
-    feature, u~ its float32 rounding, gamma_m = m 2^-24 / (1 - m 2^-24)
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1).
-    A ``sign`` entry can differ from the float64 sign only within that bound of 0.
+    product, plus the float64 rounding of the scale and the final rounding to
+    float32; u is the float64 unit feature, u~ its float32 rounding, gamma_m =
+    m 2^-24 / (1 - m 2^-24) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 3.1). A ``sign`` entry, taken before that final
+    rounding, can differ from the float64 sign only within that bound of 0.
 
     Accepts a PatchFeatureSet or a (count, m) array-like, such as a list of
     equal-length feature vectors; ragged or wrongly shaped input is rejected.
@@ -120,6 +124,11 @@ def project_batch(p: LshProjector, fs, quantize: str = "none") -> np.ndarray:
     panels = p.panels()
     for col in range(0, out.shape[1] if count else 0, _PANEL_ROWS):
         np.matmul(unit, next(panels).T, out=out[:, col : col + _PANEL_ROWS])  # one panel alive at a time
-    out = np.multiply(out[:count, : p.n], 1.0 / np.sqrt(p.m), dtype=np.float64)  # widened, then scaled
-    np.clip(out, -1.0, 1.0, out=out)  # unit rows of S / sqrt(m) times unit features; clamp round-off
-    return quantized(out, quantize)
+    hvs, step = out[:count, : p.n], block_rows(p.n)
+    # an empty batch runs one empty block, which still checks quantize
+    for r in range(0, count or 1, step):
+        block = np.multiply(hvs[r : r + step], 1.0 / np.sqrt(p.m), dtype=np.float64)  # widened, then scaled
+        np.clip(block, -1.0, 1.0, out=block)  # unit rows of S / sqrt(m) times unit features; clamp round-off
+        hvs[r : r + step] = quantized(block, quantize)  # rounded once to float32, in place
+        del block  # so that the next block is not allocated beside this one
+    return np.ascontiguousarray(hvs)  # a copy only when n is not a multiple of _PANEL_ROWS

@@ -4,6 +4,13 @@ A mapping holds one vector per patch position. Binding a patch hypervector
 with its mapping vector unbinds the attributes of one domain and binds those
 of the other; with bipolar mapping vectors applying the mapping twice is the
 exact identity, so a single mapping serves both directions.
+
+A mapping estimated from two float32 stacks (two VSAF files, say) is float32,
+and so is a float32 stack bound with a float32 mapping: each entry is the
+float32 rounding of the exact product, and a product past the float32 range
+makes the result float64 (``hv.bind``). Applying such a mapping twice thus
+rounds twice, and an entry can differ by one float32 ulp from the float64
+chain rounded once.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hv import _same_shape, as_count, as_hypervectors, bind, bundle, check_rows, check_seed, fill_bipolar, quantized
+from .hv import (_checked_product, _same_shape, as_count, as_hypervectors, bind, bundle, check_rows, check_seed,
+                 fill_bipolar, quantized)
 
 
 @dataclass(frozen=True)
@@ -54,11 +62,16 @@ def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapp
     """Closed-form per-patch mapping from paired hypervectors: u[i] = src[i] * tgt[i].
 
     For bipolar inputs this satisfies bind(src[i], u[i]) == tgt[i] exactly; for
-    continuous vectors it is only approximately invertible. The product is checked before its sign.
+    continuous vectors it is only approximately invertible. Unquantized, the product
+    is float32 for two float32 stacks, as in ``bind``. A sign is taken from the exact
+    float64 product, which is checked first: a float32 product can underflow to -0.0,
+    whose sign is +1.
     """
     s, t = _same_shape(_as_stack(src), _as_stack(tgt))
+    if quantize == "none":
+        return _checked_product(s, t, HypervectorMapping)
     u = HypervectorMapping(per_patch=np.multiply(s, t, dtype=np.float64))
-    return u if quantize == "none" else HypervectorMapping(per_patch=quantized(u.per_patch, quantize))
+    return HypervectorMapping(per_patch=quantized(u.per_patch, quantize))
 
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:

@@ -261,6 +261,14 @@ class TestMap:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("data error: ") and "float32" in stderr
         assert not up.exists()
+        # one product past float32 (1e20 * 1e20): the float64 product is kept, and the write rejects it
+        hvs = np.ones((3, 16))
+        hvs[1, 7] = 1e20
+        write_hypervectors(hvs, sp)
+        code, stdout, stderr = run_cli(["map", "--src", str(sp), "--tgt", str(sp), "--out", str(up)], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == "data error: layer 'mapping' has entries beyond the float32 limit of 3.40282e+38\n"
+        assert not up.exists()
 
     @pytest.mark.parametrize("flags,env", [(["--seed", "-1"], "0"), ([], str(2**64))], ids=["flag", "VSAIT_SEED"])
     def test_paired_out_of_range_seed_exit_3(self, flags, env, tmp_path, capsys, monkeypatch):
@@ -939,6 +947,24 @@ def test_unknown_config_key_lists_the_keys(argv, key, new, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["encode", "map", "loss", "bench"])
 def test_closed_stdout_exit_2(command, stdout_argv):
     assert run_with_stdout(stdout_argv[command], None, lambda: os.close(1)) == (2, "data error: stdout is closed")
+
+
+# With fd 2 closed when it starts (`2>&-`), a diagnostic cannot be written: it is dropped,
+# and the command keeps its result and its exit code.
+@pytest.mark.parametrize("argv,code", [
+    (["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2"], 0),
+    (["bench", "--axis", "k", "--grid", "0", "--dim", "64"], 3),
+    (["bench", "--axis", "k", "--grid", "1", "--dim", "64", "--trials", "2", "--bogus"], 1),
+], ids=["result", "config-error", "usage-error"])
+def test_closed_stderr_keeps_result_and_exit_code(argv, code):
+    def run(preexec_fn=None):
+        return subprocess.run([sys.executable, "-m", "vsabench.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=None if preexec_fn else subprocess.DEVNULL, text=True, timeout=120,
+                              preexec_fn=preexec_fn)
+
+    closed, open_ = run(lambda: os.close(2)), run()
+    assert (closed.returncode, closed.stdout) == (open_.returncode, open_.stdout)
+    assert open_.returncode == code and bool(open_.stdout) == (code == 0)
 
 
 def test_json_file_longer_than_the_cap_rejected(tmp_path, capsys, monkeypatch):

@@ -464,10 +464,10 @@ def float32_stack(shape, seed):
     return v
 
 
-def assert_same_bits(got, want):
-    """Equal float64 results, bit for bit, -0.0 and 0.0 told apart."""
+def assert_same_bits(got, want, dtype=np.float64):
+    """Equal results of ``dtype``, bit for bit, -0.0 and 0.0 told apart."""
     got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
@@ -479,8 +479,8 @@ def raised(call, *args):
 
 
 class TestFloat32:
-    """A float32 array is not copied, and each call gives the bits of the
-    same call on its float64 widening."""
+    """A float32 array is not copied, and each call gives the bits of the same call on
+    its float64 widening; ``bind`` of two float32 arrays gives their float32 rounding."""
 
     def test_native_float32_is_not_copied(self):
         a = float32_stack((3, 4), 0)
@@ -493,9 +493,21 @@ class TestFloat32:
         a, b = float32_stack(shape, 1), float32_stack(shape, 2)
         wa, wb = a.astype(np.float64), b.astype(np.float64)
         for args in ((a, b), (a, wb), (wa, b)):
-            assert_same_bits(bind(*args), bind(wa, wb))
             assert_same_bits(cosine_similarity(*args), cosine_similarity(wa, wb))
-        assert_same_bits(bind(a, b), wa * wb)
+        for args in ((a, wb), (wa, b)):
+            assert_same_bits(bind(*args), bind(wa, wb))
+        assert_same_bits(bind(wa, wb), wa * wb)
+        # the float32 product is the float32 rounding of the exact float64 one
+        assert_same_bits(bind(a, b), (wa * wb).astype(np.float32), np.float32)
+
+    def test_cosine_in_row_blocks_matches_the_whole_stack(self):
+        # 200 rows of 4096 entries are four row blocks; each row is summed on its own, and a
+        # row scaled into range (2^+-600) is scaled alone, so the blocks give the whole-stack bits
+        a, b = float32_stack((200, 4096), 8).astype(np.float64), float32_stack((200, 4096), 9).astype(np.float64)
+        a[5] *= 2.0**600
+        b[150] *= 2.0**-600
+        (a2, na2), (b2, nb2) = safe_norms2(a, row_dots), safe_norms2(b, row_dots)
+        assert_same_bits(cosine_similarity(a, b), row_dots(a2, b2) / np.sqrt(na2 * nb2))
 
     def test_bind_keeps_products_float32_would_lose(self):
         a, b = np.float32([-1e-30, 3e38]), np.float32([1e-30, 3e38])
@@ -517,7 +529,13 @@ class TestFloat32:
         a[[1, 3], 2] = [np.inf, np.nan]
         zero = float32_stack((4, 64), 7)
         zero[2] = 0.0
+        # 200 rows of 4096 entries are four row blocks of the cosine; its rows are named across them
+        tall, tall_zero = float32_stack((200, 4096), 10), float32_stack((200, 4096), 11)
+        tall[[3, 130], 0] = [np.nan, np.inf]
+        tall_zero[[70, 199]] = 0.0
         cases = [
+            (cosine_similarity, (tall, tall_zero), "finite (rows [3, 130])"),
+            (cosine_similarity, (tall_zero, tall_zero), "zero-norm vector (rows [70, 199])"),
             (bind, (a, a), "finite (rows [1, 3])"),
             (bundle, (a,), "finite (rows [1, 3])"),
             (cosine_similarity, (zero, zero), "(rows [2])"),

@@ -16,7 +16,7 @@ from vsabench.losses import (
 )
 
 from test_hv import float32_stack, raised
-from test_mapping import traced_peak
+from test_mapping import ROW_BLOCK, SLACK, traced_peak
 
 
 class TestVsaCyclicLoss:
@@ -282,3 +282,9 @@ class TestFloat32Stacks:
     def test_zero_check_makes_no_float64_copy(self):
         vs = float32_stack((1024, 4096), 5)  # 16 MiB; a float64 copy would be 32 MiB
         assert traced_peak(lambda: check_no_zero_vectors(vs, "x")) < 1 << 20
+
+    def test_peak_is_one_row_block_of_each_stack(self):
+        # encode-many's two (1024, 4096) float32 stacks, allocated before the trace: the
+        # cosines widen one 64-row block of each at a time, 2 MiB each, not a 32 MiB copy
+        x, cycled = float32_stack((1024, 4096), 6), float32_stack((1024, 4096), 7)
+        assert traced_peak(lambda: vsa_cyclic_loss(x, cycled)) < 2 * ROW_BLOCK + SLACK

@@ -8,6 +8,8 @@ from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import cosine_similarity
 from vsabench.lsh import _PANEL_ROWS, BLOCK_ROWS, LshProjector, new_projector, project, project_batch
 
+from test_mapping import ROW_BLOCK, SLACK
+
 
 def unit_pair_with_cosine(rng, m, rho):
     """Two unit vectors with cosine exactly rho (Gram-Schmidt construction)."""
@@ -205,7 +207,9 @@ class TestProjectBatch:
         p = new_projector(m=16, n=8, seed=0)
         out = project_batch(p, [])
         assert out.shape == (0, 8)
-        assert out.dtype == np.float64
+        assert out.dtype == np.float32
+        with pytest.raises(InvalidArgumentError, match="quantize"):
+            project_batch(p, [], quantize="sgn")
 
     def test_single_matches_project(self):
         p = new_projector(m=16, n=8, seed=0)
@@ -253,7 +257,7 @@ class TestProjectBatch:
         fs = np.random.default_rng(1).standard_normal((BLOCK_ROWS + 3, 16))
         out = project_batch(p, fs)
         assert isinstance(out, np.ndarray) and out.shape == (BLOCK_ROWS + 3, 8)
-        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.dtype == np.float32 and out.flags.c_contiguous
 
 
 class TestBatchIndependence:
@@ -284,7 +288,8 @@ def full_matrix_projection(m, n, seed, fs, quantize, dtype=np.float32):
     """Projection without streaming, in ``dtype``: the whole +-1 matrix S at once,
     drawn to a multiple of 256 rows, the float64 unit features rounded to
     ``dtype`` and padded to BLOCK_ROWS rows, multiplied by S in one GEMM per 256
-    columns, and the first n columns widened to float64 and scaled by 1 / sqrt(m)."""
+    columns, and the first n columns widened to float64, scaled by 1 / sqrt(m),
+    clipped, quantized and rounded to ``dtype``."""
     width = -(-n // 256) * 256
     rows = bipolar_matrix(width, m, seed, dtype)
     count = len(fs)
@@ -295,7 +300,7 @@ def full_matrix_projection(m, n, seed, fs, quantize, dtype=np.float32):
     for col in range(0, width, 256):
         np.matmul(unit, rows[col : col + 256].T, out=out[:, col : col + 256])
     out = np.clip(out[:count, :n].astype(np.float64) * (1.0 / np.sqrt(m)), -1.0, 1.0)
-    return np.where(out >= 0.0, 1.0, -1.0) if quantize == "sign" else out
+    return (np.where(out >= 0.0, 1.0, -1.0) if quantize == "sign" else out).astype(dtype)
 
 
 # the independent float64 reference that the float32 projection is bounded against
@@ -337,6 +342,23 @@ class TestStreaming:
         assert peak < 3 * _PANEL_ROWS * 4096 * 4 // 2
 
 
+def test_encode_tail_peak_is_one_row_block():
+    # encode-many's shape, 1024 patches of m = 384 at n = 4096: beside the float32 unit
+    # features (1.5 MiB) and the float32 SGEMM output that becomes the result (16 MiB),
+    # the tail widens, scales, clips and rounds one float64 row block (2 MiB) at a time
+    count, m, n = 1024, 384, 4096
+    fs = np.random.default_rng(5).standard_normal((count, m))
+    p = new_projector(m=m, n=n, seed=5)
+    tracemalloc.start()
+    try:
+        out = project_batch(p, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float32 and out.shape == (count, n)
+    assert peak < count * m * 4 + out.nbytes + ROW_BLOCK + SLACK
+
+
 class TestFloat32Accuracy:
     """Each entry of the float32 projection lies within a proven bound of the float64
     product, and a sign differs from the float64 sign only inside that bound."""
@@ -352,12 +374,13 @@ class TestFloat32Accuracy:
         the float64 reference has its own gamma(53) term. Scaling by 1 / sqrt(m),
         which its square root and division round by a relative 2^-52 at most,
         multiplies the gap; rounding the two scaled products, each below 2 in
-        magnitude, adds at most 2^-53 each; the clip to [-1, 1] shrinks no gap."""
+        magnitude, adds at most 2^-53 each; the clip to [-1, 1] shrinks no gap;
+        rounding the clipped entry, at most 1 in magnitude, to float32 adds 2^-25."""
         u = unit_rows(fs)
         u32 = u.astype(np.float32).astype(np.float64)
         gamma = lambda t: m * 2.0**-t / (1.0 - m * 2.0**-t)  # noqa: E731
         gap = gamma(24) * np.abs(u32).sum(axis=1) + np.abs(u - u32).sum(axis=1) + gamma(53) * np.abs(u).sum(axis=1)
-        return (gap / np.sqrt(m) * (1.0 + 2.0**-52) + 2.0**-51)[:, np.newaxis]
+        return (gap / np.sqrt(m) * (1.0 + 2.0**-52) + 2.0**-51 + 2.0**-25)[:, np.newaxis]
 
     @pytest.mark.parametrize(
         "count,m,n", [(64, 6144, 4096), (1024, 384, 4096), (203, 16, 1000), (203, 64, 1000)]
@@ -372,7 +395,7 @@ class TestFloat32Accuracy:
         # a few percent of an entry's typical size 1 / sqrt(m) at m = 6144, far less at smaller m
         assert bound.max() < 4e-4
         got = project_batch(p, fs)
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         err = np.abs(got - y64)
         worst = np.unravel_index((err / bound).argmax(), err.shape)
         assert (err <= bound).all(), f"error {err[worst]:.3e} over the bound {bound[worst[0], 0]:.3e} at {worst}"

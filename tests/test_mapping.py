@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vsabench.errors import InvalidArgumentError
-from vsabench.hv import bind, bundle, cosine_similarity, quantized, sample_hypervector
+from vsabench.errors import InvalidArgumentError, VsafError
+from vsabench.hv import _BLOCK_ENTRIES, bind, bundle, cosine_similarity, quantized, sample_hypervector
 from vsabench.lsh import new_projector, project_batch
 from vsabench.mapping import (
     HypervectorMapping,
@@ -15,9 +15,16 @@ from vsabench.mapping import (
     random_mapping,
 )
 
+from vsabench.vsaf import write_hypervectors
+
 from test_hv import assert_same_bits, float32_stack, raised
 
 DIM = 4096
+
+# The bytes of one float64 row block (hv._BLOCK_ENTRIES entries, 2 MiB), the most a stage
+# widens at a time, and room for the small arrays beside it (row norms, lists of bad rows).
+ROW_BLOCK = _BLOCK_ENTRIES * 8
+SLACK = 1 << 18
 
 
 def bipolar_stack(count, dim, seed):
@@ -215,8 +222,9 @@ def traced_peak(call) -> int:
 
 
 class TestFloat32Stacks:
-    """float32 stacks are multiplied into float64 without a widened copy, and give
-    the bits of the same call on float64-widened stacks."""
+    """Two float32 stacks multiply to the float32 rounding of their exact float64
+    product, and a float32 and a float64 stack to the bits of the same call on
+    float64-widened stacks, without a widened copy."""
 
     def test_mapping_keeps_a_float32_matrix(self):
         per_patch = float32_stack((3, 64), 1)
@@ -227,17 +235,39 @@ class TestFloat32Stacks:
         src, tgt = float32_stack((9, 1031), 2), float32_stack((9, 1031), 3)
         wide = estimate_mapping_paired(src.astype(np.float64), tgt.astype(np.float64), quantize)
         u = estimate_mapping_paired(src, tgt, quantize)
-        assert_same_bits(u.per_patch, wide.per_patch)
-        assert_same_bits(u.per_patch, quantized(src.astype(np.float64) * tgt, quantize))
+        assert_same_bits(wide.per_patch, quantized(src.astype(np.float64) * tgt, quantize))
+        # a sign is +-1 in float64; an unquantized product is the float32 rounding of the float64 one
+        dtype = np.float32 if quantize == "none" else np.float64
+        assert_same_bits(u.per_patch, wide.per_patch.astype(dtype), dtype)
         narrow_u = HypervectorMapping(per_patch=tgt)
         want = apply_mapping(src.astype(np.float64), HypervectorMapping(per_patch=tgt.astype(np.float64)))
-        assert_same_bits(apply_mapping(src, narrow_u), want)
+        assert_same_bits(apply_mapping(src, narrow_u), want.astype(np.float32), np.float32)
         assert_same_bits(apply_mapping(src, HypervectorMapping(per_patch=tgt.astype(np.float64))), want)
 
     def test_sign_of_a_product_below_float32_range(self):
         # in float32 this product underflows to -0.0, whose sign quantizes to +1
         u = estimate_mapping_paired(np.float32([[-1e-30]]), np.float32([[1e-30]]), "sign")
         assert u.per_patch.tolist() == [[-1.0]]
+        tiny = np.full((3, 64), 1e-30, np.float32)
+        product = estimate_mapping_paired(tiny, -tiny).per_patch
+        assert product.dtype == np.float32 and (product == 0.0).all() and np.signbit(product).all()
+        for src, tgt, sign in ((tiny, -tiny, -1.0), (-tiny, tiny, -1.0), (tiny, tiny, 1.0), (-tiny, -tiny, 1.0)):
+            assert_same_bits(estimate_mapping_paired(src, tgt, "sign").per_patch, np.full((3, 64), sign))
+        # a zero factor is a zero product, +1 whatever its sign bit
+        assert_same_bits(estimate_mapping_paired(-0.0 * tiny, tiny, "sign").per_patch, np.ones((3, 64)))
+
+    def test_product_past_float32_range_falls_back_to_float64(self, tmp_path):
+        # 1e20 * 1e20 overflows float32 but not float64: the call gives the float64
+        # product, as for wider input, and the VSAF write rejects it as before
+        src = np.ones((4, 32), np.float32)
+        src[2, 5] = 1e20
+        tgt = src.copy()
+        wide = src.astype(np.float64) * tgt
+        for got in (bind(src, tgt), apply_mapping(src, HypervectorMapping(per_patch=tgt)),
+                    estimate_mapping_paired(src, tgt).per_patch):
+            assert_same_bits(got, wide)
+        with pytest.raises(VsafError, match=r"layer 'mapping' has entries beyond the float32 limit of 3.40282e\+38"):
+            write_hypervectors(estimate_mapping_paired(src, tgt).per_patch, tmp_path / "u.vsaf", "mapping")
 
     def test_errors_match_widened(self):
         src = float32_stack((4, 32), 4)
@@ -257,11 +287,12 @@ class TestFloat32Stacks:
             assert got == raised(call, *(x.astype(np.float64) for x in args))
             assert named in got[1]
 
-    def test_peak_is_one_float64_output(self):
-        # two (1024, 4096) float32 stacks of 16 MiB each; a float64 output is 32 MiB
+    def test_peak_is_one_float32_output(self):
+        # encode-many's two (1024, 4096) float32 stacks of 16 MiB each, allocated before the
+        # trace: a stage allocates its float32 output, 16 MiB, and no float64 block beside it
         src, tgt = float32_stack((1024, 4096), 6), float32_stack((1024, 4096), 7)
         u = HypervectorMapping(per_patch=tgt)
-        limit = (32 + 4) << 20
+        limit = src.nbytes + SLACK
         assert traced_peak(lambda: estimate_mapping_paired(src, tgt)) < limit
         assert traced_peak(lambda: apply_mapping(src, u)) < limit
 
