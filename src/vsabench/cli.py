@@ -143,8 +143,8 @@ OPTIONS = {
         Option("scores_fake_mapped", _path),
         Option("lam", as_float, _LOSS.lam, flag="--lambda"),
         Option("variant", _Choice(VARIANTS), _LOSS.variant),
-        Option("w1", as_float, _LOSS.fake_term_weights[0]),
-        Option("w2", as_float, _LOSS.fake_term_weights[1]),
+        Option("w1", as_float, _LOSS.w1),
+        Option("w2", as_float, _LOSS.w2),
     ),
     "bench": (
         Option("axis", _Choice(bench_mod.SWEEP_AXES), "dim"),
@@ -346,7 +346,7 @@ def cmd_loss(args) -> Iterator[None]:
     scored = [cfg[key] is not None for key in _SCORE_KEYS]
     if any(scored) and not all(scored):
         raise UsageError("loss needs all three score batches or none")
-    loss_cfg = LossConfig(lam=cfg["lam"], fake_term_weights=(cfg["w1"], cfg["w2"]), variant=cfg["variant"])
+    loss_cfg = LossConfig(**{f.name: cfg[f.name] for f in fields(LossConfig)})
     yield
     v_x = vsaf.read_hypervectors(cfg["x"])
     v_cycled = vsaf.read_hypervectors(cfg["cycled"])
@@ -360,7 +360,7 @@ def cmd_loss(args) -> Iterator[None]:
 
     _emit(json.dumps({"vsa": vsa, "gan_d": d_loss, "gan_g": g_loss, "total": total, "config": {
         "lambda": loss_cfg.lam, "variant": loss_cfg.variant,
-        "fake_term_weights": list(loss_cfg.fake_term_weights)}}, sort_keys=True) + "\n")
+        "fake_term_weights": [loss_cfg.w1, loss_cfg.w2]}}, sort_keys=True) + "\n")
 
 
 def _bench_unread(cfg: dict) -> dict:
@@ -417,8 +417,8 @@ def _joined(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; return its exit code: 1 for a usage fault, and for a package or OS error 3
-    if the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
+    """Run one subcommand; return its exit code: 1 for a usage fault, and for a package, OS or memory error
+    3 if the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
     code = EXIT_CONFIG
     try:
         args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
@@ -430,7 +430,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
-    except (VsabenchError, OSError) as exc:
+    except (VsabenchError, OSError, MemoryError) as exc:
         _diagnose(f"{'data' if code == EXIT_DATA else 'config'} error: {exc}")
         return code
     return EXIT_OK

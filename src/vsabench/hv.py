@@ -14,9 +14,10 @@ side), ``as_float`` for a finite number and ``as_tuple`` for a sequence.
 values is exact, so the float32 product is its float32 rounding (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 2), and a VSAF
 file written from either holds the same bytes; a float32 product past the
-float32 range is taken in float64 instead. Every other result is float64, with
-float32 input widened inside the arithmetic (by the cosine, one row block of
-``_BLOCK_ENTRIES`` entries at a time), which gives the bits of widening it first.
+float32 range is taken in float64 instead. ``quantized`` gives +-1 in its input's
+dtype; every other result is float64, with float32 input widened inside the
+arithmetic (by the cosine, one row block of ``_BLOCK_ENTRIES`` entries at a
+time), which gives the bits of widening it first.
 ``bind`` and ``cosine_similarity`` work row by row on equal-shape
 stacks; ``bundle`` sums a stack. Sampled vectors are bipolar ({-1, +1}); a
 bundle is their raw sum and may leave [-1, 1], which is fine for every
@@ -195,11 +196,12 @@ def sample_hypervector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def quantized(v: np.ndarray, mode: str) -> np.ndarray:
-    """``v`` itself for ``none``; for ``sign``, each entry as +1 or -1, with sign(0) -> +1."""
+    """``v`` itself for ``none``; for ``sign``, each entry as +1 or -1 in ``v``'s dtype, with sign(0) -> +1."""
     if mode not in QUANTIZE_MODES:
         raise InvalidArgumentError(f"quantize must be one of {QUANTIZE_MODES}, got {mode!r}")
     if mode == "sign":
-        return np.where(v >= 0.0, 1.0, -1.0)
+        one = np.ones((), v.dtype)
+        return np.where(v >= 0.0, one, -one)
     return v
 
 

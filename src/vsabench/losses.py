@@ -28,31 +28,24 @@ VARIANTS = tuple(_TERMS)
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Weights of the objective: cyclic weight, the two fake-term weights, GAN variant."""
+    """The objective's weights, each a finite number >= 0: ``lam`` of the cyclic loss, ``w1`` of the
+    translated and ``w2`` of the mapped fake scores; and the GAN variant."""
 
     lam: float = 10.0
-    fake_term_weights: tuple[float, float] = (1.0, 1.0)
+    w1: float = 1.0
+    w2: float = 1.0
     variant: str = "hinge"
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _nonnegative(self.lam, f"lam must be finite and >= 0, got {self.lam!r}"))
-        error = f"fake_term_weights must be two finite nonnegative reals, got {self.fake_term_weights!r}"
-        try:
-            weights = tuple(_nonnegative(w, error) for w in self.fake_term_weights)
-        except TypeError:
-            raise InvalidArgumentError(error) from None
-        if len(weights) != 2 or isinstance(self.fake_term_weights, (str, bytes)):
-            raise InvalidArgumentError(error)
-        object.__setattr__(self, "fake_term_weights", weights)
+        for name in ("lam", "w1", "w2"):
+            value = getattr(self, name)
+            with contextlib.suppress(InvalidArgumentError):
+                if (number := as_float(value)) >= 0.0:
+                    object.__setattr__(self, name, number)
+                    continue
+            raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value!r}")
         if self.variant not in VARIANTS:
             raise InvalidArgumentError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-
-
-def _nonnegative(value, error: str) -> float:
-    with contextlib.suppress(InvalidArgumentError):
-        if (number := as_float(value)) >= 0.0:
-            return number
-    raise InvalidArgumentError(error)
 
 
 def _scores(batch, name: str) -> np.ndarray:
@@ -83,9 +76,9 @@ def vsa_cyclic_loss(v_x, v_cycled) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def gan_loss(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig()) -> tuple[float, float]:
     """The adversarial loss of cfg.variant, (d_loss, g_loss), each finite (``as_float``). With (sign, D_real,
-    D_fake, G) = ``_TERMS[cfg.variant]``, (w1, w2) = cfg.fake_term_weights and ft, fm the translated and mapped
-    scores: d_loss = sign * (mean D_real(real) + w1 * mean D_fake(ft) + w2 * mean D_fake(fm)) and g_loss =
-    -(w1 * mean G(ft) + w2 * mean G(fm)). A negation outside the sum keeps the sign of a zero loss."""
+    D_fake, G) = ``_TERMS[cfg.variant]`` and ft, fm the translated and mapped scores: d_loss = sign * (mean
+    D_real(real) + w1 * mean D_fake(ft) + w2 * mean D_fake(fm)) and g_loss = -(w1 * mean G(ft) + w2 * mean G(fm)),
+    w1 and w2 being cfg.w1 and cfg.w2. A negation outside the sum keeps the sign of a zero loss."""
     names = ("real", "fake_translated", "fake_mapped")
     r, ft, fm = batches = [_scores(b, name) for b, name in zip((real, fake_translated, fake_mapped), names)]
     if cfg.variant == "nll":
@@ -93,9 +86,8 @@ def gan_loss(real, fake_translated, fake_mapped, cfg: LossConfig = LossConfig())
             if np.any(batch <= 0.0) or np.any(batch >= 1.0):
                 raise InvalidArgumentError(f"{name}: nll scores must lie strictly in (0, 1)")
     sign, d_real, d_fake, g_fake = _TERMS[cfg.variant]
-    w1, w2 = cfg.fake_term_weights
-    d_loss = sign * (np.mean(d_real(r)) + w1 * np.mean(d_fake(ft)) + w2 * np.mean(d_fake(fm)))
-    g_loss = -(w1 * np.mean(g_fake(ft)) + w2 * np.mean(g_fake(fm)))
+    d_loss = sign * (np.mean(d_real(r)) + cfg.w1 * np.mean(d_fake(ft)) + cfg.w2 * np.mean(d_fake(fm)))
+    g_loss = -(cfg.w1 * np.mean(g_fake(ft)) + cfg.w2 * np.mean(g_fake(fm)))
     return as_float(d_loss, "a finite discriminator loss"), as_float(g_loss, "a finite generator loss")
 
 

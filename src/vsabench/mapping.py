@@ -10,7 +10,8 @@ and so is a float32 stack bound with a float32 mapping: each entry is the
 float32 rounding of the exact product, and a product past the float32 range
 makes the result float64 (``hv.bind``). Applying such a mapping twice thus
 rounds twice, and an entry can differ by one float32 ulp from the float64
-chain rounded once.
+chain rounded once. A sign mapping is the exact product's sign at either
+precision, and is float32 for two float32 stacks too.
 """
 
 from __future__ import annotations
@@ -57,21 +58,23 @@ def build_ground_truth_mapping(src_attrs, tgt_attrs) -> np.ndarray:
     return bundle(bind(src_attrs, tgt_attrs))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def estimate_mapping_paired(src, tgt, quantize: str = "none") -> HypervectorMapping:
     """Closed-form per-patch mapping from paired hypervectors: u[i] = src[i] * tgt[i].
 
     For bipolar inputs this satisfies bind(src[i], u[i]) == tgt[i] exactly; for
-    continuous vectors it is only approximately invertible. Unquantized, the product
-    is float32 for two float32 stacks, as in ``bind``. A sign is taken from the exact
-    float64 product, which is checked first: a float32 product can underflow to -0.0,
-    whose sign is +1.
+    continuous vectors it is only approximately invertible. The product is checked
+    as in ``bind``, and is float32 for two float32 stacks. A sign mapping, float32
+    for two float32 stacks too, drops it and takes the exact product's sign from the
+    factors' signs, with 0 -> +1: a rounded product can underflow to a zero of either sign.
     """
     s, t = _same_shape(_as_stack(src), _as_stack(tgt))
+    u = _checked_product(s, t, HypervectorMapping)
     if quantize == "none":
-        return _checked_product(s, t, HypervectorMapping)
-    u = HypervectorMapping(per_patch=np.multiply(s, t, dtype=np.float64))
-    return HypervectorMapping(per_patch=quantized(u.per_patch, quantize))
+        return u
+    del u  # checked, and freed before the sign arrays are made
+    signs = np.sign(s, dtype=np.result_type(s, t))  # -1, 0 or +1, and their products in place
+    signs *= np.sign(t)
+    return HypervectorMapping(per_patch=quantized(signs, quantize))
 
 
 def random_mapping(patch_count: int, dim: int, seed: int) -> HypervectorMapping:

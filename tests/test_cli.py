@@ -799,8 +799,7 @@ SCORES_MISSING = [arg for flag in ("--scores-real", "--scores-fake-translated", 
 
 @pytest.mark.parametrize("argv,message", [
     ([*LOSS_MISSING, "--lambda", "-1"], "lam must be finite and >= 0, got -1.0"),
-    ([*LOSS_MISSING, *SCORES_MISSING, "--w1", "-1"],
-     "fake_term_weights must be two finite nonnegative reals, got (-1.0, 1.0)"),
+    ([*LOSS_MISSING, *SCORES_MISSING, "--w1", "-1"], "w1 must be finite and >= 0, got -1.0"),
     ([*ENCODE_MISSING, "--patch-sizes", "0"], "patch side must be >= 1, got 0"),
     ([*ENCODE_MISSING, "--patch-sizes", "4,2", "--dilation", "0"], "dilation must be >= 1, got 0"),
     ([*ENCODE_MISSING, "--patch-sizes", "4,2", "--dim", "0"], "dim must be >= 1, got 0"),
@@ -923,6 +922,68 @@ def test_endless_input_device_exit_2_at_once(tmp_path):
                        "--out", str(tmp_path / "hv.vsaf")])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "data error: expected magic b'VSAF', got b'\\x00\\x00\\x00\\x00'\n"
+
+
+def test_allocation_failure_exit_2(tmp_path):
+    # one 1 x 1 x 2^19 layer: a projection holds a full-height 256 x 2^19 float32 panel, 512 MiB,
+    # which the capped child cannot allocate; numpy's MemoryError is a files-stage fault
+    write_feature_file(feature_map_set([("wide", np.ones((1, 1, 1 << 19)))]), tmp_path / "wide.vsaf")
+    out = tmp_path / "hv.vsaf"
+    proc = run_capped(["encode", "--features-in", str(tmp_path / "wide.vsaf"), "--patch-sizes", "1", "--dim", "1",
+                       "--out", str(out)])
+    assert (proc.returncode, proc.stdout, out.exists()) == (2, "", False)
+    assert proc.stderr.startswith("data error: Unable to allocate 512. MiB") and proc.stderr.count("\n") == 1
+
+
+def file_size_cap(limit):
+    """A child setup that caps the size of a file the child writes at ``limit`` bytes."""
+    import resource
+
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+
+# Faults the operating system raises, each exiting by the stage that meets it: a write past
+# RLIMIT_FSIZE, and a directory where a file is read or written. Permission bits do not stop
+# root, so rlimits and directories stand for them. {out} must not be left behind.
+SMALL_BENCH = ["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2"]
+OS_FAULTS = {
+    "encode past RLIMIT_FSIZE": (["encode", "--features-in", "{features}", "--patch-sizes", "2,1", "--dim", "32768",
+                                  "--out", "{out}"], 1 << 20, 2, "[Errno 27] File too large"),
+    "map past RLIMIT_FSIZE": (["map", "--src", "{big}", "--tgt", "{big}", "--out", "{out}"], 1 << 20, 2,
+                              "[Errno 27] File too large"),
+    "bench --out past RLIMIT_FSIZE": ([*SMALL_BENCH, "--out", "{out}"], 0, 2, "[Errno 27] File too large"),
+    "directory as --features-in": (["encode", "--features-in", "{dir}", "--patch-sizes", "2,1", "--dim", "64",
+                                    "--out", "{out}"], None, 2, "[Errno 21] Is a directory"),
+    "directory as --src": (["map", "--src", "{dir}", "--tgt", "{hvs}", "--out", "{out}"], None, 2,
+                           "[Errno 21] Is a directory"),
+    "directory as --tgt": (["map", "--src", "{hvs}", "--tgt", "{dir}", "--out", "{out}"], None, 2,
+                           "[Errno 21] Is a directory"),
+    "directory as --x": (["loss", "--x", "{dir}", "--cycled", "{hvs}"], None, 2, "[Errno 21] Is a directory"),
+    "directory as --cycled": (["loss", "--x", "{hvs}", "--cycled", "{dir}"], None, 2, "[Errno 21] Is a directory"),
+    "directory as a score file": (["loss", "--x", "{hvs}", "--cycled", "{hvs}", "--scores-real", "{dir}",
+                                   "--scores-fake-translated", "{scores}", "--scores-fake-mapped", "{scores}"], None, 2,
+                                  "[Errno 21] Is a directory"),
+    "directory as --config": ([*SMALL_BENCH, "--config", "{dir}"], None, 3, "[Errno 21] Is a directory"),
+    "directory as encode --out": (["encode", "--features-in", "{features}", "--patch-sizes", "2,1", "--dim", "64",
+                                   "--out", "{dir}"], None, 2, "it is a directory"),
+    "directory as map --out": (["map", "--src", "{hvs}", "--tgt", "{hvs}", "--out", "{dir}"], None, 2,
+                               "it is a directory"),
+    "directory as bench --out": ([*SMALL_BENCH, "--out", "{dir}"], None, 2, "it is a directory"),
+}
+
+
+@pytest.mark.parametrize("argv,limit,code,message", OS_FAULTS.values(), ids=OS_FAULTS)
+def test_os_fault_exit_code(argv, limit, code, message, feature_file, tmp_path):
+    paths = {"features": feature_file, "out": tmp_path / "out", "dir": tmp_path / "dir", "hvs": tmp_path / "hvs.vsaf",
+             "big": tmp_path / "big.vsaf", "scores": tmp_path / "scores.json"}
+    paths["dir"].mkdir()
+    write_hypervectors(np.eye(4), paths["hvs"])
+    write_hypervectors(np.ones((64, 8192), np.float32), paths["big"])  # 2 MiB
+    paths["scores"].write_text("[0.5]")
+    argv = [arg.format(**paths) for arg in argv]
+    got, last = run_with_stdout(argv, subprocess.PIPE, None if limit is None else file_size_cap(limit))
+    assert (got, message in last, paths["out"].exists()) == (code, True, False), last
+    assert last.startswith("data error: " if code == 2 else "config error: ")
 
 
 # A config-file key is the name of the library field it fills; a key a command does not

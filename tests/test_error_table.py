@@ -167,7 +167,8 @@ def cases():
         yield "total_loss(gan)", kind, lambda v: total_loss(v, 0.5), value, IAE
         yield "total_loss(vsa)", kind, lambda v: total_loss(0.5, v), value, IAE
         yield "LossConfig(lam)", kind, lambda v: LossConfig(lam=v), value, IAE
-        yield "LossConfig(fake_term_weights)", kind, lambda v: LossConfig(fake_term_weights=(1.0, v)), value, IAE
+        yield "LossConfig(w1)", kind, lambda v: LossConfig(w1=v), value, IAE
+        yield "LossConfig(w2)", kind, lambda v: LossConfig(w2=v), value, IAE
         yield "random_mapping(patch_count)", kind, lambda v: random_mapping(v, DIM, seed=0), value, IAE
         yield "sample_hypervector(dim)", kind, lambda v: sample_hypervector(v, np.random.default_rng(0)), value, IAE
         yield "random_mapping(seed)", kind, lambda v: random_mapping(1, DIM, seed=v), value, IAE
@@ -179,13 +180,13 @@ def cases():
         yield "total_loss(vsa)", kind, lambda v: total_loss(0.1, v), value, IAE
     # finite inputs whose loss overflows float64
     def huge(variant):
-        return LossConfig(fake_term_weights=(1e308, 1e308), variant=variant)
+        return LossConfig(w1=1e308, w2=1e308, variant=variant)
 
     yield "gan_loss_hinge", "overflow", lambda b: gan_loss(b, b, b, huge("hinge")), [0.1], IAE
     yield "gan_loss_nll", "overflow", lambda b: gan_loss([0.5], b, b, huge("nll")), [0.999], IAE
     yield "total_loss", "overflow", lambda v: total_loss(0.0, v, LossConfig(lam=1e308)), 2.0, IAE
     for kind in ("empty", "ragged"):
-        yield "LossConfig(fake_term_weights)", kind, lambda v: LossConfig(fake_term_weights=v), STACKS[kind], IAE
+        yield "LossConfig(w2)", kind, lambda v: LossConfig(w2=v), STACKS[kind], IAE
         yield "HypervectorMapping", kind, lambda s: HypervectorMapping(per_patch=s), STACKS[kind], IAE
         yield "as_hypervectors", kind, as_hypervectors, STACKS[kind], IAE
     yield "as_float64", "ragged", as_float64, STACKS["ragged"], IAE

@@ -270,6 +270,11 @@ class TestQuantized:
     def test_sign_maps_zero_to_plus_one(self):
         np.testing.assert_array_equal(quantized(np.array([-0.5, 0.0, -0.0, 2.0]), "sign"), [-1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sign_keeps_the_input_dtype(self, dtype):
+        assert_same_bits(quantized(np.array([[-0.5, -0.0], [1e-30, 3.0]], dtype), "sign"),
+                         np.array([[-1.0, 1.0], [1.0, 1.0]], dtype), dtype)
+
     def test_none_returns_input(self):
         v = np.array([0.25, -3.0])
         assert quantized(v, "none") is v

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestGanNll:
         assert g == pytest.approx(2 * math.log(2))
 
     def test_w2_zero_reduces_to_two_term(self):
-        cfg = LossConfig(fake_term_weights=(1.0, 0.0), variant="nll")
+        cfg = LossConfig(w2=0.0, variant="nll")
         d, g = gan_loss([0.9, 0.8], [0.2, 0.1], [0.7, 0.6], cfg)
         expected_d = -(np.mean(np.log([0.9, 0.8])) + np.mean(np.log([0.8, 0.9])))
         assert d == pytest.approx(expected_d)
@@ -128,7 +129,7 @@ class TestGanHinge:
             gan_loss([], [0.0], [0.0], HINGE)
 
     def test_w2_zero_reduces_to_two_term(self):
-        cfg = LossConfig(fake_term_weights=(1.0, 0.0), variant="hinge")
+        cfg = LossConfig(w2=0.0, variant="hinge")
         d, g = gan_loss([0.2], [0.3], [99.0], cfg)
         assert d == pytest.approx(0.8 + 1.3)
         assert g == pytest.approx(-0.3)
@@ -162,7 +163,7 @@ class TestGanBitwise:
     def test_matches_written_out_expressions(self, variant, written_out, weights):
         for batches in gan_batches(variant):
             want = np.array(written_out(*batches, *weights)).tobytes()
-            cfg = LossConfig(fake_term_weights=weights, variant=variant)
+            cfg = LossConfig(w1=weights[0], w2=weights[1], variant=variant)
             assert np.array(gan_loss(*batches, cfg)).tobytes() == want
 
 
@@ -192,8 +193,9 @@ class TestLossConfig:
             LossConfig(lam=-1.0)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            LossConfig(fake_term_weights=(-1.0, 1.0))
+        for name in ("w1", "w2"):
+            with pytest.raises(InvalidArgumentError, match=rf"^{name} must be finite and >= 0, got -1.0$"):
+                LossConfig(**{name: -1.0})
 
     def test_bad_variant_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -203,30 +205,27 @@ class TestLossConfig:
     def test_non_finite_weights_rejected(self, value):
         with pytest.raises(InvalidArgumentError, match="lam must be finite"):
             LossConfig(lam=value)
-        for weights in ((value, 1.0), (1.0, value)):
-            with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
-                LossConfig(fake_term_weights=weights)
+        for name in ("w1", "w2"):
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+                LossConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [True, "one", None])
     def test_non_number_lam_rejected(self, value):
         with pytest.raises(InvalidArgumentError, match="lam must be finite"):
             LossConfig(lam=value)
 
-    @pytest.mark.parametrize("weights", [(True, 1.0), (1.0, "one"), (None, 1.0), (1.0,), (1.0, 1.0, 1.0)])
+    # each fake-term weight is one number: a boolean, text, None or a sequence is not
+    @pytest.mark.parametrize("weights", [{"w1": True}, {"w2": "one"}, {"w1": None}, {"w2": (1.0,)},
+                                         {"w1": (1.0, 1.0)}])
     def test_non_number_fake_term_weight_rejected(self, weights):
-        with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
-            LossConfig(fake_term_weights=weights)
-
-    @pytest.mark.parametrize("weights", [None, 1.0, np.float64(2.0), "12", b"12"])
-    def test_non_pair_fake_term_weights_rejected(self, weights):
-        # a scalar is not iterable, and a string's characters are not two weights
-        with pytest.raises(InvalidArgumentError, match="fake_term_weights must be two finite"):
-            LossConfig(fake_term_weights=weights)
+        ((name, value),) = weights.items()
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{name} must be finite and >= 0, got {value!r}")):
+            LossConfig(**weights)
 
     def test_number_fields_become_floats(self):
-        cfg = LossConfig(lam="1", fake_term_weights=(2, np.float32(0.5)))
-        assert (cfg.lam, cfg.fake_term_weights) == (1.0, (2.0, 0.5))
-        assert all(type(v) is float for v in (cfg.lam, *cfg.fake_term_weights))
+        cfg = LossConfig(lam="1", w1=2, w2=np.float32(0.5))
+        assert (cfg.lam, cfg.w1, cfg.w2) == (1.0, 2.0, 0.5)
+        assert all(type(v) is float for v in (cfg.lam, cfg.w1, cfg.w2))
 
 
 @pytest.mark.parametrize("batch", [["x", 1.0], [[1.0, 2.0], [3.0]], {"a": 1.0}, [10**400]])

@@ -149,6 +149,12 @@ class TestPairedEstimator:
         u = estimate_mapping_paired(src, src)
         np.testing.assert_array_equal(u.per_patch, np.ones((3, 128)))
 
+    def test_sign_of_a_product_below_float64_range(self):
+        # a float64 product can underflow to -0.0 or +0.0; the sign is the exact product's
+        for src, tgt, sign in ((1e-200, -1e-200, -1.0), (-1e-200, 1e-200, -1.0), (-1e-200, -1e-200, 1.0),
+                               (5e-324, 1e-300, 1.0), (-0.0, -1e-200, 1.0), (0.0, -1.0, 1.0)):
+            assert_same_bits(estimate_mapping_paired([[src, 1.0]], [[tgt, -1.0]], "sign").per_patch, [[sign, -1.0]])
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             estimate_mapping_paired(np.ones((2, 8)), np.ones((3, 8)))
@@ -236,9 +242,8 @@ class TestFloat32Stacks:
         wide = estimate_mapping_paired(src.astype(np.float64), tgt.astype(np.float64), quantize)
         u = estimate_mapping_paired(src, tgt, quantize)
         assert_same_bits(wide.per_patch, quantized(src.astype(np.float64) * tgt, quantize))
-        # a sign is +-1 in float64; an unquantized product is the float32 rounding of the float64 one
-        dtype = np.float32 if quantize == "none" else np.float64
-        assert_same_bits(u.per_patch, wide.per_patch.astype(dtype), dtype)
+        # a sign is +-1 in float32 too; an unquantized product is the float32 rounding of the float64 one
+        assert_same_bits(u.per_patch, wide.per_patch.astype(np.float32), np.float32)
         narrow_u = HypervectorMapping(per_patch=tgt)
         want = apply_mapping(src.astype(np.float64), HypervectorMapping(per_patch=tgt.astype(np.float64)))
         assert_same_bits(apply_mapping(src, narrow_u), want.astype(np.float32), np.float32)
@@ -252,9 +257,11 @@ class TestFloat32Stacks:
         product = estimate_mapping_paired(tiny, -tiny).per_patch
         assert product.dtype == np.float32 and (product == 0.0).all() and np.signbit(product).all()
         for src, tgt, sign in ((tiny, -tiny, -1.0), (-tiny, tiny, -1.0), (tiny, tiny, 1.0), (-tiny, -tiny, 1.0)):
-            assert_same_bits(estimate_mapping_paired(src, tgt, "sign").per_patch, np.full((3, 64), sign))
+            assert_same_bits(estimate_mapping_paired(src, tgt, "sign").per_patch, np.full((3, 64), sign, np.float32),
+                             np.float32)
         # a zero factor is a zero product, +1 whatever its sign bit
-        assert_same_bits(estimate_mapping_paired(-0.0 * tiny, tiny, "sign").per_patch, np.ones((3, 64)))
+        assert_same_bits(estimate_mapping_paired(-0.0 * tiny, tiny, "sign").per_patch, np.ones((3, 64), np.float32),
+                         np.float32)
 
     def test_product_past_float32_range_falls_back_to_float64(self, tmp_path):
         # 1e20 * 1e20 overflows float32 but not float64: the call gives the float64
@@ -295,6 +302,8 @@ class TestFloat32Stacks:
         limit = src.nbytes + SLACK
         assert traced_peak(lambda: estimate_mapping_paired(src, tgt)) < limit
         assert traced_peak(lambda: apply_mapping(src, u)) < limit
+        # a sign mapping holds its float32 signs and one float32 temporary, and no float64 product
+        assert traced_peak(lambda: estimate_mapping_paired(src, tgt, "sign")) < 40 << 20
 
 
 class TestMappingCheckedWhenBuilt:
