@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import as_count, as_float, as_int, bind, check_seed, cosine_similarity, fill_bipolar, sample_hypervector
+from .hv import _cosines, as_count, as_float, as_int, check_seed, fill_bipolar, sample_hypervector
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 from .vsaf import MAX_ELEMENTS
@@ -170,10 +170,10 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
                 rng.bit_generator.state = filled
                 v_src = encode_scene(scene_objects, src)
                 v_tgt = encode_scene(scene_objects, tgt)
-                translated = bind(v_src, scene_mapping(config, src, tgt, rng))
+                translated = v_src * scene_mapping(config, src, tgt, rng)
                 if not translated.any() or not v_tgt.any():
                     raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
-                cosines[i, t] = cosine_similarity(translated, v_tgt)
+                cosines[i, t] = _cosines(translated[np.newaxis], v_tgt[np.newaxis])[0][0]
 
                 tops = memory.cleanup(translated * tgt)
                 correct[i] += sum(int(top[0][0] == j) for j, top in enumerate(tops))
@@ -203,8 +203,11 @@ def measure_recovery(config: BenchConfig) -> BenchReport:
     i < k, and its target twin binds it to target-attribute row i. A trial
     encodes both scenes, builds the configured mapping, translates the source
     scene, and then recovers every object at once: it unbinds each pair's
-    target attribute and cleans the stack of queries up in one scan of an
-    item memory over the object rows, built once per call.
+    target attribute and cleans the stack of queries up with one
+    ``ItemMemory.cleanup`` of a memory over the object rows, built once per
+    call. ``BenchConfig`` is the gate: the mapping and the cleanup go through
+    their public gates, but the trial's own +-1 arithmetic is not checked
+    again (the product that translates, and ``hv._cosines`` for the cosine).
 
     Symbols are float32 when the mapping is not ``mixed`` and k^2 dim <= 2^24:
     then every symbol, scene, mapping, query and partial sum of the memory's

@@ -37,6 +37,8 @@ squared norms a row keeps unscaled, chosen by the dtype its products are summed
 in. It is the home of the finiteness policy too: ``check_rows`` checks each array in the first pass
 that computes from it (``bind``'s product, ``bundle``'s sum, a norm) and is the only place that builds
 a list of bad rows; ``as_float`` checks each single number; ``np.isfinite`` appears nowhere else.
+Checks sit at the boundary: ``cosine_similarity`` checks what its kernel ``_cosines`` returns, and the
+flip bench, whose gate is ``BenchConfig`` and whose +-1 arrays are finite by construction, calls ``_cosines``.
 """
 
 from __future__ import annotations
@@ -289,12 +291,13 @@ def safe_norms2(rows: np.ndarray, dots: Callable[[np.ndarray, np.ndarray], np.nd
     return rows, norms2
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite row's dot is not read: the gate names the row
-def _cosine_terms(a: np.ndarray, b: np.ndarray):
-    """Each row's dot product and the two squared norms, of two equal-shape blocks widened to float64
-    and each row scaled by ``safe_norms2``."""
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite or zero row's cosine is not read
+def _cosines(a: np.ndarray, b: np.ndarray):
+    """The cosine kernel, which checks nothing: each row's cosine and the two squared norms, of two
+    equal-shape blocks widened to float64 and each row scaled by ``safe_norms2``."""
     (a2, na2), (b2, nb2) = (safe_norms2(x.astype(np.float64, copy=False), row_dots) for x in (a, b))
-    return row_dots(a2, b2), na2, nb2
+    # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
+    return row_dots(a2, b2) / np.sqrt(na2 * nb2), na2, nb2
 
 
 def cosine_similarity(a, b):
@@ -305,9 +308,7 @@ def cosine_similarity(a, b):
     av, bv = _same_shape(a, b)
     a2, b2 = np.atleast_2d(av), np.atleast_2d(bv)
     step = block_rows(a2.shape[1])
-    blocks = [_cosine_terms(a2[r : r + step], b2[r : r + step]) for r in range(0, a2.shape[0], step)]
-    dots, na2, nb2 = blocks[0] if len(blocks) == 1 else (np.concatenate(terms) for terms in zip(*blocks))
+    blocks = [_cosines(a2[r : r + step], b2[r : r + step]) for r in range(0, a2.shape[0], step)]
+    cos, na2, nb2 = blocks[0] if len(blocks) == 1 else (np.concatenate(terms) for terms in zip(*blocks))
     check_rows(np.column_stack((na2, nb2)), "cosine similarity undefined for a zero-norm vector")
-    # sqrt of the product keeps cos(v, v) == 1.0 exact (perfect-square argument)
-    cos = dots / np.sqrt(na2 * nb2)
     return float(cos[0]) if av.ndim == 1 else cos

@@ -1,12 +1,12 @@
 """Cleanup (item) memory: recover the nearest known symbol by cosine similarity.
 
-Entries live as rows of one float64 matrix, with their squared norms cached
-when they are stored. A query, or a ``(count, dim)`` stack of them, is an
-exact scan: one product of the stored rows with the transposed stack (a
-matrix-vector product for one query), then a stable sort of each query's n
-similarities (for the top 1, its first maximum), so retrieval is
-deterministic and ties go to the earlier entry. A stack streams the stored
-rows once rather than once per query. When rows and queries are
+Entries live as rows of one float64 or float32 matrix, with their float64
+squared norms cached when they are stored. A query, or a ``(count, dim)``
+stack of them, is an exact scan: one product of the stored rows with the
+transposed stack (a matrix-vector product for one query), then a stable sort
+of each query's n similarities (for the top 1, its first maximum), so
+retrieval is deterministic and ties go to the earlier entry. A stack streams
+the stored rows once rather than once per query. When rows and queries are
 integer-valued and every dot product is below 2^53, as with bipolar rows and
 bundled queries, each query's similarities are bit for bit those of its own
 1-D call; for other values only the rounding order of the dot products

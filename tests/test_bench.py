@@ -16,10 +16,13 @@ from vsabench.bench import (
     reports_to_csv,
     run_sweep,
     scene_mapping,
+    sweep_configs,
 )
 from vsabench import bench
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
 from vsabench.hv import bind, cosine_similarity, fill_bipolar, sample_hypervector
+from vsabench.mapping import build_ground_truth_mapping
+from vsabench.memory import ItemMemory
 
 DIM = 4096
 
@@ -81,6 +84,35 @@ def reference_recovery(config):
         cosines[t] = cosine_similarity(translated, v_tgt)
         for i in range(k):
             correct += int(reference_cleanup(objects, bind(translated, tgt[i])) == i)
+    return BenchReport(
+        recovery_cosine=float(np.mean(cosines)),
+        cleanup_accuracy=correct / (trials * k),
+        dim=config.dim,
+        k=k,
+        mapping=config.mapping,
+        trials=trials,
+        seed=config.seed,
+        recovery_cosine_sem=float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+    )
+
+
+def gated_recovery(config):
+    """The trial loop built from the public gates alone: symbols of the dtype the bench picks, an
+    ItemMemory over the object rows, and bind, build_ground_truth_mapping, cosine_similarity and
+    ItemMemory.cleanup on them, each checking its input as it would for any caller."""
+    n_obj, n_attr, k, trials = config.object_vocab_size, config.attr_vocab_size, config.k, config.trials
+    cosines = np.empty(trials)
+    correct = 0
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, t)))
+        symbols = materialize(np.empty((n_obj + 2 * n_attr, config.dim), bench._symbol_dtype(config)), rng)
+        objects, src, tgt = np.split(symbols, [n_obj, n_obj + n_attr])
+        src, tgt = src[:k], tgt[:k]
+        u = reference_mapping(config, build_ground_truth_mapping(src, tgt), rng)
+        translated = bind(encode_scene(objects[:k], src), u)
+        cosines[t] = cosine_similarity(translated, encode_scene(objects[:k], tgt))
+        tops = ItemMemory(range(n_obj), objects).cleanup(bind(np.broadcast_to(translated, tgt.shape), tgt))
+        correct += sum(int(top[0][0] == j) for j, top in enumerate(tops))
     return BenchReport(
         recovery_cosine=float(np.mean(cosines)),
         cleanup_accuracy=correct / (trials * k),
@@ -451,6 +483,24 @@ class TestSweep:
         for grid in ([], [0, "a"]):
             with pytest.raises(InvalidArgumentError):
                 bench.sweep_configs("lambda_proxy", grid, base)
+
+
+class TestMatchesGatedLoop:
+    """run_sweep, whose trial loop translates and takes the recovery cosine without re-checking the
+    arrays it fills, reports field for field what the gated loop reports, on every axis, at both
+    symbol dtypes."""
+
+    @pytest.mark.parametrize("seed", [1, 30])
+    @pytest.mark.parametrize("axis,grid,base", [
+        # k^2 dim <= 2^24 up to dim 4096 at k = 64, so the grid spans a float32 and a float64 group
+        ("dim", [64, 4096, 4097], small_config(n_obj=64, n_attr=64, k=64, trials=2)),
+        ("k", [1, 3, 64], small_config(dim=4097, n_obj=64, n_attr=64, trials=2)),
+        ("mapping_kind", ["ground_truth", "random", "mixed"], small_config(dim=129, n_obj=13, k=3, mix=0.3, trials=6)),
+        ("lambda_proxy", [0.0, 0.3, 1.0], small_config(dim=129, n_obj=13, k=3, trials=6)),
+    ])
+    def test_equal_reports(self, axis, grid, base, seed):
+        base = replace(base, seed=seed)
+        assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
 
 
 class TestCsv:

@@ -36,6 +36,12 @@ SWEEPS = {
 # flip-capacity scale: 1,024 objects scanned by k = 16 queries a trial at dim 4096
 CAPACITY_DIGEST = "26d8402bf0dc08498bddb7585578810e5cdcef39437cc42e9fccb957dced03fa"
 
+# flip-sweep scale: the k and mapping-kind sweeps of perfbench's flip-sweep workload, hashed
+# in that order. The seed is that workload's first pass at run seed 1, so this digest is
+# the one that `perfbench/run.py --workload flip-sweep --seed 1` prints.
+FLIP_SWEEP_DIGEST = "ba29b9e4cda847ae47e67d4d5f0a498abf45022058c699c656bf9385aa524bf8"
+FLIP_SWEEPS = (("k", (1, 2, 4, 8, 16)), ("mapping_kind", ("ground_truth", "random")))
+
 PIPELINE_DIGESTS = {
     "src_none": "76d681e640bdbd37df06d4d433078fcd43e3339979b3f686b8ba7ebc1dac43da",
     "tgt_none": "0cb81d678f52537fcbd89149415c0a60e6be594da67ef236dce0fd1f92f9c504",
@@ -62,6 +68,12 @@ def test_capacity_sweep_csv_bytes():
     base = BenchConfig(dim=4096, k=16, object_vocab_size=1024, attr_vocab_size=64, trials=4, seed=1)
     text = reports_to_csv("k", run_sweep("k", (16,), base))
     assert _sha256(text.encode("utf-8")) == CAPACITY_DIGEST
+
+
+def test_flip_sweep_csv_bytes():
+    base = BenchConfig(dim=4096, k=2, object_vocab_size=32, attr_vocab_size=16, trials=40, seed=38901565946305238)
+    text = "".join(reports_to_csv(axis, run_sweep(axis, grid, base)) for axis, grid in FLIP_SWEEPS)
+    assert _sha256(text.encode("utf-8")) == FLIP_SWEEP_DIGEST
 
 
 def _pipeline_outputs(tmp_path, capsys) -> dict:
