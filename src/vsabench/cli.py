@@ -46,6 +46,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):  # -h's help is a result, so a write that fails raises, as in _emit
+        _put(sys.stdout, "stdout", self.format_help())
+
 
 def _path(value) -> str:
     if not isinstance(value, str) or not value or "\0" in value:
@@ -419,7 +422,7 @@ def _joined(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one subcommand; return its exit code: 1 for a usage fault, and for a package, OS or memory error
     3 if the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
-    code = EXIT_CONFIG
+    code = EXIT_DATA  # while argv is parsed, the one such error is a -h help that cannot be written
     try:
         args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
         if not getattr(args, "command", None):
