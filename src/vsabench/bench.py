@@ -151,7 +151,7 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
         # The memory adopts the object rows without a copy and caches their squared
         # norms once. Every trial refills those rows in place with +-1 entries, so
         # each cached norm stays exactly dim and the memory stays valid.
-        memory = ItemMemory(range(n_obj), objects)
+        memory = ItemMemory(objects)
         points = []
         for i in indices:
             k = configs[i].k
@@ -175,8 +175,8 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
                     raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
                 cosines[i, t] = _cosines(translated[np.newaxis], v_tgt[np.newaxis])[0][0]
 
-                tops = memory.cleanup(translated * tgt)
-                correct[i] += sum(int(top[0][0] == j) for j, top in enumerate(tops))
+                found, _ = memory.cleanup(translated * tgt)
+                correct[i] += np.count_nonzero(found[:, 0] == np.arange(config.k))
 
     return [
         BenchReport(
@@ -203,11 +203,12 @@ def measure_recovery(config: BenchConfig) -> BenchReport:
     i < k, and its target twin binds it to target-attribute row i. A trial
     encodes both scenes, builds the configured mapping, translates the source
     scene, and then recovers every object at once: it unbinds each pair's
-    target attribute and cleans the stack of queries up with one
+    target attribute, cleans the stack of queries up with one
     ``ItemMemory.cleanup`` of a memory over the object rows, built once per
-    call. ``BenchConfig`` is the gate: the mapping and the cleanup go through
-    their public gates, but the trial's own +-1 arithmetic is not checked
-    again (the product that translates, and ``hv._cosines`` for the cosine).
+    call, and counts a hit where query i's top index is i. ``BenchConfig`` is
+    the gate: the mapping and the cleanup go through their public gates, but
+    the trial's own +-1 arithmetic is not checked again (the product that
+    translates, and ``hv._cosines`` for the cosine).
 
     Symbols are float32 when the mapping is not ``mixed`` and k^2 dim <= 2^24:
     then every symbol, scene, mapping, query and partial sum of the memory's

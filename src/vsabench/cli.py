@@ -420,7 +420,7 @@ def _joined(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; return its exit code: 1 for a usage fault, and for a package, OS or memory error
+    """Run one subcommand or -h's help; return its exit code: 1 for a usage fault, and for a package, OS or memory error
     3 if the command raised it before its ``yield`` (the rules stage), 2 after it (the files stage)."""
     code = EXIT_DATA  # while argv is parsed, the one such error is a -h help that cannot be written
     try:
@@ -430,6 +430,8 @@ def main(argv=None) -> int:
         stages = args.func(args)
         for code in (EXIT_CONFIG, EXIT_DATA):
             next(stages, None)
+    except SystemExit:  # argparse ends -h by its exit once the help is written
+        return EXIT_OK
     except UsageError as exc:
         _diagnose(f"usage error: {exc}")
         return EXIT_USAGE

@@ -12,12 +12,13 @@ bundled queries, each query's similarities are bit for bit those of its own
 1-D call; for other values only the rounding order of the dot products
 differs.
 
-Labels are unique and hashable (the constructor keys a dict by them); an
-unhashable label is rejected with ``InvalidArgumentError`` naming it. The
-matrix holds exactly the stored entries, at least one. ``ItemMemory(labels,
-matrix)`` is the one store path: it adopts the caller's matrix without
-copying it, and ``add`` rebuilds the memory through it from a new matrix that
-ends in the added row, which costs O(n * dim) a call. Rows and queries take
+Entry i is row i of the matrix, which holds exactly the stored entries, at
+least one. ``ItemMemory(matrix)`` is the one store path: it adopts the
+caller's matrix without copying it, and ``add`` rebuilds the memory through
+it from a new matrix that ends in the added row, which costs O(n * dim) a
+call. ``cleanup`` answers with two arrays, the top-k row indices and their
+float64 similarities, each ``(k,)`` for a ``(dim,)`` query and ``(count, k)``
+for a stack; a k above the entry count is rejected. Rows and queries take
 their squared norms from ``hv.safe_norms2``, so similarities agree with
 ``hv.cosine_similarity`` at any magnitude. Those squared norms are also the
 finiteness check: ``hv.check_rows`` rejects by them a row or query with a
@@ -25,11 +26,11 @@ non-finite entry or a zero norm.
 
 A float32 matrix stays float32, halving the bytes a scan reads, until an
 ``add`` stores a widened copy; a grown memory then holds the float64 squared
-norm of every row, so it answers bit for bit as a memory built from the same
-labels and widened rows. A float32 vector or query is widened for its
-squared norm. Queries to a float32 memory are then rounded to float32 and dot
-products summed in float32, which is exact for integers whose partial sums
-stay within 2^24, as in the flip bench, and float32-accurate otherwise.
+norm of every row, so it answers bit for bit as a memory built from the
+widened rows. A float32 vector or query is widened for its squared norm.
+Queries to a float32 memory are then rounded to float32 and dot products
+summed in float32, which is exact for integers whose partial sums stay
+within 2^24, as in the flip bench, and float32-accurate otherwise.
 Query scaling belongs to ``safe_norms2``, which is told the dtype the scan
 sums in: a query to a float32 memory whose squared norm lies outside its
 float32 range is first scaled by a power of two, which is exact, so that the
@@ -39,70 +40,49 @@ outside that range is scaled the same way.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .hv import as_count, as_hypervectors, check_rows, row_dots, safe_norms2, sum_products
 
 
-def _hashable(label: Hashable) -> Hashable:
-    """``label``, which ``ItemMemory`` keys a dict by, else ``InvalidArgumentError`` naming it."""
-    try:
-        hash(label)
-    except TypeError:
-        raise InvalidArgumentError(f"label {label!r} is not hashable") from None
-    return label
-
-
 class ItemMemory:
-    """Ordered store of labeled hypervectors, queried by cosine similarity. ``safe_norms2``
+    """Ordered store of hypervectors, entry i in row i, queried by cosine similarity. ``safe_norms2``
     scales a query of extreme norm by a power of two, which is exact, before a float32 memory's cast."""
 
-    def __init__(self, labels: Iterable[Hashable], matrix):
-        """A memory holding row i of a nonempty ``(n, dim)`` matrix under ``labels[i]``.
+    def __init__(self, matrix):
+        """A memory holding row i of a nonempty ``(n, dim)`` matrix as entry i.
 
         A C-contiguous float64 or float32 matrix is adopted without a copy
         (unless a row needs scaling), so the caller must not change it while the
         memory is in use. It holds the store rules: ``add`` rebuilds through it.
         """
-        labels = [_hashable(label) for label in labels]
-        rows = np.ascontiguousarray(as_hypervectors(matrix, (2,)))
-        if len(labels) != rows.shape[0]:
-            raise InvalidArgumentError(f"{len(labels)} labels for {rows.shape[0]} rows")
-        index = {label: i for i, label in enumerate(labels)}
-        if len(index) != len(labels):
-            dup = next(label for i, label in enumerate(labels) if index[label] != i)
-            raise InvalidArgumentError(f"duplicate label {dup!r}")
-        rows, norms2 = safe_norms2(rows, sum_products)
+        rows, norms2 = safe_norms2(np.ascontiguousarray(as_hypervectors(matrix, (2,))), sum_products)
         check_rows(norms2[:, np.newaxis], "cannot store a zero-norm vector")
-        self._labels, self._rows, self._norms2 = labels, rows, norms2
+        self._rows, self._norms2 = rows, norms2
 
     def __len__(self) -> int:
-        return len(self._labels)
-
-    @property
-    def labels(self) -> list[Hashable]:
-        return list(self._labels)
+        return self._rows.shape[0]
 
     @property
     def dim(self) -> int:
         return self._rows.shape[1]
 
-    def add(self, label: Hashable, vector) -> "ItemMemory":
-        """Append an entry; labels are unique and insertion order is preserved. The memory is rebuilt
-        by its constructor from a new matrix, which widens float32 rows, that ends in the vector."""
+    def add(self, vector) -> "ItemMemory":
+        """Append the vector as entry ``len(self)``. The memory is rebuilt by its constructor
+        from a new matrix, which widens float32 rows, that ends in the vector."""
         v = as_hypervectors(vector, (1,)).astype(np.float64, copy=False)
         if v.shape[0] != self.dim:
             raise InvalidArgumentError(f"vector dim {v.shape[0]} does not match memory dim {self.dim}")
-        vars(self).update(vars(ItemMemory([*self._labels, label], np.concatenate((self._rows, v[np.newaxis])))))
+        vars(self).update(vars(ItemMemory(np.concatenate((self._rows, v[np.newaxis])))))
         return self
 
-    def cleanup(self, query, k: int = 1) -> list:
-        """Top-k (label, cosine similarity) of a ``(dim,)`` query, ties broken by
-        insertion order; for a ``(count, dim)`` stack, one such list per row."""
+    def cleanup(self, query, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """The top-k entry indices and float64 cosine similarities of a ``(dim,)`` query, as two
+        ``(k,)`` arrays with ties to the earlier entry; for a ``(count, dim)`` stack, two ``(count, k)``."""
         k = as_count(k, "k")
+        if k > len(self):
+            raise InvalidArgumentError(f"k must be <= {len(self)}, the memory's entry count, got {k}")
         q = as_hypervectors(query)
         if q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
@@ -115,6 +95,6 @@ class ItemMemory:
             order = np.argmax(sims, axis=1)[:, np.newaxis]
         else:
             order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        tops = [[(self._labels[i], float(s)) for i, s in zip(row, sim[row])] for row, sim in zip(order, sims)]
-        return tops[0] if q.ndim == 1 else tops
+        sims = np.take_along_axis(sims, order, axis=1)
+        return (order[0], sims[0]) if q.ndim == 1 else (order, sims)
 

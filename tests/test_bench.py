@@ -111,8 +111,8 @@ def gated_recovery(config):
         u = reference_mapping(config, build_ground_truth_mapping(src, tgt), rng)
         translated = bind(encode_scene(objects[:k], src), u)
         cosines[t] = cosine_similarity(translated, encode_scene(objects[:k], tgt))
-        tops = ItemMemory(range(n_obj), objects).cleanup(bind(np.broadcast_to(translated, tgt.shape), tgt))
-        correct += sum(int(top[0][0] == j) for j, top in enumerate(tops))
+        found, _ = ItemMemory(objects).cleanup(bind(np.broadcast_to(translated, tgt.shape), tgt))
+        correct += np.count_nonzero(found[:, 0] == np.arange(k))
     return BenchReport(
         recovery_cosine=float(np.mean(cosines)),
         cleanup_accuracy=correct / (trials * k),

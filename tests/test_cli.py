@@ -925,6 +925,7 @@ CASES = {
                                                   "object_vocab_size=8,"), {"cfg.json": '{"object_vocab_size": 8}'},
                                            stdout=CSV),
         "help": Case(["-h"], 0, "", stdout=cli.build_parser().format_help()),
+        "bench help": Case(["bench", "-h"], 0, "", stdout=Prefix("usage: vsabench bench [-h] ")),
     },
     # A result that cannot reach stdout is a files-stage fault like any other failed write, and so is
     # -h's help. With fd 1 closed when it starts (`>&-`), Python sets sys.stdout to None.
@@ -1037,8 +1038,6 @@ def run_main(argv, capsys):
     signal.alarm(TIMEOUT)
     try:
         code = main(argv)
-    except SystemExit as exc:  # -h ends by argparse's exit
-        code = exc.code
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

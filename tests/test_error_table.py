@@ -96,11 +96,11 @@ def scores(kind):
 
 
 def memory():
-    return ItemMemory(range(COUNT), good())
+    return ItemMemory(good())
 
 
 def float32_memory():
-    return ItemMemory(range(COUNT), good().astype(np.float32))
+    return ItemMemory(good().astype(np.float32))
 
 
 # The adversarial variant rows are ``gan_loss`` under each variant's ``LossConfig``; they and the
@@ -135,8 +135,8 @@ def cases():
         ("estimate_mapping_paired(good, bad, sign)", lambda s: estimate_mapping_paired(good(), s, "sign"),
          {**every, "zero row": None}),
         # memory: every stored row and every query needs a nonzero, finite norm
-        ("ItemMemory.from_matrix", lambda s: ItemMemory(range(len(s)), s), {**one, "zero row": DIE}),
-        ("ItemMemory.add", lambda s: memory().add("new", row_of(s)), {**every, "zero row": DIE}),
+        ("ItemMemory.from_matrix", ItemMemory, {**one, "zero row": DIE}),
+        ("ItemMemory.add", lambda s: memory().add(row_of(s)), {**every, "zero row": DIE}),
         ("ItemMemory.cleanup(stack)", lambda s: memory().cleanup(s), {**every, "zero row": DIE}),
         ("ItemMemory.cleanup(vector)", lambda s: memory().cleanup(row_of(s)), {**every, "zero row": DIE}),
         ("float32 ItemMemory.cleanup", lambda s: float32_memory().cleanup(s), {**every, "zero row": DIE}),
@@ -194,19 +194,16 @@ def cases():
     yield "as_float", "numpy bool", as_float, np.True_, IAE
     yield "BenchConfig(mix)", "numpy bool", lambda v: BenchConfig(mapping="mixed", mix=v), np.True_, IAE
     yield "LossConfig(lam)", "numpy bool", lambda v: LossConfig(lam=v), np.False_, IAE
-    yield "ItemMemory.from_matrix", "label count", lambda s: ItemMemory(range(COUNT + 1), s), good(), IAE
-    yield "ItemMemory.from_matrix", "zero rows", lambda s: ItemMemory([], s), np.empty((0, DIM)), IAE
+    yield "ItemMemory.from_matrix", "zero rows", ItemMemory, np.empty((0, DIM)), IAE
     yield "check_no_zero_vectors", "zero rows", lambda s: check_no_zero_vectors(s, "x"), np.empty((0, DIM)), IAE
     yield "HypervectorMapping", "zero row", lambda s: HypervectorMapping(per_patch=s), STACKS["zero row"], None
     yield "HypervectorMapping", "1-D", lambda s: HypervectorMapping(per_patch=s), good()[0], IAE
     yield "check_no_zero_vectors", "1-D", lambda s: check_no_zero_vectors(s, "x"), good()[0], IAE
     # a pair of single vectors is rejected by rank before the cosine, zero or not
     yield "vsa_cyclic_loss", "1-D zero pair", lambda v: vsa_cyclic_loss(v, v), np.zeros(DIM), IAE
-    yield "ItemMemory.from_matrix", "unhashable label", lambda s: ItemMemory([[1]], s), good()[:1], IAE
-    # a one-row float32 memory, which add would widen, and a three-row float64 one
-    row32 = good()[0].astype(np.float32)
-    yield "ItemMemory.add", "unhashable label", lambda v: ItemMemory([0], v[np.newaxis]).add([1], v), row32, IAE
-    yield "ItemMemory.add", "unhashable label, nonempty memory", lambda v: memory().add({}, v), good()[0], IAE
+    # a k above the entry count would shorten the result arrays without saying so
+    for label, query in (("ItemMemory.cleanup(vector)", good()[0]), ("ItemMemory.cleanup(stack)", good())):
+        yield label, "k above entry count", lambda q: memory().cleanup(q, k=COUNT + 1), query, IAE
 
 
 def row_of(stack):
