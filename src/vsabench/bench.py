@@ -11,8 +11,20 @@ mixing fraction reproduce those trends as CSV reports.
 
 Trial t of every config draws its symbols from the same seeded stream, so
 the points of a sweep that share a dim and a symbol dtype share each trial's
-symbol matrix: a sweep pays for one fill per trial for each dim and dtype,
+symbols: a sweep pays for one fill of them per trial for each dim and dtype,
 not one per point.
+
+A trial holds one panel of object rows, not the vocabulary: ``PANEL_ROWS``
+rows, widened to the largest k so that panel 0 holds every scene object, in
+one buffer with the attribute rows. The stream puts the object rows first, so
+a larger vocabulary jumps to the attribute rows by ``PCG64.advance``, then
+draws and scans the other panels one at a time: panel 0 through
+``ItemMemory.cleanup``, the public gate, and the rest through its scan kernel,
+keeping a running first maximum (ties to the earlier row, as ``np.argmax``).
+The reports are those of one scan of the whole vocabulary: bit for bit for
+float32 symbols, whose scan sums are exact, and for float64 ``mixed`` ones
+while the BLAS sums a row's dot product the same in a panel as in the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +49,9 @@ SWEEPS = {
     "lambda_proxy": (("mapping", "mix"), lambda value: ("mixed", as_float(value, "numbers"))),
 }
 SWEEP_AXES = tuple(SWEEPS)
+
+# Object rows a trial fills and scans at a time: 4 MiB of float32 at dim 4096.
+PANEL_ROWS = 256
 
 CSV_HEADER = "axis,value,dim,k,mapping,trials,recovery_cosine,cleanup_accuracy,flip_rate,seed"
 
@@ -72,6 +87,8 @@ class BenchConfig:
     sums k bipolar products (entry RMS about ``sqrt(k)``) and ``u_random`` is +-1:
     ``mix`` is a weight, not an energy fraction. A trial's symbol matrix, one row
     per object and two per attribute, may hold at most ``vsaf.MAX_ELEMENTS`` entries.
+    That cap is a configuration rule, not what a trial allocates: a trial holds one
+    panel of object rows (``PANEL_ROWS``) and the attribute rows.
     """
 
     dim: int = 4096
@@ -133,23 +150,54 @@ def _symbol_dtype(config: BenchConfig):
     return np.float32 if config.mapping != "mixed" and config.k**2 * config.dim <= 2**24 else np.float64
 
 
+def _jump(rng: np.random.Generator, drawn: int, to: int) -> None:
+    """Move ``rng``, a PCG64 generator that has drawn the first ``drawn`` uint32 words of its stream,
+    on to word ``to > drawn`` without drawing the words between. ``PCG64.advance`` skips whole 64-bit
+    draws, two words each (low half first), and clears a buffered upper half, so an odd ``to`` is
+    reached from the draw before it by taking one word."""
+    rng.bit_generator.advance(to // 2 - (drawn + 1) // 2)
+    if to % 2:
+        rng.integers(0, 2**32, dtype=np.uint32)
+
+
+def _scan_later_panels(memory: ItemMemory, panel: np.ndarray, n_obj: int, rng, scans) -> None:
+    """Fill object rows ``len(panel)`` on, one panel at a time, into ``panel``, the rows ``memory`` holds, from
+    ``rng`` at the first of those rows' words, and fold each panel's top-1 scan into the running first
+    maxima of ``scans``: per point, the top indices and similarities of panel 0's cleanup, and its queries
+    as the memory's kernel prepares them. An entry moves only to a strictly greater similarity, so ties
+    go to the earlier row, as in ``np.argmax``."""
+    height = len(panel)
+    for start in range(height, n_obj, height):
+        rows = min(height, n_obj - start)
+        materialize(panel[:rows], rng)
+        for _, _, found, best, (queries, qn2) in scans:
+            sims = memory._scan(queries, qn2, rows)
+            top = np.argmax(sims, axis=1)
+            sims = sims[np.arange(top.size), top]
+            better = sims > best
+            found[better] = top[better] + start
+            best[better] = sims[better]
+
+
 def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
     """One report per config. The configs share vocab sizes, trials and seed, so
     those with the same dim and symbol dtype draw the same symbols each trial:
-    each such group fills one matrix per trial, and every config of the group
-    runs its own trial stages on it."""
+    each such group fills one symbol buffer per trial, and every config of the
+    group runs its own trial stages on it. The buffer is object panel 0, then
+    the attribute rows; the later panels are drawn after the points' cleanups."""
     first = configs[0]
     n_obj, n_attr, trials = first.object_vocab_size, first.attr_vocab_size, first.trials
+    height = min(n_obj, max(PANEL_ROWS, *(config.k for config in configs)))
     members = {}
     for i, config in enumerate(configs):
         members.setdefault((config.dim, _symbol_dtype(config)), []).append(i)
     groups = []
     for (dim, dtype), indices in members.items():
-        symbols = np.empty((n_obj + 2 * n_attr, dim), dtype)
-        objects, src_attrs, tgt_attrs = np.split(symbols, [n_obj, n_obj + n_attr])
+        symbols = np.empty((height + 2 * n_attr, dim), dtype)
+        objects, src_attrs, tgt_attrs = np.split(symbols, [height, height + n_attr])
         objects.fill(1.0)
-        # The memory adopts the object rows without a copy and caches their squared
-        # norms once. Every trial refills those rows in place with +-1 entries, so
+        # The memory adopts the panel's rows without a copy and caches their squared
+        # norms once. Every fill rewrites those rows in place with +-1 entries, so
         # each cached norm stays exactly dim and the memory stays valid.
         memory = ItemMemory(objects)
         points = []
@@ -162,9 +210,18 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
     correct = [0] * len(configs)
     for t in range(trials):
         for symbols, memory, points in groups:
-            rng = np.random.default_rng(np.random.SeedSequence(first.seed, spawn_key=(0, t)))
-            materialize(symbols, rng)
+            # PCG64 pinned, not default_rng's choice: the jump to the attribute rows needs its advance
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(first.seed, spawn_key=(0, t))))
+            if height == n_obj:
+                materialize(symbols, rng)
+            else:
+                words = -(-symbols.shape[1] // 32)
+                materialize(symbols[:height], rng)
+                panel_end = rng.bit_generator.state
+                _jump(rng, height * words, n_obj * words)
+                materialize(symbols[height:], rng)
             filled = rng.bit_generator.state
+            scans = []
             for i, config, scene_objects, src, tgt in points:
                 # a random or mixed mapping reads on from the fill, as if it had drawn alone
                 rng.bit_generator.state = filled
@@ -175,8 +232,18 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
                     raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
                 cosines[i, t] = _cosines(translated[np.newaxis], v_tgt[np.newaxis])[0][0]
 
-                found, _ = memory.cleanup(translated * tgt)
-                correct[i] += np.count_nonzero(found[:, 0] == np.arange(config.k))
+                queries = translated * tgt
+                found, best = memory.cleanup(queries)
+                later = memory._queries(queries) if height < n_obj else None
+                # freed now, not at the next point's product, so that its temporaries can reuse the
+                # memory: holding it slowed flip-sweep's k sweep by about 3 % on a 2-vCPU guest
+                del queries
+                scans.append((i, config.k, found[:, 0], best[:, 0], later))
+            if height < n_obj:
+                rng.bit_generator.state = panel_end
+                _scan_later_panels(memory, symbols[:height], n_obj, rng, scans)
+            for i, k, found, _, _ in scans:
+                correct[i] += np.count_nonzero(found == np.arange(k))
 
     return [
         BenchReport(
@@ -196,19 +263,22 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
 def measure_recovery(config: BenchConfig) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
-    Trial t draws from ``SeedSequence(seed, spawn_key=(0, t))``. Each trial
-    fills one symbol matrix (the object rows, then the source-attribute and
-    the target-attribute rows) from the trial's generator, reusing one buffer
-    across trials. The scene binds object row i to source-attribute row i for
-    i < k, and its target twin binds it to target-attribute row i. A trial
+    Trial t draws from ``PCG64(SeedSequence(seed, spawn_key=(0, t)))``, whose
+    stream holds the object rows, then the source-attribute and the
+    target-attribute rows. Each trial fills one buffer, reused across trials,
+    with the first panel of object rows and the attribute rows; a vocabulary
+    past one panel jumps the generator over the other object rows with
+    ``PCG64.advance``. The scene binds object row i to source-attribute row i
+    for i < k, and its target twin binds it to target-attribute row i. A trial
     encodes both scenes, builds the configured mapping, translates the source
     scene, and then recovers every object at once: it unbinds each pair's
     target attribute, cleans the stack of queries up with one
-    ``ItemMemory.cleanup`` of a memory over the object rows, built once per
-    call, and counts a hit where query i's top index is i. ``BenchConfig`` is
-    the gate: the mapping and the cleanup go through their public gates, but
-    the trial's own +-1 arithmetic is not checked again (the product that
-    translates, and ``hv._cosines`` for the cosine).
+    ``ItemMemory.cleanup`` of a memory over the panel's rows, built once per
+    call, scans each later panel with the memory's kernel as it is drawn, and
+    counts a hit where query i's top index is i. ``BenchConfig`` is the gate:
+    the mapping and the cleanup go through their public gates, but the
+    trial's own +-1 arithmetic is not checked again (the product that
+    translates, ``hv._cosines`` for the cosine, and the later panels' scans).
 
     Symbols are float32 when the mapping is not ``mixed`` and k^2 dim <= 2^24:
     then every symbol, scene, mapping, query and partial sum of the memory's
@@ -216,7 +286,8 @@ def measure_recovery(config: BenchConfig) -> BenchReport:
     exactly, so the report is bit for bit the float64 one.
 
     This is the one-config case of ``run_sweep``'s trial loop, and pays for
-    one symbol fill per trial.
+    one symbol fill per trial, of one panel and the attributes, and then one
+    fill per later panel.
     """
     return _measure([config])[0]
 
@@ -226,12 +297,14 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
 
     Every point draws its trials from the same seeded streams, so a point's
     report is ``measure_recovery`` of its own config, whatever its place in
-    the grid. Points of the same dim and symbol dtype therefore fill the same
-    symbol matrix in trial t, and the sweep fills it once per trial for all of
+    the grid. Points of the same dim and symbol dtype therefore draw the same
+    symbols in trial t, and the sweep fills them once per trial for all of
     them: a sweep pays for one fill per trial for each dim and dtype among its
-    points, and holds one symbol matrix and item memory for each at once. A
-    random or mixed mapping then draws on from the generator's state just
-    after the fill, which is the stream it would read alone.
+    points, and holds one symbol buffer (a panel of object rows and the
+    attribute rows) and item memory for each at once, whatever the vocabulary
+    size. A random or mixed mapping then draws on from the generator's state
+    just after the attribute rows, which is the stream it would read alone.
+    Each later panel is drawn and scanned once for all the points.
 
     Every grid value is checked before any trial runs. Trials run in order,
     each over every point, so a degenerate sweep raises ``DegenerateInputError``

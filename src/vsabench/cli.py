@@ -112,8 +112,11 @@ class Option(NamedTuple):
     required: bool = False
 
 
-_BENCH = bench_mod.BenchConfig()
-_LOSS = LossConfig()
+def _field(config, key: str, convert: Callable, flag: str | None = None) -> Option:
+    """The option that fills field ``key`` of a config dataclass, with that field's default."""
+    return Option(key, convert, next(f.default for f in fields(config) if f.name == key), flag=flag)
+
+
 _QUANTIZE = Option("quantize", _Choice(QUANTIZE_MODES), "none")
 _SEED = Option("seed", as_int)
 
@@ -144,21 +147,21 @@ OPTIONS = {
         Option("scores_real", _path),
         Option("scores_fake_translated", _path),
         Option("scores_fake_mapped", _path),
-        Option("lam", as_float, _LOSS.lam, flag="--lambda"),
-        Option("variant", _Choice(VARIANTS), _LOSS.variant),
-        Option("w1", as_float, _LOSS.w1),
-        Option("w2", as_float, _LOSS.w2),
+        _field(LossConfig, "lam", as_float, "--lambda"),
+        _field(LossConfig, "variant", _Choice(VARIANTS)),
+        _field(LossConfig, "w1", as_float),
+        _field(LossConfig, "w2", as_float),
     ),
     "bench": (
         Option("axis", _Choice(bench_mod.SWEEP_AXES), "dim"),
         Option("grid", _grid, [128, 4096], "comma-separated axis values"),
-        Option("dim", as_int, _BENCH.dim),
-        Option("k", as_int, _BENCH.k),
-        Option("object_vocab_size", as_int, _BENCH.object_vocab_size, flag="--objects"),
-        Option("attr_vocab_size", as_int, _BENCH.attr_vocab_size, flag="--attrs"),
-        Option("mapping", _Choice(bench_mod.MAPPING_KINDS), _BENCH.mapping),
-        Option("mix", as_float, _BENCH.mix),
-        Option("trials", as_int, _BENCH.trials),
+        _field(bench_mod.BenchConfig, "dim", as_int),
+        _field(bench_mod.BenchConfig, "k", as_int),
+        _field(bench_mod.BenchConfig, "object_vocab_size", as_int, "--objects"),
+        _field(bench_mod.BenchConfig, "attr_vocab_size", as_int, "--attrs"),
+        _field(bench_mod.BenchConfig, "mapping", _Choice(bench_mod.MAPPING_KINDS)),
+        _field(bench_mod.BenchConfig, "mix", as_float),
+        _field(bench_mod.BenchConfig, "trials", as_int),
         _SEED,
         Option("out", _path),
     ),
@@ -380,7 +383,8 @@ def _bench_unread(cfg: dict) -> dict:
 def cmd_bench(args) -> Iterator[None]:
     """run a recovery sweep and emit CSV"""
     cfg = _merged(args, _bench_unread)
-    base = bench_mod.BenchConfig(**{f.name: cfg[f.name] for f in fields(_BENCH)} | {"seed": _resolve_seed(cfg)})
+    config = bench_mod.BenchConfig
+    base = config(**{f.name: cfg[f.name] for f in fields(config)} | {"seed": _resolve_seed(cfg)})
     bench_mod.sweep_configs(cfg["axis"], cfg["grid"], base)
     yield
     if cfg["out"] is not None:

@@ -36,6 +36,13 @@ sums in: a query to a float32 memory whose squared norm lies outside its
 float32 range is first scaled by a power of two, which is exact, so that the
 cast neither flushes it to zero nor overflows it, and a stored float32 row
 outside that range is scaled the same way.
+
+Gates at the boundary, kernels inside: ``cleanup`` checks k and the query's
+shape and norms, then runs the scan kernel, which checks nothing: ``_queries``,
+the one home of the queries' preparation (widened for the norms, scaled, cast
+to the scan's dtype), and ``_scan``, their similarities against the first rows.
+The flip bench scans the later panels of a vocabulary that it refills into a
+memory's matrix with the kernel, on queries that ``cleanup`` has checked.
 """
 
 from __future__ import annotations
@@ -86,11 +93,9 @@ class ItemMemory:
         q = as_hypervectors(query)
         if q.shape[-1] != self.dim:
             raise InvalidArgumentError(f"query shape {q.shape} is not (dim,) or (count, dim) for memory dim {self.dim}")
-        rows = self._rows
-        # widened for the norm, but scaled into the range of the dtype the scan sums in
-        queries, qn2 = safe_norms2(np.atleast_2d(q).astype(np.float64, copy=False), row_dots, rows.dtype)
+        queries, qn2 = self._queries(q)
         check_rows(qn2[:, np.newaxis], "cleanup query has zero norm")
-        sims = ((rows @ queries.astype(rows.dtype, copy=False).T) / np.sqrt(self._norms2[:, np.newaxis] * qn2)).T
+        sims = self._scan(queries, qn2)
         if k == 1:  # the first maximum, which the stable sort would put first
             order = np.argmax(sims, axis=1)[:, np.newaxis]
         else:
@@ -98,3 +103,16 @@ class ItemMemory:
         sims = np.take_along_axis(sims, order, axis=1)
         return (order[0], sims[0]) if q.ndim == 1 else (order, sims)
 
+    @np.errstate(over="ignore")  # only a row with a non-finite entry, which check_rows rejects, can overflow the cast
+    def _queries(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scan kernel's queries, which checks nothing: a ``(dim,)`` or ``(count, dim)`` query as a
+        stack in the dtype the scan sums in, and its float64 squared norms. Each query is widened for its
+        norm, but scaled by ``safe_norms2`` into the range of the scan's dtype before the cast."""
+        dtype = self._rows.dtype
+        queries, qn2 = safe_norms2(np.atleast_2d(query).astype(np.float64, copy=False), row_dots, dtype)
+        return queries.astype(dtype, copy=False), qn2
+
+    def _scan(self, queries: np.ndarray, qn2: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """The scan kernel, which checks nothing: the ``(count, rows)`` cosine similarities of the
+        queries and squared norms from ``_queries`` against the first ``rows`` entries (all by default)."""
+        return ((self._rows[:rows] @ queries.T) / np.sqrt(self._norms2[:rows, np.newaxis] * qn2)).T

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -501,6 +502,74 @@ class TestMatchesGatedLoop:
     def test_equal_reports(self, axis, grid, base, seed):
         base = replace(base, seed=seed)
         assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
+
+    # 2 * 256 + 3 objects: two full panels and a partial one. At dim 65 a row is 3 words, so panel 0
+    # ends on an even word and the attribute rows start on an odd one, 515 * 3.
+    MANY = small_config(dim=65, n_obj=2 * 256 + 3, n_attr=8, k=3, mix=0.3, trials=6)
+
+    @pytest.mark.parametrize("seed", [1, 30])
+    @pytest.mark.parametrize("axis,grid", [
+        ("mapping_kind", ["ground_truth", "random", "mixed"]),
+        ("lambda_proxy", [0.0, 0.3, 1.0]),
+        ("k", [1, 3, 8]),
+    ])
+    def test_equal_reports_over_many_panels(self, axis, grid, seed):
+        base = replace(self.MANY, seed=seed)
+        assert bench.PANEL_ROWS == 256 and base.object_vocab_size > 2 * bench.PANEL_ROWS
+        assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
+
+    @pytest.mark.parametrize("panel", [16, 64])
+    @pytest.mark.parametrize("axis,grid,base", [
+        # a k above the panel height widens panel 0 to hold every scene object
+        ("k", [1, 20, 3], small_config(dim=65, n_obj=53, n_attr=24, trials=4, seed=5)),
+        ("dim", [64, 333, 4097], small_config(n_obj=200, n_attr=64, k=64, trials=2, seed=6)),
+        ("mapping_kind", ["mixed", "random", "ground_truth"], small_config(dim=1000, n_obj=200, k=4, mix=0.3,
+                                                                           trials=3, seed=902)),
+    ])
+    def test_equal_reports_at_other_panel_heights(self, monkeypatch, panel, axis, grid, base):
+        monkeypatch.setattr(bench, "PANEL_ROWS", panel)
+        assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
+
+
+class TestJump:
+    """The jump to a trial's attribute rows leaves its PCG64 generator as one straight draw would."""
+
+    @pytest.mark.parametrize("drawn,to", [(0, 6), (0, 7), (4, 10), (4, 11), (3, 8), (3, 9), (5, 6), (5, 7),
+                                          (768, 1545), (768, 1546)])
+    def test_jumped_generator_equals_a_straight_draw(self, drawn, to):
+        def generator():
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(0, 1))))
+
+        straight, jumped = generator(), generator()
+        words = straight.integers(0, 2**32, size=to + 5, dtype=np.uint32)
+        np.testing.assert_array_equal(jumped.integers(0, 2**32, size=drawn, dtype=np.uint32), words[:drawn])
+        bench._jump(jumped, drawn, to)
+        np.testing.assert_array_equal(jumped.integers(0, 2**32, size=5, dtype=np.uint32), words[to:])
+        assert jumped.bit_generator.state == straight.bit_generator.state
+        later = [(rng.integers(0, 2**32, size=3, dtype=np.uint32), rng.standard_normal(3), rng.random(3))
+                 for rng in (straight, jumped)]
+        for a, b in zip(*later):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestPanelMemory:
+    """A trial holds one panel of object rows, not the vocabulary (ROADMAP item 7)."""
+
+    @staticmethod
+    def traced_peak(n_obj):
+        """The peak bytes ``tracemalloc`` sees allocated by a flip-capacity-like sweep of ``n_obj`` objects."""
+        base = BenchConfig(dim=4096, k=16, object_vocab_size=n_obj, attr_vocab_size=64, trials=2, seed=1)
+        tracemalloc.start()
+        try:
+            run_sweep("k", [16], base)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_vocabulary(self):
+        self.traced_peak(300)  # a process's first sweep also imports numpy.random, which numpy loads lazily
+        small, large = self.traced_peak(1024), self.traced_peak(4096)
+        assert abs(large - small) <= 1 << 20, (small, large)
 
 
 class TestCsv:

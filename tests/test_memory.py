@@ -408,6 +408,15 @@ class TestFloat32Rows:
         np.testing.assert_array_equal(got[0][:, 0], want[0][:, 0])
         assert np.all(np.abs(by_entry(got) - by_entry(want)) < 1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_past_the_float32_range_is_named_without_a_warning(self, bad):
+        # a row with a non-finite entry is not scaled, so its finite entries past the float32
+        # range overflow in the cast to the scan's dtype, which must not warn before the gate names it
+        queries = np.ones((3, 64))
+        queries[1, :2] = bad, 1e300
+        with pytest.raises(InvalidArgumentError, match=r"finite \(rows \[1\]\)"):
+            ItemMemory(self.bipolar((4, 64), 7)).cleanup(queries)
+
     @pytest.mark.parametrize("s", [60, -60, 101, -101, 200, -200, 499, -499, 501, -501, 600, -600])
     def test_scaled_integer_queries_give_the_float64_memory_bits(self, s):
         # hv.safe_norms2 scales a query into the range of the dtype the scan sums in by a power of
