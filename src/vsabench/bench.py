@@ -16,11 +16,12 @@ not one per point.
 
 A trial holds one panel of object rows, not the vocabulary: ``PANEL_ROWS``
 rows, widened to the largest k so that panel 0 holds every scene object, in
-one buffer with the attribute rows. The stream puts the object rows first, so
-a larger vocabulary jumps to the attribute rows by ``PCG64.advance``, then
-draws and scans the other panels one at a time: panel 0 through
-``ItemMemory.cleanup``, the public gate, and the rest through its scan kernel,
-keeping a running first maximum (ties to the earlier row, as ``np.argmax``).
+one buffer with the attribute rows. The stream puts the object rows first, and
+two PCG64 cursors on the trial's seed read it: one fills the object panels in
+order, the other skips the object rows (``hv.skip_bipolar``) and fills the
+attribute rows. Panel 0 is scanned through ``ItemMemory.cleanup``, the public
+gate, and each later panel, if any, through its scan kernel, keeping a running
+first maximum (ties to the earlier row, as ``np.argmax``).
 The reports are those of one scan of the whole vocabulary: bit for bit for
 float32 symbols, whose scan sums are exact, and for float64 ``mixed`` ones
 while the BLAS sums a row's dot product the same in a panel as in the whole
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import _cosines, as_count, as_float, as_int, check_seed, fill_bipolar, sample_hypervector
+from .hv import _cosines, as_count, as_float, as_int, check_seed, fill_bipolar, sample_hypervector, skip_bipolar
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 from .vsaf import MAX_ELEMENTS
@@ -150,25 +151,14 @@ def _symbol_dtype(config: BenchConfig):
     return np.float32 if config.mapping != "mixed" and config.k**2 * config.dim <= 2**24 else np.float64
 
 
-def _jump(rng: np.random.Generator, drawn: int, to: int) -> None:
-    """Move ``rng``, a PCG64 generator that has drawn the first ``drawn`` uint32 words of its stream,
-    on to word ``to > drawn`` without drawing the words between. ``PCG64.advance`` skips whole 64-bit
-    draws, two words each (low half first), and clears a buffered upper half, so an odd ``to`` is
-    reached from the draw before it by taking one word."""
-    rng.bit_generator.advance(to // 2 - (drawn + 1) // 2)
-    if to % 2:
-        rng.integers(0, 2**32, dtype=np.uint32)
-
-
-def _scan_later_panels(memory: ItemMemory, panel: np.ndarray, n_obj: int, rng, scans) -> None:
-    """Fill object rows ``len(panel)`` on, one panel at a time, into ``panel``, the rows ``memory`` holds, from
-    ``rng`` at the first of those rows' words, and fold each panel's top-1 scan into the running first
-    maxima of ``scans``: per point, the top indices and similarities of panel 0's cleanup, and its queries
-    as the memory's kernel prepares them. An entry moves only to a strictly greater similarity, so ties
-    go to the earlier row, as in ``np.argmax``."""
-    height = len(panel)
-    for start in range(height, n_obj, height):
-        rows = min(height, n_obj - start)
+def _scan_later_panels(memory: ItemMemory, panel: np.ndarray, starts: range, rng, scans) -> None:
+    """Fill the object panels that begin at ``starts`` (rows ``starts.stop`` end the last), in order, into
+    ``panel``, the rows ``memory`` holds, from ``rng`` at the first of those rows' words, and fold each
+    panel's top-1 scan into the running first maxima of ``scans``: per point, the top indices and
+    similarities of panel 0's cleanup, and its queries as the memory's kernel prepares them. An entry
+    moves only to a strictly greater similarity, so ties go to the earlier row, as in ``np.argmax``."""
+    for start in starts:
+        rows = min(len(panel), starts.stop - start)
         materialize(panel[:rows], rng)
         for _, _, found, best, (queries, qn2) in scans:
             sims = memory._scan(queries, qn2, rows)
@@ -188,6 +178,7 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
     first = configs[0]
     n_obj, n_attr, trials = first.object_vocab_size, first.attr_vocab_size, first.trials
     height = min(n_obj, max(PANEL_ROWS, *(config.k for config in configs)))
+    later_panels = range(height, n_obj, height)
     members = {}
     for i, config in enumerate(configs):
         members.setdefault((config.dim, _symbol_dtype(config)), []).append(i)
@@ -209,39 +200,33 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
     cosines = np.empty((len(configs), trials))
     correct = [0] * len(configs)
     for t in range(trials):
+        seeds = np.random.SeedSequence(first.seed, spawn_key=(0, t))
         for symbols, memory, points in groups:
-            # PCG64 pinned, not default_rng's choice: the jump to the attribute rows needs its advance
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(first.seed, spawn_key=(0, t))))
-            if height == n_obj:
-                materialize(symbols, rng)
-            else:
-                words = -(-symbols.shape[1] // 32)
-                materialize(symbols[:height], rng)
-                panel_end = rng.bit_generator.state
-                _jump(rng, height * words, n_obj * words)
-                materialize(symbols[height:], rng)
-            filled = rng.bit_generator.state
+            # two cursors on the trial's stream, PCG64 pinned (not default_rng's choice) for its advance:
+            # one reads the object rows panel by panel, the other skips them to read the attribute rows
+            obj_rng, attr_rng = (np.random.Generator(np.random.PCG64(seeds)) for _ in range(2))
+            materialize(symbols[:height], obj_rng)
+            materialize(symbols[height:], skip_bipolar(attr_rng, n_obj, symbols.shape[1]))
+            filled = attr_rng.bit_generator.state
             scans = []
             for i, config, scene_objects, src, tgt in points:
                 # a random or mixed mapping reads on from the fill, as if it had drawn alone
-                rng.bit_generator.state = filled
+                attr_rng.bit_generator.state = filled
                 v_src = encode_scene(scene_objects, src)
                 v_tgt = encode_scene(scene_objects, tgt)
-                translated = v_src * scene_mapping(config, src, tgt, rng)
+                translated = v_src * scene_mapping(config, src, tgt, attr_rng)
                 if not translated.any() or not v_tgt.any():
                     raise DegenerateInputError(f"zero-norm translated or target scene in trial {t}")
                 cosines[i, t] = _cosines(translated[np.newaxis], v_tgt[np.newaxis])[0][0]
 
                 queries = translated * tgt
                 found, best = memory.cleanup(queries)
-                later = memory._queries(queries) if height < n_obj else None
+                later = memory._queries(queries) if later_panels else None
                 # freed now, not at the next point's product, so that its temporaries can reuse the
                 # memory: holding it slowed flip-sweep's k sweep by about 3 % on a 2-vCPU guest
                 del queries
                 scans.append((i, config.k, found[:, 0], best[:, 0], later))
-            if height < n_obj:
-                rng.bit_generator.state = panel_end
-                _scan_later_panels(memory, symbols[:height], n_obj, rng, scans)
+            _scan_later_panels(memory, symbols[:height], later_panels, obj_rng, scans)
             for i, k, found, _, _ in scans:
                 correct[i] += np.count_nonzero(found == np.arange(k))
 
@@ -263,19 +248,19 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
 def measure_recovery(config: BenchConfig) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
-    Trial t draws from ``PCG64(SeedSequence(seed, spawn_key=(0, t)))``, whose
-    stream holds the object rows, then the source-attribute and the
-    target-attribute rows. Each trial fills one buffer, reused across trials,
-    with the first panel of object rows and the attribute rows; a vocabulary
-    past one panel jumps the generator over the other object rows with
-    ``PCG64.advance``. The scene binds object row i to source-attribute row i
-    for i < k, and its target twin binds it to target-attribute row i. A trial
-    encodes both scenes, builds the configured mapping, translates the source
-    scene, and then recovers every object at once: it unbinds each pair's
-    target attribute, cleans the stack of queries up with one
-    ``ItemMemory.cleanup`` of a memory over the panel's rows, built once per
-    call, scans each later panel with the memory's kernel as it is drawn, and
-    counts a hit where query i's top index is i. ``BenchConfig`` is the gate:
+    Trial t reads the stream of ``PCG64(SeedSequence(seed, spawn_key=(0, t)))``,
+    which holds the object rows, then the source-attribute and the
+    target-attribute rows, through two cursors on that seed. Each trial fills
+    one buffer, reused across trials, with the first panel of object rows, from
+    the object cursor, and the attribute rows, from the attribute cursor, which
+    ``hv.skip_bipolar`` moves past every object row. The scene binds object row
+    i to source-attribute row i for i < k, and its target twin binds it to
+    target-attribute row i. A trial encodes both scenes, builds the configured
+    mapping, translates the source scene, and then recovers every object at
+    once: it unbinds each pair's target attribute, cleans the stack of queries
+    up with one ``ItemMemory.cleanup`` of a memory over the panel's rows, built
+    once per call, scans each later panel, if any, with the memory's kernel as
+    the object cursor draws it, and counts a hit where query i's top index is i. ``BenchConfig`` is the gate:
     the mapping and the cleanup go through their public gates, but the
     trial's own +-1 arithmetic is not checked again (the product that
     translates, ``hv._cosines`` for the cosine, and the later panels' scans).
@@ -286,8 +271,8 @@ def measure_recovery(config: BenchConfig) -> BenchReport:
     exactly, so the report is bit for bit the float64 one.
 
     This is the one-config case of ``run_sweep``'s trial loop, and pays for
-    one symbol fill per trial, of one panel and the attributes, and then one
-    fill per later panel.
+    one fill per trial of each symbol row: panel 0 and the attributes, then
+    each later panel, if any, from the object cursor.
     """
     return _measure([config])[0]
 
@@ -302,8 +287,8 @@ def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchRep
     them: a sweep pays for one fill per trial for each dim and dtype among its
     points, and holds one symbol buffer (a panel of object rows and the
     attribute rows) and item memory for each at once, whatever the vocabulary
-    size. A random or mixed mapping then draws on from the generator's state
-    just after the attribute rows, which is the stream it would read alone.
+    size. A random or mixed mapping then draws on from the attribute cursor's
+    state just after the attribute rows, which is the stream it would read alone.
     Each later panel is drawn and scanned once for all the points.
 
     Every grid value is checked before any trial runs. Trials run in order,
@@ -332,7 +317,7 @@ def sweep_configs(axis: str, grid, base: BenchConfig) -> list[BenchConfig]:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise InvalidArgumentError("boolean axis values are not supported")
     if isinstance(value, (int, np.integer)):
         return str(int(value))

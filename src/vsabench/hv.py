@@ -28,7 +28,9 @@ entries takes the next ``ceil(dim / 32)`` words of one uint32 stream, and
 entry c is bit ``c % 32`` (least significant first) of word ``c // 32``:
 1 gives +1, 0 gives -1. Every row starts on a fresh word, so up to 31 bits
 per row are drawn and never used, and filling a stack equals drawing its
-rows one at a time.
+rows one at a time. ``skip_bipolar`` moves a fresh PCG64 generator past the
+words of a number of rows without drawing them, so a second generator on the
+same seed can start a fill at any row of the stream.
 
 ``hv`` is also the one home of the magnitude policy: the cosine here, the
 cleanup memory, the LSH encoder's unit features and per-layer normalization
@@ -190,6 +192,18 @@ def fill_bipolar(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         signs -= 1
         block[...] = signs
     return out
+
+
+def skip_bipolar(rng: np.random.Generator, rows: int, dim: int) -> np.random.Generator:
+    """Move ``rng``, a fresh PCG64 generator, past the words a ``fill_bipolar`` of ``rows`` rows of ``dim``
+    entries would draw, without drawing them; returns it, as that fill would leave it. ``PCG64.advance``
+    skips whole 64-bit draws, two words each (low half first), and clears a buffered upper half, which a
+    fresh generator does not hold; an odd word count takes its last word by a draw."""
+    words = rows * -(-dim // 32)
+    rng.bit_generator.advance(words // 2)
+    if words % 2:
+        rng.integers(0, 2**32, dtype=np.uint32)
+    return rng
 
 
 def sample_hypervector(dim: int, rng: np.random.Generator) -> np.ndarray:

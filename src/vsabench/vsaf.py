@@ -46,10 +46,6 @@ class FeatureMapLayer:
     name: str
     data: np.ndarray  # shape (H, W, C), float32
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class FeatureMapSet:
@@ -198,6 +194,6 @@ def read_hypervectors(path) -> np.ndarray:
     if len(fm.layers) != 1 or fm.layers[0].data.shape[0] != 1:
         raise CorruptContentError(
             f"expected a single 1 x count x dim layer, got "
-            f"{[(l.name, l.shape) for l in fm.layers]}"
+            f"{[(l.name, l.data.shape) for l in fm.layers]}"
         )
     return fm.layers[0].data[0]

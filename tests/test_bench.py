@@ -21,7 +21,7 @@ from vsabench.bench import (
 )
 from vsabench import bench
 from vsabench.errors import DegenerateInputError, InvalidArgumentError
-from vsabench.hv import bind, cosine_similarity, fill_bipolar, sample_hypervector
+from vsabench.hv import bind, cosine_similarity, fill_bipolar, sample_hypervector, skip_bipolar
 from vsabench.mapping import build_ground_truth_mapping
 from vsabench.memory import ItemMemory
 
@@ -219,7 +219,8 @@ class TestMeasureRecovery:
         for name in ("materialize", "encode_scene", "scene_mapping"):
             monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
         measure_recovery(small_config(dim=64, k=2, trials=3))
-        assert calls == ["materialize", "encode_scene", "encode_scene", "scene_mapping"] * 3
+        # two fills a trial: object panel 0 from the object cursor, the attribute rows from the attribute cursor
+        assert calls == ["materialize", "materialize", "encode_scene", "encode_scene", "scene_mapping"] * 3
 
     def test_invalid_mapping_kind(self):
         with pytest.raises(InvalidArgumentError, match="mapping"):
@@ -325,22 +326,30 @@ class TestMatchesPerLabelLoop:
 
 
 def symbol_fills(monkeypatch):
-    """The dtype of each array the bench fills with symbols, in the order of the fills."""
+    """The dtype and row count of each array the bench fills with symbols, in the order of the fills."""
     seen = []
 
     def spy(out, rng):
-        seen.append(out.dtype)
+        seen.append((out.dtype, out.reshape(-1, out.shape[-1]).shape[0]))
         return fill_bipolar(out, rng)
 
     monkeypatch.setattr(bench, "fill_bipolar", spy)
     return seen
 
 
+def rows_filled(fills):
+    """The symbol rows filled, summed by dtype."""
+    totals = {}
+    for dtype, rows in fills:
+        totals[dtype] = totals.get(dtype, 0) + rows
+    return totals
+
+
 def symbol_dtypes(monkeypatch, config):
     """The dtypes of the arrays measure_recovery fills with symbols."""
     seen = symbol_fills(monkeypatch)
     measure_recovery(replace(config, trials=2, seed=1, mix=0.5))
-    return set(seen)
+    return {dtype for dtype, _ in seen}
 
 
 class TestFloat32Symbols:
@@ -437,21 +446,24 @@ class TestSweep:
             point = {"mapping": value} if axis == "mapping_kind" else {"mapping": "mixed", "mix": value}
             assert report == measure_recovery(replace(base, **point))
 
+    # A sweep fills each symbol row, one per object and two per attribute, once a trial for each dim and
+    # dtype among its points, however many points share them; a point that filled its own would count more.
     def test_k_sweep_fills_once_a_trial(self, monkeypatch):
-        fills = symbol_fills(monkeypatch)
-        run_sweep("k", [1, 2, 4], small_config(dim=64, trials=3))
-        assert len(fills) == 3
+        for n_obj in (8, 2 * 256 + 3):  # one panel, and two full panels and a partial one
+            fills = symbol_fills(monkeypatch)
+            run_sweep("k", [1, 2, 4], small_config(dim=65, n_obj=n_obj, trials=3))
+            assert rows_filled(fills) == {np.dtype(np.float32): 3 * (n_obj + 2 * 4)}
 
     def test_dim_sweep_fills_once_a_trial_per_point(self, monkeypatch):
         fills = symbol_fills(monkeypatch)
-        run_sweep("dim", [16, 64, 128, 256], small_config(trials=3))
-        assert len(fills) == 4 * 3
+        run_sweep("dim", [16, 64, 128, 64], small_config(trials=3))  # the second 64 shares the first one's fill
+        assert rows_filled(fills) == {np.dtype(np.float32): 3 * 3 * (8 + 2 * 4)}
 
     def test_k_sweep_across_the_float32_bound_fills_once_a_trial_per_dtype(self, monkeypatch):
         base = small_config(dim=4096, n_obj=65, n_attr=65, trials=2, seed=25)
         fills = symbol_fills(monkeypatch)
         results = run_sweep("k", [1, 64, 65, 2], base)  # 65^2 * 4096 > 2^24
-        assert fills == [np.dtype(np.float32), np.dtype(np.float64)] * 2
+        assert rows_filled(fills) == {np.dtype(np.float32): 2 * (65 + 2 * 65), np.dtype(np.float64): 2 * (65 + 2 * 65)}
         for k, report in results:
             assert report == measure_recovery(replace(base, k=k))
 
@@ -525,6 +537,11 @@ class TestMatchesGatedLoop:
         ("dim", [64, 333, 4097], small_config(n_obj=200, n_attr=64, k=64, trials=2, seed=6)),
         ("mapping_kind", ["mixed", "random", "ground_truth"], small_config(dim=1000, n_obj=200, k=4, mix=0.3,
                                                                            trials=3, seed=902)),
+        # 64 objects: exactly one panel of 64 rows, so no later scan, or four full panels of 16
+        ("mapping_kind", ["mixed", "random", "ground_truth"], small_config(dim=65, n_obj=64, k=3, mix=0.3,
+                                                                           trials=4, seed=7)),
+        # 129 objects: 2 * 64 + 1 or 8 * 16 + 1, so the last panel is one row
+        ("k", [1, 5, 2], small_config(dim=100, n_obj=129, n_attr=8, trials=4, seed=8)),
     ])
     def test_equal_reports_at_other_panel_heights(self, monkeypatch, panel, axis, grid, base):
         monkeypatch.setattr(bench, "PANEL_ROWS", panel)
@@ -532,7 +549,9 @@ class TestMatchesGatedLoop:
 
 
 class TestJump:
-    """The jump to a trial's attribute rows leaves its PCG64 generator as one straight draw would."""
+    """A trial's two cursors on one seed read its stream as one straight draw would: the attribute cursor,
+    skipped to word ``to``, reads on from there, and the object cursor, at word ``drawn``, reads on
+    undisturbed by that skip."""
 
     @pytest.mark.parametrize("drawn,to", [(0, 6), (0, 7), (4, 10), (4, 11), (3, 8), (3, 9), (5, 6), (5, 7),
                                           (768, 1545), (768, 1546)])
@@ -540,16 +559,19 @@ class TestJump:
         def generator():
             return np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(0, 1))))
 
-        straight, jumped = generator(), generator()
+        straight, objects, jumped = generator(), generator(), generator()
         words = straight.integers(0, 2**32, size=to + 5, dtype=np.uint32)
-        np.testing.assert_array_equal(jumped.integers(0, 2**32, size=drawn, dtype=np.uint32), words[:drawn])
-        bench._jump(jumped, drawn, to)
+        np.testing.assert_array_equal(objects.integers(0, 2**32, size=drawn, dtype=np.uint32), words[:drawn])
+        skip_bipolar(jumped, to, 32)  # a row of 32 entries takes one word
         np.testing.assert_array_equal(jumped.integers(0, 2**32, size=5, dtype=np.uint32), words[to:])
-        assert jumped.bit_generator.state == straight.bit_generator.state
+        np.testing.assert_array_equal(objects.integers(0, 2**32, size=to + 5 - drawn, dtype=np.uint32),
+                                      words[drawn:])
+        assert jumped.bit_generator.state == straight.bit_generator.state == objects.bit_generator.state
         later = [(rng.integers(0, 2**32, size=3, dtype=np.uint32), rng.standard_normal(3), rng.random(3))
-                 for rng in (straight, jumped)]
-        for a, b in zip(*later):
+                 for rng in (straight, jumped, objects)]
+        for a, b, c in zip(*later):
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
 
 class TestPanelMemory:
@@ -593,5 +615,6 @@ class TestCsv:
         report = BenchReport(recovery_cosine=1.0, cleanup_accuracy=1.0, dim=8, k=1, mapping="ground_truth",
                              trials=1, seed=0)
         assert reports_to_csv("k", [(1, report)]).split("\n")[1].startswith("k,1,")
-        with pytest.raises(InvalidArgumentError, match="boolean axis values are not supported"):
-            reports_to_csv("k", [(True, report)])
+        for value in (True, np.True_):
+            with pytest.raises(InvalidArgumentError, match="boolean axis values are not supported"):
+                reports_to_csv("k", [(value, report)])

@@ -21,6 +21,7 @@ from vsabench.hv import (
     row_dots,
     safe_norms2,
     sample_hypervector,
+    skip_bipolar,
     sum_products,
 )
 
@@ -264,6 +265,32 @@ class TestFillBipolar:
         assert abs(out.sum()) <= 6 * math.sqrt(out.size)
         by_bit = out.reshape(-1, 32).sum(axis=0)
         assert np.all(np.abs(by_bit) <= 6 * math.sqrt(out.size / 32))
+
+
+class TestSkipBipolar:
+    """Skipping rows leaves a fresh PCG64 generator as one straight draw of their words would."""
+
+    # (rows, dim) at dims of an odd number of words a row: 0 words, 1, then even and odd counts
+    @pytest.mark.parametrize("rows,dim", [(0, 65), (1, 32), (1, 1), (2, 65), (3, 65), (4, 65), (256, 65),
+                                          (515, 65)])
+    def test_skipped_generator_equals_a_straight_draw(self, rows, dim):
+        def generator():
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(0, 1))))
+
+        def position(rng):
+            """The stream position: the PCG64 state and a buffered upper half, if one is held."""
+            state = rng.bit_generator.state
+            return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+        straight, skipped, filled = generator(), generator(), generator()
+        straight.integers(0, 2**32, size=rows * -(-dim // 32), dtype=np.uint32)
+        assert skip_bipolar(skipped, rows, dim) is skipped
+        fill_bipolar(np.empty((rows, dim)), filled)
+        assert position(skipped) == position(straight) == position(filled)
+        # the next words, then the next 32- and 64-bit draws
+        tail = [rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist() for rng in (straight, skipped, filled)]
+        assert tail[0] == tail[1] == tail[2]
+        assert_same_state(straight, skipped, filled)
 
 
 class TestQuantized:

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import struct
 import threading
@@ -360,7 +361,8 @@ def test_non_finite_stack_row_is_named(tmp_path):
 def test_hypervector_layout_mismatch_raises_vsaf_error(tmp_path):
     path = tmp_path / "features.vsaf"
     write_feature_file(sample_set(np.random.default_rng(4)), path)
-    with pytest.raises(CorruptContentError, match="1 x count x dim"):
+    layers = "[('conv1', (4, 4, 3)), ('conv2', (2, 2, 8)), ('tiny', (1, 1, 1))]"
+    with pytest.raises(CorruptContentError, match=re.escape(f"1 x count x dim layer, got {layers}") + "$"):
         read_hypervectors(path)
 
 
