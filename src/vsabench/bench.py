@@ -322,7 +322,8 @@ def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):g}"
+        text = f"{float(value):g}"  # the short form, unless it names another float
+        return text if float(text) == float(value) else repr(float(value))
     return str(value)
 
 

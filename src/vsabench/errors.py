@@ -35,4 +35,5 @@ class DimensionOverflowError(VsafError):
 
 class CorruptContentError(VsafError):
     """File is well framed, but a layer name is not UTF-8 or repeats, a value is not
-    finite, or the layers do not have the layout the reader expects."""
+    finite, bytes follow the last payload, or the layers do not have the layout the
+    reader expects."""

@@ -144,7 +144,8 @@ class _Reader:
 def read_feature_file(path) -> FeatureMapSet:
     """Read a VSAF file; each payload of a regular file is checked against the file size,
     then read straight into its array, so it is allocated once and copied once. A pipe or
-    device has no size to check against, so its payloads are read in bounded chunks."""
+    device has no size to check against, so its payloads are read in bounded chunks, and
+    one more byte is read to check that it ends with its last payload, as a file must."""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         reader = _Reader(f, st.st_size if stat.S_ISREG(st.st_mode) else None)
@@ -172,6 +173,8 @@ def read_feature_file(path) -> FeatureMapSet:
             headers.append((name, h, w, c))
 
         layers = [FeatureMapLayer(name, reader.take_float32((h, w, c))) for name, h, w, c in headers]
+        if (reader.pos != reader.size) if reader.size is not None else f.read(1):  # a joined file, say
+            raise CorruptContentError(f"bytes follow the last payload at offset {reader.pos}")
     try:
         return FeatureMapSet(tuple(layers))
     except InvalidArgumentError as exc:

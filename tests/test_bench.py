@@ -610,11 +610,23 @@ class TestCsv:
         b = reports_to_csv("dim", run_sweep("dim", [128, 256], base))
         assert a == b
 
+    REPORT = BenchReport(recovery_cosine=1.0, cleanup_accuracy=1.0, dim=8, k=1, mapping="ground_truth",
+                         trials=1, seed=0)
+
+    # A float keeps its %g text only while that text reads back as the same float, so that
+    # two grid points never share a value and no value is cut to 6 significant digits.
+    @pytest.mark.parametrize("axis,value,text", [
+        ("k", 1, "1"),
+        ("lambda_proxy", 0.25, "0.25"),
+        ("lambda_proxy", 0.1234567, "0.1234567"),
+        ("lambda_proxy", 0.1234568, "0.1234568"),
+        ("dim", 1234567.0, "1234567.0"),
+    ])
+    def test_value_text(self, axis, value, text):
+        assert reports_to_csv(axis, [(value, self.REPORT)]).split("\n")[1].startswith(f"{axis},{text},8,")
+
     def test_boolean_axis_value_rejected(self):
         # True would print as 1 or True, neither of which the axis meant
-        report = BenchReport(recovery_cosine=1.0, cleanup_accuracy=1.0, dim=8, k=1, mapping="ground_truth",
-                             trials=1, seed=0)
-        assert reports_to_csv("k", [(1, report)]).split("\n")[1].startswith("k,1,")
         for value in (True, np.True_):
             with pytest.raises(InvalidArgumentError, match="boolean axis values are not supported"):
-                reports_to_csv("k", [(value, report)])
+                reports_to_csv("k", [(value, self.REPORT)])

@@ -5,6 +5,7 @@ import json
 import os
 import resource
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -788,6 +789,9 @@ TIMEOUT = 60  # seconds a case may run, so that an open that blocks fails its te
 SMALL_BENCH = ["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2"]
 BENCH_CSV = (f"{CSV_HEADER}\nk,1,64,1,ground_truth,2,1.000000,1.000000,0.000000,0\n"
              "k,2,64,2,ground_truth,2,0.579030,1.000000,0.000000,0\n")
+# the bytes `write_hypervectors` writes for np.eye(4): a 38-byte header and a 64-byte payload
+EYE4 = (b"VSAF" + struct.pack("<IIH", 1, 1, 12) + b"hypervectors" + struct.pack("<III", 1, 4, 4)
+        + np.eye(4, dtype="<f4").tobytes())
 FULL, PIPE, NO_STDOUT, NO_STDERR = {"stdout": "/dev/full"}, {"stdout": "broken pipe"}, {"close": 1}, {"close": 2}
 AS_CAP = {"RLIMIT_AS": 1 << 29}  # 512 MiB of address space: a reader that takes a device whole fails quickly
 ENCODE_MISSING = ["encode", "--features-in", "{tmp}/missing.vsaf", "--out", "{tmp}/o.vsaf"]
@@ -897,6 +901,9 @@ CASES = {
                             "data error: must be a finite discriminator loss, got np.float64(inf)",
                             {"x.vsaf": np.eye(2), "neg.vsaf": -np.eye(2), "small.json": "[0.1]",
                              "big.json": "[1e308]"}),
+        "loss with bytes after the last payload": Case(["loss", "--x", "{tmp}/x.vsaf", "--cycled", "{tmp}/hvs.vsaf"],
+                                                       2, "data error: bytes follow the last payload at offset 102",
+                                                       {"x.vsaf": EYE4 + bytes(700), "hvs.vsaf": np.eye(4)}),
     },
     # A FIFO opens once a writer comes and streams like a pipe: its bytes are read as a file's.
     "test_fifo_as_an_input_path": {
@@ -906,6 +913,9 @@ CASES = {
         "features": Case(["encode", "--features-in", "{tmp}/fifo", "--patch-sizes", "4,2", "--dim", "64", "--out",
                           "{tmp}/hv.vsaf"], 0, "", {"fifo": Fifo(FEATURES)},
                          stdout='{"m": 96, "n": 64, "patch_count": 4, "seed": 0}\n', left=("hv.vsaf",)),
+        "two files joined": Case(["loss", "--x", "{tmp}/hvs.vsaf", "--cycled", "{tmp}/fifo"], 2,
+                                 "data error: bytes follow the last payload at offset 102",
+                                 {"hvs.vsaf": np.eye(4), "fifo": Fifo(EYE4 + EYE4)}),
         "config": Case(["bench", "--config", "{tmp}/fifo"], 3, "config error: cannot read config file {tmp}/fifo as "
                        "UTF-8 JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
                        {"fifo": Fifo("{")}),

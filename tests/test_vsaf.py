@@ -132,22 +132,26 @@ def test_file_shorter_than_its_stat_size_raises_truncated(cut, tmp_path, monkeyp
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("cut", [None, -5], ids=["whole", "truncated"])
-def test_pipe_is_read_like_a_file(cut, tmp_path):
+@pytest.mark.parametrize("edit,error", [
+    (lambda blob: blob, None),
+    (lambda blob: blob[:-5], TruncatedPayloadError),
+    (lambda blob: blob + blob, CorruptContentError),  # as `cat a.vsaf a.vsaf |` streams it
+], ids=["whole", "truncated", "joined"])
+def test_pipe_is_read_like_a_file(edit, error, tmp_path):
     # a pipe has no size to check against, so each payload is read as it arrives
     path, fifo = tmp_path / "features.vsaf", tmp_path / "pipe"
     fm = sample_set(np.random.default_rng(5))
     write_feature_file(fm, path)
     os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()[:cut]), daemon=True)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(edit(path.read_bytes())), daemon=True)
     writer.start()
     try:
-        if cut is None:
+        if error is None:
             back = read_feature_file(fifo)
             for a, b in zip(fm.layers, back.layers):
                 assert a.data.tobytes() == b.data.tobytes()
         else:
-            with pytest.raises(TruncatedPayloadError):
+            with pytest.raises(error):
                 read_feature_file(fifo)
     finally:
         writer.join(timeout=10)
@@ -338,7 +342,10 @@ def layer_header(name: bytes, h: int, w: int, c: int) -> bytes:
     b"VSAF" + struct.pack("<II", 1, 2) + layer_header(b"a", 1, 1, 1) * 2 + np.ones(2, "<f4").tobytes(),
     b"VSAF" + struct.pack("<II", 1, 1) + layer_header(b"a", 1, 1, 2) + np.array([1, np.nan], "<f4").tobytes(),
     b"VSAF" + struct.pack("<II", 1, 1) + layer_header(b"a", 1, 1, 1) + np.float32(np.inf).tobytes(),
-], ids=["non-utf8-name", "duplicate-names", "nan-value", "inf-value"])
+    b"VSAF" + struct.pack("<II", 1, 1) + layer_header(b"a", 1, 1, 1) + np.float32(1).tobytes() + bytes(700),
+    (b"VSAF" + struct.pack("<II", 1, 1) + layer_header(b"a", 1, 1, 1) + np.float32(1).tobytes()) * 2,
+], ids=["non-utf8-name", "duplicate-names", "nan-value", "inf-value", "bytes-after-the-last-payload",
+        "two-files-joined"])
 def test_corrupt_content_raises_vsaf_error(blob, tmp_path):
     path = tmp_path / "corrupt.vsaf"
     path.write_bytes(blob)
