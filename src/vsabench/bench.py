@@ -9,15 +9,16 @@ the target-domain scene up to superposition noise (mean recovery cosine
 cleanup at chance. Sweeps over dimension, pair count, mapping kind, and a
 mixing fraction reproduce those trends as CSV reports.
 
-Trial t of every config draws its symbols from the same seeded stream, so
-the points of a sweep that share a dim and a symbol dtype share each trial's
-symbols: a sweep pays for one fill of them per trial for each dim and dtype,
-not one per point.
+Trial t of every config reads the same seeded stream, that of
+``PCG64(SeedSequence(seed, spawn_key=(0, t)))``, so the points of a sweep
+that share a dim and a symbol dtype share each trial's symbols: a sweep pays
+for one fill of them per trial for each dim and dtype, not one per point.
 
 A trial holds one panel of object rows, not the vocabulary: ``PANEL_ROWS``
 rows, widened to the largest k so that panel 0 holds every scene object, in
-one buffer with the attribute rows. The stream puts the object rows first, and
-two PCG64 cursors on the trial's seed read it: one fills the object panels in
+one buffer, reused across trials, with the attribute rows. The stream holds the
+object rows, then the source-attribute and the target-attribute rows, and two
+PCG64 cursors on the trial's seed read it: one fills the object panels in
 order, the other skips the object rows (``hv.skip_bipolar``) and fills the
 attribute rows. Panel 0 is scanned through ``ItemMemory.cleanup``, the public
 gate, and each later panel, if any, through its scan kernel, keeping a running
@@ -36,18 +37,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .hv import _cosines, as_count, as_float, as_int, check_seed, fill_bipolar, sample_hypervector, skip_bipolar
+from .hv import _cosines, as_count, as_float, check_seed, fill_bipolar, sample_hypervector, skip_bipolar
 from .mapping import build_ground_truth_mapping
 from .memory import ItemMemory
 from .vsaf import MAX_ELEMENTS
 
 MAPPING_KINDS = ("ground_truth", "random", "mixed")
-# Each sweep axis: the BenchConfig fields it sets on every point, and their values from one grid value.
+# Each sweep axis: the BenchConfig field a grid value sets, and the fields it fixes on every point.
 SWEEPS = {
-    "dim": (("dim",), lambda value: (as_int(value, "integers"),)),
-    "k": (("k",), lambda value: (as_int(value, "integers"),)),
-    "mapping_kind": (("mapping",), lambda value: (str(value),)),
-    "lambda_proxy": (("mapping", "mix"), lambda value: ("mixed", as_float(value, "numbers"))),
+    "dim": ("dim", {}),
+    "k": ("k", {}),
+    "mapping_kind": ("mapping", {}),
+    "lambda_proxy": ("mix", {"mapping": "mixed"}),
 }
 SWEEP_AXES = tuple(SWEEPS)
 
@@ -55,29 +56,6 @@ SWEEP_AXES = tuple(SWEEPS)
 PANEL_ROWS = 256
 
 CSV_HEADER = "axis,value,dim,k,mapping,trials,recovery_cosine,cleanup_accuracy,flip_rate,seed"
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Outcome of one measured configuration."""
-
-    recovery_cosine: float
-    cleanup_accuracy: float
-    dim: int
-    k: int
-    mapping: str
-    trials: int
-    seed: int
-    recovery_cosine_sem: float = 0.0
-
-    @property
-    def flip_rate(self) -> float:
-        return 1.0 - self.cleanup_accuracy
-
-    @property
-    def attempts(self) -> int:
-        """Cleanup queries made: one per pair per trial."""
-        return self.trials * self.k
 
 
 @dataclass(frozen=True)
@@ -119,8 +97,27 @@ class BenchConfig:
         mix = as_float(self.mix, "a number mix")
         if not 0.0 <= mix <= 1.0:
             raise InvalidArgumentError(f"mix must be in [0, 1], got {mix}")
-        object.__setattr__(self, "mix", mix)
+        object.__setattr__(self, "mix", mix + 0.0)  # -0.0 reads as 0
         check_seed(self.seed)
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    """Outcome of one measured configuration, with that configuration."""
+
+    recovery_cosine: float
+    cleanup_accuracy: float
+    config: BenchConfig
+    recovery_cosine_sem: float = 0.0
+
+    @property
+    def flip_rate(self) -> float:
+        return 1.0 - self.cleanup_accuracy
+
+    @property
+    def attempts(self) -> int:
+        """Cleanup queries made: one per pair per trial."""
+        return self.config.trials * self.config.k
 
 
 def materialize(symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -234,11 +231,7 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
         BenchReport(
             recovery_cosine=float(np.mean(cosines[i])),
             cleanup_accuracy=correct[i] / (trials * config.k),
-            dim=config.dim,
-            k=config.k,
-            mapping=config.mapping,
-            trials=trials,
-            seed=config.seed,
+            config=config,
             recovery_cosine_sem=float(np.std(cosines[i], ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
         )
         for i, config in enumerate(configs)
@@ -248,92 +241,76 @@ def _measure(configs: list[BenchConfig]) -> list[BenchReport]:
 def measure_recovery(config: BenchConfig) -> BenchReport:
     """Run seeded trials with fresh symbol draws and report recovery statistics.
 
-    Trial t reads the stream of ``PCG64(SeedSequence(seed, spawn_key=(0, t)))``,
-    which holds the object rows, then the source-attribute and the
-    target-attribute rows, through two cursors on that seed. Each trial fills
-    one buffer, reused across trials, with the first panel of object rows, from
-    the object cursor, and the attribute rows, from the attribute cursor, which
-    ``hv.skip_bipolar`` moves past every object row. The scene binds object row
-    i to source-attribute row i for i < k, and its target twin binds it to
-    target-attribute row i. A trial encodes both scenes, builds the configured
-    mapping, translates the source scene, and then recovers every object at
-    once: it unbinds each pair's target attribute, cleans the stack of queries
-    up with one ``ItemMemory.cleanup`` of a memory over the panel's rows, built
-    once per call, scans each later panel, if any, with the memory's kernel as
-    the object cursor draws it, and counts a hit where query i's top index is i. ``BenchConfig`` is the gate:
-    the mapping and the cleanup go through their public gates, but the
-    trial's own +-1 arithmetic is not checked again (the product that
-    translates, ``hv._cosines`` for the cosine, and the later panels' scans).
+    Each trial reads its stream and fills its buffer as the module docstring
+    sets out, encodes both scenes, builds the configured mapping, translates
+    the source scene, and then recovers every object at once: it unbinds each
+    pair's target attribute, cleans the stack of queries up against every
+    object row, and counts a hit where query i's top index is i.
+    ``BenchConfig`` is the gate: the mapping and panel 0's cleanup go through
+    their public gates, but the trial's own +-1 arithmetic is not checked again
+    (the product that translates, ``hv._cosines`` for the cosine, and the later
+    panels' scans).
 
     Symbols are float32 when the mapping is not ``mixed`` and k^2 dim <= 2^24:
     then every symbol, scene, mapping, query and partial sum of the memory's
     float32 scan is an integer of magnitude at most 2^24, which float32 holds
     exactly, so the report is bit for bit the float64 one.
 
-    This is the one-config case of ``run_sweep``'s trial loop, and pays for
-    one fill per trial of each symbol row: panel 0 and the attributes, then
-    each later panel, if any, from the object cursor.
+    This is the one-config case of ``run_sweep``'s trial loop.
     """
     return _measure([config])[0]
 
 
-def run_sweep(axis: str, grid, base: BenchConfig) -> list[tuple[object, BenchReport]]:
-    """One report per grid point along the named axis; returns (value, report) pairs.
+def run_sweep(axis: str, grid, base: BenchConfig) -> list[BenchReport]:
+    """One report per grid point along the named axis, in grid order, each holding its point's config.
 
     Every point draws its trials from the same seeded streams, so a point's
     report is ``measure_recovery`` of its own config, whatever its place in
-    the grid. Points of the same dim and symbol dtype therefore draw the same
-    symbols in trial t, and the sweep fills them once per trial for all of
-    them: a sweep pays for one fill per trial for each dim and dtype among its
-    points, and holds one symbol buffer (a panel of object rows and the
-    attribute rows) and item memory for each at once, whatever the vocabulary
-    size. A random or mixed mapping then draws on from the attribute cursor's
-    state just after the attribute rows, which is the stream it would read alone.
-    Each later panel is drawn and scanned once for all the points.
+    the grid. A random or mixed mapping draws on from the attribute cursor's
+    state just after the attribute rows, which is the stream it would read
+    alone, and each later panel is drawn and scanned once for all the points.
 
     Every grid value is checked before any trial runs. Trials run in order,
     each over every point, so a degenerate sweep raises ``DegenerateInputError``
     naming the first trial at which any of its points has a zero-norm scene."""
-    grid = list(grid)
-    return list(zip(grid, _measure(sweep_configs(axis, grid, base))))
+    return _measure(sweep_configs(axis, grid, base))
+
+
+def _sweep(axis: str) -> tuple:
+    """The axis's ``SWEEPS`` entry; an unknown axis raises ``InvalidArgumentError``."""
+    if axis not in SWEEP_AXES:
+        raise InvalidArgumentError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    return SWEEPS[axis]
 
 
 def sweep_configs(axis: str, grid, base: BenchConfig) -> list[BenchConfig]:
-    """Each grid point's config: ``base`` with the fields the axis sets taken from the point's
-    value. An unknown axis, an empty grid or a bad value raises ``InvalidArgumentError``."""
-    if axis not in SWEEP_AXES:
-        raise InvalidArgumentError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    fields, point = SWEEPS[axis]
-    configs = []
-    for value in grid:
-        try:
-            values = point(value)
-        except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"{axis} grid values {exc}") from exc
-        configs.append(replace(base, **dict(zip(fields, values))))
+    """Each grid point's config: ``base`` with the axis's field set to the point's value and the fields the
+    axis fixes, so ``BenchConfig``'s own rules type and check the value. An unknown axis, an empty grid or a
+    bad value raises ``InvalidArgumentError``."""
+    field, fixed = _sweep(axis)
+    configs = [replace(base, **fixed, **{field: value}) for value in grid]
     if not configs:
         raise InvalidArgumentError("sweep grid must be nonempty")
     return configs
 
 
 def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        raise InvalidArgumentError("boolean axis values are not supported")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        text = f"{float(value):g}"  # the short form, unless it names another float
-        return text if float(text) == float(value) else repr(float(value))
+    if isinstance(value, float):
+        text = f"{value:g}"  # the short form, unless it names another float
+        return text if float(text) == value else repr(value)
     return str(value)
 
 
-def reports_to_csv(axis: str, results: list[tuple[object, BenchReport]]) -> str:
-    """Render sweep results with the fixed header and \\n line endings."""
+def reports_to_csv(axis: str, reports: list[BenchReport]) -> str:
+    """Render a sweep's reports with the fixed header and \\n line endings; a row's value is its config's
+    value of the axis's field."""
+    field, _ = _sweep(axis)
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    for value, r in results:
+    for r in reports:
+        c = r.config
         buf.write(
-            f"{axis},{_format_value(value)},{r.dim},{r.k},{r.mapping},{r.trials},"
-            f"{r.recovery_cosine:.6f},{r.cleanup_accuracy:.6f},{r.flip_rate:.6f},{r.seed}\n"
+            f"{axis},{_format_value(getattr(c, field))},{c.dim},{c.k},{c.mapping},{c.trials},"
+            f"{r.recovery_cosine:.6f},{r.cleanup_accuracy:.6f},{r.flip_rate:.6f},{c.seed}\n"
         )
     return buf.getvalue()

@@ -73,19 +73,10 @@ def _int_list(value) -> list[int]:
     return [as_int(v, "integers") for v in value]
 
 
-def _grid_token(tok: str):
-    for kind in (int, float):
-        try:
-            return kind(tok)
-        except ValueError:
-            pass
-    return tok
-
-
 def _grid(value) -> list:
-    """Comma-separated text, each token read as an int, else a float, else a string; or a list."""
+    """Comma-separated text as its tokens, or a list as given: ``BenchConfig`` types each value."""
     if isinstance(value, str):
-        return [_grid_token(tok) for tok in _tokens(value)]
+        return _tokens(value)
     if not isinstance(value, list):
         raise InvalidArgumentError(f"must be a list or comma-separated values, got {value!r}")
     return value
@@ -372,10 +363,10 @@ def cmd_loss(args) -> Iterator[None]:
 def _bench_unread(cfg: dict) -> dict:
     """The options a bench sweep never reads: those its axis sets on every
     point, and ``mix`` when no point's mapping is ``mixed``."""
-    fields, _ = bench_mod.SWEEPS[cfg["axis"]]
-    unread = dict.fromkeys(fields, f"under --axis {cfg['axis']}")
+    field, fixed = bench_mod.SWEEPS[cfg["axis"]]
+    unread = dict.fromkeys((field, *fixed), f"under --axis {cfg['axis']}")
     mappings = cfg["grid"] if cfg["axis"] == "mapping_kind" else [cfg["mapping"]]
-    if "mixed" not in map(str, mappings):
+    if "mixed" not in mappings:
         unread.setdefault("mix", "without a mixed mapping")
     return unread
 
@@ -385,14 +376,15 @@ def cmd_bench(args) -> Iterator[None]:
     cfg = _merged(args, _bench_unread)
     config = bench_mod.BenchConfig
     base = config(**{f.name: cfg[f.name] for f in fields(config)} | {"seed": _resolve_seed(cfg)})
-    bench_mod.sweep_configs(cfg["axis"], cfg["grid"], base)
+    configs = bench_mod.sweep_configs(cfg["axis"], cfg["grid"], base)
     yield
     if cfg["out"] is not None:
         _check_out(cfg["out"])
-    _diagnose(f"bench axis={cfg['axis']} grid={cfg['grid']} base={base}")
+    field, _ = bench_mod.SWEEPS[cfg["axis"]]
+    _diagnose(f"bench axis={cfg['axis']} grid={[getattr(c, field) for c in configs]} base={base}")
 
-    results = bench_mod.run_sweep(cfg["axis"], cfg["grid"], base)
-    csv_text = bench_mod.reports_to_csv(cfg["axis"], results)
+    reports = bench_mod.run_sweep(cfg["axis"], cfg["grid"], base)
+    csv_text = bench_mod.reports_to_csv(cfg["axis"], reports)
     if cfg["out"] is not None:
         _write(lambda out: Path(out).write_text(csv_text, encoding="utf-8", newline=""), cfg["out"])
     else:

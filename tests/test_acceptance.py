@@ -49,7 +49,8 @@ def test_criterion_2_recovery_law():
     base = BenchConfig(dim=DIM, object_vocab_size=32, attr_vocab_size=16, trials=100, seed=7)
     ok = True
     details = []
-    for k, r in run_sweep("k", [1, 2, 4, 8, 16], base):
+    for r in run_sweep("k", [1, 2, 4, 8, 16], base):
+        k = r.config.k
         expected = 1.0 / math.sqrt(k)
         if k == 1:
             ok &= r.recovery_cosine == 1.0
@@ -80,7 +81,7 @@ def test_criterion_4_random_mapping_ablation():
 def test_criterion_5_dimension_ablation():
     base = BenchConfig(k=4, object_vocab_size=32, attr_vocab_size=16, trials=100, seed=7)
     results = run_sweep("dim", [128, 512, 2048, 4096], base)
-    accs = [r.cleanup_accuracy for _, r in results]
+    accs = [r.cleanup_accuracy for r in results]
     monotone = all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
     gap = accs[-1] - accs[0]
     check(5, "dimension ablation trend", monotone and gap >= 0.05,

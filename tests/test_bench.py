@@ -88,11 +88,7 @@ def reference_recovery(config):
     return BenchReport(
         recovery_cosine=float(np.mean(cosines)),
         cleanup_accuracy=correct / (trials * k),
-        dim=config.dim,
-        k=k,
-        mapping=config.mapping,
-        trials=trials,
-        seed=config.seed,
+        config=config,
         recovery_cosine_sem=float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
     )
 
@@ -117,11 +113,7 @@ def gated_recovery(config):
     return BenchReport(
         recovery_cosine=float(np.mean(cosines)),
         cleanup_accuracy=correct / (trials * k),
-        dim=config.dim,
-        k=k,
-        mapping=config.mapping,
-        trials=trials,
-        seed=config.seed,
+        config=config,
         recovery_cosine_sem=float(np.std(cosines, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
     )
 
@@ -205,7 +197,8 @@ class TestMeasureRecovery:
 
     def test_deterministic(self):
         cfg = BenchConfig(k=2, trials=10, seed=14)
-        assert measure_recovery(cfg) == measure_recovery(cfg)
+        report = measure_recovery(cfg)
+        assert report == measure_recovery(cfg) and report.config == cfg
 
     def test_each_trial_runs_the_stages(self, monkeypatch):
         calls = []
@@ -308,8 +301,8 @@ class TestMatchesPerLabelLoop:
         got, want = [], []
         for mapping, mix in self.CASES:
             cfg = replace(base, mapping=mapping, mix=mix)
-            got.append((mapping, measure_recovery(cfg)))
-            want.append((mapping, reference_recovery(cfg)))
+            got.append(measure_recovery(cfg))
+            want.append(reference_recovery(cfg))
         assert reports_to_csv("mapping_kind", got).encode() == reports_to_csv("mapping_kind", want).encode()
 
     @pytest.mark.parametrize("dim", [4096, 4097])  # k^2 dim = 2^24, the float32 bound, and just past it
@@ -409,26 +402,26 @@ class TestZeroNormScene:
 class TestSweep:
     def test_singleton_grid_matches_measure_recovery(self):
         base = BenchConfig(k=2, trials=10, seed=15)
-        [(value, report)] = run_sweep("dim", [4096], base)
-        assert value == 4096
+        [report] = run_sweep("dim", [4096], base)
+        assert report.config.dim == 4096
         assert report == measure_recovery(base)
 
     def test_recovery_law_over_k(self):
         base = BenchConfig(trials=30, seed=16, attr_vocab_size=8)
-        for k, r in run_sweep("k", [1, 2, 4, 8], base):
-            expected = 1 / math.sqrt(k)
+        for r in run_sweep("k", [1, 2, 4, 8], base):
+            expected = 1 / math.sqrt(r.config.k)
             tol = max(3 * r.recovery_cosine_sem, 1e-12)
             assert abs(r.recovery_cosine - expected) <= tol
 
     def test_lambda_proxy_monotone_endpoints(self):
         base = BenchConfig(k=4, dim=512, trials=30, seed=17)
-        results = dict(run_sweep("lambda_proxy", [0.0, 1.0], base))
-        assert results[1.0].cleanup_accuracy > results[0.0].cleanup_accuracy
+        low, high = run_sweep("lambda_proxy", [0.0, 1.0], base)
+        assert high.cleanup_accuracy > low.cleanup_accuracy
 
     def test_point_independent_of_grid_position(self):
         base = BenchConfig(dim=256, trials=5, seed=9, attr_vocab_size=8)
-        forward, backward = dict(run_sweep("k", [1, 4], base)), dict(run_sweep("k", [4, 1], base))
-        assert forward[4] == backward[4] == measure_recovery(replace(base, k=4))
+        forward, backward = run_sweep("k", [1, 4], base), run_sweep("k", [4, 1], base)
+        assert forward[1] == backward[0] == measure_recovery(replace(base, k=4))
 
     @pytest.mark.parametrize("base", [
         small_config(dim=129, k=3, trials=6, seed=23, mix=0.3),
@@ -442,7 +435,7 @@ class TestSweep:
         ("lambda_proxy", [1.0, 0.3, 0.0]),
     ])
     def test_points_that_draw_after_the_fill_match_measure_recovery(self, axis, grid, base):
-        for value, report in run_sweep(axis, grid, base):
+        for value, report in zip(grid, run_sweep(axis, grid, base)):
             point = {"mapping": value} if axis == "mapping_kind" else {"mapping": "mixed", "mix": value}
             assert report == measure_recovery(replace(base, **point))
 
@@ -462,18 +455,25 @@ class TestSweep:
     def test_k_sweep_across_the_float32_bound_fills_once_a_trial_per_dtype(self, monkeypatch):
         base = small_config(dim=4096, n_obj=65, n_attr=65, trials=2, seed=25)
         fills = symbol_fills(monkeypatch)
-        results = run_sweep("k", [1, 64, 65, 2], base)  # 65^2 * 4096 > 2^24
+        grid = [1, 64, 65, 2]  # 65^2 * 4096 > 2^24
+        results = run_sweep("k", grid, base)
         assert rows_filled(fills) == {np.dtype(np.float32): 2 * (65 + 2 * 65), np.dtype(np.float64): 2 * (65 + 2 * 65)}
-        for k, report in results:
+        for k, report in zip(grid, results):
             assert report == measure_recovery(replace(base, k=k))
 
     def test_bad_axis_rejected(self):
         with pytest.raises(InvalidArgumentError):
             run_sweep("epochs", [1], BenchConfig())
+        with pytest.raises(InvalidArgumentError):
+            reports_to_csv("epochs", [])
 
+    # A boolean is no grid value on any axis: True would run as 1, 1.0 or "True", none of which the axis meant.
     @pytest.mark.parametrize("axis,value", [
         ("k", 1.5), ("dim", 128.25), ("k", "two"), ("dim", True),
         ("lambda_proxy", "a"), ("lambda_proxy", None), ("lambda_proxy", True),
+        ("k", True), ("mapping_kind", True),
+        pytest.param("k", np.True_, id="k-np.True_"),
+        pytest.param("lambda_proxy", np.True_, id="lambda_proxy-np.True_"),
     ])
     def test_non_integral_grid_value_rejected(self, axis, value):
         with pytest.raises(InvalidArgumentError):
@@ -481,7 +481,7 @@ class TestSweep:
 
     def test_integral_float_grid_value_accepted(self):
         base = BenchConfig(dim=128, k=1, trials=2, seed=4)
-        [(_, report)] = run_sweep("k", [2.0], base)
+        [report] = run_sweep("k", [2.0], base)
         assert report == measure_recovery(BenchConfig(dim=128, k=2, trials=2, seed=4))
 
     def test_empty_grid_rejected(self):
@@ -513,7 +513,7 @@ class TestMatchesGatedLoop:
     ])
     def test_equal_reports(self, axis, grid, base, seed):
         base = replace(base, seed=seed)
-        assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
+        assert run_sweep(axis, grid, base) == list(map(gated_recovery, sweep_configs(axis, grid, base)))
 
     # 2 * 256 + 3 objects: two full panels and a partial one. At dim 65 a row is 3 words, so panel 0
     # ends on an even word and the attribute rows start on an odd one, 515 * 3.
@@ -528,7 +528,7 @@ class TestMatchesGatedLoop:
     def test_equal_reports_over_many_panels(self, axis, grid, seed):
         base = replace(self.MANY, seed=seed)
         assert bench.PANEL_ROWS == 256 and base.object_vocab_size > 2 * bench.PANEL_ROWS
-        assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
+        assert run_sweep(axis, grid, base) == list(map(gated_recovery, sweep_configs(axis, grid, base)))
 
     @pytest.mark.parametrize("panel", [16, 64])
     @pytest.mark.parametrize("axis,grid,base", [
@@ -545,10 +545,10 @@ class TestMatchesGatedLoop:
     ])
     def test_equal_reports_at_other_panel_heights(self, monkeypatch, panel, axis, grid, base):
         monkeypatch.setattr(bench, "PANEL_ROWS", panel)
-        assert run_sweep(axis, grid, base) == list(zip(grid, map(gated_recovery, sweep_configs(axis, grid, base))))
+        assert run_sweep(axis, grid, base) == list(map(gated_recovery, sweep_configs(axis, grid, base)))
 
 
-class TestJump:
+class TestTwoCursors:
     """A trial's two cursors on one seed read its stream as one straight draw would: the attribute cursor,
     skipped to word ``to``, reads on from there, and the object cursor, at word ``drawn``, reads on
     undisturbed by that skip."""
@@ -610,23 +610,23 @@ class TestCsv:
         b = reports_to_csv("dim", run_sweep("dim", [128, 256], base))
         assert a == b
 
-    REPORT = BenchReport(recovery_cosine=1.0, cleanup_accuracy=1.0, dim=8, k=1, mapping="ground_truth",
-                         trials=1, seed=0)
-
-    # A float keeps its %g text only while that text reads back as the same float, so that
-    # two grid points never share a value and no value is cut to 6 significant digits.
+    # A float keeps its %g text only while that text reads back as the same float, so that two grid
+    # points never share a value and no value is cut to 6 significant digits. The value is the one
+    # the point's config ran, however the grid spelled it.
     @pytest.mark.parametrize("axis,value,text", [
         ("k", 1, "1"),
         ("lambda_proxy", 0.25, "0.25"),
         ("lambda_proxy", 0.1234567, "0.1234567"),
         ("lambda_proxy", 0.1234568, "0.1234568"),
-        ("dim", 1234567.0, "1234567.0"),
+        ("dim", 1234567.0, "1234567"),
+        ("lambda_proxy", " 0.50", "0.5"),
+        ("lambda_proxy", "1e-1", "0.1"),
+        ("lambda_proxy", -0.0, "0"),
+        ("dim", "0128", "128"),
+        ("dim", "6_4", "64"),
+        ("mapping_kind", "random", "random"),
     ])
     def test_value_text(self, axis, value, text):
-        assert reports_to_csv(axis, [(value, self.REPORT)]).split("\n")[1].startswith(f"{axis},{text},8,")
-
-    def test_boolean_axis_value_rejected(self):
-        # True would print as 1 or True, neither of which the axis meant
-        for value in (True, np.True_):
-            with pytest.raises(InvalidArgumentError, match="boolean axis values are not supported"):
-                reports_to_csv("k", [(value, self.REPORT)])
+        [config] = sweep_configs(axis, [value], BenchConfig(dim=8, k=1, trials=1))
+        report = BenchReport(recovery_cosine=1.0, cleanup_accuracy=1.0, config=config)
+        assert reports_to_csv(axis, [report]).split("\n")[1].startswith(f"{axis},{text},{config.dim},")

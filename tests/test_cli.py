@@ -473,7 +473,7 @@ class TestBench:
         ], capsys)
         assert code == 3
         assert stdout == ""
-        assert "k grid values must be integers" in err
+        assert err.splitlines()[-1] == "config error: must be an integer k, got '1.5'"
 
     @pytest.mark.parametrize("cfg", [
         {"seed": "abc"}, {"trials": "x"}, {"trials": 2.5}, {"dim": True}, {"grid": 5}, {"out": 5},
@@ -507,9 +507,9 @@ class TestBench:
             "bench", "--axis", "lambda_proxy", "--grid", "0.5,a", "--trials", "2", "--dim", "64",
         ], capsys)
         assert (code, stdout) == (3, "")
-        assert "lambda_proxy grid values must be numbers, got 'a'" in err
+        assert err.splitlines()[-1] == "config error: must be a number mix, got 'a'"
 
-    @pytest.mark.parametrize("grid,named", [("-inf", "got -inf"), ("-0.5,1", "got -0.5")])
+    @pytest.mark.parametrize("grid,named", [("-inf", "got '-inf'"), ("-0.5,1", "got -0.5")])
     def test_flag_value_starting_with_a_dash_exit_3(self, grid, named, capsys):
         # argparse alone takes "-inf" for a flag; the value reads as "--grid=-inf" does
         errs = []
@@ -541,7 +541,7 @@ class TestBench:
         assert err == "usage error: argument --grid: expected one argument\n"
 
     @pytest.mark.parametrize("flags,cfg", [
-        (["--grid", "1e300", "--trials", "1"], {}),
+        (["--grid", "1" + "0" * 300, "--trials", "1"], {}),
         (["--axis", "k", "--grid", "1", "--dim", "100000000", "--trials", "1"], {}),
         ([], {"grid": [1e300], "trials": 1}),
         ([], {"axis": "k", "grid": [1], "dim": 100000000, "trials": 1}),
@@ -610,7 +610,7 @@ class TestBench:
         # so the fields a sweep sets on every point name the options it never reads
         keys = {opt.key for opt in OPTIONS["bench"]}
         assert {f.name for f in dataclasses.fields(BenchConfig)} <= keys
-        assert {name for names, _ in SWEEPS.values() for name in names} <= keys
+        assert {name for field, fixed in SWEEPS.values() for name in (field, *fixed)} <= keys
 
     def test_vocab_sizes_read_from_the_config_file(self, tmp_path, capsys):
         argv = ["bench", "--axis", "k", "--grid", "1,2", "--dim", "64", "--trials", "2"]
@@ -873,6 +873,9 @@ CASES = {
                             "--seed", "-1"], 3, "config error: seed must be in [0, 2^64), got -1"),
         "bench --grid": Case(["bench", "--axis", "k", "--grid", "0", "--out", "{tmp}/missing/x.csv"], 3,
                              "config error: k must be >= 1, got 0"),
+        "bench --grid of a float text on an integer axis": Case(
+            ["bench", "--axis", "dim", "--grid", "64.0", "--out", "{tmp}/missing/x.csv"], 3,
+            "config error: must be an integer dim, got '64.0'"),
         "bench --grid without --out": Case(["bench", "--axis", "k", "--grid", "0", "--dim", "64"], 3,
                                            "config error: k must be >= 1, got 0"),
         "repeated config key": Case(["bench", "--axis", "k", "--grid", "1,2", "--trials", "2", "--config",
@@ -930,6 +933,10 @@ CASES = {
                                  stdout=CSV),
         "bench --axis lambda_proxy": Case(["bench", "--axis", "lambda_proxy", "--grid", "0,0.5,1", "--dim", "64",
                                            "--trials", "2"], 0, BENCH_DIAG, stdout=CSV),
+        "a config-file grid value written as the point ran it": Case(
+            ["bench", "--config", "{tmp}/cfg.json", "--trials", "2"], 0,
+            Prefix("bench axis=dim grid=[64] base=BenchConfig(dim=4096, "), {"cfg.json": '{"grid": ["6_4"]}'},
+            stdout=Prefix(f"{CSV_HEADER}\ndim,64,64,2,ground_truth,2,")),
         "a field name as config key": Case([*SMALL_BENCH, "--config", "{tmp}/cfg.json"], 0,
                                            Prefix("bench axis=k grid=[1, 2] base=BenchConfig(dim=64, k=2, "
                                                   "object_vocab_size=8,"), {"cfg.json": '{"object_vocab_size": 8}'},
